@@ -420,6 +420,17 @@ def run_verify(args, cfg: EvalConfig, fmt: str) -> tuple[list[dict], int]:
     return records, code
 
 
+_HANDLERS = {
+    "eval": run_eval,
+    "lfun": run_lfun,
+    "polyl": run_polyl,
+    "xi": run_xi,
+    "det": run_det,
+    "zeros": run_zeros,
+    "verify": lambda args, cfg: run_verify(args, cfg, args.format),
+}
+
+
 # ---------------------------------------------------------------------------
 # Parser wiring
 
@@ -526,22 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.manifest:
             with open(args.manifest, "w") as fh:
                 fh.write(manifest.to_json())
-        if args.subcommand == "eval":
-            records, code = run_eval(args, cfg)
-        elif args.subcommand == "lfun":
-            records, code = run_lfun(args, cfg)
-        elif args.subcommand == "polyl":
-            records, code = run_polyl(args, cfg)
-        elif args.subcommand == "xi":
-            records, code = run_xi(args, cfg)
-        elif args.subcommand == "det":
-            records, code = run_det(args, cfg)
-        elif args.subcommand == "zeros":
-            records, code = run_zeros(args, cfg)
-        else:
-            records, code = run_verify(args, cfg, fmt)
-            if fmt == "table":
-                return code
+        records, code = _HANDLERS[args.subcommand](args, cfg)
+        if args.subcommand == "verify" and fmt == "table":
+            return code    # run_verify printed its own table
         emit_records(records, fmt)
         return code
     except PolydetError as exc:
@@ -550,10 +548,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entry() -> None:  # console script hook
-    sys.exit(main())
 
 
 if __name__ == "__main__":

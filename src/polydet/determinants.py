@@ -93,10 +93,6 @@ class XiValue:
         }
 
 
-def _places(fld: NumberField, chi: HeckeCharacter) -> tuple[ArchPlace, ...]:
-    return chi.arch_places()
-
-
 def _w_place(v: ArchPlace, z: complex) -> complex:
     return 0.5 * (v.nv * (z + 1j * v.phi) + abs(v.m))
 
@@ -193,7 +189,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 
     a3 = 0.0 + 0.0j
     err3 = 0.0
-    for v in _places(fld, chi):
+    for v in chi.arch_places():
         base = v.nv * math.pi
         em = hurwitz_zeta_em(s, _w_place(v, z), cfg)
         coef = cmath.exp(s * math.log(base))
@@ -249,7 +245,7 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
 
     da3 = 0.0 + 0.0j
     err3 = 0.0
-    for v in _places(fld, chi):
+    for v in chi.arch_places():
         base = v.nv * math.pi
         em = hurwitz_zeta_em(1 - r, _w_place(v, z), cfg)
         coef = base ** (1 - r)
@@ -325,7 +321,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
     logv += lcoef * log_lr
 
     err = abs(lcoef) * tail
-    for v in _places(fld, chi):
+    for v in chi.arch_places():
         base = v.nv * math.pi
         w = _w_place(v, z)
         em = hurwitz_zeta_em(1 - r, w, cfg)
@@ -360,7 +356,7 @@ def regularized_product(fld: NumberField, chi: HeckeCharacter, z: complex,
     """
     _check_pair(fld, chi)
     z = complex(z)
-    places = _places(fld, chi)
+    places = chi.arch_places()
     phi_c = sum(v.phi for v in places if v.nv == 2)
     m_c = sum(abs(v.m) for v in places if v.nv == 2)
     m = sum(abs(v.m) for v in places)

@@ -2,9 +2,10 @@
 supported family of characters: the trivial (class) character over any
 supported field and Dirichlet characters over the rationals.
 
-Prime ideals of a quadratic field are enumerated through the splitting
-behaviour read off the Kronecker symbol of the field discriminant; no
-general ideal arithmetic is attempted.
+Prime ideals are held as numpy norm tables built from one sieve.  In a
+quadratic field the splitting of p is the Kronecker symbol (d_K|p), read
+once per residue class of p mod |d_K|; no general ideal arithmetic is
+attempted.  `enumerate_prime_ideals` is the object view of the same table.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ class PrimeIdeal:
     norm: int
     index: int = 0
 
-    @property
-    def log_norm(self) -> float:
-        return math.log(self.norm)
-
 
 @dataclass(frozen=True)
 class ArchPlace:
@@ -129,41 +126,58 @@ def kronecker_symbol(d: int, p: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def primes_up_to(n: int) -> tuple[int, ...]:
-    """All primes <= n by a numpy sieve."""
+def _primes(n: int) -> np.ndarray:
+    """All primes <= n as a read-only int64 array, by a numpy sieve."""
     if n < 2:
-        return ()
+        return np.zeros(0, dtype=np.int64)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(n ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return tuple(int(q) for q in np.nonzero(sieve)[0])
+    primes = np.nonzero(sieve)[0]
+    primes.flags.writeable = False
+    return primes
 
 
-@lru_cache(maxsize=32)
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """All primes <= n."""
+    return tuple(_primes(n).tolist())
+
+
+def _ideal_table(fld: NumberField, norm_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rational prime below and norm of every prime ideal of norm <=
+    norm_bound, as int64 arrays sorted by (norm, p, index).
+
+    A prime p of Q is one ideal of norm p over Q.  In a quadratic field it
+    splits into two ideals of norm p when (d_K|p) = 1, ramifies into one of
+    norm p when (d_K|p) = 0, and stays inert with norm p^2 when (d_K|p) = -1.
+    """
+    ps = _primes(norm_bound)
+    if fld.is_rational:
+        return ps, ps
+    disc = fld.discriminant
+    # for a fundamental discriminant, p -> (d_K|p) is a character mod |d_K|,
+    # so one prime per residue class decides the whole class
+    res = ps % abs(disc)
+    classes, first = np.unique(res, return_index=True)
+    symbol = np.zeros(abs(disc), dtype=np.int64)
+    symbol[classes] = [kronecker_symbol(disc, int(ps[i])) for i in first]
+    sym = symbol[res]
+    count = np.where(sym == 1, 2, 1)
+    count[(sym == -1) & (ps * ps > norm_bound)] = 0
+    p = np.repeat(ps, count)
+    norms = np.where(np.repeat(sym, count) == -1, p * p, p)
+    order = np.argsort(norms, kind="stable")
+    return p[order], norms[order]
+
+
 def enumerate_prime_ideals(fld: NumberField, norm_bound: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals of norm <= norm_bound, sorted by (norm, p, index)."""
-    if norm_bound < 2:
-        return ()
-    out: list[PrimeIdeal] = []
-    if fld.is_rational:
-        for p in primes_up_to(norm_bound):
-            out.append(PrimeIdeal(p, p))
-        return tuple(out)
-    disc = fld.discriminant
-    for p in primes_up_to(norm_bound):
-        sym = kronecker_symbol(disc, p)
-        if sym == 1:
-            out.append(PrimeIdeal(p, p, 0))
-            out.append(PrimeIdeal(p, p, 1))
-        elif sym == 0:
-            out.append(PrimeIdeal(p, p, 0))
-        else:
-            if p * p <= norm_bound:
-                out.append(PrimeIdeal(p, p * p, 0))
-    out.sort(key=lambda pi: (pi.norm, pi.p, pi.index))
-    return tuple(out)
+    ps, norms = _ideal_table(fld, norm_bound)
+    index = np.zeros_like(ps)
+    index[1:] = ps[1:] == ps[:-1]   # second factor of a split prime
+    return tuple(map(PrimeIdeal, ps.tolist(), norms.tolist(), index.tolist()))
 
 
 # ---------------------------------------------------------------------------

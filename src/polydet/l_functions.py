@@ -9,6 +9,11 @@ Global continuation comes for free from the Euler-Maclaurin Hurwitz zeta:
 On top of that sit the completed function with its gamma factors, the root
 number from the functional equation, branch-tracked logarithms along paths,
 and contour zero counting by the argument principle.
+
+Right of Re(s) = 1 an independent route sums over prime ideals in one
+kernel, `_prime_power_sum`: its rung r = 1 is log L (`log_l_series`), its
+rung r = 0 is -L'/L (`l_log_derivative`, route "series"), and r >= 2 gives
+the depth-r logarithms of `poly_l`.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .errors import (BranchStepTooLarge, DegenerateSample, DomainError,
                      FieldMismatch, GammaPole, NearZeroOfL, NonClosedLoop,
                      PathLeavesOmega, PoleAtOne, ResidualTooLarge,
                      UnsupportedCharacter)
-from .fields_and_characters import (HeckeCharacter, NumberField, char_value,
-                                    enumerate_prime_ideals,
-                                    kronecker_character, trivial_character)
+from .fields_and_characters import (HeckeCharacter, NumberField,
+                                    _ideal_table, kronecker_character,
+                                    trivial_character)
 from .quadrature import integrate_polyline
 from .special_functions import (_em_core, _em_split, log_gamma)
 
@@ -245,7 +250,10 @@ def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s: complex,
     """
     s = complex(s)
     if route == "series":
-        return _log_derivative_series(fld, chi, s, cfg)
+        _check_pair(fld, chi)
+        if not s.real > _SERIES_MIN_RE:   # also rejects NaN
+            raise DomainError(f"series route requires Re(s) > {_SERIES_MIN_RE}")
+        return -_prime_power_sum(fld, chi, s, 0, cfg.prime_bound)
     if route != "analytic":
         raise DomainError(f"unknown route {route!r}")
     L, dL = _l_and_ds(fld, chi, s, cfg)
@@ -260,36 +268,37 @@ def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s: complex,
 
 @lru_cache(maxsize=64)
 def _ideal_arrays(fld: NumberField, chi: HeckeCharacter, bound: int):
-    ideals = enumerate_prime_ideals(fld, bound)
-    norms = np.array([pi.norm for pi in ideals], dtype=np.float64)
-    logn = np.log(norms) if len(norms) else norms
-    chiv = np.array([char_value(chi, pi) for pi in ideals], dtype=np.complex128)
-    return norms, logn, chiv
+    """(norms, log norms, character values) of the prime ideals of norm
+    <= bound, sorted by norm; a Dirichlet character is read at p mod q."""
+    ps, norms = _ideal_table(fld, bound)
+    if chi.kind == "trivial":
+        chiv = np.ones(len(ps), dtype=np.complex128)
+    else:
+        chiv = np.array(chi.values, dtype=np.complex128)[ps % chi.modulus]
+    norms = norms.astype(np.float64)
+    return norms, np.log(norms), chiv
 
 
-def _series_l_cutoff(norms: np.ndarray, l: int, sigma: float) -> int:
-    """Index cutoff: terms with N^{-l sigma} < 1e-19 are dropped."""
-    lim = 10.0 ** (19.0 / (l * sigma))
-    return int(np.searchsorted(norms, lim, side="right"))
+def _prime_power_sum(fld: NumberField, chi: HeckeCharacter, s: complex,
+                     r: int, bound: int) -> complex:
+    """sum over P with NP <= bound and l >= 1 of
+    (log NP)^(1-r) chi(P)^l NP^(-ls) / l^r, for r >= 0 and Re(s) > 1.
 
-
-def _log_derivative_series(fld: NumberField, chi: HeckeCharacter, s: complex,
-                           cfg: EvalConfig) -> complex:
-    _check_pair(fld, chi)
-    if s.real <= _SERIES_MIN_RE:
-        raise DomainError(f"series route requires Re(s) > {_SERIES_MIN_RE}")
-    norms, logn, chiv = _ideal_arrays(fld, chi, cfg.prime_bound)
-    total: complex = 0.0
+    Terms with NP^(-l Re s) < 1e-19 are dropped; the sum over l stops at the
+    first power where that drops every ideal, so Re(s) must not be NaN.
+    """
+    norms, logn, chiv = _ideal_arrays(fld, chi, bound)
+    logw = logn ** (1 - r)
+    total = 0.0 + 0.0j
     l = 1
     while True:
-        cut = _series_l_cutoff(norms, l, s.real)
-        if cut == 0 or l > 200:
-            break
-        n = norms[:cut]
-        total += complex(np.sum(logn[:cut] * chiv[:cut] ** l
-                                * np.exp(-l * s * np.log(n))))
+        k = int(np.searchsorted(norms, 10.0 ** (19.0 / (l * s.real)),
+                                side="right"))
+        if k == 0:
+            return complex(total)
+        nl = np.exp(-l * s * logn[:k])
+        total += np.sum(logw[:k] * (chiv[:k] ** l) * nl) / l ** r
         l += 1
-    return -total
 
 
 def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex,
@@ -301,19 +310,9 @@ def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex,
     """
     s = complex(s)
     _check_pair(fld, chi)
-    if s.real <= _SERIES_MIN_RE:
+    if not s.real > _SERIES_MIN_RE:   # also rejects NaN
         raise DomainError(f"log L series requires Re(s) > {_SERIES_MIN_RE}")
-    norms, logn, chiv = _ideal_arrays(fld, chi, cfg.prime_bound)
-    total: complex = 0.0
-    l = 1
-    while True:
-        cut = _series_l_cutoff(norms, l, s.real)
-        if cut == 0 or l > 200:
-            break
-        n = norms[:cut]
-        total += complex(np.sum(chiv[:cut] ** l * np.exp(-l * s * np.log(n)))) / l
-        l += 1
-    return total
+    return _prime_power_sum(fld, chi, s, 1, cfg.prime_bound)
 
 
 def euler_product_value(fld: NumberField, chi: HeckeCharacter, s: complex,

@@ -1,11 +1,14 @@
 """Higher depth L-functions: log L_K^(r)(s; chi) = sum over prime ideals of
 (log N)^(1-r) Li_r(chi(P) N^-s).
 
-Depth 1 recovers the ordinary L-function.  Successive s-derivatives walk
-down the depth ladder: d/ds log L^(r) = -log L^(r-1), so the (r-1)-st
-derivative of log L^(r) is (-1)^(r-1) log L.  Depths 2 and 3 extend left
-of Re(s) = 1 through an iterated-integral representation with a tracked
-logarithm along an explicit path.
+The Euler route expands Li_r into its power series and sums with the single
+prime-power kernel `l_functions._prime_power_sum`, whose rungs r = 1
+(log L) and r = 0 (-L'/L) serve `l_functions` as well.  Depth 1 recovers
+the ordinary L-function.  Successive s-derivatives walk down the depth
+ladder: d/ds log L^(r) = -log L^(r-1), so the (r-1)-st derivative of
+log L^(r) is (-1)^(r-1) log L.  Depths 2 and 3 extend left of Re(s) = 1
+through an iterated-integral representation with a tracked logarithm along
+an explicit path.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DomainError, NonClosedLoop, PathLeavesOmega,
                      StencilLeavesDomain, UnsupportedCharacter)
 from .fields_and_characters import HeckeCharacter, NumberField
-from .l_functions import (PathSpec, _check_pair, _ideal_arrays, l_value,
-                          log_l_series, omega_region, OmegaRegion)
+from .l_functions import (_SERIES_MIN_RE, PathSpec, _check_pair,
+                          _prime_power_sum, l_value, omega_region,
+                          OmegaRegion)
 from .quadrature import tracked_log_polyline
 from .zero_data import scan_ordinates
 
@@ -33,9 +37,6 @@ __all__ = [
     "poly_l_continued",
     "erh_monodromy_defect",
 ]
-
-_SERIES_MIN_RE = 1.02
-_TERM_FLOOR = 1e-19
 
 
 @dataclass(frozen=True)
@@ -91,24 +92,12 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
     s = complex(s)
-    sigma = s.real
-    if sigma < _SERIES_MIN_RE:
+    if not s.real >= _SERIES_MIN_RE:   # also rejects NaN
         raise DomainError(
-            f"Euler route needs Re(s) >= {_SERIES_MIN_RE}, got {sigma}")
+            f"Euler route needs Re(s) >= {_SERIES_MIN_RE}, got {s.real}")
     bound = int(prime_bound or cfg.prime_bound)
-    norms, logn, chiv = _ideal_arrays(fld, chi, bound)
-    logw = logn ** (1 - r) if r > 1 else np.ones_like(logn)
-    total = 0.0 + 0.0j
-    lmax = max(1, int(math.ceil(-math.log(_TERM_FLOOR) / (sigma * math.log(2.0)))))
-    for l in range(1, lmax + 1):
-        # norms beyond the floor cutoff contribute < 1e-19 each at power l
-        cut = _TERM_FLOOR ** (-1.0 / (l * sigma))
-        k = int(np.searchsorted(norms, cut, side="right"))
-        if k == 0:
-            break
-        nl = np.exp(-l * s * logn[:k])
-        total += np.sum(logw[:k] * (chiv[:k] ** l) * nl) / l ** r
-    return complex(total), _tail_log_bound(fld, r, sigma, bound), bound
+    return (_prime_power_sum(fld, chi, s, r, bound),
+            _tail_log_bound(fld, r, s.real, bound), bound)
 
 
 def poly_l_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,

@@ -3,6 +3,7 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
 from polydet import (
@@ -20,6 +21,7 @@ from polydet import (
     primes_up_to,
     trivial_character,
 )
+from polydet.l_functions import _ideal_arrays
 
 
 def test_field_invariants():
@@ -88,6 +90,56 @@ def test_split_pattern_matches_kronecker():
             assert len(ps) == 1 and ps[0].norm == p * p
         else:
             assert len(ps) == 1 and ps[0].norm == p
+
+
+def _brute_force_ideals(fld, chi, bound):
+    """(norm, chi value) of every prime ideal of norm <= bound, sorted by
+    norm: primes by trial division, splitting by kronecker_symbol and
+    character values by value_at_int, one prime at a time."""
+    out = []
+    for p in range(2, bound + 1):
+        if any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+            continue
+        v = chi.value_at_int(p)
+        if fld.is_rational:
+            out.append((p, v))
+            continue
+        symbol = kronecker_symbol(fld.discriminant, p)
+        if symbol == 1:
+            out += [(p, v), (p, v)]
+        elif symbol == 0:
+            out.append((p, v))
+        elif p * p <= bound:
+            out.append((p * p, v))
+    out.sort(key=lambda e: e[0])
+    return out
+
+
+def _trivial_pair(fld):
+    return fld, trivial_character(fld)
+
+
+_Q = NumberField.rational()
+
+
+@pytest.mark.parametrize("fld,chi", [
+    _trivial_pair(_Q),
+    _trivial_pair(NumberField.quadratic(-1)),
+    _trivial_pair(NumberField.quadratic(5)),
+    _trivial_pair(NumberField.quadratic(2)),
+    _trivial_pair(NumberField.quadratic(-163)),
+    (_Q, kronecker_character(-23)),
+    (_Q, dirichlet_character_by_index(5, 1)),
+], ids=["Q", "quad:-1", "quad:5", "quad:2", "quad:-163", "kronecker:-23",
+        "dirichlet:5:1"])
+def test_ideal_arrays_match_brute_force(fld, chi):
+    norms, logn, chiv = _ideal_arrays(fld, chi, 5000)
+    want = _brute_force_ideals(fld, chi, 5000)
+    assert norms.tolist() == [float(n) for n, _ in want]
+    assert chiv.tolist() == [complex(v) for _, v in want]
+    assert np.array_equal(logn, np.log(norms))
+    assert [pi.norm for pi in enumerate_prime_ideals(fld, 5000)] == \
+        [n for n, _ in want]
 
 
 def test_trivial_character_basics():

@@ -14,7 +14,9 @@ from polydet import (
     StencilLeavesDomain,
     erh_monodromy_defect,
     kronecker_character,
+    l_log_derivative,
     l_value,
+    log_l_series,
     poly_l_continued,
     poly_l_euler,
     poly_l_ladder_residual,
@@ -43,6 +45,26 @@ def test_euler_depth_guards():
         poly_l_euler(Q, TRIV, 0, 3.0)
     with pytest.raises(DomainError):
         poly_l_euler(Q, TRIV, 2, 1.01)   # needs Re(s) above the series floor
+
+
+def test_series_domain_edges_at_floor():
+    # the series routes of L need Re(s) > 1.02, the Euler route of L^(r)
+    # accepts Re(s) = 1.02 itself
+    for s in (1.02, 1.02 + 3.0j):
+        with pytest.raises(DomainError):
+            log_l_series(Q, TRIV, s)
+        with pytest.raises(DomainError):
+            l_log_derivative(Q, CHI4, s, route="series")
+        res = poly_l_euler(Q, CHI4, 2, s)
+        assert math.isfinite(abs(res.value)) and res.tail_bound > 0.0
+    # a NaN real part is outside every series domain
+    nan = complex(math.nan, 1.0)
+    with pytest.raises(DomainError):
+        log_l_series(Q, TRIV, nan)
+    with pytest.raises(DomainError):
+        l_log_derivative(Q, CHI4, nan, route="series")
+    with pytest.raises(DomainError):
+        poly_l_euler(Q, CHI4, 2, nan)
 
 
 def test_euler_tail_bound_shrinks_with_prime_bound():
