@@ -36,10 +36,8 @@ from .l_functions import (OmegaRegion, PathSpec, argument_principle_count,
 from .poly_l import (PolyLResult, erh_monodromy_defect, poly_l_continued,
                      poly_l_euler, poly_l_ladder_residual, poly_l_log_euler)
 from .special_functions import (EmResult, bernoulli_number, bernoulli_poly,
-                                hurwitz_zeta, hurwitz_zeta_ds,
-                                hurwitz_zeta_em, hurwitz_zeta_minus_pole,
-                                hurwitz_zeta_minus_pole_ds, log_gamma,
-                                milnor_gamma, polylog, polylog_tail_bound)
+                                hurwitz_zeta_em, log_gamma, milnor_gamma,
+                                polylog, polylog_tail_bound)
 from .verification import (SUITES, CheckResult, format_results, run_all,
                            run_suite)
 from .zero_data import (ZeroTable, builtin_zeta_zeros, find_zeros, load_zeros,

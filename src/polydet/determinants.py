@@ -261,14 +261,23 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
 # Determinants
 
 
+def _xi_from_log(log: complex, err: float, route: str) -> XiValue:
+    """exp(log) with the relative error expm1(err); DomainError when either
+    overflows a double."""
+    try:
+        value = cmath.exp(log)
+        return XiValue(value, abs(value) * math.expm1(err), route)
+    except OverflowError:
+        raise DomainError(f"|Xi| = exp({log.real:.4g}) or its error bound "
+                          f"expm1({err:.4g}) overflows a double") from None
+
+
 def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
                        z: complex,
                        cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
     """exp(-d xi/ds at s = 1-r), straight from the contour representation."""
     ds = xi_ds_at_depth(fld, chi, r, z, cfg)
-    value = cmath.exp(-ds.value)
-    return XiValue(value, abs(value) * math.expm1(ds.error_estimate),
-                   "direct")
+    return _xi_from_log(-ds.value, ds.error_estimate, "direct")
 
 
 def _log_l_exact(fld: NumberField, chi: HeckeCharacter, z: complex,
@@ -329,8 +338,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
         logv += -(coef / r) * complex(bernoulli_poly(r, w)) * math.log(base)
         logv += coef * em.ds
         err += coef * em.err_ds
-    value = cmath.exp(logv)
-    return XiValue(value, abs(value) * math.expm1(err), "closed")
+    return _xi_from_log(logv, err, "closed")
 
 
 def _auto_prime_bound(fld: NumberField, z: complex) -> int:

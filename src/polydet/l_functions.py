@@ -1,10 +1,17 @@
 """Hecke L-functions for the supported family, via Hurwitz zeta assembly.
 
-Global continuation comes for free from the Euler-Maclaurin Hurwitz zeta:
+Global continuation comes for free from the Euler-Maclaurin Hurwitz zeta,
+every value and s-derivative read from `special_functions.hurwitz_zeta_em`
+(so its finite-input, pole-guard and finite-output checks hold here too):
 
   * zeta(s) = zeta(s, 1),
   * L(s, chi) = q^{-s} sum_a chi(a) zeta(s, a/q) for Dirichlet chi mod q,
+    with the pole-subtracted zeta(s, a/q) - 1/(s-1) (`minus_pole=True`),
+    whose subtracted poles cancel because the chi(a) sum to zero,
   * zeta_K(s) = zeta(s) L(s, chi_{d_K}) for quadratic K.
+
+`_l_and_ds` returns (L, L') from this assembly; `l_value` and the analytic
+route of `l_log_derivative` read it.
 
 On top of that sit the completed function with its gamma factors, the root
 number from the functional equation, branch-tracked logarithms along paths,
@@ -26,15 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import (BranchStepTooLarge, DegenerateSample, DomainError,
-                     FieldMismatch, GammaPole, NearZeroOfL, NonClosedLoop,
-                     PathLeavesOmega, PoleAtOne, ResidualTooLarge,
-                     UnsupportedCharacter)
+from .errors import (DegenerateSample, DomainError, FieldMismatch, GammaPole,
+                     NearZeroOfL, NonClosedLoop, PathLeavesOmega,
+                     ResidualTooLarge, UnsupportedCharacter)
 from .fields_and_characters import (HeckeCharacter, NumberField,
-                                    _ideal_table, kronecker_character,
-                                    trivial_character)
+                                    _ideal_table, kronecker_character)
 from .quadrature import integrate_polyline
-from .special_functions import (_em_core, _em_split, log_gamma)
+from .special_functions import hurwitz_zeta_em, log_gamma
 
 __all__ = [
     "PathSpec",
@@ -176,16 +181,9 @@ def _check_pair(fld: NumberField, chi: HeckeCharacter):
         raise UnsupportedCharacter("only Q and quadratic fields are supported")
 
 
-def _em_pair(s: complex, z: float, cfg: EvalConfig, minus_pole: bool):
-    N = _em_split(s, z, cfg)
-    r = _em_core(s, z, N, cfg.bernoulli_terms, minus_pole)
-    return r.value, r.ds
-
-
 def _zeta_and_ds(s: complex, cfg: EvalConfig) -> tuple[complex, complex]:
-    if abs(s - 1.0) < cfg.pole_guard:
-        raise PoleAtOne(f"s = {s} is inside the pole guard radius")
-    return _em_pair(s, 1.0, cfg, minus_pole=False)
+    em = hurwitz_zeta_em(s, 1.0, cfg)
+    return em.value, em.ds
 
 
 def _dirichlet_and_ds(chi: HeckeCharacter, s: complex,
@@ -204,9 +202,9 @@ def _dirichlet_and_ds(chi: HeckeCharacter, s: complex,
         v = chi.values[a]
         if v == 0:
             continue
-        val, ds = _em_pair(s, a / q, cfg, minus_pole=True)
-        tot += v * val
-        dtot += v * ds
+        em = hurwitz_zeta_em(s, a / q, cfg, minus_pole=True)
+        tot += v * em.value
+        dtot += v * em.ds
     L = qs * tot
     dL = -math.log(q) * L + qs * dtot
     return L, dL
@@ -353,12 +351,8 @@ def log_l_branch(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
     def f(u: complex) -> complex:
         return l_log_derivative(fld, chi, u, cfg)
 
-    res = integrate_polyline(f, path.waypoints, cfg, base_len=0.5)
-    # branch sanity: a single panel swallowing more than pi of argument
-    # cannot be trusted; the adaptive loop normally prevents this
-    if res.error is math.inf:
-        raise BranchStepTooLarge("log L continuation did not converge")
-    return anchor + res.value
+    return anchor + integrate_polyline(f, path.waypoints, cfg,
+                                       base_len=0.5).value
 
 
 # ---------------------------------------------------------------------------

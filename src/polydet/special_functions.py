@@ -3,6 +3,12 @@ s-derivative by Euler-Maclaurin summation, the exponentiated derivative
 (a higher analogue of the gamma factor), truncated polylogarithms, and a
 Stirling-series log gamma.
 
+`hurwitz_zeta_em(s, z, cfg, minus_pole=...)` is the one entry point to the
+Euler-Maclaurin kernel `_em_core`: it checks that s and z are finite, that
+Re(z) > 0 and (unless the pole is subtracted) that s is outside the pole
+guard, picks the split N, and raises DomainError instead of returning a
+non-finite value or derivative.
+
 Everything here is plain double precision.  The Euler-Maclaurin split point
 grows with |Im s| and |z| so the Bernoulli tail stays geometrically
 convergent; the a-posteriori remainder bounds use the first omitted term
@@ -25,11 +31,7 @@ from .errors import DomainError, PoleAtOne
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
-    "hurwitz_zeta",
-    "hurwitz_zeta_ds",
     "hurwitz_zeta_em",
-    "hurwitz_zeta_minus_pole",
-    "hurwitz_zeta_minus_pole_ds",
     "milnor_gamma",
     "polylog",
     "polylog_tail_bound",
@@ -213,67 +215,48 @@ def _em_core(s: complex, z: complex, N: int, J: int, minus_pole: bool) -> EmResu
     return EmResult(val, dval, err, err_ds, N)
 
 
-def _em_split(s: complex, z: complex, cfg: EvalConfig) -> int:
-    return int(math.ceil(abs(complex(s).imag)) + math.ceil(abs(complex(z)))
-               + cfg.euler_maclaurin_shift)
+def hurwitz_zeta_em(s: complex, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
+                    *, minus_pole: bool = False) -> EmResult:
+    """zeta(s, z) = sum_{m >= 0} (m + z)^{-s} and d/ds zeta(s, z) by
+    Euler-Maclaurin, with remainder bounds; Re(z) > 0, s != 1.
 
-
-def _check_hurwitz_args(s: complex, z: complex, cfg: EvalConfig, guard: bool):
-    if complex(z).real <= 0:
-        raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = {z}")
-    if guard and abs(complex(s) - 1.0) < cfg.pole_guard:
-        raise PoleAtOne(f"s = {s} is inside the pole guard radius {cfg.pole_guard}")
-
-
-def hurwitz_zeta_em(s: complex, z: complex,
-                    cfg: EvalConfig = DEFAULT_CONFIG) -> EmResult:
-    """Full Euler-Maclaurin result: value, s-derivative, remainder bounds.
+    The only entry point to the Euler-Maclaurin kernel.  s and z must be
+    finite, and a value or derivative that overflows raises DomainError.
+    With minus_pole=True the result is zeta(s, z) - 1/(s-1) and its
+    s-derivative, finite and smooth across s = 1 (no pole guard); the
+    Dirichlet assembly uses it, where the subtracted poles cancel.
 
     At nonpositive integer s the tail terminates (the Pochhammer factor
-    hits zero), so the value is computed with N = 1: a large split there
-    only piles up huge direct-sum powers that cancel against the tail and
-    cost ~|z+N|^(1-s) eps of absolute accuracy.  The derivative keeps the
-    large split, where the differentiated tail still converges.
+    hits zero), so with minus_pole=False the value is computed with N = 1:
+    a large split there only piles up huge direct-sum powers that cancel
+    against the tail and cost ~|z+N|^(1-s) eps of absolute accuracy.  The
+    derivative keeps the large split, where the differentiated tail still
+    converges.
     """
-    _check_hurwitz_args(s, z, cfg, guard=True)
-    N = _em_split(s, z, cfg)
-    s = complex(s)
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real):
-        r = 1 - int(round(s.real))
-        val = _em_core(s, z, 1, r // 2 + 1, minus_pole=False)
-        der = _em_core(s, z, N, cfg.bernoulli_terms, minus_pole=False)
-        round_err = 1e-15 * (1.0 + abs(complex(z))) ** max(r - 1, 1)
-        return EmResult(val.value, der.ds, val.err_value + round_err,
-                        der.err_ds, N)
-    return _em_core(s, z, N, cfg.bernoulli_terms, minus_pole=False)
-
-
-def hurwitz_zeta(s: complex, z: complex,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """zeta(s, z) = sum_{m >= 0} (m + z)^{-s}, continued to s != 1, Re(z) > 0."""
-    return hurwitz_zeta_em(s, z, cfg).value
-
-
-def hurwitz_zeta_ds(s: complex, z: complex,
-                    cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """d/ds zeta(s, z), term-by-term differentiated Euler-Maclaurin sum."""
-    return hurwitz_zeta_em(s, z, cfg).ds
-
-
-def hurwitz_zeta_minus_pole(s: complex, z: complex,
-                            cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """zeta(s, z) - 1/(s-1), finite and smooth across s = 1."""
-    _check_hurwitz_args(s, z, cfg, guard=False)
-    N = _em_split(s, z, cfg)
-    return _em_core(s, z, N, cfg.bernoulli_terms, minus_pole=True).value
-
-
-def hurwitz_zeta_minus_pole_ds(s: complex, z: complex,
-                               cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """d/ds [zeta(s, z) - 1/(s-1)], finite and smooth across s = 1."""
-    _check_hurwitz_args(s, z, cfg, guard=False)
-    N = _em_split(s, z, cfg)
-    return _em_core(s, z, N, cfg.bernoulli_terms, minus_pole=True).ds
+    s, z = complex(s), complex(z)
+    if not (cmath.isfinite(s) and cmath.isfinite(z)):
+        raise DomainError(f"hurwitz zeta needs finite s and z, got s = {s}, z = {z}")
+    if z.real <= 0:
+        raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = {z}")
+    if not minus_pole and abs(s - 1.0) < cfg.pole_guard:
+        raise PoleAtOne(f"s = {s} is inside the pole guard radius {cfg.pole_guard}")
+    N = int(math.ceil(abs(s.imag)) + math.ceil(abs(z)) + cfg.euler_maclaurin_shift)
+    try:
+        em = _em_core(s, z, N, cfg.bernoulli_terms, minus_pole)
+        if not minus_pole and s.imag == 0.0 and s.real <= 0.0 \
+                and s.real == round(s.real):
+            r = 1 - int(round(s.real))
+            val = _em_core(s, z, 1, r // 2 + 1, minus_pole=False)
+            round_err = 1e-15 * (1.0 + abs(z)) ** max(r - 1, 1)
+            em = EmResult(val.value, em.ds, val.err_value + round_err,
+                          em.err_ds, N)
+        finite = cmath.isfinite(em.value) and cmath.isfinite(em.ds)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"hurwitz zeta at s = {s}, z = {z} overflows "
+                          "double precision")
+    return em
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +270,11 @@ def milnor_gamma(r: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
     """
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
-    return cmath.exp(hurwitz_zeta_ds(1 - r, z, cfg))
+    ds = hurwitz_zeta_em(1 - r, z, cfg).ds
+    try:
+        return cmath.exp(ds)
+    except OverflowError:
+        raise DomainError(f"Milnor gamma exp({ds.real:.4g}) overflows a double") from None
 
 
 # ---------------------------------------------------------------------------

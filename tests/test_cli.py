@@ -102,6 +102,19 @@ def test_domain_error_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lfun", "--s", "nan"],
+    ["eval", "--fn", "hurwitz", "--s", "-200", "--z", "1"],
+    ["det", "--depth", "1", "--z", "1000", "--closed"],
+    ["eval", "--fn", "milnor-gamma", "--r", "1", "--z", "500"],
+])
+def test_non_finite_input_or_overflow_exits_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_bad_character_exits_2(capsys):
     assert main(["lfun", "--s", "2", "--char", "kronecker"]) == 2
 

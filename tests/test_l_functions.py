@@ -56,6 +56,21 @@ def test_zeta_values_match_mpmath():
         assert abs(got - want) < 1e-10 * (1 + abs(want))
 
 
+def test_trivial_zeros_at_negative_even_integers():
+    # zeta and zeta_Q(i) = zeta L(., chi_-4) vanish at s = -2, -4, -6; the
+    # zeta factor must take the exact N = 1 Euler-Maclaurin branch there
+    for fld in (Q, QI):
+        for s in (-2.0, -4.0, -6.0):
+            assert abs(l_value(fld, trivial_character(fld), s)) < 1e-13
+
+
+def test_l_value_rejects_nan():
+    with pytest.raises(DomainError):
+        l_value(Q, TRIV, complex(math.nan, 0.0))
+    with pytest.raises(DomainError):
+        l_value(Q, CHI4, complex(2.0, math.nan))
+
+
 def test_leibniz_value():
     assert abs(l_value(Q, CHI4, 1.0) - math.pi / 4.0) < 1e-12
 

@@ -19,10 +19,7 @@ from polydet import (
     PoleAtOne,
     bernoulli_number,
     bernoulli_poly,
-    hurwitz_zeta,
-    hurwitz_zeta_ds,
     hurwitz_zeta_em,
-    hurwitz_zeta_minus_pole,
     log_gamma,
     milnor_gamma,
     polylog,
@@ -75,8 +72,8 @@ def test_log_gamma_frozen_digits():
 
 
 def test_hurwitz_reduces_to_zeta():
-    assert abs(hurwitz_zeta(2.0, 1.0) - math.pi ** 2 / 6.0) < 1e-13
-    assert abs(hurwitz_zeta(4.0, 1.0) - math.pi ** 4 / 90.0) < 1e-13
+    assert abs(hurwitz_zeta_em(2.0, 1.0).value - math.pi ** 2 / 6.0) < 1e-13
+    assert abs(hurwitz_zeta_em(4.0, 1.0).value - math.pi ** 4 / 90.0) < 1e-13
 
 
 def test_hurwitz_zeta_against_mpmath():
@@ -84,7 +81,7 @@ def test_hurwitz_zeta_against_mpmath():
            (3.0 + 4.0j, 0.9), (-1.5, 4.0 - 2.0j)]
     for s, z in pts:
         want = complex(mp.zeta(mp.mpc(s), mp.mpc(z)))
-        got = hurwitz_zeta(complex(s), complex(z))
+        got = hurwitz_zeta_em(complex(s), complex(z)).value
         assert abs(got - want) < 1e-11 * (1 + abs(want))
 
 
@@ -93,7 +90,7 @@ def test_hurwitz_ds_against_mpmath():
     for s, z in [(2.0, 1.0), (0.0, 0.3), (-1.0, 1.25), (-3.0, 2.0 + 1.0j)]:
         want = complex((mp.zeta(mp.mpc(s) + h, mp.mpc(z))
                         - mp.zeta(mp.mpc(s) - h, mp.mpc(z))) / (2 * h))
-        got = hurwitz_zeta_ds(complex(s), complex(z))
+        got = hurwitz_zeta_em(complex(s), complex(z)).ds
         assert abs(got - want) < 1e-10 * (1 + abs(want))
 
 
@@ -115,7 +112,7 @@ def test_hurwitz_nonpositive_integers_are_bernoulli():
     # zeta(1 - r, z) = -B_r(z) / r, the identity the closed form leans on
     for r in range(1, 7):
         for z in (0.3, 1.0, 2.5, 1.0 + 2.0j):
-            got = hurwitz_zeta(complex(1 - r), complex(z))
+            got = hurwitz_zeta_em(complex(1 - r), complex(z)).value
             want = -bernoulli_poly(r, z) / r
             assert abs(got - want) < 1e-10 * (1 + abs(want))
 
@@ -123,19 +120,25 @@ def test_hurwitz_nonpositive_integers_are_bernoulli():
 def test_hurwitz_minus_pole_smooth_at_one():
     # zeta(s, z) - 1/(s-1) extends smoothly; compare both sides of s = 1
     z = 1.7
-    left = hurwitz_zeta_minus_pole(1.0 - 1e-7, z)
-    right = hurwitz_zeta_minus_pole(1.0 + 1e-7, z)
-    center = hurwitz_zeta_minus_pole(1.0 + 0j, z)
+    left = hurwitz_zeta_em(1.0 - 1e-7, z, minus_pole=True).value
+    right = hurwitz_zeta_em(1.0 + 1e-7, z, minus_pole=True).value
+    center = hurwitz_zeta_em(1.0 + 0j, z, minus_pole=True).value
     assert abs(left - right) < 1e-6
     assert abs(0.5 * (left + right) - center) < 1e-6
     # at z = 1 the regular value is the Euler-Mascheroni constant
-    assert abs(hurwitz_zeta_minus_pole(1.0 + 0j, 1.0) - 0.5772156649015329) < 1e-10
+    assert abs(hurwitz_zeta_em(1.0 + 0j, 1.0, minus_pole=True).value
+               - 0.5772156649015329) < 1e-10
+    # away from s = 1 it differs from zeta by exactly the pole 1/(s-1)
+    for s in (2.5, 0.5 + 3.0j, -1.5):
+        full = hurwitz_zeta_em(s, 0.7).value
+        cut = hurwitz_zeta_em(s, 0.7, minus_pole=True).value
+        assert abs(full - cut - 1.0 / (s - 1.0)) < 1e-12
 
 
 def test_hurwitz_ds_frozen_zeta_digits():
     # zeta'(-1) and its exponential (Glaisher-Kinkelin)
-    assert abs(hurwitz_zeta_ds(-1.0, 1.0) - ZETA_PRIME_MINUS1) < 1e-11
-    got = cmath.exp(hurwitz_zeta_ds(-1.0, 1.0))
+    assert abs(hurwitz_zeta_em(-1.0, 1.0).ds - ZETA_PRIME_MINUS1) < 1e-11
+    got = cmath.exp(hurwitz_zeta_em(-1.0, 1.0).ds)
     assert abs(got - EXP_ZETA_PRIME_MINUS1) < 1e-11
 
 
@@ -149,6 +152,9 @@ def test_milnor_gamma_depth_one_is_lerch():
 def test_milnor_gamma_rejects_bad_depth():
     with pytest.raises(DomainError):
         milnor_gamma(0, 1.5)
+    # Gamma(500) / sqrt(2 pi) is about 1e1131, beyond a double
+    with pytest.raises(DomainError):
+        milnor_gamma(1, 500.0)
 
 
 def test_polylog_against_mpmath():
@@ -191,8 +197,15 @@ def test_config_validation():
 
 def test_hurwitz_rejects_pole_and_bad_z():
     with pytest.raises(PoleAtOne):
-        hurwitz_zeta(1.0, 2.0)
+        hurwitz_zeta_em(1.0, 2.0)
     with pytest.raises(PoleAtOne):
-        hurwitz_zeta(1.0 + 1e-12j, 2.0)
+        hurwitz_zeta_em(1.0 + 1e-12j, 2.0)
     with pytest.raises(DomainError):
-        hurwitz_zeta(2.0, -0.5)
+        hurwitz_zeta_em(2.0, -0.5)
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(math.nan, 1.0)
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(2.0, complex(1.0, math.inf))
+    # zeta(-200, 1) = -B_201/201 = 0, but its Euler-Maclaurin terms overflow
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(-200.0, 1.0)
