@@ -19,8 +19,8 @@ from .errors import (BranchStepTooLarge, ContourInvalid, DegenerateSample,
                      DomainError, EmptyZeroTable, FieldMismatch, GammaPole,
                      NearZeroOfL, NonClosedLoop, NonMonotoneError, ParseError,
                      PathLeavesOmega, PoleAtOne, PolydetError,
-                     ResidualTooLarge, StencilLeavesDomain,
-                     UnsupportedCharacter)
+                     QuadratureNotConverged, ResidualTooLarge,
+                     StencilLeavesDomain, UnsupportedCharacter)
 from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
                                     PrimeIdeal, char_value,
                                     dirichlet_character_by_index,

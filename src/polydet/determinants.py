@@ -172,7 +172,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
             * cmath.exp(-s * math.log(xr))
 
     ray = integrate_polyline(on_ray, (complex(dl), complex(xmax)), cfg,
-                             tol=cfg.quad_tol, base_len=2.0)
+                             base_len=2.0)
 
     def on_circle(psi: complex) -> complex:
         p = psi.real
@@ -180,7 +180,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
             * cmath.exp(1j * (1.0 - s) * p)
 
     circ = integrate_polyline(on_circle, (complex(-math.pi), complex(math.pi)),
-                              cfg, tol=cfg.quad_tol, base_len=0.5)
+                              cfg)
 
     pref = cmath.exp(s * _LOG_2PI)
     ray_coef = pref * cmath.sin(math.pi * s) / math.pi
@@ -239,7 +239,7 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
         return w * xr ** (r - 1) if r > 1 else w
 
     ray = integrate_polyline(on_ray, (0.0 + 0.0j, complex(xmax)), cfg,
-                             tol=cfg.quad_tol, base_len=2.0)
+                             base_len=2.0)
     coef2 = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
     da2 = coef2 * ray.value
 

@@ -33,8 +33,15 @@ class PathLeavesOmega(PolydetError):
     """Integration path touches the excluded cut set of the branch domain."""
 
 
-class BranchStepTooLarge(PolydetError):
-    """Branch tracking step exceeded pi in imaginary part; refine the path."""
+class QuadratureNotConverged(PolydetError):
+    """Polyline quadrature did not meet cfg.quad_tol within
+    cfg.max_refinements panel doublings; no unconverged value is returned."""
+
+
+class BranchStepTooLarge(QuadratureNotConverged):
+    """Branch-tracked quadrature still stepped by pi/2 or more in Im(log)
+    between neighbouring nodes at the finest level: the path runs too close
+    to a zero or pole of the tracked function."""
 
 
 class GammaPole(PolydetError):

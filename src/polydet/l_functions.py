@@ -351,8 +351,7 @@ def log_l_branch(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
     def f(u: complex) -> complex:
         return l_log_derivative(fld, chi, u, cfg)
 
-    return anchor + integrate_polyline(f, path.waypoints, cfg,
-                                       base_len=0.5).value
+    return anchor + integrate_polyline(f, path.waypoints, cfg).value
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +427,7 @@ def argument_principle_count(fld: NumberField, chi: HeckeCharacter,
     def f(u: complex) -> complex:
         return l_log_derivative(fld, chi, u, cfg)
 
-    res = integrate_polyline(f, loop.waypoints, cfg, base_len=0.5)
+    res = integrate_polyline(f, loop.waypoints, cfg)
     raw = res.value / (2j * math.pi)
     n = round(raw.real)
     resid = abs(raw - n)

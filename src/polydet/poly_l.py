@@ -229,7 +229,7 @@ def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
 
     anchor_log, tail_log, bound = poly_l_log_euler(fld, chi, 1, a, cfg)
     tracked = tracked_log_polyline(lfun, wps, cfg, kernel=kernel,
-                                   anchor=anchor_log, tol=cfg.quad_tol)
+                                   anchor=anchor_log)
     if flagged:
         warnings.warn(
             f"{len(flagged)} path points within 0.1 of the critical line or "
@@ -277,5 +277,5 @@ def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,
         v = l_value(fld, chi, xi, cfg)
         return v * (xi - 1.0) ** eps if eps else v
 
-    tracked = tracked_log_polyline(wf, loop.waypoints, cfg, tol=cfg.quad_tol)
+    tracked = tracked_log_polyline(wf, loop.waypoints, cfg)
     return -tracked.value

@@ -2,10 +2,15 @@
 branch-tracked logarithm mode used for integrals of log L and for
 monodromy diagnostics.
 
-Panels are refined by uniform doubling until two successive levels agree;
-the difference of the last two levels is reported as the error estimate.
-Branch tracking walks the unwrapped logarithm through the ordered node
-sequence and refuses to trust steps whose imaginary jump exceeds pi.
+Both entry points run one refinement loop, `_refine`: the panels are
+doubled uniformly until two successive levels agree, that is until
+|I_k - I_(k-1)| <= max(tol, tol |I_k|) with tol = cfg.quad_tol, and that
+difference is reported as the error estimate.  Branch tracking walks the
+unwrapped logarithm through the ordered node sequence and also requires its
+largest imaginary step to stay below pi/2.  A result that is still not
+accepted after cfg.max_refinements doublings raises QuadratureNotConverged
+(BranchStepTooLarge when the branch step blocked it); no unconverged value
+is returned.
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import BranchStepTooLarge
+from .errors import BranchStepTooLarge, DomainError, QuadratureNotConverged
 
-__all__ = ["QuadResult", "TrackedResult", "integrate_polyline",
-           "tracked_log_polyline", "gl_rule"]
+__all__ = ["QuadResult", "integrate_polyline", "tracked_log_polyline",
+           "gl_rule"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,17 +42,6 @@ def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 class QuadResult:
     value: complex
     error: float
-    levels: int
-    panels: int
-
-
-@dataclass(frozen=True)
-class TrackedResult:
-    value: complex
-    error: float
-    start_log: complex
-    end_log: complex
-    max_im_step: float
     levels: int
     panels: int
 
@@ -73,88 +67,70 @@ def _panel_points(waypoints, level: int, base_len: float, n: int):
     return pts, wts, total_panels
 
 
-def integrate_polyline(f: Callable[[complex], complex], waypoints,
-                       cfg: EvalConfig = DEFAULT_CONFIG, *,
-                       tol: float | None = None,
-                       base_len: float = 1.0) -> QuadResult:
-    """Integral of f along the polyline through the given waypoints."""
+def _refine(level_sum: Callable[[list, list], tuple[complex, float]],
+            waypoints, cfg: EvalConfig, base_len: float) -> QuadResult:
+    """Double the panels until two levels agree and the branch step of
+    level_sum(nodes, weights) -> (value, step) is below pi/2, or raise."""
     waypoints = [complex(u) for u in waypoints]
     if len(waypoints) < 2:
-        raise ValueError("polyline needs at least two waypoints")
-    tol = cfg.quad_tol if tol is None else tol
+        raise DomainError("polyline needs at least two waypoints")
+    tol = cfg.quad_tol
     prev = None
-    delta = math.inf
     for level in range(cfg.max_refinements + 1):
-        pts, wts, panels = _panel_points(waypoints, level, base_len, cfg.gl_nodes)
-        val = sum(wi * f(pt) for pt, wi in zip(pts, wts))
+        pts, wts, panels = _panel_points(waypoints, level, base_len,
+                                         cfg.gl_nodes)
+        val, step = level_sum(pts, wts)
         if prev is not None:
             delta = abs(val - prev)
-            if delta <= max(tol, tol * abs(val)):
+            if step < 0.5 * math.pi and delta <= max(tol, tol * abs(val)):
                 return QuadResult(val, delta, level, panels)
         prev = val
-    return QuadResult(prev, delta, cfg.max_refinements, panels)
+    if step >= 0.5 * math.pi:
+        raise BranchStepTooLarge(
+            f"branch tracking step of {step:.3f} in Im(log) even at "
+            f"{panels} panels; path too close to a zero or pole")
+    raise QuadratureNotConverged(
+        f"levels still differ by {delta:.3e} (tol {tol:.1e}) after "
+        f"{cfg.max_refinements} doublings, {panels} panels")
+
+
+def integrate_polyline(f: Callable[[complex], complex], waypoints,
+                       cfg: EvalConfig = DEFAULT_CONFIG, *,
+                       base_len: float = 0.5) -> QuadResult:
+    """Integral of f along the polyline through the given waypoints."""
+
+    def level_sum(pts, wts):
+        return sum(wi * f(pt) for pt, wi in zip(pts, wts)), 0.0
+
+    return _refine(level_sum, waypoints, cfg, base_len)
 
 
 def tracked_log_polyline(wf: Callable[[complex], complex], waypoints,
                          cfg: EvalConfig = DEFAULT_CONFIG, *,
                          kernel: Callable[[complex], complex] | None = None,
                          anchor: complex | None = None,
-                         tol: float | None = None,
-                         base_len: float = 0.5) -> TrackedResult:
+                         base_len: float = 0.5) -> QuadResult:
     """Integral of kernel(xi) * log w(xi) along the polyline, with the
     logarithm continued continuously from the start of the path.
 
     anchor, when given, is the known branch value of log w at the first
-    waypoint; otherwise the principal value at the first node seeds the
-    walk (for closed loops the choice drops out of the integral).
+    waypoint; otherwise the principal value there seeds the walk (for
+    closed loops the choice drops out of the integral).
     """
-    waypoints = [complex(u) for u in waypoints]
-    if len(waypoints) < 2:
-        raise ValueError("polyline needs at least two waypoints")
-    tol = cfg.quad_tol if tol is None else tol
-    prev_val = None
-    last = None
-    last_delta = math.inf
-    for level in range(cfg.max_refinements + 1):
-        pts, wts, panels = _panel_points(waypoints, level, base_len, cfg.gl_nodes)
-        track_pts = [waypoints[0]] + pts + [waypoints[-1]]
-        prev_log = None
+
+    def level_sum(pts, wts):
+        log = cmath.log(wf(complex(waypoints[0])))
+        if anchor is not None:
+            log += TWO_PI * 1j * round((anchor - log).imag / TWO_PI)
         max_step = 0.0
         total: complex = 0.0
-        start_log = end_log = 0.0
-        for i, pt in enumerate(track_pts):
+        for pt, wt in zip(pts, wts):
             raw = cmath.log(wf(pt))
-            if prev_log is None:
-                if anchor is not None:
-                    shift = round((anchor - raw).imag / TWO_PI)
-                    adj = raw + TWO_PI * 1j * shift
-                else:
-                    adj = raw
-            else:
-                shift = round((prev_log - raw).imag / TWO_PI)
-                adj = raw + TWO_PI * 1j * shift
-                max_step = max(max_step, abs((adj - prev_log).imag))
-            prev_log = adj
-            if i == 0:
-                start_log = adj
-            elif i == len(track_pts) - 1:
-                end_log = adj
-            else:
-                k = 1.0 if kernel is None else kernel(pt)
-                total += wts[i - 1] * k * adj
-        result = TrackedResult(total, math.inf, start_log, end_log,
-                               max_step, level, panels)
-        if prev_val is not None:
-            last_delta = abs(total - prev_val)
-            if max_step < 0.5 * math.pi and \
-                    last_delta <= max(tol, tol * abs(total)):
-                return TrackedResult(total, last_delta, start_log, end_log,
-                                     max_step, level, panels)
-        prev_val = total
-        last = result
-    if last.max_im_step >= math.pi:
-        raise BranchStepTooLarge(
-            f"branch tracking step of {last.max_im_step:.3f} in Im(log) even at "
-            f"{last.panels} panels; path too close to a zero or pole")
-    return TrackedResult(last.value, last_delta, last.start_log, last.end_log,
-                         last.max_im_step, last.levels, last.panels)
+            adj = raw + TWO_PI * 1j * round((log - raw).imag / TWO_PI)
+            max_step = max(max_step, abs((adj - log).imag))
+            log = adj
+            k = 1.0 if kernel is None else kernel(pt)
+            total += wt * k * log
+        return total, max_step
+
+    return _refine(level_sum, waypoints, cfg, base_len)

@@ -255,8 +255,7 @@ def suite_monodromy(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     # 2 pi i (rho - xi0) exactly (integration by parts around one zero)
     rho = 0.75 + 14.0j
     base = loop.waypoints[0]
-    tracked = tracked_log_polyline(lambda u: u - rho, loop.waypoints, cfg,
-                                   tol=cfg.quad_tol)
+    tracked = tracked_log_polyline(lambda u: u - rho, loop.waypoints, cfg)
     defect = -tracked.value
     expect = 2.0j * math.pi * (rho - base)
     out.append(CheckResult("monodromy", "planted-zero", abs(defect - expect),

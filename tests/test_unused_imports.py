@@ -1,9 +1,10 @@
-"""Static check: no module imports a name it never uses.
+"""Static checks: no module imports a name it never uses, and every name a
+module lists in `__all__` is bound at its top level.
 
-A small stand-in for pyflakes' unused-import rule, built on `ast` so it
-needs no extra dependency.  A name counts as used when it is read anywhere
-in the module (annotations included) or exported through `__all__`.
-`__init__.py` is skipped: it imports only to re-export.
+A small stand-in for pyflakes' unused-import and undefined-export rules,
+built on `ast` so it needs no extra dependency.  A name counts as used when
+it is read anywhere in the module (annotations included) or exported
+through `__all__`.  `__init__.py` is skipped: it imports only to re-export.
 """
 import ast
 from pathlib import Path
@@ -26,13 +27,37 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(exported(tree))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def exported(tree: ast.Module) -> list[str]:
+    names: list[str] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return [f"line {line}: {name}" for name, line in sorted(imported.items())
-            if name not in used]
+            names.extend(ast.literal_eval(node.value))
+    return names
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in `__all__` that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return [name for name in exported(tree) if name not in bound]
 
 
 def test_checker_flags_an_unused_import():
@@ -44,3 +69,15 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unbound_export():
+    src = "from math import pi\nX: int = 1\nY, Z = 2, 3\n" \
+          "def f(): pass\nclass C: pass\n" \
+          "__all__ = ['pi', 'X', 'Z', 'f', 'C', 'Gone']\n"
+    assert unbound_exports(src) == ["Gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    assert unbound_exports(path.read_text()) == []
