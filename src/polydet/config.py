@@ -35,7 +35,7 @@ class EvalConfig:
     pole_guard: float = 1e-8
 
     def __post_init__(self):
-        if self.target_abs_error <= 0:
+        if not self.target_abs_error > 0:   # "not x > 0" also rejects NaN
             raise ValueError("target_abs_error must be positive")
         if self.euler_maclaurin_shift < 1:
             raise ValueError("euler_maclaurin_shift must be a positive integer")
@@ -48,11 +48,11 @@ class EvalConfig:
             raise ValueError("prime_bound must be at least 10")
         if self.gl_nodes < 4:
             raise ValueError("gl_nodes must be at least 4")
-        if self.quad_tol <= 0:
+        if not self.quad_tol > 0:
             raise ValueError("quad_tol must be positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
-        if self.pole_guard <= 0:
+        if not self.pole_guard > 0:
             raise ValueError("pole_guard must be positive")
 
     def snapshot(self) -> dict:

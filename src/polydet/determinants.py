@@ -12,9 +12,10 @@ over tabulated zeros (Re(s) > 1), and a Hankel-contour representation
                                         e^(i(1-s) psi) dpsi ]
     A3 = - sum_v (N_v pi)^s zeta(s, w_v),   w_v = (N_v(z+i phi_v)+|m_v|)/2
 
-valid for all s away from s = 1.  The depth-r determinant is
-exp(-d xi/ds at s = 1-r); the closed form expresses it through the
-depth-r L-value, Bernoulli polynomials and Milnor gamma factors.
+valid for all s away from s = 1; `xi_ds_at_depth` is d/ds of the same
+pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
+This direct route reads only the analytic L'/L, no prime tables; the closed
+form uses the depth-r Euler sum, Bernoulli polynomials and Milnor gammas.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import ContourInvalid, DomainError, PoleAtOne
+from .errors import (ContourInvalid, DomainError, PoleAtOne,
+                     overflow_is_domain_error)
 from .fields_and_characters import ArchPlace, HeckeCharacter, NumberField
-from .l_functions import (PathSpec, _check_pair, completed_lambda,
-                          l_log_derivative, l_value, log_l_branch)
+from .l_functions import (_check_pair, completed_lambda, l_log_derivative,
+                          l_value)
 from .poly_l import poly_l_log_euler
 from .quadrature import integrate_polyline
-from .special_functions import bernoulli_poly, hurwitz_zeta_em
+from .special_functions import EmResult, bernoulli_poly, hurwitz_zeta_em
 from .zero_data import ZeroTable, truncation_tail_estimate
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-_LOG_2PI = math.log(_TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class ContourSpec:
 def default_contour(z: complex, depth: int = 1) -> ContourSpec:
     """Radius well inside Re(w) > 1; deeper cut for larger x^(r-1) weights."""
     z = complex(z)
-    if z.real <= 1.0:
+    if not z.real > 1.0:   # also rejects NaN
         raise DomainError("Hankel evaluation needs Re(z) > 1")
     delta = min(1.0, 0.4 * (z.real - 1.0))
     return ContourSpec(delta, 60.0 + 15.0 * max(0, depth - 3))
@@ -83,6 +84,11 @@ class XiValue:
     value: complex
     error_estimate: float
     route: str
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.value) and math.isfinite(
+                self.error_estimate)):
+            raise DomainError(f"{self.route} result is not a finite double")
 
     def to_record(self) -> dict:
         return {
@@ -131,18 +137,47 @@ def xi_zero_sum(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 # Route 2: Hankel contour
 
 
-def _ray_tail(fld: NumberField, chi: HeckeCharacter, z: complex, x_max: float,
-              power: float, cfg: EvalConfig) -> float:
-    """Estimate of the dropped integral of |L'/L(z+x) x^power| over x > x_max.
+def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
+         lo: float, x_max: float, cfg: EvalConfig) -> tuple[complex, float]:
+    """int_lo^x_max (L'/L)(z+x) x^-s dx; its error adds a majorant of x > x_max
+    where |L'/L| halves per unit (the lightest prime ideal has norm 2)."""
+    def on_ray(x: complex) -> complex:
+        xr = x.real
+        return l_log_derivative(fld, chi, z + xr, cfg) \
+            * cmath.exp(-s * math.log(xr))
 
-    The log derivative decays by at least a factor 2 per unit once
-    Re(z + x) is large, since the lightest prime ideal has norm 2.
-    """
-    f0 = abs(l_log_derivative(fld, chi, z + x_max, cfg, route="series"))
+    ray = integrate_polyline(on_ray, (complex(lo), complex(x_max)), cfg,
+                             base_len=2.0)
+    f0 = abs(l_log_derivative(fld, chi, z + x_max, cfg))
     # unit-step majorant of the integral of the geometric envelope
-    return sum(f0 * 0.5 ** k * (x_max + k) ** power for k in range(200))
+    tail = sum(f0 * 0.5 ** k * (x_max + k) ** -s.real for k in range(200))
+    return ray.value, ray.error + tail
 
 
+def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex,
+                   cfg: EvalConfig) -> EmResult:
+    """A1 + A3 and its s-derivative with error bounds and the largest split."""
+    val = ds = 0.0 + 0.0j
+    if chi.epsilon:
+        for u in (z, z - 1.0):
+            lg = cmath.log(_TWO_PI / u)
+            p = cmath.exp(s * lg)
+            val += p
+            ds += lg * p
+    err, err_ds, split = 0.0, 0.0, 0
+    for v in chi.arch_places():
+        lb = math.log(v.nv * math.pi)
+        em = hurwitz_zeta_em(s, _w_place(v, z), cfg)
+        coef = cmath.exp(s * lb)
+        val -= coef * em.value
+        ds -= coef * (lb * em.value + em.ds)
+        err += abs(coef) * em.err_value
+        err_ds += abs(coef) * (lb * em.err_value + em.err_ds)
+        split = max(split, em.split)
+    return EmResult(val, ds, err, err_ds, split)
+
+
+@overflow_is_domain_error
 def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
               cfg: EvalConfig = DEFAULT_CONFIG,
               contour: ContourSpec | None = None) -> XiValue:
@@ -152,27 +187,17 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     serves as the continuation of the zero sum.
     """
     _check_pair(fld, chi)
-    s = complex(s)
-    z = complex(z)
+    s, z = complex(s), complex(z)
     if abs(s - 1.0) < cfg.pole_guard:
         raise PoleAtOne("xi has a pole at s = 1")
     contour = contour or default_contour(z)
     contour.validate(z)
-    dl, xmax = contour.delta, contour.cut_depth
-    eps = chi.epsilon
-
-    a1 = 0.0 + 0.0j
-    if eps:
-        a1 = cmath.exp(s * cmath.log(_TWO_PI / z)) \
-            + cmath.exp(s * cmath.log(_TWO_PI / (z - 1.0)))
-
-    def on_ray(x: complex) -> complex:
-        xr = x.real
-        return l_log_derivative(fld, chi, z + xr, cfg) \
-            * cmath.exp(-s * math.log(xr))
-
-    ray = integrate_polyline(on_ray, (complex(dl), complex(xmax)), cfg,
-                             base_len=2.0)
+    dl = contour.delta
+    closed = _closed_pieces(chi, s, z, cfg)
+    pref = cmath.exp(s * math.log(_TWO_PI))
+    ray_coef = pref * cmath.sin(math.pi * s) / math.pi
+    circ_coef = pref * cmath.exp((1.0 - s) * math.log(dl)) / _TWO_PI
+    ray, ray_err = _ray(fld, chi, s, z, dl, contour.cut_depth, cfg)
 
     def on_circle(psi: complex) -> complex:
         p = psi.real
@@ -181,80 +206,30 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 
     circ = integrate_polyline(on_circle, (complex(-math.pi), complex(math.pi)),
                               cfg)
-
-    pref = cmath.exp(s * _LOG_2PI)
-    ray_coef = pref * cmath.sin(math.pi * s) / math.pi
-    circ_coef = pref * cmath.exp((1.0 - s) * math.log(dl)) / _TWO_PI
-    a2 = ray_coef * ray.value + circ_coef * circ.value
-
-    a3 = 0.0 + 0.0j
-    err3 = 0.0
-    for v in chi.arch_places():
-        base = v.nv * math.pi
-        em = hurwitz_zeta_em(s, _w_place(v, z), cfg)
-        coef = cmath.exp(s * math.log(base))
-        a3 -= coef * em.value
-        err3 += abs(coef) * em.err_value
-
-    tail = _ray_tail(fld, chi, z, xmax, -s.real, cfg)
-    err = abs(ray_coef) * (ray.error + tail) + abs(circ_coef) * circ.error \
-        + err3
-    return XiValue(a1 + a2 + a3, err, "hankel")
+    return XiValue(closed.value + ray_coef * ray + circ_coef * circ.value,
+                   abs(ray_coef) * ray_err + abs(circ_coef) * circ.error
+                   + closed.err_value, "hankel")
 
 
+@overflow_is_domain_error
 def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
-                   cfg: EvalConfig = DEFAULT_CONFIG,
-                   contour: ContourSpec | None = None) -> XiValue:
+                   cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
     """d xi/ds at s = 1 - r, the logarithm of the inverse determinant.
 
-    At integer s = 1 - r the ray prefactor sin(pi s) vanishes, so the
-    derivative collapses to closed pieces plus one convergent real-axis
-    integral with the smooth weight x^(r-1):
-
-        dA1 = eps sum_{u in {z, z-1}} log(2pi/u) (2pi/u)^(1-r)
-        dA2 = -(2pi)^(1-r) (-1)^r int_0^inf (L'/L)(z+x) x^(r-1) dx
-        dA3 = -sum_v (N_v pi)^(1-r) [log(N_v pi) zeta(1-r, w_v)
-                                      + zeta_s'(1-r, w_v)]
+    There sin(pi s) vanishes, so d(A1 + A2 + A3)/ds is d(A1 + A3)/ds plus
+    dA2 = -(2pi)^(1-r) (-1)^r int_0^inf (L'/L)(z+x) x^(r-1) dx, the ray of
+    xi_hankel taken from 0, with the weight x^-s = x^(r-1).
     """
     _check_pair(fld, chi)
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
-    z = complex(z)
-    if z.real <= 1.0:
-        raise DomainError("derivative route needs Re(z) > 1")
-    contour = contour or default_contour(z, depth=r)
-    contour.validate(z)
-    xmax = contour.cut_depth
-    eps = chi.epsilon
-
-    da1 = 0.0 + 0.0j
-    if eps:
-        for u in (z, z - 1.0):
-            lg = cmath.log(_TWO_PI / u)
-            da1 += lg * cmath.exp((1 - r) * lg)
-
-    def on_ray(x: complex) -> complex:
-        xr = x.real
-        w = l_log_derivative(fld, chi, z + xr, cfg)
-        return w * xr ** (r - 1) if r > 1 else w
-
-    ray = integrate_polyline(on_ray, (0.0 + 0.0j, complex(xmax)), cfg,
-                             base_len=2.0)
-    coef2 = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
-    da2 = coef2 * ray.value
-
-    da3 = 0.0 + 0.0j
-    err3 = 0.0
-    for v in chi.arch_places():
-        base = v.nv * math.pi
-        em = hurwitz_zeta_em(1 - r, _w_place(v, z), cfg)
-        coef = base ** (1 - r)
-        da3 -= coef * (math.log(base) * em.value + em.ds)
-        err3 += coef * (math.log(base) * em.err_value + em.err_ds)
-
-    tail = _ray_tail(fld, chi, z, xmax, r - 1, cfg)
-    err = abs(coef2) * (ray.error + tail) + err3
-    return XiValue(da1 + da2 + da3, err, "hankel-ds")
+    s, z = complex(1 - r), complex(z)
+    x_max = default_contour(z, r).cut_depth
+    closed = _closed_pieces(chi, s, z, cfg)
+    coef = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
+    ray, ray_err = _ray(fld, chi, s, z, 0.0, x_max, cfg)
+    return XiValue(closed.ds + coef * ray, closed.err_ds + abs(coef) * ray_err,
+                   "hankel-ds")
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +237,12 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
 
 
 def _xi_from_log(log: complex, err: float, route: str) -> XiValue:
-    """exp(log) with the relative error expm1(err); DomainError when either
-    overflows a double."""
-    try:
-        value = cmath.exp(log)
-        return XiValue(value, abs(value) * math.expm1(err), route)
-    except OverflowError:
-        raise DomainError(f"|Xi| = exp({log.real:.4g}) or its error bound "
-                          f"expm1({err:.4g}) overflows a double") from None
+    """exp(log) with the relative error expm1(err)."""
+    value = cmath.exp(log)
+    return XiValue(value, abs(value) * math.expm1(err), route)
 
 
+@overflow_is_domain_error
 def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
                        z: complex,
                        cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
@@ -282,15 +253,20 @@ def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
 
 def _log_l_exact(fld: NumberField, chi: HeckeCharacter, z: complex,
                  cfg: EvalConfig) -> complex:
-    """Branch-correct log L(z) without Euler truncation (depth 1 only)."""
+    """Branch-correct log L(z) without Euler truncation (depth 1 only): at
+    a = max(3, Re z + 1), |log L(a)| <= log zeta_K(3) < 0.4 is the principal
+    log, continued to z by integrating L'/L."""
     if z.imag == 0.0 and z.real > 1.0:
         v = l_value(fld, chi, z, cfg)
         if v.imag == 0.0 and v.real > 0.0:
             return complex(math.log(v.real))
-    anchor = max(3.0, z.real + 1.0)
-    return log_l_branch(fld, chi, PathSpec((complex(anchor), z)), cfg)
+    a = complex(max(3.0, z.real + 1.0))
+    path = integrate_polyline(lambda u: l_log_derivative(fld, chi, u, cfg),
+                              (a, z), cfg)
+    return cmath.log(l_value(fld, chi, a, cfg)) + path.value
 
 
+@overflow_is_domain_error
 def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
                        z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
                        prime_bound: int | None = None) -> XiValue:

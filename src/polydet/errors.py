@@ -4,6 +4,8 @@ Every failure mode that callers are expected to catch gets its own class;
 anything else surfaces as a plain ValueError/TypeError from validation.
 """
 
+import functools
+
 
 class PolydetError(Exception):
     """Base class for all package-specific errors."""
@@ -15,6 +17,17 @@ class PoleAtOne(PolydetError):
 
 class DomainError(PolydetError):
     """Argument outside the documented domain of an evaluator."""
+
+
+def overflow_is_domain_error(routine):
+    """Report an OverflowError raised inside routine as DomainError."""
+    @functools.wraps(routine)
+    def guarded(*args, **kwargs):
+        try:
+            return routine(*args, **kwargs)
+        except OverflowError as exc:
+            raise DomainError(f"{routine.__name__}: {exc}") from None
+    return guarded
 
 
 class FieldMismatch(PolydetError):

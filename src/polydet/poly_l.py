@@ -13,6 +13,7 @@ an explicit path.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DomainError, NonClosedLoop, PathLeavesOmega,
-                     StencilLeavesDomain, UnsupportedCharacter)
+                     StencilLeavesDomain, UnsupportedCharacter,
+                     overflow_is_domain_error)
 from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_SERIES_MIN_RE, PathSpec, _check_pair,
                           _prime_power_sum, l_value, omega_region,
@@ -81,6 +83,17 @@ def _tail_log_bound(fld: NumberField, r: int, sigma: float, bound: int) -> float
     return weight * geo * (s1 + s2) + 1e-15
 
 
+@overflow_is_domain_error
+def _from_log(logv: complex, tail_log: float, bound: int,
+              route: str = "euler") -> PolyLResult:
+    """exp(logv) and its tail bound |value| expm1(tail_log), both finite."""
+    value = complex(np.exp(logv))
+    tail = abs(value) * math.expm1(tail_log)
+    if not (cmath.isfinite(value) and math.isfinite(tail)):
+        raise DomainError(f"exp({logv:.4g}) is not a finite double")
+    return PolyLResult(value, logv, tail, bound, route)
+
+
 def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
                      cfg: EvalConfig = DEFAULT_CONFIG,
                      prime_bound: int | None = None) -> tuple[complex, float, int]:
@@ -104,9 +117,7 @@ def poly_l_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
                  cfg: EvalConfig = DEFAULT_CONFIG,
                  prime_bound: int | None = None) -> PolyLResult:
     """L^(r)(s; chi) by truncated Euler sum, valid for Re(s) > 1."""
-    logv, tail_log, bound = poly_l_log_euler(fld, chi, r, s, cfg, prime_bound)
-    value = complex(np.exp(logv))
-    return PolyLResult(value, logv, abs(value) * math.expm1(tail_log), bound)
+    return _from_log(*poly_l_log_euler(fld, chi, r, s, cfg, prime_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +214,7 @@ def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     if path is None and abs(s - a) < 1e-9:
         # s sits at the anchor: the remainder integral vanishes and only
         # the k = 0 Taylor term survives
-        lg, tl, bound = poly_l_log_euler(fld, chi, r, a, cfg)
-        value = complex(np.exp(lg))
-        return PolyLResult(value, lg, abs(value) * math.expm1(tl), bound,
-                           route="continued")
+        return _from_log(*poly_l_log_euler(fld, chi, r, a, cfg), "continued")
     if path is None:
         path = PathSpec((complex(a), s))
     wps = path.waypoints
@@ -248,9 +256,7 @@ def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     # |s - xi| is convex on each segment, so its path maximum sits at a node
     kmax = 1.0 if r == 2 else max(abs(s - w) for w in wps)
     tail_total += abs(sign) * (tracked.error + path.length * kmax * tail_log)
-    value = complex(np.exp(logv))
-    return PolyLResult(value, logv, abs(value) * math.expm1(tail_total),
-                       bound, route="continued")
+    return _from_log(logv, tail_total, bound, "continued")
 
 
 def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,

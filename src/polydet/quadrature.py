@@ -9,8 +9,8 @@ difference is reported as the error estimate.  Branch tracking walks the
 unwrapped logarithm through the ordered node sequence and also requires its
 largest imaginary step to stay below pi/2.  A result that is still not
 accepted after cfg.max_refinements doublings raises QuadratureNotConverged
-(BranchStepTooLarge when the branch step blocked it); no unconverged value
-is returned.
+(BranchStepTooLarge when the branch step blocked it), a level sum that is
+not finite raises it at once, and no unconverged value is returned.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ def _refine(level_sum: Callable[[list, list], tuple[complex, float]],
         pts, wts, panels = _panel_points(waypoints, level, base_len,
                                          cfg.gl_nodes)
         val, step = level_sum(pts, wts)
+        if not cmath.isfinite(val):
+            raise QuadratureNotConverged(
+                f"level {level} sum is {val}; integrand not finite on path")
         if prev is not None:
             delta = abs(val - prev)
             if step < 0.5 * math.pi and delta <= max(tol, tol * abs(val)):

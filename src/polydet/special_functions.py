@@ -6,8 +6,8 @@ Stirling-series log gamma.
 `hurwitz_zeta_em(s, z, cfg, minus_pole=...)` is the one entry point to the
 Euler-Maclaurin kernel `_em_core`: it checks that s and z are finite, that
 Re(z) > 0 and (unless the pole is subtracted) that s is outside the pole
-guard, picks the split N, and raises DomainError instead of returning a
-non-finite value or derivative.
+guard, picks the split N (at most cfg.series_max_terms), and raises
+DomainError instead of returning a non-finite value or derivative.
 
 Everything here is plain double precision.  The Euler-Maclaurin split point
 grows with |Im s| and |z| so the Bernoulli tail stays geometrically
@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import DomainError, PoleAtOne
+from .errors import DomainError, PoleAtOne, overflow_is_domain_error
 
 __all__ = [
     "bernoulli_number",
@@ -240,8 +240,12 @@ def hurwitz_zeta_em(s: complex, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
         raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = {z}")
     if not minus_pole and abs(s - 1.0) < cfg.pole_guard:
         raise PoleAtOne(f"s = {s} is inside the pole guard radius {cfg.pole_guard}")
-    N = int(math.ceil(abs(s.imag)) + math.ceil(abs(z)) + cfg.euler_maclaurin_shift)
     try:
+        N = int(math.ceil(abs(s.imag)) + math.ceil(abs(z))
+                + cfg.euler_maclaurin_shift)
+        if N > cfg.series_max_terms:
+            raise DomainError(f"Euler-Maclaurin split for s = {s}, z = {z} "
+                              "exceeds cfg.series_max_terms")
         em = _em_core(s, z, N, cfg.bernoulli_terms, minus_pole)
         if not minus_pole and s.imag == 0.0 and s.real <= 0.0 \
                 and s.real == round(s.real):
@@ -263,6 +267,7 @@ def hurwitz_zeta_em(s: complex, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
 # Higher gamma factor
 
 
+@overflow_is_domain_error
 def milnor_gamma(r: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     """exp(d/ds zeta(s, z) at s = 1 - r); at r = 1 this is Gamma(z)/sqrt(2 pi).
 
@@ -270,11 +275,7 @@ def milnor_gamma(r: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
     """
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
-    ds = hurwitz_zeta_em(1 - r, z, cfg).ds
-    try:
-        return cmath.exp(ds)
-    except OverflowError:
-        raise DomainError(f"Milnor gamma exp({ds.real:.4g}) overflows a double") from None
+    return cmath.exp(hurwitz_zeta_em(1 - r, z, cfg).ds)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
     """
     if not chi.is_self_dual:
         raise UnsupportedCharacter("zero scan requires a self-dual character")
-    if height <= 1.0:
+    if not height > 1.0:   # also rejects NaN
         raise DomainError("scan height must exceed 1")
     use_real = _line_component(fld, chi, cfg)
 
@@ -239,7 +239,7 @@ def scan_zeros(fld: NumberField, chi: HeckeCharacter, height: float,
 def find_zeros(fld: NumberField, chi: HeckeCharacter, height: float,
                cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroTable:
     """Zeros of the completed function with 0 < gamma <= height (<= 50)."""
-    if height > _MAX_SCAN_HEIGHT:
+    if not height <= _MAX_SCAN_HEIGHT:   # also rejects NaN
         raise DomainError(f"scan height capped at {_MAX_SCAN_HEIGHT}")
     return scan_zeros(fld, chi, height, cfg)
 

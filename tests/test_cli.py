@@ -109,6 +109,14 @@ def test_domain_error_exits_2(capsys):
     ["det", "--depth", "1", "--z", "1000", "--closed"],
     ["eval", "--fn", "milnor-gamma", "--r", "1", "--z", "500"],
     ["eval", "--fn", "hurwitz", "--s", "-400", "--z", "1"],
+    ["lfun", "--s", "1", "--set", "pole_guard=nan"],
+    ["xi", "--s", "400", "--z", "2"],
+    ["xi", "--s", "-400", "--z", "2"],
+    ["det", "--depth", "200", "--z", "2", "--closed"],
+    ["det", "--depth", "200", "--z", "2", "--numeric"],
+    ["zeros", "--find", "--height", "nan"],
+    ["eval", "--fn", "hurwitz", "--s", "2", "--z", "1e300"],
+    ["polyl", "--depth", "200", "--s", "3"],
 ])
 def test_non_finite_input_or_overflow_exits_2(capsys, argv):
     # a numpy RuntimeWarning would reach stderr ahead of the error line

@@ -24,6 +24,7 @@ from polydet import (
     xi_hankel,
     xi_zero_sum,
 )
+from polydet.l_functions import _ideal_arrays
 
 mp.mp.dps = 30
 
@@ -58,13 +59,27 @@ def test_closed_vs_direct_complex_point():
 
 def test_depth_one_reduction_against_mpmath():
     # Xi_1(z) = |d|^{-z/2} 2^{-1-r1/2} pi^{-2} Lambda(z) for the trivial
-    # character of Q, with Lambda assembled independently in mpmath
-    for z in (2.0, 3.0, 3.5):
-        lam = complex(0.5 * z * (z - 1) * mp.power(1 / mp.pi, z / 2)
-                      * mp.gamma(mp.mpf(z) / 2) * mp.zeta(z))
-        want = 2.0 ** (-1.5) * math.pi ** (-2) * lam
+    # character of Q, with Lambda assembled independently in mpmath; off the
+    # real axis log L is continued from an anchor, and the gap must stay
+    # within the claimed error
+    for z in (2.0, 3.0, 3.5, 1.987 + 0.39j, 1.3 + 4j):
+        zm = mp.mpc(z)
+        lam = 0.5 * zm * (zm - 1) * mp.power(1 / mp.pi, zm / 2) \
+            * mp.gamma(zm / 2) * mp.zeta(zm)
+        want = complex(mp.power(2, -1.5) * mp.power(mp.pi, -2) * lam)
         got = determinant_closed(Q, TRIV, 1, z)
         assert abs(got.value - want) < 1e-11 * (1 + abs(want))
+        if isinstance(z, complex):
+            assert abs(got.value - want) <= got.error_estimate
+
+
+def test_hankel_routes_read_no_prime_tables():
+    # the direct route must stay independent of the prime sums that the
+    # closed form reads, or one bug could hide in both routes
+    _ideal_arrays.cache_clear()
+    determinant_direct(QI, trivial_character(QI), 2, 2.5 + 1.5j)
+    xi_hankel(Q, CHI4, 3.0, 2.0)
+    assert _ideal_arrays.cache_info().misses == 0
 
 
 def test_regularized_product_matches_closed_form():

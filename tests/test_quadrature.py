@@ -62,6 +62,18 @@ def test_both_entry_points_raise_when_not_converged():
                              UNREACHABLE)
 
 
+def test_non_finite_level_sum_raises_at_the_first_level():
+    calls = []
+
+    def nan_at(u):
+        calls.append(u)
+        return math.nan
+
+    with pytest.raises(QuadratureNotConverged):
+        integrate_polyline(nan_at, (0.0, 1.0))
+    assert len(calls) <= 64     # two panels of 32 nodes, no doubling
+
+
 def test_path_past_a_near_zero_raises_branch_step():
     cfg = DEFAULT_CONFIG.with_updates(gl_nodes=4, max_refinements=1)
     rho = 0.5 + 1e-3j

@@ -190,6 +190,9 @@ def test_config_validation():
         EvalConfig(bernoulli_terms=0)
     with pytest.raises(ValueError):
         EvalConfig(quad_tol=-1.0)
+    for key in ("target_abs_error", "quad_tol", "pole_guard"):
+        with pytest.raises(ValueError):
+            EvalConfig(**{key: math.nan})
     assert DEFAULT_CONFIG.with_updates(gl_nodes=16).gl_nodes == 16
     assert DEFAULT_CONFIG.config_hash() != \
         DEFAULT_CONFIG.with_updates(gl_nodes=16).config_hash()

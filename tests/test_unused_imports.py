@@ -1,10 +1,12 @@
-"""Static checks: no module imports a name it never uses, and every name a
-module lists in `__all__` is bound at its top level.
+"""Static checks: no module imports a name it never uses, every name a
+module lists in `__all__` is bound at its top level, and every private
+top-level `_name` is referenced somewhere in the package.
 
-A small stand-in for pyflakes' unused-import and undefined-export rules,
-built on `ast` so it needs no extra dependency.  A name counts as used when
-it is read anywhere in the module (annotations included) or exported
-through `__all__`.  `__init__.py` is skipped: it imports only to re-export.
+A small stand-in for pyflakes' unused-import and undefined-export rules
+and for a dead-code finder, built on `ast` so it needs no extra dependency.
+A name counts as used when it is read anywhere in the module (annotations
+included) or exported through `__all__`.  `__init__.py` is skipped by the
+import check: it imports only to re-export.
 """
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "polydet"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,22 +45,48 @@ def exported(tree: ast.Module) -> list[str]:
     return names
 
 
-def unbound_exports(source: str) -> list[str]:
-    """Names in `__all__` that no top-level statement binds."""
-    tree = ast.parse(source)
+def definitions(tree: ast.Module) -> set[str]:
+    """Names that top-level def, class and assignment statements bind."""
     bound: set[str] = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             bound.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update((a.asname or a.name).split(".")[0]
-                         for a in node.names)
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = getattr(node, "targets", None) or [node.target]
             bound.update(n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name))
+    return bound
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in `__all__` that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound = definitions(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
     return [name for name in exported(tree) if name not in bound]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Top-level `_names` (dunders aside) that no module of sources reads:
+    neither loaded as a name or attribute nor imported by name."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    used: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return [f"{mod}: {name}" for mod, tree in sorted(trees.items())
+            for name in sorted(definitions(tree))
+            if name.startswith("_") and not name.startswith("__")
+            and name not in used]
 
 
 def test_checker_flags_an_unused_import():
@@ -81,3 +110,19 @@ def test_checker_flags_an_unbound_export():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_names_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def package_sources() -> dict[str, str]:
+    return {p.name: p.read_text() for p in ALL_MODULES}
+
+
+def test_checker_flags_an_unreferenced_private():
+    sources = package_sources()
+    sources["determinants.py"] += "\n\ndef _orphan():\n    return _TWO_PI\n"
+    sources["config.py"] += "\n_SPARE: int = 3\n"
+    assert unreferenced_privates(sources) == ["config.py: _SPARE",
+                                              "determinants.py: _orphan"]
+
+
+def test_every_private_name_is_referenced():
+    assert unreferenced_privates(package_sources()) == []
