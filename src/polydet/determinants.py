@@ -141,10 +141,9 @@ def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
          lo: float, x_max: float, cfg: EvalConfig) -> tuple[complex, float]:
     """int_lo^x_max (L'/L)(z+x) x^-s dx; its error adds a majorant of x > x_max
     where |L'/L| halves per unit (the lightest prime ideal has norm 2)."""
-    def on_ray(x: complex) -> complex:
+    def on_ray(x: np.ndarray) -> np.ndarray:
         xr = x.real
-        return l_log_derivative(fld, chi, z + xr, cfg) \
-            * cmath.exp(-s * math.log(xr))
+        return l_log_derivative(fld, chi, z + xr, cfg) * np.exp(-s * np.log(xr))
 
     ray = integrate_polyline(on_ray, (complex(lo), complex(x_max)), cfg,
                              base_len=2.0)
@@ -199,10 +198,10 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     circ_coef = pref * cmath.exp((1.0 - s) * math.log(dl)) / _TWO_PI
     ray, ray_err = _ray(fld, chi, s, z, dl, contour.cut_depth, cfg)
 
-    def on_circle(psi: complex) -> complex:
+    def on_circle(psi: np.ndarray) -> np.ndarray:
         p = psi.real
-        return l_log_derivative(fld, chi, z - dl * cmath.exp(1j * p), cfg) \
-            * cmath.exp(1j * (1.0 - s) * p)
+        return l_log_derivative(fld, chi, z - dl * np.exp(1j * p), cfg) \
+            * np.exp(1j * (1.0 - s) * p)
 
     circ = integrate_polyline(on_circle, (complex(-math.pi), complex(math.pi)),
                               cfg)

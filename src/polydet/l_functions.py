@@ -10,8 +10,10 @@ every value and s-derivative read from `special_functions.hurwitz_zeta_em`
     whose subtracted poles cancel because the chi(a) sum to zero,
   * zeta_K(s) = zeta(s) L(s, chi_{d_K}) for quadratic K.
 
-`_l_and_ds` returns (L, L') from this assembly; `l_value` and the analytic
-route of `l_log_derivative` read it.
+`_l_and_ds` returns (L, L') from this assembly at a scalar s or an array of
+nodes (same shape back); the Dirichlet sum makes one batched Hurwitz call
+per residue for all nodes.  `l_value`, the analytic route of
+`l_log_derivative` and `completed_lambda` read it and take arrays too.
 
 On top of that sit the completed function with its gamma factors, the root
 number from the functional equation, branch-tracked logarithms along paths,
@@ -39,7 +41,7 @@ from .errors import (DegenerateSample, DomainError, FieldMismatch, GammaPole,
 from .fields_and_characters import (HeckeCharacter, NumberField,
                                     _ideal_table, kronecker_character)
 from .quadrature import integrate_polyline
-from .special_functions import hurwitz_zeta_em, log_gamma
+from .special_functions import EM_CHUNK, hurwitz_zeta_em, log_gamma
 
 __all__ = [
     "PathSpec",
@@ -131,29 +133,32 @@ class OmegaRegion:
     completeness: float
     tol: float = 1e-9
 
-    def contains(self, w: complex) -> bool:
-        w = complex(w)
-        if self.pole_cut and abs(w.imag) < self.tol and w.real <= 1.0 + self.tol:
-            return False
+    def contains(self, w):
+        """Whether w lies off every cut; elementwise over an array."""
+        w = np.asarray(w, dtype=np.complex128)
+        tol = self.tol
+        out = np.ones(w.shape, dtype=bool)
+        if self.pole_cut:
+            out &= ~((np.abs(w.imag) < tol) & (w.real <= 1.0 + tol))
         for c in self.trivial_cut_starts:
-            if abs(w.imag - c.imag) < self.tol and w.real <= c.real + self.tol:
-                return False
-        for g in self.zero_ordinates:
-            if (abs(w.imag - g) < self.tol or abs(w.imag + g) < self.tol) \
-                    and w.real <= 0.5 + self.tol:
-                return False
-        return True
+            out &= ~((np.abs(w.imag - c.imag) < tol) & (w.real <= c.real + tol))
+        if self.zero_ordinates:
+            g = np.asarray(self.zero_ordinates)
+            im = w.imag[..., None]
+            on_ordinate = ((np.abs(im - g) < tol)
+                           | (np.abs(im + g) < tol)).any(axis=-1)
+            out &= ~(on_ordinate & (w.real <= 0.5 + tol))
+        return bool(out) if w.ndim == 0 else out
 
-    def verifiable(self, w: complex) -> bool:
-        """Whether containment can actually be certified for this point."""
-        w = complex(w)
-        if w.real > 1.0:
-            return True
-        if 0.4 - self.tol <= w.real <= 0.6 + self.tol:
-            return False
-        if abs(w.imag) > self.completeness + self.tol:
-            return False
-        return True
+    def verifiable(self, w):
+        """Whether containment can actually be certified for this point;
+        elementwise over an array."""
+        w = np.asarray(w, dtype=np.complex128)
+        tol = self.tol
+        near_line = (0.4 - tol <= w.real) & (w.real <= 0.6 + tol)
+        too_high = np.abs(w.imag) > self.completeness + tol
+        out = (w.real > 1.0) | ~(near_line | too_high)
+        return bool(out) if w.ndim == 0 else out
 
 
 def omega_region(fld: NumberField, chi: HeckeCharacter,
@@ -181,23 +186,24 @@ def _check_pair(fld: NumberField, chi: HeckeCharacter):
         raise UnsupportedCharacter("only Q and quadratic fields are supported")
 
 
-def _zeta_and_ds(s: complex, cfg: EvalConfig) -> tuple[complex, complex]:
+def _zeta_and_ds(s: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
     em = hurwitz_zeta_em(s, 1.0, cfg)
     return em.value, em.ds
 
 
-def _dirichlet_and_ds(chi: HeckeCharacter, s: complex,
-                      cfg: EvalConfig) -> tuple[complex, complex]:
-    """L(s, chi) and L'(s, chi) for a primitive non-principal Dirichlet chi.
+def _dirichlet_and_ds(chi: HeckeCharacter, s: np.ndarray,
+                      cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """L(s, chi) and L'(s, chi) at an array of nodes, for a primitive
+    non-principal Dirichlet chi.
 
-    Assembled from pole-subtracted Hurwitz zetas; the subtracted poles
-    cancel because the character values sum to zero, so the assembly is
-    valid at s = 1 as well.
+    Assembled from pole-subtracted Hurwitz zetas, one batched call per
+    residue; the subtracted poles cancel because the character values sum
+    to zero, so the assembly is valid at s = 1 as well.
     """
     q = chi.modulus
-    qs = cmath.exp(-s * math.log(q))
-    tot: complex = 0.0
-    dtot: complex = 0.0
+    qs = np.exp(-s * math.log(q))
+    tot = np.zeros_like(s)
+    dtot = np.zeros_like(s)
     for a in range(1, q):
         v = chi.values[a]
         if v == 0:
@@ -215,39 +221,53 @@ def _quadratic_kronecker(fld: NumberField) -> HeckeCharacter:
     return kronecker_character(fld.discriminant)
 
 
-def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s: complex,
-              cfg: EvalConfig) -> tuple[complex, complex]:
-    """(L, L') by the analytic route."""
-    s = complex(s)
+def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s,
+              cfg: EvalConfig) -> tuple:
+    """(L, L') by the analytic route at a scalar s (complex results) or an
+    array of nodes (arrays of the same shape)."""
     _check_pair(fld, chi)
-    if chi.kind == "dirichlet":
-        return _dirichlet_and_ds(chi, s, cfg)
-    if fld.is_rational:
-        return _zeta_and_ds(s, cfg)
-    # Dedekind zeta of a quadratic field: zeta(s) * L(s, chi_disc)
-    z, dz = _zeta_and_ds(s, cfg)
-    chi_d = _quadratic_kronecker(fld)
-    l, dl = _dirichlet_and_ds(chi_d, s, cfg)
-    return z * l, dz * l + z * dl
+    arr = np.asarray(s, dtype=np.complex128)
+    nodes = arr.reshape(-1)
+    L = np.empty_like(nodes)
+    dL = np.empty_like(nodes)
+    # one kernel chunk at a time, so that all Hurwitz pieces of a chunk
+    # share its Pochhammer table
+    for lo in range(0, len(nodes), EM_CHUNK):
+        part, at = nodes[lo:lo + EM_CHUNK], slice(lo, lo + EM_CHUNK)
+        if chi.kind == "dirichlet":
+            L[at], dL[at] = _dirichlet_and_ds(chi, part, cfg)
+        elif fld.is_rational:
+            L[at], dL[at] = _zeta_and_ds(part, cfg)
+        else:
+            # Dedekind zeta of a quadratic field: zeta(s) * L(s, chi_disc)
+            z, dz = _zeta_and_ds(part, cfg)
+            l, dl = _dirichlet_and_ds(_quadratic_kronecker(fld), part, cfg)
+            L[at], dL[at] = z * l, dz * l + z * dl
+    if arr.ndim == 0:
+        return complex(L[0]), complex(dL[0])
+    return L.reshape(arr.shape), dL.reshape(arr.shape)
 
 
-def l_value(fld: NumberField, chi: HeckeCharacter, s: complex,
-            cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """L_K(s, chi) for the supported family, continued to s != pole."""
+def l_value(fld: NumberField, chi: HeckeCharacter, s,
+            cfg: EvalConfig = DEFAULT_CONFIG):
+    """L_K(s, chi) for the supported family, continued to s != pole, at a
+    scalar s or elementwise over an array of nodes."""
     return _l_and_ds(fld, chi, s, cfg)[0]
 
 
-def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s: complex,
+def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s,
                      cfg: EvalConfig = DEFAULT_CONFIG,
-                     route: str = "analytic") -> complex:
+                     route: str = "analytic"):
     """(L'/L)(s, chi).
 
     route "analytic" differentiates the Hurwitz assembly and works wherever
-    L is nonzero; route "series" sums the prime power Dirichlet series and
-    requires Re(s) > 1 (used as an independent cross-check).
+    L is nonzero, at a scalar s or elementwise over an array of nodes
+    (NearZeroOfL if any node has |L| < 1e-12); route "series" sums the
+    prime power Dirichlet series at a scalar s and requires Re(s) > 1
+    (used as an independent cross-check).
     """
-    s = complex(s)
     if route == "series":
+        s = complex(s)
         _check_pair(fld, chi)
         if not s.real > _SERIES_MIN_RE:   # also rejects NaN
             raise DomainError(f"series route requires Re(s) > {_SERIES_MIN_RE}")
@@ -255,8 +275,9 @@ def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s: complex,
     if route != "analytic":
         raise DomainError(f"unknown route {route!r}")
     L, dL = _l_and_ds(fld, chi, s, cfg)
-    if abs(L) < _SMALL_L:
-        raise NearZeroOfL(f"|L({s})| = {abs(L):.2e} is below {_SMALL_L}")
+    if (small := np.abs(L) < _SMALL_L).any():
+        raise NearZeroOfL(f"|L| is below {_SMALL_L} at s = "
+                          f"{np.asarray(s, dtype=np.complex128)[small][0]}")
     return dL / L
 
 
@@ -348,7 +369,7 @@ def log_l_branch(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
                 raise PathLeavesOmega(f"waypoint {u} lies on a branch cut")
     anchor = log_l_series(fld, chi, s0, cfg)
 
-    def f(u: complex) -> complex:
+    def f(u: np.ndarray) -> np.ndarray:
         return l_log_derivative(fld, chi, u, cfg)
 
     return anchor + integrate_polyline(f, path.waypoints, cfg).value
@@ -365,30 +386,32 @@ def conductor_factor(fld: NumberField, chi: HeckeCharacter) -> float:
         (4.0 ** fld.r2 * math.pi ** n)
 
 
-def completed_lambda(fld: NumberField, chi: HeckeCharacter, s: complex,
-                     cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Completed L-function: pole factor, conductor power, gamma factors.
+def completed_lambda(fld: NumberField, chi: HeckeCharacter, s,
+                     cfg: EvalConfig = DEFAULT_CONFIG):
+    """Completed L-function: pole factor, conductor power, gamma factors,
+    at a scalar s or elementwise over an array of nodes.
 
     Entire for non-principal chi; for principal chi the polynomial factor
     absorbs the poles at 0 and 1 (evaluation exactly at s = 1 is still
     blocked by the pole guard of the L-value route).
     """
-    s = complex(s)
     _check_pair(fld, chi)
-    gamma_prod: complex = 1.0
+    s = np.asarray(s, dtype=np.complex128)
+    gamma_prod = 1.0
     for pl in chi.arch_places():
         w = (pl.nv * (s + 1j * pl.phi) + abs(pl.m)) / 2.0
-        if w.real <= 0:
-            raise DomainError(
-                f"gamma argument {w} has Re <= 0; reflection not implemented")
-        if abs(w - round(w.real)) < 1e-8 and round(w.real) <= 0:
-            raise GammaPole(f"gamma factor pole at argument {w}")
-        gamma_prod *= cmath.exp(log_gamma(w))
+        if (left := w.real <= 0).any():
+            raise DomainError(f"gamma argument {w[left][0]} has Re <= 0; "
+                              "reflection not implemented")
+        k = np.round(w.real)
+        if (pole := (np.abs(w - k) < 1e-8) & (k <= 0)).any():
+            raise GammaPole(f"gamma factor pole at argument {w[pole][0]}")
+        gamma_prod = gamma_prod * np.exp(log_gamma(w))
     A = conductor_factor(fld, chi)
-    out = cmath.exp(0.5 * s * math.log(A)) * l_value(fld, chi, s, cfg) * gamma_prod
+    out = np.exp(0.5 * s * math.log(A)) * l_value(fld, chi, s, cfg) * gamma_prod
     if chi.epsilon == 1:
-        out *= 0.5 * s * (s - 1.0)
-    return out
+        out = out * (0.5 * s * (s - 1.0))
+    return complex(out) if s.ndim == 0 else out
 
 
 def root_number(fld: NumberField, chi: HeckeCharacter,
@@ -424,7 +447,7 @@ def argument_principle_count(fld: NumberField, chi: HeckeCharacter,
     if not loop.is_closed:
         raise NonClosedLoop("argument principle needs a closed loop")
 
-    def f(u: complex) -> complex:
+    def f(u: np.ndarray) -> np.ndarray:
         return l_log_derivative(fld, chi, u, cfg)
 
     res = integrate_polyline(f, loop.waypoints, cfg)

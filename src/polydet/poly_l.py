@@ -224,16 +224,16 @@ def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     omega = _omega_for_path(fld, chi, path, cfg)
     flagged: list[complex] = []
 
-    def lfun(xi: complex) -> complex:
+    def lfun(xi: np.ndarray) -> np.ndarray:
         if omega is not None:
-            if not omega.contains(xi):
-                raise PathLeavesOmega(f"path point {xi} leaves the cut region")
-            if not omega.verifiable(xi):
-                flagged.append(xi)
+            if not (inside := omega.contains(xi)).all():
+                raise PathLeavesOmega(
+                    f"path point {xi[~inside][0]} leaves the cut region")
+            flagged.extend(xi[~omega.verifiable(xi)])
         return l_value(fld, chi, xi, cfg)
 
-    def kernel(xi: complex) -> complex:
-        return 1.0 + 0.0j if r == 2 else (s - xi)
+    def kernel(xi: np.ndarray) -> np.ndarray:
+        return np.ones_like(xi) if r == 2 else s - xi
 
     anchor_log, tail_log, bound = poly_l_log_euler(fld, chi, 1, a, cfg)
     tracked = tracked_log_polyline(lfun, wps, cfg, kernel=kernel,
@@ -279,7 +279,7 @@ def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,
         raise DomainError("loop must keep distance >= 0.05 from s = 1")
     eps = chi.epsilon
 
-    def wf(xi: complex) -> complex:
+    def wf(xi: np.ndarray) -> np.ndarray:
         v = l_value(fld, chi, xi, cfg)
         return v * (xi - 1.0) ** eps if eps else v
 

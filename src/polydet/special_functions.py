@@ -1,13 +1,17 @@
-"""Scalar special functions: Bernoulli polynomials, Hurwitz zeta and its
+"""Special functions: Bernoulli polynomials, Hurwitz zeta and its
 s-derivative by Euler-Maclaurin summation, the exponentiated derivative
 (a higher analogue of the gamma factor), truncated polylogarithms, and a
 Stirling-series log gamma.
 
 `hurwitz_zeta_em(s, z, cfg, minus_pole=...)` is the one entry point to the
-Euler-Maclaurin kernel `_em_core`: it checks that s and z are finite, that
-Re(z) > 0 and (unless the pole is subtracted) that s is outside the pole
-guard, picks the split N (at most cfg.series_max_terms), and raises
-DomainError instead of returning a non-finite value or derivative.
+Euler-Maclaurin kernel `_em_core`.  s is a scalar or a 1-D array of nodes
+at one shift z; the kernel works on chunks of at most EM_CHUNK nodes, each
+with one split N (the largest any node in the chunk needs, at most
+cfg.series_max_terms), building the direct sum as a (nodes x N) array and
+the Bernoulli tail from (terms x nodes) Pochhammer tables.  The entry point
+checks every node: s and z finite, Re(z) > 0, and (unless the pole is
+subtracted) s outside the pole guard; it raises DomainError instead of
+returning a non-finite value or derivative.  `log_gamma` also takes arrays.
 
 Everything here is plain double precision.  The Euler-Maclaurin split point
 grows with |Im s| and |z| so the Bernoulli tail stays geometrically
@@ -77,10 +81,13 @@ def bernoulli_poly(r: int, z: complex) -> complex:
 
 
 @lru_cache(maxsize=8)
-def _bern_over_fact(jmax: int) -> tuple[float, ...]:
-    # B_{2j} / (2j)! for j = 0 .. jmax as floats
-    return tuple(float(bernoulli_number(2 * j) / Fraction(math.factorial(2 * j)))
-                 for j in range(jmax + 1))
+def _bern_over_fact(jmax: int) -> np.ndarray:
+    # B_{2j} / (2j)! for j = 0 .. jmax as floats (read-only)
+    out = np.array([float(bernoulli_number(2 * j)
+                          / Fraction(math.factorial(2 * j)))
+                    for j in range(jmax + 1)])
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,178 +96,218 @@ def _bern_over_fact(jmax: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class EmResult:
-    value: complex
-    ds: complex
-    err_value: float
-    err_ds: float
+    """Value, s-derivative and their error bounds: complex and float for a
+    scalar s, arrays of the same length for an array of nodes."""
+
+    value: complex | np.ndarray
+    ds: complex | np.ndarray
+    err_value: float | np.ndarray
+    err_ds: float | np.ndarray
     split: int
 
 
-def _phi_expm1(x: complex) -> complex:
-    # (exp(-x) - 1) / x, stable near 0
-    if abs(x) < 0.25:
-        term: complex = -1.0
-        acc: complex = -1.0
-        for k in range(1, 18):
-            term *= -x / (k + 1)
-            acc += term
-            if abs(term) < 1e-18:
-                break
-        return acc
-    return (cmath.exp(-x) - 1.0) / x
+# Largest node batch one kernel call sees.  Its direct sum is a (nodes x N)
+# array and its Pochhammer tables are (2J+1 x nodes), so this bounds the
+# working memory of a call whatever the size of the batch; 128 nodes also
+# keep those tables in cache.
+EM_CHUNK = 128
+
+# Taylor coefficients at 0 of (exp(-x) - 1) / x and its companion
+# (-x e^-x - (e^-x - 1)) / x^2, highest degree first for np.polyval
+_PHI_TAYLOR = [(-1.0) ** (k + 1) / math.factorial(k + 1) for k in range(18)][::-1]
+_PSI_TAYLOR = [(-1.0) ** k * (k + 1) / math.factorial(k + 2)
+               for k in range(20)][::-1]
 
 
-def _psi_expm1(x: complex) -> complex:
-    # (-x e^{-x} - (e^{-x} - 1)) / x^2, stable near 0
-    if abs(x) < 0.25:
-        acc: complex = 0.0
-        num = 1.0 + 0j  # (-1)^k x^k
-        for k in range(0, 20):
-            term = num * (k + 1) / math.factorial(k + 2)
-            acc += term
-            if abs(term) < 1e-18:
-                break
-            num *= -x
-        return acc
-    ex = cmath.exp(-x)
-    return (-x * ex - (ex - 1.0)) / (x * x)
+def _expm1_quotients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-x) - 1) / x and (-x e^-x - (e^-x - 1)) / x^2, stable near 0."""
+    small = np.abs(x) < 0.25
+    xs = np.where(small, 1.0, x)
+    ex = np.exp(-xs)
+    phi = (ex - 1.0) / xs
+    psi = (-xs * ex - (ex - 1.0)) / (xs * xs)
+    if small.any():
+        phi = np.where(small, np.polyval(_PHI_TAYLOR, x), phi)
+        psi = np.where(small, np.polyval(_PSI_TAYLOR, x), psi)
+    return phi, psi
 
 
-def _em_core(s: complex, z: complex, N: int, J: int, minus_pole: bool) -> EmResult:
-    """Euler-Maclaurin evaluation of zeta(s, z) and d/ds zeta(s, z).
+@lru_cache(maxsize=1)
+def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s)_k and d/ds (s)_k for k = 1..K at the nodes s (as bytes), as
+    read-only (K x nodes) arrays.
+
+    The table depends on s alone, so the Hurwitz pieces of one L-value
+    chunk (every residue, every factor) share it: the last one is kept.
+    d/ds (s)_k = (s)_k sum_(i<k) 1/(s+i), except at a node where some
+    factor s + m is 0 or too small to invert (s at or next to a nonpositive
+    integer): there the product rule runs factor by factor.
+    """
+    s = np.frombuffer(nodes, dtype=np.complex128)
+    dpoch = np.arange(K)[:, None] + s
+    poch = np.cumprod(dpoch, axis=0)
+    np.divide(1.0, dpoch, out=dpoch)
+    bad = np.flatnonzero(~np.isfinite(dpoch).all(axis=0))
+    np.cumsum(dpoch, axis=0, out=dpoch)
+    dpoch *= poch
+    for i in bad:
+        d, p, col = 0j, 1 + 0j, []
+        for f in (complex(s[i]) + k for k in range(K)):
+            d, p = d * f + p, p * f
+            col.append(d)
+        dpoch[:, i] = col
+    poch.flags.writeable = dpoch.flags.writeable = False
+    return poch, dpoch
+
+
+def _em_core(s: np.ndarray, z: complex, N: int, J: int,
+             minus_pole: bool) -> EmResult:
+    """Euler-Maclaurin evaluation of zeta(s, z) and d/ds zeta(s, z) at a
+    1-D array of s, one shift z and one split N, with error bounds.
 
     With minus_pole=True the simple pole term 1/(s-1) is subtracted
     analytically, so the result is finite and smooth across s = 1.
     """
-    s = complex(s)
-    z = complex(z)
-    m = np.arange(N, dtype=np.float64)
-    base = m + z
-    logb = np.log(base.astype(np.complex128))
-    pw = np.exp(-s * logb)
-    val = complex(pw.sum())
-    dval = complex(-(logb * pw).sum())
+    logb = np.log(np.arange(N, dtype=np.float64) + z)
+    pw = np.multiply.outer(-s, logb)
+    np.exp(pw, out=pw)
+    val = pw.sum(axis=1)
     # magnitude of everything summed, for the rounding part of the error:
     # large direct-sum powers cancel against the integral term at negative
     # Re(s), costing |largest part| * eps of absolute accuracy
-    mag = float(np.abs(pw).sum())
-    mag_ds = float(np.abs(logb * pw).sum())
+    mag = np.abs(pw).sum(axis=1)
+    pw *= logb
+    dval = -pw.sum(axis=1)
+    mag_ds = np.abs(pw).sum(axis=1)
 
     w = N + z
     lw = cmath.log(w)
     winv = 1.0 / w
-    wms = cmath.exp(-s * lw)  # w^{-s}
+    wms = np.power(w, -s)  # w^{-s}, exact at small integer s
 
     # integral term w^{1-s}/(s-1), optionally with the pole removed
     eps = s - 1.0
     if minus_pole:
-        x = eps * lw
-        t, dt = lw * _phi_expm1(x), lw * lw * _psi_expm1(x)
+        phi, psi = _expm1_quotients(eps * lw)
+        t, dt = lw * phi, lw * lw * psi
     else:
         w1ms = wms * w
         t = w1ms / eps
         dt = -w1ms * (lw / eps + 1.0 / (eps * eps))
-    val += t
-    dval += dt
-    mag += abs(t)
-    mag_ds += abs(dt)
 
-    # boundary term w^{-s}/2
-    val += 0.5 * wms
-    dval += -0.5 * lw * wms
-    mag += 0.5 * abs(wms)
-    mag_ds += 0.5 * abs(lw * wms)
-
-    # Bernoulli tail with joint pochhammer/derivative accumulation
+    # Bernoulli tail: term j is B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1).  The
+    # terms are stacked under the direct sum, the integral term and the
+    # boundary term w^{-s}/2 and added in that order (cumsum): at the
+    # trivial zeros these cancel exactly
     bf = _bern_over_fact(J + 1)
-    poch: complex = 1.0      # (s)_k
-    dpoch: complex = 0.0     # d/ds (s)_k
-    k = 0
-    wpow = wms * winv        # w^{-s-1}
-    winv2 = winv * winv
-    for j in range(1, J + 1):
-        need = 2 * j - 1
-        while k < need:
-            f = s + k
-            dpoch = dpoch * f + poch
-            poch = poch * f
-            k += 1
-        term = bf[j] * poch * wpow
-        dterm = bf[j] * (dpoch - poch * lw) * wpow
-        val += term
-        dval += dterm
-        mag += abs(term)
-        mag_ds += abs(dterm)
-        wpow *= winv2
+    poch, dpoch = _pochhammers(s.tobytes(), 2 * J + 1)
+    pk, dpk = np.abs(poch[-1]), np.abs(dpoch[-1])
+    coef = (bf[1:J + 1] * winv ** np.arange(1, 2 * J, 2))[:, None]
+    terms = np.empty((J + 3, len(s)), dtype=np.complex128)
+    dterms = np.empty_like(terms)
+    terms[0], terms[1], terms[2] = val, t, 0.5 * wms
+    dterms[0], dterms[1], dterms[2] = dval, dt, -0.5 * lw * wms
+    tail, dtail = terms[3:], dterms[3:]
+    np.multiply(poch[0:2 * J:2], coef, out=tail)
+    tail *= wms
+    np.multiply(poch[0:2 * J:2], lw, out=dtail)
+    np.subtract(dpoch[0:2 * J:2], dtail, out=dtail)
+    dtail *= coef
+    dtail *= wms
+    del poch, dpoch
+    mag += np.abs(terms[1:]).sum(axis=0)
+    mag_ds += np.abs(dterms[1:]).sum(axis=0)
+    val = np.cumsum(terms, axis=0, out=terms)[-1].copy()
+    dval = np.cumsum(dterms, axis=0, out=dterms)[-1].copy()
+    awms = np.abs(wms)
 
-    # first omitted term as remainder estimate (wpow is now w^{-s-2J-1})
-    while k < 2 * J + 1:
-        f = s + k
-        dpoch = dpoch * f + poch
-        poch = poch * f
-        k += 1
+    # first omitted term as remainder estimate, with the classical
+    # |s + 2J + 1| / (Re s + 2J + 1) inflation (10 where that is not > 0)
     denom = s.real + 2 * J + 1
-    if denom <= 0:
-        infl = 10.0
-    else:
-        infl = min(10.0, abs(s + 2 * J + 1) / denom)
+    infl = np.where(denom > 0, np.minimum(10.0, np.abs(s + 2 * J + 1) / denom),
+                    10.0)
     # oscillatory loss along the tail: |(x+w)^{-s}| carries e^{Im s arg(x+w)}
-    infl *= 6.0 * math.exp(min(8.0, abs(s.imag) * abs(cmath.phase(w))))
-    scale = abs(bf[J + 1]) * abs(wpow)
+    infl *= 6.0 * np.exp(np.minimum(8.0, np.abs(s.imag) * abs(cmath.phase(w))))
+    scale = abs(bf[J + 1]) * awms * abs(winv) ** (2 * J + 1)
     # rounding: each power costs |s| log|base| ulps through exp(-s log b)
-    round_fac = 1e-16 * (4.0 + 0.5 * abs(s) * math.log(abs(w) + 2.0))
-    err = scale * abs(poch) * infl + round_fac * (mag + 1.0)
-    err_ds = scale * (abs(dpoch) + abs(poch) * abs(lw)) * infl \
-        + round_fac * (mag_ds + 1.0)
+    round_fac = 1e-16 * (4.0 + 0.5 * np.abs(s) * math.log(abs(w) + 2.0))
+    err = scale * pk * infl + round_fac * (mag + 1.0)
+    err_ds = scale * (dpk + pk * abs(lw)) * infl + round_fac * (mag_ds + 1.0)
     return EmResult(val, dval, err, err_ds, N)
 
 
-def hurwitz_zeta_em(s: complex, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
+def hurwitz_zeta_em(s, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
                     *, minus_pole: bool = False) -> EmResult:
     """zeta(s, z) = sum_{m >= 0} (m + z)^{-s} and d/ds zeta(s, z) by
     Euler-Maclaurin, with remainder bounds; Re(z) > 0, s != 1.
 
-    The only entry point to the Euler-Maclaurin kernel.  s and z must be
+    s is a scalar or a 1-D array of nodes (the result has the same form);
+    z is one shift.  The only entry point to the Euler-Maclaurin kernel:
+    it feeds `_em_core` batches of at most EM_CHUNK nodes, each with one
+    split N, the largest any node in the batch needs.  Every node must be
     finite, and a value or derivative that overflows raises DomainError.
     With minus_pole=True the result is zeta(s, z) - 1/(s-1) and its
     s-derivative, finite and smooth across s = 1 (no pole guard); the
     Dirichlet assembly uses it, where the subtracted poles cancel.
 
     At nonpositive integer s the tail terminates (the Pochhammer factor
-    hits zero), so with minus_pole=False the value is computed with N = 1:
-    a large split there only piles up huge direct-sum powers that cancel
-    against the tail and cost ~|z+N|^(1-s) eps of absolute accuracy.  The
-    derivative keeps the large split, where the differentiated tail still
-    converges.
+    hits zero), so with minus_pole=False the value at such a node is
+    computed with N = 1: a large split there only piles up huge direct-sum
+    powers that cancel against the tail and cost ~|z+N|^(1-s) eps of
+    absolute accuracy.  The derivative keeps the large split, where the
+    differentiated tail still converges.
     """
-    s, z = complex(s), complex(z)
-    if not (cmath.isfinite(s) and cmath.isfinite(z)):
-        raise DomainError(f"hurwitz zeta needs finite s and z, got s = {s}, z = {z}")
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    z = complex(z)
+    if not (finite := np.isfinite(s)).all() or not cmath.isfinite(z):
+        bad = s[~finite][0] if not finite.all() else s[0]
+        raise DomainError(f"hurwitz zeta needs finite s and z, got s = {bad}, "
+                          f"z = {z}")
     if z.real <= 0:
         raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = {z}")
-    if not minus_pole and abs(s - 1.0) < cfg.pole_guard:
-        raise PoleAtOne(f"s = {s} is inside the pole guard radius {cfg.pole_guard}")
-    try:
-        N = int(math.ceil(abs(s.imag)) + math.ceil(abs(z))
-                + cfg.euler_maclaurin_shift)
-        if N > cfg.series_max_terms:
-            raise DomainError(f"Euler-Maclaurin split for s = {s}, z = {z} "
-                              "exceeds cfg.series_max_terms")
-        em = _em_core(s, z, N, cfg.bernoulli_terms, minus_pole)
-        if not minus_pole and s.imag == 0.0 and s.real <= 0.0 \
-                and s.real == round(s.real):
-            r = 1 - int(round(s.real))
-            val = _em_core(s, z, 1, r // 2 + 1, minus_pole=False)
-            round_err = 1e-15 * (1.0 + abs(z)) ** max(r - 1, 1)
-            em = EmResult(val.value, em.ds, val.err_value + round_err,
-                          em.err_ds, N)
-        finite = cmath.isfinite(em.value) and cmath.isfinite(em.ds)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise DomainError(f"hurwitz zeta at s = {s}, z = {z} overflows "
-                          "double precision")
+    if not minus_pole and (near := np.abs(s - 1.0) < cfg.pole_guard).any():
+        raise PoleAtOne(f"s = {s[near][0]} is inside the pole guard radius "
+                        f"{cfg.pole_guard}")
+    J = cfg.bernoulli_terms
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, len(s), EM_CHUNK):
+            part = s[lo:lo + EM_CHUNK]
+            N = int(math.ceil(np.abs(part.imag).max()) + math.ceil(abs(z))
+                    + cfg.euler_maclaurin_shift)
+            if N > cfg.series_max_terms:
+                raise DomainError(f"Euler-Maclaurin split for s = {part[0]}, "
+                                  f"z = {z} exceeds cfg.series_max_terms")
+            parts.append(_em_core(part, z, N, J, minus_pole))
+        em = parts[0] if len(parts) == 1 else EmResult(
+            *(np.concatenate([getattr(p, f) for p in parts])
+              for f in ("value", "ds", "err_value", "err_ds")),
+            max(p.split for p in parts))
+        if not minus_pole:
+            _trivial_zero_values(s, z, em)
+    bad = ~(np.isfinite(em.value) & np.isfinite(em.ds)
+            & np.isfinite(em.err_value))
+    if bad.any():
+        raise DomainError(f"hurwitz zeta at s = {s[bad][0]}, z = {z} "
+                          "overflows double precision")
+    if scalar:
+        return EmResult(complex(em.value[0]), complex(em.ds[0]),
+                        float(em.err_value[0]), float(em.err_ds[0]), em.split)
     return em
+
+
+def _trivial_zero_values(s: np.ndarray, z: complex, em: EmResult) -> None:
+    """Overwrite em's value and its error at nonpositive integer nodes with
+    the terminating N = 1 sum (see hurwitz_zeta_em)."""
+    hits = np.flatnonzero((s.imag == 0.0) & (s.real <= 0.0)
+                          & (s.real == np.round(s.real)))
+    for i in hits:
+        r = 1 - int(round(s[i].real))
+        one = _em_core(s[i:i + 1], z, 1, r // 2 + 1, minus_pole=False)
+        em.value[i] = one.value[0]
+        em.err_value[i] = one.err_value[0] \
+            + 1e-15 * np.float64(1.0 + abs(z)) ** max(r - 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +368,32 @@ _STIRLING = [float(bernoulli_number(2 * j) / Fraction(2 * j * (2 * j - 1)))
              for j in range(1, 13)]
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal branch of log Gamma on Re(z) > 0.
+def log_gamma(z):
+    """Principal branch of log Gamma on Re(z) > 0, at a scalar z or
+    elementwise over an array.
 
     Arguments are shifted right until the Stirling series converges fast;
     the recursion log Gamma(z) = log Gamma(z+1) - log(z) stays on the
     principal branch throughout the right half plane.
     """
-    z = complex(z)
-    if z.real <= 0:
-        raise DomainError(f"log_gamma requires Re(z) > 0, got {z}")
-    shift: complex = 0.0
-    w = z
-    while w.real < 12.0:
-        shift += cmath.log(w)
-        w += 1.0
-    lw = cmath.log(w)
+    z = np.asarray(z, dtype=np.complex128)
+    if (bad := ~(np.isfinite(z) & (z.real > 0))).any():
+        raise DomainError(f"log_gamma requires finite z with Re(z) > 0, got "
+                          f"{z[bad].ravel()[0]}")
+    # shift each argument by the n >= 0 unit steps that take Re past 12
+    n = np.maximum(0.0, np.ceil(12.0 - z.real))
+    steps = np.arange(int(n.max()) if n.size else 0)
+    shifted = z[..., None] + steps
+    shift = np.log(shifted, where=steps < n[..., None],
+                   out=np.zeros_like(shifted)).sum(axis=-1)
+    w = z + n
+    lw = np.log(w)
     acc = (w - 0.5) * lw - w + 0.5 * math.log(2.0 * math.pi)
     winv = 1.0 / w
     winv2 = winv * winv
     p = winv
     for c in _STIRLING:
-        acc += c * p
-        p *= winv2
-    return acc - shift
+        acc = acc + c * p
+        p = p * winv2
+    out = acc - shift
+    return complex(out) if z.ndim == 0 else out

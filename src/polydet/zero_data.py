@@ -181,50 +181,44 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
         raise DomainError("scan height must exceed 1")
     use_real = _line_component(fld, chi, cfg)
 
-    def g(t: float) -> float:
+    def g(t: np.ndarray) -> np.ndarray:
         v = completed_lambda(fld, chi, 0.5 + 1j * t, cfg)
         return v.real if use_real else v.imag
 
     # realness sanity probes at generic heights (away from zeros, where the
     # dead component would be 0/0)
-    off_slack = 0.0
-    for k in range(16):
-        v = completed_lambda(fld, chi, 0.5 + 1j * (height * (k + 0.389) / 16.0),
-                             cfg)
-        if (w := abs(v)) > 1e-280:
-            dead = v.imag if use_real else v.real
-            off_slack = max(off_slack, abs(dead) / w)
-    if off_slack > 1e-6:
+    v = completed_lambda(fld, chi,
+                         0.5 + 1j * (height * (np.arange(16) + 0.389) / 16.0),
+                         cfg)
+    w = np.abs(v)
+    dead = v.imag if use_real else v.real
+    off = np.abs(dead[w > 1e-280]) / w[w > 1e-280]
+    if off.size and (off_slack := off.max()) > 1e-6:
         raise UnsupportedCharacter(
             "completed function has a nonvanishing off-component on the "
             f"line (residual {off_slack:.2e})")
 
     ts = np.arange(0.0, height + step, step)
     ts[-1] = min(ts[-1], height)
-    vals = [g(float(t)) for t in ts]
-    ordinates: list[float] = []
-    for i in range(len(ts) - 1):
-        a, b = float(ts[i]), float(ts[i + 1])
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            if a > 0:
-                ordinates.append(a)
-            continue
-        if fa * fb < 0:
-            # bisection to the requested ordinate tolerance
-            lo, hi, flo = a, b, fa
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = g(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            ordinates.append(0.5 * (lo + hi))
-    return tuple(ordinates)
+    vals = g(ts)
+    fa, fb = vals[:-1], vals[1:]
+    # an exact zero on the grid is an ordinate; a sign change brackets one
+    exact = ts[:-1][(fa == 0.0) & (ts[:-1] > 0)]
+    sign = (fa != 0.0) & (fa * fb < 0)
+    lo, hi, flo = ts[:-1][sign], ts[1:][sign], fa[sign]
+    # bisect every bracket in lockstep to the requested ordinate tolerance,
+    # one batch of midpoints per step
+    while (active := np.flatnonzero(hi - lo > _BISECT_TOL)).size:
+        mid = 0.5 * (lo[active] + hi[active])
+        fm = g(mid)
+        hit = fm == 0.0
+        left = ~hit & (flo[active] * fm < 0)
+        right = ~hit & ~left
+        lo[active[hit]] = hi[active[hit]] = mid[hit]
+        hi[active[left]] = mid[left]
+        lo[active[right]], flo[active[right]] = mid[right], fm[right]
+    found = np.concatenate((exact, 0.5 * (lo + hi)))
+    return tuple(float(t) for t in np.sort(found))
 
 
 def scan_zeros(fld: NumberField, chi: HeckeCharacter, height: float,

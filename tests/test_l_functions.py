@@ -7,9 +7,13 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polydet import (
+    DEFAULT_CONFIG,
     DomainError,
     NearZeroOfL,
     NonClosedLoop,
@@ -30,6 +34,9 @@ from polydet import (
     root_number,
     trivial_character,
 )
+from polydet import special_functions
+from polydet.l_functions import _l_and_ds
+from polydet.special_functions import EM_CHUNK, hurwitz_zeta_em, log_gamma
 
 mp.mp.dps = 30
 
@@ -254,3 +261,109 @@ def test_omega_region_cuts():
     assert not om.verifiable(0.8 + 25.0j)
     assert om.verifiable(0.8 + 10.0j)
     assert om.verifiable(3.0 + 100.0j)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation: an array of nodes gives the one-node values
+
+
+CHI23 = kronecker_character(-23)
+BATCH_PAIRS = [(Q, TRIV), (Q, CHI4), (QI, trivial_character(QI)), (Q, CHI23)]
+
+
+def _dirichlet_err(chi, s):
+    """Error bounds of L and L' at the nodes s for a Dirichlet chi, from
+    the EmResult bounds of its pole-subtracted Hurwitz pieces."""
+    q = chi.modulus
+    ev = ed = 0.0
+    for a in range(1, q):
+        if chi.values[a]:
+            em = hurwitz_zeta_em(s, a / q, minus_pole=True)
+            ev = ev + em.err_value
+            ed = ed + em.err_ds
+    qs = np.abs(np.exp(-s * math.log(q)))
+    return qs * ev, qs * (ed + math.log(q) * ev)
+
+
+def _l_err(fld, chi, s):
+    """Error bounds of (L, L') at the nodes s."""
+    if chi.kind == "dirichlet":
+        return _dirichlet_err(chi, s)
+    em = hurwitz_zeta_em(s, 1.0)
+    if fld.is_rational:
+        return em.err_value, em.err_ds
+    chi_d = kronecker_character(fld.discriminant)
+    l, dl = _l_and_ds(Q, chi_d, s, DEFAULT_CONFIG)
+    el, edl = _dirichlet_err(chi_d, s)
+    z, dz, ez, edz = em.value, em.ds, em.err_value, em.err_ds
+    return (abs(l) * ez + abs(z) * el,
+            abs(l) * edz + abs(dz) * el + abs(dl) * ez + abs(z) * edl)
+
+
+node = st.builds(complex, st.floats(-6.0, 8.0), st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.sampled_from(BATCH_PAIRS),
+       nodes=st.lists(node, min_size=1, max_size=5))
+def test_batch_matches_one_node_calls(pair, nodes):
+    fld, chi = pair
+    if chi.epsilon == 1:
+        assume(all(abs(u - 1.0) > 1e-3 for u in nodes))
+    s = np.array(nodes, dtype=np.complex128)
+    L, dL = _l_and_ds(fld, chi, s, DEFAULT_CONFIG)
+    assert L.shape == dL.shape == s.shape
+    eb, db = _l_err(fld, chi, s)
+    for i, u in enumerate(nodes):
+        one, done = _l_and_ds(fld, chi, u, DEFAULT_CONFIG)
+        # the batch may use a larger split than the node alone; each
+        # evaluation lies within its own bound of the true value
+        e1, d1 = _l_err(fld, chi, np.array([u]))
+        assert abs(L[i] - one) <= e1[0] + eb[i]
+        assert abs(dL[i] - done) <= d1[0] + db[i]
+
+
+def test_batch_with_a_bad_node_is_a_domain_error():
+    with pytest.raises(DomainError):
+        l_value(Q, CHI4, np.array([2.0, math.nan, 3.0 + 1.0j]))
+    with pytest.raises(DomainError):
+        l_log_derivative(QI, trivial_character(QI),
+                         np.array([2.0, complex(3.0, math.inf)]))
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(np.array([2.0, 3.0]), -0.5)
+    with pytest.raises(DomainError):
+        log_gamma(np.array([1.5, 2.0 + 1.0j, -0.5]))
+
+
+def test_trivial_zero_branch_applies_per_node():
+    s = np.array([2.0 + 1.0j, -2.0, 0.5 + 14.0j, -1.5])
+    got = l_value(QI, trivial_character(QI), s)
+    assert abs(got[1]) < 1e-13
+    for i in (0, 2, 3):
+        assert abs(got[i] - l_value(QI, trivial_character(QI), s[i])) \
+            < 1e-12 * (1 + abs(got[i]))
+
+
+def test_large_batches_reach_the_kernel_in_chunks(monkeypatch):
+    sizes = []
+    core = special_functions._em_core
+
+    def spy(s, *args):
+        sizes.append(len(s))
+        return core(s, *args)
+
+    monkeypatch.setattr(special_functions, "_em_core", spy)
+    s = 2.0 + np.linspace(0.0, 20.0, 20_000) + 3.0j
+    out = l_log_derivative(Q, TRIV, s)
+    assert out.shape == s.shape and np.isfinite(out).all()
+    assert len(sizes) > 1
+    assert max(sizes) <= EM_CHUNK
+    assert sum(sizes) == s.size
+
+
+def test_omega_region_tests_arrays_elementwise():
+    om = omega_region(Q, TRIV, (14.134725141734695,), completeness=20.0)
+    w = np.array([0.5 + 0.0j, 1.5 + 0.0j, complex(0.3, -14.134725141734695),
+                  2.0 + 14.0j, 0.8 + 25.0j])
+    assert om.contains(w).tolist() == [om.contains(u) for u in w]
+    assert om.verifiable(w).tolist() == [om.verifiable(u) for u in w]

@@ -1,8 +1,11 @@
 """Polyline quadrature: exactness on polynomials, residues on closed loops,
-branch anchoring, and the one non-convergence policy of both entry points."""
+branch anchoring, and the one non-convergence policy of both entry points.
+
+Integrands take the array of a level's nodes and return an array."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,7 +59,7 @@ def test_anchor_selects_the_branch():
 
 def test_both_entry_points_raise_when_not_converged():
     with pytest.raises(QuadratureNotConverged):
-        integrate_polyline(cmath.exp, (0.0, 1.0 + 1.0j), UNREACHABLE)
+        integrate_polyline(np.exp, (0.0, 1.0 + 1.0j), UNREACHABLE)
     with pytest.raises(QuadratureNotConverged):
         tracked_log_polyline(lambda u: u + 3.0, (0.0, 1.0 + 1.0j),
                              UNREACHABLE)
@@ -66,7 +69,7 @@ def test_non_finite_level_sum_raises_at_the_first_level():
     calls = []
 
     def nan_at(u):
-        calls.append(u)
+        calls.extend(np.atleast_1d(u))
         return math.nan
 
     with pytest.raises(QuadratureNotConverged):
@@ -85,6 +88,11 @@ def test_path_past_a_near_zero_raises_branch_step():
 @pytest.mark.parametrize("waypoints", [(), (1.0 + 1.0j,)])
 def test_fewer_than_two_waypoints_is_a_domain_error(waypoints):
     with pytest.raises(DomainError):
-        integrate_polyline(cmath.exp, waypoints)
+        integrate_polyline(np.exp, waypoints)
     with pytest.raises(DomainError):
-        tracked_log_polyline(cmath.exp, waypoints)
+        tracked_log_polyline(np.exp, waypoints)
+
+
+def test_tracked_non_finite_node_raises():
+    with pytest.raises(QuadratureNotConverged):
+        tracked_log_polyline(lambda u: u * math.nan, (0.0, 1.0))
