@@ -11,10 +11,9 @@ special functions, L-functions, zero tables, and verification suites that
 cross-check them.
 """
 from .config import DEFAULT_CONFIG, EvalConfig
-from .determinants import (ContourSpec, XiValue, default_contour,
-                           determinant_closed, determinant_direct,
-                           regularized_product, xi_ds_at_depth, xi_hankel,
-                           xi_zero_sum)
+from .determinants import (ContourSpec, default_contour, determinant_closed,
+                           determinant_direct, regularized_product,
+                           xi_ds_at_depth, xi_hankel, xi_zero_sum)
 from .errors import (BranchStepTooLarge, ContourInvalid, DegenerateSample,
                      DomainError, EmptyZeroTable, FieldMismatch, GammaPole,
                      NearZeroOfL, NonClosedLoop, NonMonotoneError, ParseError,
@@ -22,26 +21,23 @@ from .errors import (BranchStepTooLarge, ContourInvalid, DegenerateSample,
                      QuadratureNotConverged, ResidualTooLarge,
                      StencilLeavesDomain, UnsupportedCharacter)
 from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
-                                    PrimeIdeal, char_value,
                                     dirichlet_character_by_index,
                                     dirichlet_character_from_values,
-                                    enumerate_prime_ideals, kronecker_character,
-                                    kronecker_symbol, load_character_file,
-                                    primes_up_to, trivial_character)
+                                    kronecker_character, kronecker_symbol,
+                                    load_character_file, trivial_character)
 from .l_functions import (OmegaRegion, PathSpec, argument_principle_count,
                           completed_lambda, conductor_factor,
-                          euler_product_value, l_log_derivative, l_value,
-                          log_l_branch, log_l_series, omega_region,
-                          root_number)
-from .poly_l import (PolyLResult, erh_monodromy_defect, poly_l_continued,
-                     poly_l_euler, poly_l_ladder_residual, poly_l_log_euler)
-from .special_functions import (EmResult, bernoulli_number, bernoulli_poly,
-                                hurwitz_zeta_em, log_gamma, milnor_gamma,
-                                polylog, polylog_tail_bound)
+                          l_log_derivative, l_value, log_l_branch,
+                          log_l_series, omega_region, root_number)
+from .poly_l import (erh_monodromy_defect, poly_l_continued, poly_l_euler,
+                     poly_l_ladder_residual, poly_l_log_euler)
+from .special_functions import (EmResult, Result, bernoulli_number,
+                                bernoulli_poly, hurwitz_zeta_em, log_gamma,
+                                milnor_gamma, polylog, polylog_tail_bound)
 from .verification import (SUITES, CheckResult, format_results, run_all,
                            run_suite)
 from .zero_data import (ZeroTable, builtin_zeta_zeros, find_zeros, load_zeros,
-                        loads_zeros, save_zeros, scan_ordinates, scan_zeros,
+                        loads_zeros, save_zeros, scan_ordinates,
                         truncation_tail_estimate, zero_count_estimate)
 
 __version__ = "1.0.0"

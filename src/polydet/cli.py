@@ -294,7 +294,7 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         err = abs(abs(value) - 1.0)
     else:
         value = l_value(fld, chi, s, cfg)
-        route = "dirichlet-series"
+        route = "euler-maclaurin"
         err = cfg.target_abs_error
     return [make_record(inputs, value, err, route, cfg)], 0
 
@@ -315,8 +315,9 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     else:
         res = poly_l_euler(fld, chi, args.depth, args.s, cfg,
                            prime_bound=args.prime_bound)
-        inputs["prime_bound"] = res.prime_bound_used
-    return [make_record(inputs, res.value, res.tail_bound, res.route, cfg)], 0
+        inputs["prime_bound"] = args.prime_bound or cfg.prime_bound
+    return [make_record(inputs, res.value, res.error_estimate, res.route,
+                        cfg)], 0
 
 
 def run_xi(args, cfg: EvalConfig) -> tuple[list[dict], int]:

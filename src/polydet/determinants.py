@@ -34,12 +34,12 @@ from .l_functions import (_check_pair, completed_lambda, l_log_derivative,
                           l_value)
 from .poly_l import poly_l_log_euler
 from .quadrature import integrate_polyline
-from .special_functions import EmResult, bernoulli_poly, hurwitz_zeta_em
+from .special_functions import (EmResult, Result, bernoulli_poly,
+                                hurwitz_zeta_em)
 from .zero_data import ZeroTable, truncation_tail_estimate
 
 __all__ = [
     "ContourSpec",
-    "XiValue",
     "default_contour",
     "xi_zero_sum",
     "xi_hankel",
@@ -79,26 +79,6 @@ def default_contour(z: complex, depth: int = 1) -> ContourSpec:
     return ContourSpec(delta, 60.0 + 15.0 * max(0, depth - 3))
 
 
-@dataclass(frozen=True)
-class XiValue:
-    value: complex
-    error_estimate: float
-    route: str
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.value) and math.isfinite(
-                self.error_estimate)):
-            raise DomainError(f"{self.route} result is not a finite double")
-
-    def to_record(self) -> dict:
-        return {
-            "value_re": self.value.real,
-            "value_im": self.value.imag,
-            "error_estimate": self.error_estimate,
-            "route": self.route,
-        }
-
-
 def _w_place(v: ArchPlace, z: complex) -> complex:
     return 0.5 * (v.nv * (z + 1j * v.phi) + abs(v.m))
 
@@ -109,7 +89,7 @@ def _w_place(v: ArchPlace, z: complex) -> complex:
 
 def xi_zero_sum(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
                 table: ZeroTable,
-                cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
+                cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
     """sum over table zeros (both ordinate signs) of ((z - rho)/2pi)^-s.
 
     Needs Re(s) > 1 (convergent zero sum) and Re(z) > 1 (zeros stay in the
@@ -130,7 +110,7 @@ def xi_zero_sum(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     total = complex(np.sum(mult * (np.exp(-s * np.log(up))
                                    + np.exp(-s * np.log(dn)))))
     err = truncation_tail_estimate(fld, chi, s, z, table.completeness_height)
-    return XiValue(total, err, "zero-sum")
+    return Result(total, err, "zero-sum")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +159,7 @@ def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex,
 @overflow_is_domain_error
 def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
               cfg: EvalConfig = DEFAULT_CONFIG,
-              contour: ContourSpec | None = None) -> XiValue:
+              contour: ContourSpec | None = None) -> Result:
     """A1 + A2 + A3 with the ray and circle pieces by adaptive quadrature.
 
     Analytic in s away from the Hurwitz pole at s = 1, so this route also
@@ -205,14 +185,14 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 
     circ = integrate_polyline(on_circle, (complex(-math.pi), complex(math.pi)),
                               cfg)
-    return XiValue(closed.value + ray_coef * ray + circ_coef * circ.value,
-                   abs(ray_coef) * ray_err + abs(circ_coef) * circ.error
-                   + closed.err_value, "hankel")
+    return Result(closed.value + ray_coef * ray + circ_coef * circ.value,
+                  abs(ray_coef) * ray_err + abs(circ_coef) * circ.error
+                  + closed.err_value, "hankel")
 
 
 @overflow_is_domain_error
 def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
-                   cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
+                   cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
     """d xi/ds at s = 1 - r, the logarithm of the inverse determinant.
 
     There sin(pi s) vanishes, so d(A1 + A2 + A3)/ds is d(A1 + A3)/ds plus
@@ -227,27 +207,20 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
     closed = _closed_pieces(chi, s, z, cfg)
     coef = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
     ray, ray_err = _ray(fld, chi, s, z, 0.0, x_max, cfg)
-    return XiValue(closed.ds + coef * ray, closed.err_ds + abs(coef) * ray_err,
-                   "hankel-ds")
+    return Result(closed.ds + coef * ray, closed.err_ds + abs(coef) * ray_err,
+                  "hankel-ds")
 
 
 # ---------------------------------------------------------------------------
 # Determinants
 
 
-def _xi_from_log(log: complex, err: float, route: str) -> XiValue:
-    """exp(log) with the relative error expm1(err)."""
-    value = cmath.exp(log)
-    return XiValue(value, abs(value) * math.expm1(err), route)
-
-
-@overflow_is_domain_error
 def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
                        z: complex,
-                       cfg: EvalConfig = DEFAULT_CONFIG) -> XiValue:
+                       cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
     """exp(-d xi/ds at s = 1-r), straight from the contour representation."""
     ds = xi_ds_at_depth(fld, chi, r, z, cfg)
-    return _xi_from_log(-ds.value, ds.error_estimate, "direct")
+    return Result.from_log(-ds.value, ds.error_estimate, "direct")
 
 
 def _log_l_exact(fld: NumberField, chi: HeckeCharacter, z: complex,
@@ -268,7 +241,7 @@ def _log_l_exact(fld: NumberField, chi: HeckeCharacter, z: complex,
 @overflow_is_domain_error
 def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
                        z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-                       prime_bound: int | None = None) -> XiValue:
+                       prime_bound: int | None = None) -> Result:
     """Closed-form depth-r determinant.
 
     log Xi_r(z) = eps sum_{u in {z, z-1}} (u/2pi)^(r-1) log(u/2pi)
@@ -296,11 +269,10 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
 
     if r == 1:
         log_lr, tail = _log_l_exact(fld, chi, z, cfg), 0.0
-        bound = 0
     else:
-        log_lr, tail, bound = poly_l_log_euler(fld, chi, r, z, cfg,
-                                               prime_bound
-                                               or _auto_prime_bound(fld, z))
+        log_lr, tail, _ = poly_l_log_euler(fld, chi, r, z, cfg,
+                                           prime_bound
+                                           or _auto_prime_bound(fld, z))
     lcoef = (-1.0) ** (r - 1) * math.factorial(r - 1) * _TWO_PI ** (1 - r)
     logv += lcoef * log_lr
 
@@ -313,7 +285,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
         logv += -(coef / r) * complex(bernoulli_poly(r, w)) * math.log(base)
         logv += coef * em.ds
         err += coef * em.err_ds
-    return _xi_from_log(logv, err, "closed")
+    return Result.from_log(logv, err, "closed")
 
 
 def _auto_prime_bound(fld: NumberField, z: complex) -> int:

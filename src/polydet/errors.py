@@ -26,7 +26,7 @@ def overflow_is_domain_error(routine):
         try:
             return routine(*args, **kwargs)
         except OverflowError as exc:
-            raise DomainError(f"{routine.__name__}: {exc}") from None
+            raise DomainError(f"{routine.__qualname__}: {exc}") from None
     return guarded
 
 

@@ -1,11 +1,12 @@
-"""Number fields (rational and quadratic), prime ideal enumeration, and the
+"""Number fields (rational and quadratic), prime ideal tables, and the
 supported family of characters: the trivial (class) character over any
 supported field and Dirichlet characters over the rationals.
 
-Prime ideals are held as numpy norm tables built from one sieve.  In a
-quadratic field the splitting of p is the Kronecker symbol (d_K|p), read
-once per residue class of p mod |d_K|; no general ideal arithmetic is
-attempted.  `enumerate_prime_ideals` is the object view of the same table.
+Prime ideals exist only as numpy arrays: `_ideal_table` gives the rational
+prime below and the norm of every prime ideal up to a bound, built from one
+cached sieve (`_primes`).  In a quadratic field the splitting of p is the
+Kronecker symbol (d_K|p), read once per residue class of p mod |d_K|; no
+general ideal arithmetic is attempted.
 """
 
 from __future__ import annotations
@@ -18,22 +19,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, FieldMismatch, ParseError, UnsupportedCharacter
+from .errors import DomainError, ParseError, UnsupportedCharacter
 
 __all__ = [
     "NumberField",
-    "PrimeIdeal",
     "ArchPlace",
     "HeckeCharacter",
     "kronecker_symbol",
-    "enumerate_prime_ideals",
-    "char_value",
     "trivial_character",
     "dirichlet_character_from_values",
     "kronecker_character",
     "dirichlet_character_by_index",
     "load_character_file",
-    "primes_up_to",
 ]
 
 
@@ -87,16 +84,6 @@ class NumberField:
 
 
 @dataclass(frozen=True)
-class PrimeIdeal:
-    """A prime ideal identified by the rational prime below it, its norm,
-    and an index distinguishing the two factors in the split case."""
-
-    p: int
-    norm: int
-    index: int = 0
-
-
-@dataclass(frozen=True)
 class ArchPlace:
     """Archimedean place data entering a gamma factor: local degree N_v,
     frequency parameter phi_v, and integer weight m_v."""
@@ -140,11 +127,6 @@ def _primes(n: int) -> np.ndarray:
     return primes
 
 
-def primes_up_to(n: int) -> tuple[int, ...]:
-    """All primes <= n."""
-    return tuple(_primes(n).tolist())
-
-
 def _ideal_table(fld: NumberField, norm_bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Rational prime below and norm of every prime ideal of norm <=
     norm_bound, as int64 arrays sorted by (norm, p, index).
@@ -170,14 +152,6 @@ def _ideal_table(fld: NumberField, norm_bound: int) -> tuple[np.ndarray, np.ndar
     norms = np.where(np.repeat(sym, count) == -1, p * p, p)
     order = np.argsort(norms, kind="stable")
     return p[order], norms[order]
-
-
-def enumerate_prime_ideals(fld: NumberField, norm_bound: int) -> tuple[PrimeIdeal, ...]:
-    """All prime ideals of norm <= norm_bound, sorted by (norm, p, index)."""
-    ps, norms = _ideal_table(fld, norm_bound)
-    index = np.zeros_like(ps)
-    index[1:] = ps[1:] == ps[:-1]   # second factor of a split prime
-    return tuple(map(PrimeIdeal, ps.tolist(), norms.tolist(), index.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +260,7 @@ def _conductor_of_table(q: int, values: tuple[complex, ...]) -> int:
 
 
 def dirichlet_character_from_values(q: int, table: dict[int, complex],
-                                    label: str | None = None,
-                                    require_primitive: bool = True) -> HeckeCharacter:
+                                    label: str | None = None) -> HeckeCharacter:
     """Build a Dirichlet character over Q from values on residues coprime to q."""
     if q < 1:
         raise DomainError("modulus must be positive")
@@ -313,7 +286,7 @@ def dirichlet_character_from_values(q: int, table: dict[int, complex],
     if q == 1:
         raise UnsupportedCharacter("use the trivial character for modulus 1")
     cond = _conductor_of_table(q, vals_t)
-    if require_primitive and cond != q:
+    if cond != q:
         raise UnsupportedCharacter(
             f"table mod {q} is induced from modulus {cond}; only primitive "
             "characters are supported")
@@ -478,19 +451,3 @@ def load_character_file(path: str) -> HeckeCharacter:
         else:
             table[a] = complex(float(v))
     return dirichlet_character_from_values(q, table, label=f"file:{path}")
-
-
-# ---------------------------------------------------------------------------
-
-
-def char_value(chi: HeckeCharacter, ideal: PrimeIdeal) -> complex:
-    """Value of the character at a prime ideal.
-
-    The trivial character is 1 on every prime ideal; a Dirichlet character
-    over Q evaluates at the rational prime (0 at primes dividing the modulus).
-    """
-    if chi.kind == "trivial":
-        return 1.0
-    if not chi.fld.is_rational:
-        raise FieldMismatch("Dirichlet characters are supported over Q only")
-    return chi.value_at_int(ideal.p)

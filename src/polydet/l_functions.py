@@ -27,7 +27,6 @@ the depth-r logarithms of `poly_l`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,7 +53,6 @@ __all__ = [
     "conductor_factor",
     "root_number",
     "argument_principle_count",
-    "euler_product_value",
 ]
 
 _POLE_DISTANCE = 0.05      # paths keep this distance from s = 1
@@ -332,12 +330,6 @@ def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex,
     if not s.real > _SERIES_MIN_RE:   # also rejects NaN
         raise DomainError(f"log L series requires Re(s) > {_SERIES_MIN_RE}")
     return _prime_power_sum(fld, chi, s, 1, cfg.prime_bound)
-
-
-def euler_product_value(fld: NumberField, chi: HeckeCharacter, s: complex,
-                        cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Truncated Euler product exp(sum over prime powers), Re(s) > 1."""
-    return cmath.exp(log_l_series(fld, chi, s, cfg))
 
 
 # ---------------------------------------------------------------------------

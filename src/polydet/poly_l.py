@@ -13,56 +13,29 @@ an explicit path.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DomainError, NonClosedLoop, PathLeavesOmega,
-                     StencilLeavesDomain, UnsupportedCharacter,
-                     overflow_is_domain_error)
+                     StencilLeavesDomain, UnsupportedCharacter)
 from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_SERIES_MIN_RE, PathSpec, _check_pair,
                           _prime_power_sum, l_value, omega_region,
                           OmegaRegion)
 from .quadrature import tracked_log_polyline
+from .special_functions import Result
 from .zero_data import scan_ordinates
 
 __all__ = [
-    "PolyLResult",
     "poly_l_euler",
     "poly_l_log_euler",
     "poly_l_ladder_residual",
     "poly_l_continued",
     "erh_monodromy_defect",
 ]
-
-
-@dataclass(frozen=True)
-class PolyLResult:
-    """A depth-r L-value with a certified truncation bound.
-
-    tail_bound is on the scale of value: |true - value| <= tail_bound,
-    assuming only the prime-ideal truncation at prime_bound_used.
-    """
-
-    value: complex
-    log_value: complex
-    tail_bound: float
-    prime_bound_used: int
-    route: str = "euler"
-
-    def to_record(self) -> dict:
-        return {
-            "value_re": self.value.real,
-            "value_im": self.value.imag,
-            "tail_bound": self.tail_bound,
-            "prime_bound": self.prime_bound_used,
-            "route": self.route,
-        }
 
 
 def _tail_log_bound(fld: NumberField, r: int, sigma: float, bound: int) -> float:
@@ -81,17 +54,6 @@ def _tail_log_bound(fld: NumberField, r: int, sigma: float, bound: int) -> float
         s2 = rt ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)
     weight = math.log(x) ** (1 - r)
     return weight * geo * (s1 + s2) + 1e-15
-
-
-@overflow_is_domain_error
-def _from_log(logv: complex, tail_log: float, bound: int,
-              route: str = "euler") -> PolyLResult:
-    """exp(logv) and its tail bound |value| expm1(tail_log), both finite."""
-    value = complex(np.exp(logv))
-    tail = abs(value) * math.expm1(tail_log)
-    if not (cmath.isfinite(value) and math.isfinite(tail)):
-        raise DomainError(f"exp({logv:.4g}) is not a finite double")
-    return PolyLResult(value, logv, tail, bound, route)
 
 
 def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
@@ -115,9 +77,11 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
 
 def poly_l_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
                  cfg: EvalConfig = DEFAULT_CONFIG,
-                 prime_bound: int | None = None) -> PolyLResult:
-    """L^(r)(s; chi) by truncated Euler sum, valid for Re(s) > 1."""
-    return _from_log(*poly_l_log_euler(fld, chi, r, s, cfg, prime_bound))
+                 prime_bound: int | None = None) -> Result:
+    """L^(r)(s; chi) by truncated Euler sum, valid for Re(s) > 1; the error
+    bounds the prime-ideal truncation only."""
+    logv, tail_log, _ = poly_l_log_euler(fld, chi, r, s, cfg, prime_bound)
+    return Result.from_log(logv, tail_log, "euler")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +155,7 @@ def _omega_for_path(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
 def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
                      cfg: EvalConfig = DEFAULT_CONFIG,
                      anchor: float = 3.0,
-                     path: PathSpec | None = None) -> PolyLResult:
+                     path: PathSpec | None = None) -> Result:
     """L^(r)(s) for r in {2, 3} by iterated integration from a real anchor.
 
     Taylor data at the anchor plus the collapsed kernel integral of log L
@@ -214,7 +178,8 @@ def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     if path is None and abs(s - a) < 1e-9:
         # s sits at the anchor: the remainder integral vanishes and only
         # the k = 0 Taylor term survives
-        return _from_log(*poly_l_log_euler(fld, chi, r, a, cfg), "continued")
+        logv, tail_log, _ = poly_l_log_euler(fld, chi, r, a, cfg)
+        return Result.from_log(logv, tail_log, "continued")
     if path is None:
         path = PathSpec((complex(a), s))
     wps = path.waypoints
@@ -235,7 +200,7 @@ def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     def kernel(xi: np.ndarray) -> np.ndarray:
         return np.ones_like(xi) if r == 2 else s - xi
 
-    anchor_log, tail_log, bound = poly_l_log_euler(fld, chi, 1, a, cfg)
+    anchor_log, tail_log, _ = poly_l_log_euler(fld, chi, 1, a, cfg)
     tracked = tracked_log_polyline(lfun, wps, cfg, kernel=kernel,
                                    anchor=anchor_log)
     if flagged:
@@ -256,7 +221,7 @@ def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     # |s - xi| is convex on each segment, so its path maximum sits at a node
     kmax = 1.0 if r == 2 else max(abs(s - w) for w in wps)
     tail_total += abs(sign) * (tracked.error + path.length * kmax * tail_log)
-    return _from_log(logv, tail_total, bound, "continued")
+    return Result.from_log(logv, tail_total, "continued")
 
 
 def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,

@@ -12,6 +12,9 @@ the Bernoulli tail from (terms x nodes) Pochhammer tables.  The entry point
 checks every node: s and z finite, Re(z) > 0, and (unless the pole is
 subtracted) s outside the pole guard; it raises DomainError instead of
 returning a non-finite value or derivative.  `log_gamma` also takes arrays.
+`Result` (value, error_estimate, route) is what the xi, determinant and
+poly-L routes return; `Result.from_log` exponentiates a logarithm and its
+error.
 
 Everything here is plain double precision.  The Euler-Maclaurin split point
 grows with |Im s| and |z| so the Bernoulli tail stays geometrically
@@ -41,6 +44,7 @@ __all__ = [
     "polylog_tail_bound",
     "log_gamma",
     "EmResult",
+    "Result",
 ]
 
 
@@ -104,6 +108,34 @@ class EmResult:
     err_value: float | np.ndarray
     err_ds: float | np.ndarray
     split: int
+
+
+@dataclass(frozen=True)
+class Result:
+    """What a route returns: a finite value, a finite bound on its error and
+    the route's name.  A non-finite value or bound raises DomainError."""
+
+    value: complex
+    error_estimate: float
+    route: str
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.value) and math.isfinite(
+                self.error_estimate)):
+            raise DomainError(f"{self.route} result is not a finite double")
+
+    @property
+    def tail_bound(self) -> float:
+        """error_estimate under the name perfbench/workloads.py reads."""
+        return self.error_estimate
+
+    @classmethod
+    @overflow_is_domain_error
+    def from_log(cls, log: complex, err: float, route: str) -> "Result":
+        """exp(log) given an absolute error err of log: the value's error
+        is |value| expm1(err)."""
+        value = cmath.exp(log)
+        return cls(value, abs(value) * math.expm1(err), route)
 
 
 # Largest node batch one kernel call sees.  Its direct sum is a (nodes x N)

@@ -221,21 +221,15 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
     return tuple(float(t) for t in np.sort(found))
 
 
-def scan_zeros(fld: NumberField, chi: HeckeCharacter, height: float,
-               cfg: EvalConfig = DEFAULT_CONFIG,
-               step: float = _SCAN_STEP) -> ZeroTable:
-    ordinates = scan_ordinates(fld, chi, height, cfg, step)
-    if not ordinates:
-        raise EmptyZeroTable(f"no zeros found below height {height}")
-    return ZeroTable(f"{fld.label}, {chi.label}", ordinates, height)
-
-
 def find_zeros(fld: NumberField, chi: HeckeCharacter, height: float,
                cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroTable:
     """Zeros of the completed function with 0 < gamma <= height (<= 50)."""
     if not height <= _MAX_SCAN_HEIGHT:   # also rejects NaN
         raise DomainError(f"scan height capped at {_MAX_SCAN_HEIGHT}")
-    return scan_zeros(fld, chi, height, cfg)
+    ordinates = scan_ordinates(fld, chi, height, cfg)
+    if not ordinates:
+        raise EmptyZeroTable(f"no zeros found below height {height}")
+    return ZeroTable(f"{fld.label}, {chi.label}", ordinates, height)
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,15 @@ def test_eval_schema_all_functions(capsys):
         ["eval", "--fn", "hurwitz-ds", "--s", "-1", "--z", "1"],
         ["eval", "--fn", "milnor-gamma", "--r", "1", "--z", "3.7"],
         ["eval", "--fn", "polylog", "--r", "2", "--z", "0.5"],
+        ["polyl", "--depth", "2", "--s", "2.5", "--continued"],
+        ["polyl", "--depth", "2", "--s", "3"],
     ]
     for argv in cases:
         code, recs = run_json(capsys, argv)
         assert code == 0
         assert set(recs[0]) == SCHEMA_KEYS
+    # the last case is the Euler sum: its record names the config's bound
+    assert recs[0]["inputs"]["prime_bound"] == 100_000
 
 
 def test_det_both_routes(capsys):
@@ -256,6 +260,14 @@ def test_lfun_root_number(capsys):
     assert code == 0
     assert abs(recs[0]["value_re"] - 1.0) < 1e-9
     assert recs[0]["route"] == "root-number"
+
+
+def test_lfun_value_route_is_euler_maclaurin(capsys):
+    # L(s) is assembled from Hurwitz zeta values, as `eval --fn hurwitz` is
+    code, recs = run_json(capsys, ["lfun", "--s", "2", "--char",
+                                   "kronecker:-4"])
+    assert code == 0
+    assert recs[0]["route"] == "euler-maclaurin"
 
 
 def test_lfun_mode_flags_exclusive(capsys):

@@ -163,12 +163,6 @@ def test_xi_zero_sum_domain_guards():
         xi_zero_sum(Q, TRIV, 2.0, 0.5, table)
 
 
-def test_determinant_value_record():
-    rec = determinant_closed(Q, TRIV, 1, 2.0).to_record()
-    for key in ("value_re", "value_im", "error_estimate", "route"):
-        assert key in rec
-
-
 def test_determinant_domain_guard():
     with pytest.raises(DomainError):
         determinant_closed(Q, TRIV, 2, 0.5)

@@ -1,4 +1,4 @@
-"""Number field invariants, prime ideal enumeration, character arithmetic."""
+"""Number field invariants, prime ideal tables, character arithmetic."""
 import cmath
 import json
 import math
@@ -11,16 +11,14 @@ from polydet import (
     NumberField,
     ParseError,
     UnsupportedCharacter,
-    char_value,
     dirichlet_character_by_index,
     dirichlet_character_from_values,
-    enumerate_prime_ideals,
     kronecker_character,
     kronecker_symbol,
     load_character_file,
-    primes_up_to,
     trivial_character,
 )
+from polydet.fields_and_characters import _ideal_table, _primes
 from polydet.l_functions import _ideal_arrays
 
 
@@ -40,7 +38,7 @@ def test_quadratic_field_rejects_bad_d():
 
 
 def test_primes_up_to():
-    assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert _primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_kronecker_symbol_quadratic_residues():
@@ -62,34 +60,34 @@ def test_prime_ideal_norms_real_quadratic():
     # in Q(sqrt(5)): 2, 3 inert (norms 4, 9), 5 ramified (norm 5),
     # 11 splits into two ideals of norm 11
     rt5 = NumberField.quadratic(5)
-    norms = sorted(pi.norm for pi in enumerate_prime_ideals(rt5, 12))
-    assert norms == [4, 5, 9, 11, 11]
+    ps, norms = _ideal_table(rt5, 12)
+    assert norms.tolist() == [4, 5, 9, 11, 11]
+    assert ps.tolist() == [2, 5, 3, 11, 11]
 
 
 def test_prime_ideal_norms_gaussian():
     # in Q(i): 2 ramified (norm 2), 5 = (2+i)(2-i) (two norms 5),
     # 3, 7 inert (norms 9, 49), 13 splits
     qi = NumberField.quadratic(-1)
-    norms = sorted(pi.norm for pi in enumerate_prime_ideals(qi, 13))
-    assert norms == [2, 5, 5, 9, 13, 13]
-    split = [pi for pi in enumerate_prime_ideals(qi, 13) if pi.norm == 13]
-    assert {pi.index for pi in split} == {0, 1}
+    ps, norms = _ideal_table(qi, 13)
+    assert norms.tolist() == [2, 5, 5, 9, 13, 13]
+    assert ps[norms == 13].tolist() == [13, 13]   # the split pair above 13
 
 
 def test_split_pattern_matches_kronecker():
     qi = NumberField.quadratic(-1)
-    ideals = enumerate_prime_ideals(qi, 100)
+    ps, norms = _ideal_table(qi, 100)
     by_p: dict[int, list] = {}
-    for pi in ideals:
-        by_p.setdefault(pi.p, []).append(pi)
-    for p, ps in by_p.items():
+    for p, norm in zip(ps.tolist(), norms.tolist()):
+        by_p.setdefault(p, []).append(norm)
+    for p, ns in by_p.items():
         symbol = kronecker_symbol(-4, p)
         if symbol == 1:
-            assert len(ps) == 2 and all(pi.norm == p for pi in ps)
+            assert ns == [p, p]
         elif symbol == -1:
-            assert len(ps) == 1 and ps[0].norm == p * p
+            assert ns == [p * p]
         else:
-            assert len(ps) == 1 and ps[0].norm == p
+            assert ns == [p]
 
 
 def _brute_force_ideals(fld, chi, bound):
@@ -138,8 +136,7 @@ def test_ideal_arrays_match_brute_force(fld, chi):
     assert norms.tolist() == [float(n) for n, _ in want]
     assert chiv.tolist() == [complex(v) for _, v in want]
     assert np.array_equal(logn, np.log(norms))
-    assert [pi.norm for pi in enumerate_prime_ideals(fld, 5000)] == \
-        [n for n, _ in want]
+    assert _ideal_table(fld, 5000)[1].tolist() == [n for n, _ in want]
 
 
 def test_trivial_character_basics():
@@ -166,7 +163,7 @@ def test_kronecker_character_chi4():
 def test_kronecker_character_chi5_is_legendre():
     chi = kronecker_character(5)
     assert chi.parity == 0          # even character
-    for p in primes_up_to(40):
+    for p in _primes(40).tolist():
         assert chi.value_at_int(p) == float(kronecker_symbol(5, p))
 
 
@@ -238,16 +235,6 @@ def test_character_file_errors(tmp_path):
     bad.write_text(json.dumps({"values": {}}))
     with pytest.raises(ParseError):
         load_character_file(str(bad))
-
-
-def test_char_value_on_ideals():
-    chi = kronecker_character(-4)
-    q = NumberField.rational()
-    for pi in enumerate_prime_ideals(q, 20):
-        assert char_value(chi, pi) == chi.value_at_int(pi.p)
-    triv = trivial_character(NumberField.quadratic(-1))
-    for pi in enumerate_prime_ideals(NumberField.quadratic(-1), 20):
-        assert char_value(triv, pi) == 1.0
 
 
 def test_arch_places():

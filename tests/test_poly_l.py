@@ -36,7 +36,7 @@ def test_depth_one_euler_is_l_value():
     for s in (3.0, 2.5 + 1.0j):
         res = poly_l_euler(Q, TRIV, 1, complex(s))
         gap = abs(res.value - l_value(Q, TRIV, complex(s)))
-        assert gap <= res.tail_bound + 1e-11
+        assert gap <= res.error_estimate + 1e-11
         assert res.route == "euler"
 
 
@@ -56,7 +56,7 @@ def test_series_domain_edges_at_floor():
         with pytest.raises(DomainError):
             l_log_derivative(Q, CHI4, s, route="series")
         res = poly_l_euler(Q, CHI4, 2, s)
-        assert math.isfinite(abs(res.value)) and res.tail_bound > 0.0
+        assert math.isfinite(abs(res.value)) and res.error_estimate > 0.0
     # a NaN real part is outside every series domain
     nan = complex(math.nan, 1.0)
     with pytest.raises(DomainError):
@@ -70,18 +70,10 @@ def test_series_domain_edges_at_floor():
 def test_euler_tail_bound_shrinks_with_prime_bound():
     small = poly_l_euler(Q, TRIV, 2, 1.5, prime_bound=10_000)
     large = poly_l_euler(Q, TRIV, 2, 1.5, prime_bound=1_000_000)
-    assert small.prime_bound_used == 10_000
-    assert large.prime_bound_used == 1_000_000
-    assert 0.0 < large.tail_bound < small.tail_bound
+    assert 0.0 < large.error_estimate < small.error_estimate
     # both truncations must agree within their summed certified tails
     gap = abs(small.value - large.value)
-    assert gap <= small.tail_bound + large.tail_bound
-
-
-def test_poly_l_result_record():
-    rec = poly_l_euler(Q, TRIV, 2, 3.0).to_record()
-    for key in ("value_re", "value_im", "tail_bound", "prime_bound", "route"):
-        assert key in rec
+    assert gap <= small.error_estimate + large.error_estimate
 
 
 def test_ladder_residuals():
@@ -137,7 +129,7 @@ def test_continued_certified_tails_cover_gap():
     ref = poly_l_euler(Q, TRIV, 2, 1.5, prime_bound=2_000_000)
     got = poly_l_continued(Q, TRIV, 2, 1.5)
     gap = abs(got.value - ref.value)
-    assert gap <= got.tail_bound + ref.tail_bound
+    assert gap <= got.error_estimate + ref.error_estimate
 
 
 def test_continued_warns_near_critical_line():

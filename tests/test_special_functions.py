@@ -17,6 +17,7 @@ from polydet import (
     DomainError,
     EvalConfig,
     PoleAtOne,
+    Result,
     bernoulli_number,
     bernoulli_poly,
     hurwitz_zeta_em,
@@ -212,3 +213,15 @@ def test_hurwitz_rejects_pole_and_bad_z():
     # zeta(-200, 1) = -B_201/201 = 0, but its Euler-Maclaurin terms overflow
     with pytest.raises(DomainError):
         hurwitz_zeta_em(-200.0, 1.0)
+
+
+def test_result_is_finite_or_raises():
+    res = Result.from_log(math.log(2.0) + 0.5j, 1e-3, "direct")
+    assert res.value == cmath.exp(math.log(2.0) + 0.5j)
+    assert res.error_estimate == abs(res.value) * math.expm1(1e-3)
+    with pytest.raises(DomainError):
+        Result(complex(math.nan, 0.0), 1e-12, "closed")
+    with pytest.raises(DomainError):
+        Result(1.0 + 0.0j, math.inf, "closed")
+    with pytest.raises(DomainError):
+        Result.from_log(800.0, 1e-12, "closed")   # exp overflows

@@ -17,7 +17,6 @@ from polydet import (
     load_zeros,
     loads_zeros,
     save_zeros,
-    scan_zeros,
     trivial_character,
     truncation_tail_estimate,
     zero_count_estimate,
@@ -82,7 +81,7 @@ def test_scan_height_capped():
 
 def test_scan_empty_range_raises():
     with pytest.raises(EmptyZeroTable):
-        scan_zeros(Q, CHI4, 5.0)   # no chi_-4 zeros below height 6
+        find_zeros(Q, CHI4, 5.0)   # no chi_-4 zeros below height 6
 
 
 def test_zero_count_estimate_tracks_actual():
@@ -179,4 +178,4 @@ def test_scan_rejects_non_self_dual():
     chi = dirichlet_character_by_index(5, 1)
     if not chi.is_self_dual:
         with pytest.raises(UnsupportedCharacter):
-            scan_zeros(Q, chi, 10.0)
+            find_zeros(Q, chi, 10.0)
