@@ -304,6 +304,9 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     chi = parse_character(fld, args.char)
     inputs = {"field": args.field, "char": args.char,
               "depth": args.depth, "s": str(args.s)}
+    if args.prime_bound:
+        cfg = cfg.with_updates(prime_bound=args.prime_bound)
+    inputs["prime_bound"] = cfg.prime_bound
     if args.continued:
         path = None
         if args.path:
@@ -313,9 +316,7 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         res = poly_l_continued(fld, chi, args.depth, args.s, cfg,
                                anchor=args.anchor, path=path)
     else:
-        res = poly_l_euler(fld, chi, args.depth, args.s, cfg,
-                           prime_bound=args.prime_bound)
-        inputs["prime_bound"] = args.prime_bound or cfg.prime_bound
+        res = poly_l_euler(fld, chi, args.depth, args.s, cfg)
     return [make_record(inputs, res.value, res.error_estimate, res.route,
                         cfg)], 0
 

@@ -25,11 +25,9 @@ class EvalConfig:
     series_max_terms: int = 2_000_000
     # Euler products and prime power sums use prime ideals of norm <= this.
     prime_bound: int = 100_000
-    # Gauss-Legendre nodes per quadrature panel.
-    gl_nodes: int = 32
     # Relative/absolute tolerance for adaptive panel refinement.
     quad_tol: float = 1e-10
-    # Maximum number of uniform panel doublings before giving up.
+    # Maximum number of bisections of one quadrature panel before giving up.
     max_refinements: int = 12
     # Guard radius around s = 1 for pole detection.
     pole_guard: float = 1e-8
@@ -46,8 +44,6 @@ class EvalConfig:
             raise ValueError("series_max_terms too small")
         if self.prime_bound < 10:
             raise ValueError("prime_bound must be at least 10")
-        if self.gl_nodes < 4:
-            raise ValueError("gl_nodes must be at least 4")
         if not self.quad_tol > 0:
             raise ValueError("quad_tol must be positive")
         if self.max_refinements < 1:

@@ -1,21 +1,30 @@
-"""Composite Gauss-Legendre quadrature along polylines, with an optional
-branch-tracked logarithm mode used for integrals of log L and for
+"""Locally adaptive Gauss-Kronrod quadrature along polylines, with an
+optional branch-tracked logarithm mode used for integrals of log L and for
 monodromy diagnostics.
 
-Integrands take the array of a level's nodes and return the array of their
-values (`f(ndarray) -> ndarray`), so each refinement level costs one call;
-the evaluators below them (L-values, L'/L) split large node arrays into
-kernel chunks themselves.  Both entry points run one refinement loop,
-`_refine`: the panels are doubled uniformly until two successive levels
-agree, that is until |I_k - I_(k-1)| <= max(tol, tol |I_k|) with
-tol = cfg.quad_tol, and that difference is reported as the error estimate.
-A level's weighted values are summed left to right.  Branch tracking
-unwraps the logarithm of the level's values along the ordered nodes and
-also requires its largest imaginary step to stay below pi/2.  A result
-that is still not accepted after cfg.max_refinements doublings raises
+Every panel carries the 21-node Kronrod extension of the 10-node
+Gauss-Legendre rule (G10/K21, the pair of QUADPACK's qk21), computed once
+at import by Laurie's algorithm.  Both entry points run one loop, `_refine`.
+It starts from equal panels of length at most base_len on each segment of
+the path.  Each pass evaluates the integrand once, on the 21 nodes of every
+panel that is not yet settled: integrands take the node array and return
+the array of their values (`f(ndarray) -> ndarray`), and the evaluators
+below them (L-values, L'/L) split large arrays into kernel chunks
+themselves.  A panel's error is max(|K - G|, 50 eps sum |w_K f|): the
+Kronrod-Gauss difference, floored by the rounding of the integrand's own
+values (QUADPACK's roundoff term), so a systematic error in every node is
+charged too.  A panel settles when its error is at most its length share of
+max(tol, tol |I|), with tol = cfg.quad_tol and I the current sum of the
+panels' Kronrod values in path order; the other panels are bisected.  The
+error estimate is the sum of the panel errors.
+
+Branch tracking keeps the logarithm of every panel's node values in path
+order, walks the branch over all of them again on each pass, and also
+leaves unsettled a panel whose largest imaginary step is pi/2 or more.  A
+panel that is still unsettled after cfg.max_refinements bisections raises
 QuadratureNotConverged (BranchStepTooLarge when the branch step blocked
-it), a level sum or tracked logarithm that is not finite raises it at once,
-and no unconverged value is returned.
+it), a sum or tracked logarithm that is not finite raises it at once, and
+no unconverged value is returned.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -32,88 +40,174 @@ from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import BranchStepTooLarge, DomainError, QuadratureNotConverged
 
 __all__ = ["QuadResult", "integrate_polyline", "tracked_log_polyline",
-           "gl_rule"]
+           "kronrod_rule"]
 
 TWO_PI = 2.0 * math.pi
+# QUADPACK's roundoff floor: a panel's error is at least this many units of
+# rounding of the sum of |w_K f| over its nodes
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
-@lru_cache(maxsize=8)
-def gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2n+1)-point Gauss-Kronrod rule on [-1, 1]: ascending nodes,
+    their Kronrod weights, and the n-point Gauss weights, which sit on the
+    odd-indexed nodes (zero elsewhere).
+
+    Laurie's algorithm (Math. Comp. 66, 1997) extends the Legendre
+    recurrence to the Jacobi-Kronrod matrix, whose eigenvalues are the nodes
+    and whose eigenvector heads give the weights (Golub-Welsch).  It avoids
+    numpy.polynomial, whose import costs several ms per CLI start.
+    """
+    a = np.zeros(2 * n + 1)                 # Legendre: a_k = 0
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0] = 2.0
+    b[k] = k * k / (4.0 * k * k - 1.0)
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] \
+                - b[l] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:n // 2 + 2] = s[0:n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u += -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] \
+                + b[l] * s[j + 2]
+            s[j + 1] = u
+        if m % 2 == 0:
+            k = m // 2
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) \
+                / t[j + 2]
+        else:
+            k = (m + 1) // 2
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    nodes, wk = _golub_welsch(a, b)
+    wg = np.zeros(2 * n + 1)
+    wg[1::2] = _golub_welsch(a[:n], b[:n])[1]   # still Legendre's entries
+    # exact symmetry about 0
+    return 0.5 * (nodes - nodes[::-1]), 0.5 * (wk + wk[::-1]), wg
+
+
+def _golub_welsch(a: np.ndarray, b: np.ndarray):
+    """Nodes and weights of the Gauss rule of the Jacobi matrix with
+    diagonal a and off-diagonal sqrt(b[1:]); b[0] is the total weight."""
+    off = np.sqrt(b[1:])
+    nodes, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    return nodes, b[0] * vecs[0] ** 2
+
+
+_X, _WK, _WG = kronrod_rule(10)
+_W = np.stack([_WK, _WG], axis=1)
 
 
 @dataclass(frozen=True)
 class QuadResult:
     value: complex
     error: float
-    levels: int
-    panels: int
+    levels: int         # passes made; 1 when every starting panel settled
+    panels: int         # panels at acceptance
 
 
-def _panel_points(waypoints, level: int, base_len: float, n: int):
-    """Ordered GL nodes and complex weights along the polyline, as arrays."""
-    x, w = gl_rule(n)
-    pts, wts = [], []
-    total_panels = 0
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        seg = b - a
-        panels = max(1, math.ceil(abs(seg) / base_len)) * (1 << level)
-        total_panels += panels
-        p = np.arange(panels)
-        u0 = a + seg * (p / panels)
-        u1 = a + seg * ((p + 1) / panels)
-        half = ((u1 - u0) / 2.0)[:, None]
-        pts.append((((u0 + u1) / 2.0)[:, None] + half * x).ravel())
-        wts.append((half * w).ravel())
-    return np.concatenate(pts), np.concatenate(wts), total_panels
-
-
-def _sum_in_order(terms: np.ndarray) -> complex:
-    """Left-to-right sum of a level's weighted values, node by node."""
-    return complex(np.cumsum(terms)[-1])
-
-
-def _refine(level_sum: Callable[[np.ndarray, np.ndarray], tuple[complex, float]],
-            waypoints, cfg: EvalConfig, base_len: float) -> QuadResult:
-    """Double the panels until two levels agree and the branch step of
-    level_sum(nodes, weights) -> (value, step) is below pi/2, or raise."""
+def _path(waypoints) -> list[complex]:
     waypoints = [complex(u) for u in waypoints]
     if len(waypoints) < 2:
         raise DomainError("polyline needs at least two waypoints")
+    return waypoints
+
+
+def _sum_in_order(terms: np.ndarray) -> complex:
+    """Left-to-right sum of the panels' values, panel by panel."""
+    return complex(np.cumsum(terms)[-1])
+
+
+def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
+            combine: Callable[[np.ndarray, np.ndarray],
+                              tuple[np.ndarray, np.ndarray]],
+            waypoints: list[complex], cfg: EvalConfig,
+            base_len: float) -> QuadResult:
+    """Bisect the panels that are not settled until all are, or raise.
+
+    evaluate(nodes) -> values is called once per pass, on the flat nodes of
+    the new panels; combine(nodes, values) -> (f, step) maps the stored
+    (panels x 21) values of every panel, in path order, to integrand values
+    and each panel's largest branch step.
+    """
+    lo, hi = [], []
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        p = np.arange(max(1, math.ceil(abs(b - a) / base_len)))
+        lo.append(a + (b - a) * (p / p.size))
+        hi.append(a + (b - a) * ((p + 1) / p.size))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    length = float(np.abs(hi - lo).sum()) or 1.0     # 0 on a point path
+    depth = np.zeros(lo.size, dtype=int)
+    fresh = np.ones(lo.size, dtype=bool)
+    nodes = np.empty((lo.size, _X.size), dtype=complex)
+    vals = np.empty_like(nodes)
     tol = cfg.quad_tol
-    prev = None
-    for level in range(cfg.max_refinements + 1):
-        pts, wts, panels = _panel_points(waypoints, level, base_len,
-                                         cfg.gl_nodes)
-        val, step = level_sum(pts, wts)
-        if not cmath.isfinite(val):
+    passes = 0
+    while True:
+        passes += 1
+        half = (hi - lo) / 2.0
+        new = ((lo + hi) / 2.0)[fresh, None] + half[fresh, None] * _X
+        nodes[fresh] = new
+        vals[fresh] = np.broadcast_to(evaluate(new.ravel()),
+                                      (new.size,)).reshape(new.shape)
+        f, step = combine(nodes, vals)
+        kg = half[:, None] * (f @ _W)
+        value = _sum_in_order(kg[:, 0])
+        if not cmath.isfinite(value):
             raise QuadratureNotConverged(
-                f"level {level} sum is {val}; integrand not finite on path")
-        if prev is not None:
-            delta = abs(val - prev)
-            if step < 0.5 * math.pi and delta <= max(tol, tol * abs(val)):
-                return QuadResult(val, delta, level, panels)
-        prev = val
-    if step >= 0.5 * math.pi:
-        raise BranchStepTooLarge(
-            f"branch tracking step of {step:.3f} in Im(log) even at "
-            f"{panels} panels; path too close to a zero or pole")
-    raise QuadratureNotConverged(
-        f"levels still differ by {delta:.3e} (tol {tol:.1e}) after "
-        f"{cfg.max_refinements} doublings, {panels} panels")
+                f"pass {passes} sum is {value}; integrand not finite on path")
+        err = np.maximum(np.abs(kg[:, 0] - kg[:, 1]),
+                         _ROUNDOFF * np.abs(half) * (np.abs(f) @ _WK))
+        share = np.abs(hi - lo) / length
+        blocked = step >= 0.5 * math.pi
+        open_ = blocked | (err > share * max(tol, tol * abs(value)))
+        if not open_.any():
+            return QuadResult(value, float(err.sum()), passes, lo.size)
+        stuck = open_ & (depth >= cfg.max_refinements)
+        if (stuck & blocked).any():
+            raise BranchStepTooLarge(
+                f"branch tracking step of {step[stuck].max():.3f} in Im(log) "
+                f"after {cfg.max_refinements} bisections; path too close to "
+                "a zero or pole")
+        if stuck.any():
+            raise QuadratureNotConverged(
+                f"panel error {err[stuck].max():.3e} still above its share "
+                f"of tol {tol:.1e} after {cfg.max_refinements} bisections, "
+                f"{lo.size} panels")
+        # each open panel becomes two fresh halves, kept in path order
+        idx = np.repeat(np.arange(lo.size), np.where(open_, 2, 1))
+        first = np.concatenate(([True], idx[1:] != idx[:-1]))
+        mid = (lo + hi) / 2.0
+        fresh = open_[idx]
+        lo = np.where(first, lo[idx], mid[idx])
+        hi = np.where(first & fresh, mid[idx], hi[idx])
+        depth = depth[idx] + fresh
+        nodes, vals = nodes[idx], vals[idx]
 
 
 def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], waypoints,
                        cfg: EvalConfig = DEFAULT_CONFIG, *,
                        base_len: float = 0.5) -> QuadResult:
     """Integral of f along the polyline through the given waypoints; f maps
-    the array of a level's nodes to the array of its values."""
+    the array of a pass's nodes to the array of its values."""
+    def combine(nodes, vals):
+        return vals, np.zeros(len(vals))
 
-    def level_sum(pts, wts):
-        return _sum_in_order(wts * f(pts)), 0.0
-
-    return _refine(level_sum, waypoints, cfg, base_len)
+    return _refine(f, combine, _path(waypoints), cfg, base_len)
 
 
 def tracked_log_polyline(wf: Callable[[np.ndarray], np.ndarray], waypoints,
@@ -124,19 +218,26 @@ def tracked_log_polyline(wf: Callable[[np.ndarray], np.ndarray], waypoints,
     """Integral of kernel(xi) * log w(xi) along the polyline, with the
     logarithm continued continuously from the start of the path.
 
-    wf and kernel map a node array to a value array; each level evaluates
-    wf once, at the first waypoint followed by the level's nodes.  anchor,
-    when given, is the known branch value of log w at the first waypoint;
-    otherwise the principal value there seeds the walk (for closed loops
-    the choice drops out of the integral).
+    wf and kernel map a node array to a value array; each pass evaluates
+    wf once, at the new panels' nodes (the first also at the first
+    waypoint).  anchor, when given, is the known branch value of log w at
+    the first waypoint; otherwise the principal value there seeds the walk
+    (for closed loops the choice drops out of the integral).
     """
+    wps = _path(waypoints)
 
-    def level_sum(pts, wts):
+    def log_w(x):
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = np.log(wf(np.concatenate(([complex(waypoints[0])], pts))))
+            raw = np.log(np.broadcast_to(wf(x), x.shape))
         if not np.isfinite(raw).all():
             raise QuadratureNotConverged(
                 "log w is not finite at a node; branch walk cannot continue")
+        return raw
+
+    start = log_w(np.array([wps[0]]))
+
+    def combine(nodes, raw_logs):
+        raw = np.concatenate((start, raw_logs.ravel()))
         # the walk adds to each node the multiple of 2 pi i that lands it
         # nearest its predecessor: a cumulative sum of rounded jumps
         jumps = np.round(-np.diff(raw.imag) / TWO_PI)
@@ -144,8 +245,10 @@ def tracked_log_polyline(wf: Callable[[np.ndarray], np.ndarray], waypoints,
         if anchor is not None:
             turns += round((anchor - raw[0]).imag / TWO_PI)
         log = raw + TWO_PI * 1j * turns
-        max_step = float(np.abs(np.diff(log.imag)).max())
-        k = 1.0 if kernel is None else kernel(pts)
-        return _sum_in_order(wts * k * log[1:]), max_step
+        step = np.abs(np.diff(log.imag)).reshape(nodes.shape).max(axis=1)
+        log = log[1:].reshape(nodes.shape)
+        if kernel is not None:
+            log = log * kernel(nodes.ravel()).reshape(nodes.shape)
+        return log, step
 
-    return _refine(level_sum, waypoints, cfg, base_len)
+    return _refine(log_w, combine, wps, cfg, base_len)

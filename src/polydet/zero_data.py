@@ -254,7 +254,9 @@ def truncation_tail_estimate(fld: NumberField, chi: HeckeCharacter,
 
     Integrates the per-zero bound |(z - rho)/2pi|^{-Re s} against the
     density (1/2pi) log(Q (t/2pi)^n) dt for both ordinate signs, then
-    doubles the result as a safety factor.  Heuristic, not a certificate.
+    doubles the result as a safety factor.  For complex s each term also
+    carries exp(Im s * arg), at most exp(|Im s| pi/2) since Re(z - rho) > 0.
+    Heuristic, not a certificate.
     """
     s = complex(s)
     z = complex(z)
@@ -272,4 +274,4 @@ def truncation_tail_estimate(fld: NumberField, chi: HeckeCharacter,
                                + 1.0 / (sigma - 1.0) ** 2)
     shift = math.log1p(a / (2.0 * math.pi * A))
     one_sided = math.log(q) * j0 + n * (j1 + shift * j0)
-    return 2.0 * (2.0 * one_sided)
+    return 2.0 * (2.0 * one_sided) * math.exp(0.5 * math.pi * abs(s.imag))

@@ -78,6 +78,19 @@ def test_eval_schema_all_functions(capsys):
     assert recs[0]["inputs"]["prime_bound"] == 100_000
 
 
+def test_continued_polyl_uses_and_records_the_prime_bound(capsys):
+    argv = ["polyl", "--depth", "2", "--s", "2.5", "--continued"]
+    recs = {}
+    for bound in (20, 1_000_000):
+        code, out = run_json(capsys, argv + ["--prime-bound", str(bound)])
+        assert code == 0
+        assert out[0]["inputs"]["prime_bound"] == bound
+        recs[bound] = out[0]
+    # the Euler tail at the anchor shrinks with the bound
+    assert recs[20]["error_estimate"] > 10 * recs[1_000_000]["error_estimate"]
+    assert recs[20]["config_hash"] != recs[1_000_000]["config_hash"]
+
+
 def test_det_both_routes(capsys):
     code, recs = run_json(capsys, ["det", "--depth", "1", "--z", "2",
                                    "--both"])
@@ -167,13 +180,13 @@ def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     default_hash = recs[0]["config_hash"]
 
     cfgfile = tmp_path / "polydet.cfg"
-    cfgfile.write_text("gl_nodes = 16\n# comment line\nquad_tol=1e-9\n")
+    cfgfile.write_text("max_refinements = 8\n# comment line\nquad_tol=1e-9\n")
     _, recs = run_json(capsys, base_argv + ["--config", str(cfgfile)])
     file_hash = recs[0]["config_hash"]
     assert file_hash != default_hash
 
     _, recs = run_json(capsys, base_argv + ["--config", str(cfgfile),
-                                            "--set", "gl_nodes=32",
+                                            "--set", "max_refinements=12",
                                             "--set", "quad_tol=1e-10"])
     assert recs[0]["config_hash"] == default_hash   # flags win over the file
 

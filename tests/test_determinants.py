@@ -5,6 +5,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydet import (
     ContourInvalid,
@@ -143,6 +145,15 @@ def test_xi_zero_sum_vs_hankel_within_tail():
                    - truncation_tail_estimate(Q, TRIV, s, z,
                                               table.completeness_height)) \
             < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.builds(complex, st.floats(1.5, 8.0), st.floats(-3.0, 3.0)),
+       z=st.builds(complex, st.floats(1.3, 4.0), st.floats(-3.0, 3.0)))
+def test_xi_routes_agree_within_their_claims(s, z):
+    zs = xi_zero_sum(Q, TRIV, s, z, builtin_zeta_zeros())
+    hk = xi_hankel(Q, TRIV, s, z)
+    assert abs(zs.value - hk.value) <= zs.error_estimate + hk.error_estimate
 
 
 def test_xi_zero_sum_gap_shrinks_with_more_zeros():

@@ -1,7 +1,9 @@
-"""Polyline quadrature: exactness on polynomials, residues on closed loops,
-branch anchoring, and the one non-convergence policy of both entry points.
+"""Polyline quadrature: the Gauss-Kronrod rule, exactness on polynomials,
+residues on closed loops, local refinement, branch anchoring, the rounding
+floor of the error estimate, and the one non-convergence policy of both
+entry points.
 
-Integrands take the array of a level's nodes and return an array."""
+Integrands take the array of a pass's nodes and return an array."""
 import cmath
 import math
 
@@ -13,13 +15,32 @@ from hypothesis import strategies as st
 from polydet import DEFAULT_CONFIG
 from polydet.errors import (BranchStepTooLarge, DomainError,
                             QuadratureNotConverged)
-from polydet.quadrature import integrate_polyline, tracked_log_polyline
+from polydet.quadrature import (integrate_polyline, kronrod_rule,
+                                tracked_log_polyline)
 
 SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)
 UNREACHABLE = DEFAULT_CONFIG.with_updates(quad_tol=1e-30, max_refinements=1)
 
 coord = st.floats(min_value=-2.0, max_value=2.0)
 point = st.builds(complex, coord, coord)
+EPS = np.finfo(float).eps
+
+
+def _monomial_integrals(degree):
+    d = np.arange(degree + 1)
+    return d, (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+
+
+def test_kronrod_rule_exact_to_degree_31_and_gauss_subset_is_leggauss():
+    x, wk, wg = kronrod_rule(10)
+    d, exact = _monomial_integrals(31)
+    assert np.abs(wk @ x[:, None] ** d - exact).max() < 1e-14
+    d, exact = _monomial_integrals(19)
+    assert np.abs(wg @ x[:, None] ** d - exact).max() < 1e-14
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    assert np.abs(x[1::2] - gx).max() < 1e-15
+    assert np.abs(wg[1::2] - gw).max() < 1e-15 and not wg[::2].any()
+    assert (wk > 0).all() and (np.diff(x) > 0).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,12 +95,15 @@ def test_non_finite_level_sum_raises_at_the_first_level():
 
     with pytest.raises(QuadratureNotConverged):
         integrate_polyline(nan_at, (0.0, 1.0))
-    assert len(calls) <= 64     # two panels of 32 nodes, no doubling
+    assert len(calls) <= 42     # two panels of 21 nodes, no bisection
 
 
 def test_path_past_a_near_zero_raises_branch_step():
-    cfg = DEFAULT_CONFIG.with_updates(gl_nodes=4, max_refinements=1)
-    rho = 0.5 + 1e-3j
+    cfg = DEFAULT_CONFIG.with_updates(max_refinements=1)
+    # the zero sits between the two middle nodes of the panel [0.25, 0.5],
+    # one bisection below the starting panel [0, 0.5]
+    x = kronrod_rule(10)[0]
+    rho = 0.375 + 0.125 * (x[10] + x[11]) / 2 + 1e-4j
     with pytest.raises(BranchStepTooLarge) as exc:
         tracked_log_polyline(lambda u: u - rho, (0.0, 1.0), cfg)
     assert isinstance(exc.value, QuadratureNotConverged)
@@ -96,3 +120,49 @@ def test_fewer_than_two_waypoints_is_a_domain_error(waypoints):
 def test_tracked_non_finite_node_raises():
     with pytest.raises(QuadratureNotConverged):
         tracked_log_polyline(lambda u: u * math.nan, (0.0, 1.0))
+
+
+def test_near_singular_integrand_refines_only_near_the_peak():
+    c, e = 0.3, 1e-3
+    nodes = []
+
+    def peak(u):
+        nodes.extend(u.real)
+        return 1.0 / ((u - c) ** 2 + e * e)
+
+    res = integrate_polyline(peak, (0.0, 2.0))
+    exact = (math.atan((2.0 - c) / e) + math.atan(c / e)) / e
+    assert abs(res.value - exact) <= res.error
+    assert res.levels > 5
+    nodes = np.asarray(nodes)
+    assert np.mean(np.abs(nodes - c) < 0.05) > 0.5
+    # uniform doubling to the same finest panel: 4 * 2^(levels-1) panels
+    assert nodes.size * 20 < 4 * 2 ** (res.levels - 1) * 21
+
+
+def test_tracked_log_across_the_branch_cut_with_uneven_panels():
+    # arg (u - rho)^2 runs from near -2 pi to 0 on [0, 1]: the principal log
+    # jumps by 2 pi i at u = 0.3, the tracked one follows 2 log(u - rho)
+    rho = 0.3 + 0.01j
+
+    def antiderivative(u):
+        return (u - rho) * cmath.log(u - rho) - u
+
+    res = tracked_log_polyline(lambda u: (u - rho) ** 2, (0.0, 1.0))
+    # seeded with the principal value at 0, which is 2 log(-rho) + 2 pi i
+    expect = 2.0 * (antiderivative(1.0) - antiderivative(0.0)) + 2j * math.pi
+    assert abs(res.value - expect) <= max(res.error, 1e-12)
+    assert res.levels > 1 and res.panels < 2 * 2 ** (res.levels - 1)
+
+
+def test_claimed_error_covers_planted_node_noise():
+    # every node carries a bias of 20-30 eps relative, amplified by 1e6: the
+    # two rules agree to rounding, so only the roundoff floor can cover it
+    def noisy(u):
+        return 1e6 * np.exp(1j * u) * (1.0 + 20 * EPS
+                                       * (1.0 + 0.5 * np.sin(1e5 * u.real)))
+
+    res = integrate_polyline(noisy, (0.0, 1.0))
+    exact = 1e6 * (cmath.exp(1j) - 1.0) / 1j
+    assert abs(res.value - exact) > 1e-9
+    assert abs(res.value - exact) <= res.error

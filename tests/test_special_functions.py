@@ -194,9 +194,9 @@ def test_config_validation():
     for key in ("target_abs_error", "quad_tol", "pole_guard"):
         with pytest.raises(ValueError):
             EvalConfig(**{key: math.nan})
-    assert DEFAULT_CONFIG.with_updates(gl_nodes=16).gl_nodes == 16
+    assert DEFAULT_CONFIG.with_updates(max_refinements=8).max_refinements == 8
     assert DEFAULT_CONFIG.config_hash() != \
-        DEFAULT_CONFIG.with_updates(gl_nodes=16).config_hash()
+        DEFAULT_CONFIG.with_updates(max_refinements=8).config_hash()
 
 
 def test_hurwitz_rejects_pole_and_bad_z():
