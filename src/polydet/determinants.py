@@ -289,7 +289,10 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
 
 
 def _auto_prime_bound(fld: NumberField, z: complex) -> int:
-    """Smallest sieve bound whose estimated Euler tail is below 2e-7."""
+    """Smallest sieve bound whose estimated Euler tail is below 2e-7, else
+    the 8M cap: below Re z ~ 1.81 over Q (1.86 over a quadratic field) no
+    bound meets 2e-7, so the closed route there sums to 8M and claims the
+    larger tail."""
     sigma = complex(z).real
     for x in (100_000, 500_000, 2_000_000, 4_000_000, 8_000_000):
         est = fld.degree * x ** (1.0 - sigma) / ((sigma - 1.0) * math.log(x))

@@ -114,15 +114,17 @@ def kronecker_symbol(d: int, p: int) -> int:
 
 @lru_cache(maxsize=8)
 def _primes(n: int) -> np.ndarray:
-    """All primes <= n as a read-only int64 array, by a numpy sieve."""
+    """All primes <= n as a read-only int64 array, by a numpy sieve over
+    the odd numbers."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    primes = np.nonzero(sieve)[0]
+    odd = np.ones((n + 1) // 2, dtype=bool)   # odd[i] stands for 2 i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = False
+    primes = np.concatenate(([2], 2 * np.nonzero(odd)[0] + 1))
     primes.flags.writeable = False
     return primes
 

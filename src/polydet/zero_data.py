@@ -238,14 +238,26 @@ def find_zeros(fld: NumberField, chi: HeckeCharacter, height: float,
 
 def zero_count_estimate(fld: NumberField, chi: HeckeCharacter,
                         height: float) -> float:
-    """Main term of the zero counting function N(T) (one sign of the
-    ordinate): (T/2pi) (n log(T/2pi e) + log Q)."""
-    if height <= 0:
-        raise DomainError("height must be positive")
+    """Main term plus constant of the zero counting function N(T) (one
+    sign of the ordinate), after Riemann-von Mangoldt:
+
+        (T/2pi) (n log(T/2pi e) + log Q) + eps + sum_j (2 a_j - 1)/8,
+
+    with eps = 1 for the pole of a principal character and one term per
+    gamma factor Gamma_R(s + a_j), from Stirling's formula for its argument
+    on the critical line; a complex place is Gamma_R(s + a) Gamma_R(s + a + 1).
+    The constant is 7/8 for zeta, 1/8 for chi_-4 and 1 for Q(i).
+    """
+    if not 0 < height < math.inf:   # also rejects NaN
+        raise DomainError("height must be positive and finite")
     n = fld.degree
     q = chi.conductor_norm * abs(fld.discriminant)
     t = height / (2.0 * math.pi)
-    return t * (n * (math.log(t) - 1.0) + math.log(q)) if t > 0 else 0.0
+    # a real place is Gamma_R(s + |m|), a complex one Gamma_R(s + |m|/2)
+    # Gamma_R(s + |m|/2 + 1): (nv + 2|m| - 2)/8 per place
+    const = chi.epsilon + sum((v.nv + 2 * abs(v.m) - 2) / 8.0
+                              for v in chi.arch_places())
+    return t * (n * (math.log(t) - 1.0) + math.log(q)) + const
 
 
 def truncation_tail_estimate(fld: NumberField, chi: HeckeCharacter,

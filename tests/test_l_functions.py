@@ -24,6 +24,7 @@ from polydet import (
     argument_principle_count,
     completed_lambda,
     conductor_factor,
+    dirichlet_character_by_index,
     kronecker_character,
     l_log_derivative,
     l_value,
@@ -34,7 +35,8 @@ from polydet import (
     trivial_character,
 )
 from polydet import special_functions
-from polydet.l_functions import _l_and_ds
+from polydet.l_functions import (_block_moments, _ideal_arrays, _l_and_ds,
+                                  _prime_power_sum, _weighted_moments)
 from polydet.special_functions import EM_CHUNK, hurwitz_zeta_em, log_gamma
 
 mp.mp.dps = 30
@@ -366,3 +368,61 @@ def test_omega_region_tests_arrays_elementwise():
                   2.0 + 14.0j, 0.8 + 25.0j])
     assert om.contains(w).tolist() == [om.contains(u) for u in w]
     assert om.verifiable(w).tolist() == [om.verifiable(u) for u in w]
+
+
+# ---------------------------------------------------------------------------
+# Prime-power sum: blocked far field against the per-term sum
+
+
+def _per_term_sum(fld, chi, s, r, bound):
+    """(sum, sum of |terms|) of the prime-power sum with every ideal and
+    power summed term by term, over the same table and cutoff."""
+    norms, logn, chiv = _ideal_arrays(fld, chi, bound)
+    total, size = 0j, 0.0
+    l = 1
+    while True:
+        k = int(np.searchsorted(norms, 10.0 ** (19.0 / (l * s.real)),
+                                side="right"))
+        if k == 0:
+            return total, size
+        terms = logn[:k] ** (1 - r) * chiv[:k] ** l \
+            * np.exp(-l * s * logn[:k]) / l ** r
+        total += terms.sum()
+        size += np.abs(terms).sum()
+        l += 1
+
+
+CHI5 = dirichlet_character_by_index(5, 1)     # complex, order 4
+SUM_PAIRS = [(Q, TRIV), (Q, CHI4), (QI, trivial_character(QI)),
+             (RT5, trivial_character(RT5)), (Q, CHI5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(SUM_PAIRS), r=st.integers(0, 4),
+       sigma=st.floats(1.02, 6.0), t=st.floats(-60.0, 60.0),
+       bound=st.sampled_from([10_000, 200_000]))
+def test_prime_power_sum_matches_per_term_sum(pair, r, sigma, t, bound):
+    # |Im s| up to 60 puts l = 1 on both sides of the block cap
+    # |l s| h / 2 <= 1
+    fld, chi = pair
+    s = complex(sigma, t)
+    want, size = _per_term_sum(fld, chi, s, r, bound)
+    assert abs(_prime_power_sum(fld, chi, s, r, bound) - want) <= 1e-14 * size
+
+
+def test_prime_power_sum_at_the_largest_sieve_bound():
+    fld, chi, s, bound = QI, trivial_character(QI), 1.3 + 0j, 8_000_000
+    want, size = _per_term_sum(fld, chi, s, 2, bound)
+    assert abs(_prime_power_sum(fld, chi, s, 2, bound) - want) <= 1e-14 * size
+
+
+def test_block_moments_per_power_class():
+    # chi^l repeats with the order of chi, so the order-4 character needs
+    # at most four moment tables per bound; a real character's are real
+    _block_moments.cache_clear()
+    _weighted_moments.cache_clear()
+    for r in (0, 1, 3):
+        for s in (1.05 + 0.5j, 1.5 - 3.0j, 2.5 + 0j):
+            _prime_power_sum(Q, CHI5, s, r, 200_000)
+    assert 1 <= _block_moments.cache_info().currsize <= 4
+    assert _block_moments(Q, CHI4, 200_000, 2).dtype == np.float64

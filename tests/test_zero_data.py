@@ -92,6 +92,21 @@ def test_zero_count_estimate_tracks_actual():
     assert zero_count_estimate(Q, CHI4, 30.0) > zero_count_estimate(Q, TRIV, 30.0)
 
 
+def test_zero_count_estimate_constant():
+    # Riemann-von Mangoldt's constant on top of the main term: 7/8 for zeta,
+    # 1/8 for chi_-4 (odd), 1 for Q(i) (pole, Gamma_R(s) Gamma_R(s + 1))
+    qi = NumberField.quadratic(-1)
+    t = 50.0 / (2.0 * math.pi)
+    for fld, chi, q, const in ((Q, TRIV, 1, 7 / 8), (Q, CHI4, 4, 1 / 8),
+                               (qi, trivial_character(qi), 4, 1.0)):
+        main = t * (fld.degree * (math.log(t) - 1.0) + math.log(q))
+        assert zero_count_estimate(fld, chi, 50.0) - main == \
+            pytest.approx(const, abs=1e-12)
+    for height in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            zero_count_estimate(Q, TRIV, height)
+
+
 def test_parse_basic_and_height():
     text = "# comment\nheight: 30\n14.134725 1\n21.022040\n"
     tab = loads_zeros(text, "demo")
