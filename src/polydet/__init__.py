@@ -27,10 +27,11 @@ from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
                                     load_character_file, trivial_character)
 from .l_functions import (OmegaRegion, PathSpec, argument_principle_count,
                           completed_lambda, conductor_factor,
-                          l_log_derivative, l_value, log_l_branch,
-                          log_l_series, omega_region, root_number)
+                          l_log_derivative, l_value, log_l_series,
+                          omega_region, root_number)
 from .poly_l import (erh_monodromy_defect, poly_l_continued, poly_l_euler,
-                     poly_l_ladder_residual, poly_l_log_euler)
+                     poly_l_ladder_residual, poly_l_log_continued,
+                     poly_l_log_euler)
 from .special_functions import (EmResult, Result, bernoulli_number,
                                 bernoulli_poly, hurwitz_zeta_em, log_gamma,
                                 milnor_gamma, polylog, polylog_tail_bound)

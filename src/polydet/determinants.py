@@ -30,9 +30,8 @@ from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (ContourInvalid, DomainError, PoleAtOne,
                      overflow_is_domain_error)
 from .fields_and_characters import ArchPlace, HeckeCharacter, NumberField
-from .l_functions import (_check_pair, completed_lambda, l_log_derivative,
-                          l_value)
-from .poly_l import poly_l_log_euler
+from .l_functions import _check_pair, completed_lambda, l_log_derivative
+from .poly_l import poly_l_log_continued, poly_l_log_euler
 from .quadrature import integrate_polyline
 from .special_functions import (EmResult, Result, bernoulli_poly,
                                 hurwitz_zeta_em)
@@ -223,21 +222,6 @@ def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
     return Result.from_log(-ds.value, ds.error_estimate, "direct")
 
 
-def _log_l_exact(fld: NumberField, chi: HeckeCharacter, z: complex,
-                 cfg: EvalConfig) -> complex:
-    """Branch-correct log L(z) without Euler truncation (depth 1 only): at
-    a = max(3, Re z + 1), |log L(a)| <= log zeta_K(3) < 0.4 is the principal
-    log, continued to z by integrating L'/L."""
-    if z.imag == 0.0 and z.real > 1.0:
-        v = l_value(fld, chi, z, cfg)
-        if v.imag == 0.0 and v.real > 0.0:
-            return complex(math.log(v.real))
-    a = complex(max(3.0, z.real + 1.0))
-    path = integrate_polyline(lambda u: l_log_derivative(fld, chi, u, cfg),
-                              (a, z), cfg)
-    return cmath.log(l_value(fld, chi, a, cfg)) + path.value
-
-
 @overflow_is_domain_error
 def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
                        z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
@@ -249,9 +233,9 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
                   + sum_v [ -((N_v pi)^(1-r)/r) B_r(w_v) log(N_v pi)
                             + (N_v pi)^(1-r) log MilnorGamma_r(w_v) ]
 
-    The depth-r logarithm comes from the truncated Euler sum (depth 1 uses
-    the exact analytic value), Milnor gamma logs from the Hurwitz zeta
-    s-derivative at 1 - r.
+    The depth-r logarithm comes from the truncated Euler sum (depth 1 from
+    the analytic log L continued from a real anchor, with its quadrature
+    error), Milnor gamma logs from the Hurwitz zeta s-derivative at 1 - r.
     """
     _check_pair(fld, chi)
     if not isinstance(r, int) or r < 1:
@@ -268,7 +252,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
             logv += cmath.exp((r - 1) * lg) * lg
 
     if r == 1:
-        log_lr, tail = _log_l_exact(fld, chi, z, cfg), 0.0
+        log_lr, tail = poly_l_log_continued(fld, chi, 1, z, cfg)
     else:
         log_lr, tail, _ = poly_l_log_euler(fld, chi, r, z, cfg,
                                            prime_bound

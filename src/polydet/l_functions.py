@@ -16,8 +16,9 @@ per residue for all nodes.  `l_value`, the analytic route of
 `l_log_derivative` and `completed_lambda` read it and take arrays too.
 
 On top of that sit the completed function with its gamma factors, the root
-number from the functional equation, branch-tracked logarithms along paths,
-and contour zero counting by the argument principle.
+number from the functional equation, the path and cut-plane types that
+`poly_l` continues log L^(r) on, and contour zero counting by the argument
+principle.
 
 Right of Re(s) = 1 an independent route sums over prime ideals in one
 kernel, `_prime_power_sum`: its rung r = 1 is log L (`log_l_series`), its
@@ -42,8 +43,8 @@ import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DegenerateSample, DomainError, FieldMismatch, GammaPole,
-                     NearZeroOfL, NonClosedLoop, PathLeavesOmega,
-                     ResidualTooLarge, UnsupportedCharacter)
+                     NearZeroOfL, NonClosedLoop, ResidualTooLarge,
+                     UnsupportedCharacter)
 from .fields_and_characters import (HeckeCharacter, NumberField,
                                     _ideal_table, kronecker_character)
 from .quadrature import integrate_polyline
@@ -55,14 +56,12 @@ __all__ = [
     "l_value",
     "l_log_derivative",
     "log_l_series",
-    "log_l_branch",
     "completed_lambda",
     "conductor_factor",
     "root_number",
     "argument_principle_count",
 ]
 
-_POLE_DISTANCE = 0.05      # paths keep this distance from s = 1
 _SERIES_MIN_RE = 1.02      # prime power series only used comfortably right of 1
 _SMALL_L = 1e-12
 
@@ -123,7 +122,7 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class OmegaRegion:
-    """Cut plane on which the tracked log L is single valued.
+    """Cut plane on which the continued log L is single valued.
 
     The excluded set is a union of leftward horizontal half-lines: from the
     pole at 1 (principal characters), from the rightmost trivial zero of
@@ -461,41 +460,6 @@ def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex,
     if not s.real > _SERIES_MIN_RE:   # also rejects NaN
         raise DomainError(f"log L series requires Re(s) > {_SERIES_MIN_RE}")
     return _prime_power_sum(fld, chi, s, 1, cfg.prime_bound)
-
-
-# ---------------------------------------------------------------------------
-# Branch-continued log L along paths
-
-
-def _path_guard(fld: NumberField, chi: HeckeCharacter, path: PathSpec):
-    if chi.epsilon == 1 and path.min_distance_to(1.0) < _POLE_DISTANCE:
-        raise PathLeavesOmega(
-            f"path passes within {_POLE_DISTANCE} of the pole at s = 1")
-
-
-def log_l_branch(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
-                 cfg: EvalConfig = DEFAULT_CONFIG,
-                 omega: OmegaRegion | None = None) -> complex:
-    """log L at the end of the path, continued from the series branch.
-
-    The path must start at a real anchor with Re > 1; the anchor value is
-    the prime power series and the continuation integrates L'/L.  Waypoints
-    are checked against the cut region when one is supplied.
-    """
-    s0 = complex(path.waypoints[0])
-    if abs(s0.imag) > 1e-12 or s0.real <= _SERIES_MIN_RE:
-        raise DomainError("path must start at a real anchor with Re > 1")
-    _path_guard(fld, chi, path)
-    if omega is not None:
-        for u in path.waypoints:
-            if not omega.contains(u):
-                raise PathLeavesOmega(f"waypoint {u} lies on a branch cut")
-    anchor = log_l_series(fld, chi, s0, cfg)
-
-    def f(u: np.ndarray) -> np.ndarray:
-        return l_log_derivative(fld, chi, u, cfg)
-
-    return anchor + integrate_polyline(f, path.waypoints, cfg).value
 
 
 # ---------------------------------------------------------------------------

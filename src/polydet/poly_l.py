@@ -6,13 +6,15 @@ prime-power kernel `l_functions._prime_power_sum`, whose rungs r = 1
 (log L) and r = 0 (-L'/L) serve `l_functions` as well.  Depth 1 recovers
 the ordinary L-function.  Successive s-derivatives walk down the depth
 ladder: d/ds log L^(r) = -log L^(r-1), so the (r-1)-st derivative of
-log L^(r) is (-1)^(r-1) log L.  Depths 2 and 3 extend left of Re(s) = 1
-through an iterated-integral representation with a tracked logarithm along
-an explicit path.
+log L^(r) is (-1)^(r-1) log L and the r-th is (-1)^(r-1) L'/L.  Every
+depth r >= 1 therefore extends left of Re(s) = 1 by Taylor's formula at a
+real anchor with one integral of L'/L along an explicit path
+(`poly_l_log_continued`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -23,9 +25,9 @@ from .errors import (DomainError, NonClosedLoop, PathLeavesOmega,
                      StencilLeavesDomain, UnsupportedCharacter)
 from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_SERIES_MIN_RE, PathSpec, _check_pair,
-                          _prime_power_sum, l_value, omega_region,
-                          OmegaRegion)
-from .quadrature import tracked_log_polyline
+                          _prime_power_sum, l_log_derivative, l_value,
+                          omega_region, OmegaRegion)
+from .quadrature import integrate_polyline, tracked_log_polyline
 from .special_functions import Result
 from .zero_data import scan_ordinates
 
@@ -33,6 +35,7 @@ __all__ = [
     "poly_l_euler",
     "poly_l_log_euler",
     "poly_l_ladder_residual",
+    "poly_l_log_continued",
     "poly_l_continued",
     "erh_monodromy_defect",
 ]
@@ -140,9 +143,9 @@ def poly_l_ladder_residual(fld: NumberField, chi: HeckeCharacter, r: int,
 
 def _omega_for_path(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
                     cfg: EvalConfig) -> OmegaRegion | None:
-    """Zero-cut region for a path that dips into the critical strip."""
-    if min(w.real for w in path.waypoints) > _SERIES_MIN_RE \
-            and path.min_distance_to(1.0) > 0.05:
+    """Zero-cut region for a path that leaves Re(s) > 1; None otherwise,
+    since the pole, the zeros and every cut lie in Re(s) <= 1."""
+    if min(w.real for w in path.waypoints) > 1.0:
         return None
     need = max(path.max_abs_im + 5.0, 5.0)
     if not chi.is_self_dual:
@@ -152,76 +155,79 @@ def _omega_for_path(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
     return omega_region(fld, chi, scan_ordinates(fld, chi, need, cfg), need)
 
 
-def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
-                     cfg: EvalConfig = DEFAULT_CONFIG,
-                     anchor: float = 3.0,
-                     path: PathSpec | None = None) -> Result:
-    """L^(r)(s) for r in {2, 3} by iterated integration from a real anchor.
+def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
+                         s: complex, cfg: EvalConfig = DEFAULT_CONFIG,
+                         anchor: float = 3.0,
+                         path: PathSpec | None = None) -> tuple[complex, float]:
+    """log L^(r)(s) for any depth r >= 1 by Taylor's formula at a real
+    anchor a; returns (log, err).
 
-    Taylor data at the anchor plus the collapsed kernel integral of log L
-    along the path:
+        log L^(r)(s) = sum_{k=0}^{r-1} ((-1)^k / k!) (s-a)^k log L^(r-k)(a)
+                       + ((-1)^(r-1) / (r-1)!) int_a^s (s-xi)^(r-1) (L'/L)(xi) dxi
 
-        log L^(r)(s) = sum_{k=0}^{r-2} ((-1)^k / k!) (s-a)^k log L^(r-k)(a)
-                       + ((-1)^(r-1) / (r-2)!) int_a^s (s-xi)^(r-2) log L(xi) dxi
-
-    The logarithm under the integral is branch-tracked from the real Euler
-    value at the anchor.  The path must stay inside the zero-free cut
-    region; points too close to the critical line are flagged.
+    The terms k < r-1 are Euler sums at the anchor, each charged its tail;
+    the term k = r-1 is the principal log of the analytic L(a), which is
+    the series branch since |log L(a)| <= log zeta_K(1.5) < pi.  The
+    integral runs along the path, which must stay inside the zero-free cut
+    region; points too close to the critical line are flagged.  err adds
+    the tails and the quadrature error.
     """
     _check_pair(fld, chi)
-    if r not in (2, 3):
-        raise DomainError("continuation implemented for depths 2 and 3")
+    if not isinstance(r, int) or r < 1:
+        raise DomainError("depth r must be a positive integer")
     s = complex(s)
     a = float(anchor)
-    if a < 1.5:
+    if not a >= 1.5:   # also rejects NaN
         raise DomainError("anchor must be real with a >= 1.5")
+    if path is not None:
+        wps = path.waypoints
+        if abs(wps[0] - a) > 1e-9 or abs(wps[-1] - s) > 1e-9:
+            raise DomainError("path must run from the anchor to s")
+
+    logv = 0.0 + 0.0j
+    err = 0.0
+    for k in range(r):
+        coef = ((-1.0) ** k / math.factorial(k)) * (s - a) ** k
+        if k < r - 1:
+            lg, tail, _ = poly_l_log_euler(fld, chi, r - k, a, cfg)
+            err += abs(coef) * tail
+        else:
+            lg = cmath.log(l_value(fld, chi, a, cfg))
+        logv += coef * lg
     if path is None and abs(s - a) < 1e-9:
-        # s sits at the anchor: the remainder integral vanishes and only
-        # the k = 0 Taylor term survives
-        logv, tail_log, _ = poly_l_log_euler(fld, chi, r, a, cfg)
-        return Result.from_log(logv, tail_log, "continued")
-    if path is None:
-        path = PathSpec((complex(a), s))
-    wps = path.waypoints
-    if abs(wps[0] - a) > 1e-9 or abs(wps[-1] - s) > 1e-9:
-        raise DomainError("path must run from the anchor to s")
+        # s sits at the anchor: the remainder integral vanishes
+        return logv, err
+    path = path or PathSpec((complex(a), s))
 
     omega = _omega_for_path(fld, chi, path, cfg)
     flagged: list[complex] = []
 
-    def lfun(xi: np.ndarray) -> np.ndarray:
+    def remainder(xi: np.ndarray) -> np.ndarray:
         if omega is not None:
             if not (inside := omega.contains(xi)).all():
                 raise PathLeavesOmega(
                     f"path point {xi[~inside][0]} leaves the cut region")
             flagged.extend(xi[~omega.verifiable(xi)])
-        return l_value(fld, chi, xi, cfg)
+        return (s - xi) ** (r - 1) * l_log_derivative(fld, chi, xi, cfg)
 
-    def kernel(xi: np.ndarray) -> np.ndarray:
-        return np.ones_like(xi) if r == 2 else s - xi
-
-    anchor_log, tail_log, _ = poly_l_log_euler(fld, chi, 1, a, cfg)
-    tracked = tracked_log_polyline(lfun, wps, cfg, kernel=kernel,
-                                   anchor=anchor_log)
+    quad = integrate_polyline(remainder, path.waypoints, cfg)
     if flagged:
         warnings.warn(
             f"{len(flagged)} path points within 0.1 of the critical line or "
             "beyond the zero table height; continuation there rests on the "
             "assumed zero locations", stacklevel=2)
+    sign = (-1.0) ** (r - 1) / math.factorial(r - 1)
+    return logv + sign * quad.value, err + abs(sign) * quad.error
 
-    logv = 0.0 + 0.0j
-    tail_total = 0.0
-    for k in range(r - 1):
-        lg, tl, _ = poly_l_log_euler(fld, chi, r - k, a, cfg)
-        coef = ((-1.0) ** k / math.factorial(k)) * (s - a) ** k
-        logv += coef * lg
-        tail_total += abs(coef) * tl
-    sign = (-1.0) ** (r - 1) / math.factorial(r - 2)
-    logv += sign * tracked.value
-    # |s - xi| is convex on each segment, so its path maximum sits at a node
-    kmax = 1.0 if r == 2 else max(abs(s - w) for w in wps)
-    tail_total += abs(sign) * (tracked.error + path.length * kmax * tail_log)
-    return Result.from_log(logv, tail_total, "continued")
+
+def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
+                     cfg: EvalConfig = DEFAULT_CONFIG,
+                     anchor: float = 3.0,
+                     path: PathSpec | None = None) -> Result:
+    """L^(r)(s) for any depth r >= 1, continued from a real anchor
+    (`poly_l_log_continued`)."""
+    logv, err = poly_l_log_continued(fld, chi, r, s, cfg, anchor, path)
+    return Result.from_log(logv, err, "continued")
 
 
 def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,

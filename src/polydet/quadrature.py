@@ -1,6 +1,5 @@
-"""Locally adaptive Gauss-Kronrod quadrature along polylines, with an
-optional branch-tracked logarithm mode used for integrals of log L and for
-monodromy diagnostics.
+"""Locally adaptive Gauss-Kronrod quadrature along polylines, with a
+branch-tracked logarithm mode for the monodromy defect.
 
 Every panel carries the 21-node Kronrod extension of the 10-node
 Gauss-Legendre rule (G10/K21, the pair of QUADPACK's qk21), computed once
@@ -10,13 +9,15 @@ the path.  Each pass evaluates the integrand once, on the 21 nodes of every
 panel that is not yet settled: integrands take the node array and return
 the array of their values (`f(ndarray) -> ndarray`), and the evaluators
 below them (L-values, L'/L) split large arrays into kernel chunks
-themselves.  A panel's error is max(|K - G|, 50 eps sum |w_K f|): the
-Kronrod-Gauss difference, floored by the rounding of the integrand's own
-values (QUADPACK's roundoff term), so a systematic error in every node is
-charged too.  A panel settles when its error is at most its length share of
-max(tol, tol |I|), with tol = cfg.quad_tol and I the current sum of the
-panels' Kronrod values in path order; the other panels are bisected.  The
-error estimate is the sum of the panel errors.
+themselves.  A panel settles when its Kronrod-Gauss difference |K - G| is
+at most its length share of max(tol, tol |I|), with tol = cfg.quad_tol and
+I the current sum of the panels' Kronrod values in path order; the other
+panels are bisected.  The error a panel reports is max(|K - G|,
+50 eps sum |w_K f|): the difference floored by the rounding of the
+integrand's own values (QUADPACK's roundoff term), so a systematic error in
+every node is charged too.  The floor does not hold a panel open: it halves
+with the panel, as the panel's share does, so bisection could not settle
+it.  The error estimate is the sum of the panel errors.
 
 Branch tracking keeps the logarithm of every panel's node values in path
 order, walks the branch over all of them again on each pass, and also
@@ -170,12 +171,13 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
         if not cmath.isfinite(value):
             raise QuadratureNotConverged(
                 f"pass {passes} sum is {value}; integrand not finite on path")
-        err = np.maximum(np.abs(kg[:, 0] - kg[:, 1]),
-                         _ROUNDOFF * np.abs(half) * (np.abs(f) @ _WK))
+        diff = np.abs(kg[:, 0] - kg[:, 1])
         share = np.abs(hi - lo) / length
         blocked = step >= 0.5 * math.pi
-        open_ = blocked | (err > share * max(tol, tol * abs(value)))
+        open_ = blocked | (diff > share * max(tol, tol * abs(value)))
         if not open_.any():
+            err = np.maximum(diff, _ROUNDOFF * np.abs(half)
+                             * (np.abs(f) @ _WK))
             return QuadResult(value, float(err.sum()), passes, lo.size)
         stuck = open_ & (depth >= cfg.max_refinements)
         if (stuck & blocked).any():
@@ -185,7 +187,7 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
                 "a zero or pole")
         if stuck.any():
             raise QuadratureNotConverged(
-                f"panel error {err[stuck].max():.3e} still above its share "
+                f"panel error {diff[stuck].max():.3e} still above its share "
                 f"of tol {tol:.1e} after {cfg.max_refinements} bisections, "
                 f"{lo.size} panels")
         # each open panel becomes two fresh halves, kept in path order
@@ -212,17 +214,13 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], waypoints,
 
 def tracked_log_polyline(wf: Callable[[np.ndarray], np.ndarray], waypoints,
                          cfg: EvalConfig = DEFAULT_CONFIG, *,
-                         kernel: Callable[[np.ndarray], np.ndarray] | None = None,
-                         anchor: complex | None = None,
                          base_len: float = 0.5) -> QuadResult:
-    """Integral of kernel(xi) * log w(xi) along the polyline, with the
-    logarithm continued continuously from the start of the path.
+    """Integral of log w(xi) along the polyline, with the logarithm
+    continued continuously from the principal value at the first waypoint
+    (on a closed loop the choice drops out of the integral).
 
-    wf and kernel map a node array to a value array; each pass evaluates
-    wf once, at the new panels' nodes (the first also at the first
-    waypoint).  anchor, when given, is the known branch value of log w at
-    the first waypoint; otherwise the principal value there seeds the walk
-    (for closed loops the choice drops out of the integral).
+    wf maps a node array to a value array; each pass evaluates it once, at
+    the new panels' nodes (the first also at the first waypoint).
     """
     wps = _path(waypoints)
 
@@ -242,13 +240,8 @@ def tracked_log_polyline(wf: Callable[[np.ndarray], np.ndarray], waypoints,
         # nearest its predecessor: a cumulative sum of rounded jumps
         jumps = np.round(-np.diff(raw.imag) / TWO_PI)
         turns = np.concatenate(([0.0], np.cumsum(jumps)))
-        if anchor is not None:
-            turns += round((anchor - raw[0]).imag / TWO_PI)
         log = raw + TWO_PI * 1j * turns
         step = np.abs(np.diff(log.imag)).reshape(nodes.shape).max(axis=1)
-        log = log[1:].reshape(nodes.shape)
-        if kernel is not None:
-            log = log * kernel(nodes.ravel()).reshape(nodes.shape)
-        return log, step
+        return log[1:].reshape(nodes.shape), step
 
     return _refine(log_w, combine, wps, cfg, base_len)

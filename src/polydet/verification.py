@@ -9,7 +9,7 @@ Suites:
   explicit      truncated zero sums vs the contour route
   zerofinder    scanned ordinates vs published values and zero counts
   monodromy     winding/defect checks on zero-free loops
-  continuation  iterated-integral route vs Euler sums in the overlap
+  continuation  Taylor-plus-L'/L continuation vs Euler sums in the overlap
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DomainError, EmptyZeroTable, NonMonotoneError,
                      ParseError, UnsupportedCharacter)
 from .fields_and_characters import HeckeCharacter, NumberField
-from .l_functions import completed_lambda, root_number
+from .l_functions import completed_lambda
 
 __all__ = [
     "ZeroTable",
@@ -155,19 +155,6 @@ def builtin_zeta_zeros() -> ZeroTable:
 # Sign-change scanning
 
 
-def _line_component(fld: NumberField, chi: HeckeCharacter,
-                    cfg: EvalConfig) -> bool:
-    """Whether to scan the real part (root number +1; the completed function
-    is real on the critical line) or the imaginary part (root number -1)."""
-    w = root_number(fld, chi, cfg=cfg)
-    if abs(w - 1.0) < 1e-6:
-        return True
-    if abs(w + 1.0) < 1e-6:
-        return False
-    raise UnsupportedCharacter(
-        f"root number {w} is not +-1; sign scanning not supported")
-
-
 def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
                    cfg: EvalConfig = DEFAULT_CONFIG,
                    step: float = _SCAN_STEP) -> tuple[float, ...]:
@@ -179,24 +166,22 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
         raise UnsupportedCharacter("zero scan requires a self-dual character")
     if not height > 1.0:   # also rejects NaN
         raise DomainError("scan height must exceed 1")
-    use_real = _line_component(fld, chi, cfg)
 
     def g(t: np.ndarray) -> np.ndarray:
-        v = completed_lambda(fld, chi, 0.5 + 1j * t, cfg)
-        return v.real if use_real else v.imag
+        return completed_lambda(fld, chi, 0.5 + 1j * t, cfg).real
 
-    # realness sanity probes at generic heights (away from zeros, where the
-    # dead component would be 0/0)
+    # realness probes at generic heights (away from zeros, where Im/|Lambda|
+    # would be 0/0): Lambda is real on the line exactly when the root number
+    # is +1, as for every self-dual character of the supported family
     v = completed_lambda(fld, chi,
                          0.5 + 1j * (height * (np.arange(16) + 0.389) / 16.0),
                          cfg)
     w = np.abs(v)
-    dead = v.imag if use_real else v.real
-    off = np.abs(dead[w > 1e-280]) / w[w > 1e-280]
+    off = np.abs(v.imag[w > 1e-280]) / w[w > 1e-280]
     if off.size and (off_slack := off.max()) > 1e-6:
         raise UnsupportedCharacter(
-            "completed function has a nonvanishing off-component on the "
-            f"line (residual {off_slack:.2e})")
+            "completed function is not real on the line (residual "
+            f"{off_slack:.2e}); sign scanning needs root number +1")
 
     ts = np.arange(0.0, height + step, step)
     ts[-1] = min(ts[-1], height)

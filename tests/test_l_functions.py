@@ -28,7 +28,6 @@ from polydet import (
     kronecker_character,
     l_log_derivative,
     l_value,
-    log_l_branch,
     log_l_series,
     omega_region,
     root_number,
@@ -154,27 +153,6 @@ def test_log_l_series_is_principal_branch():
     for s, tol in ((2.0, 5e-6), (3.0 + 2.0j, 1e-10)):
         assert abs(cmath.exp(log_l_series(Q, TRIV, complex(s)))
                    - l_value(Q, TRIV, complex(s))) < tol
-
-
-def test_log_l_branch_matches_series_in_overlap():
-    path = PathSpec((3.0 + 0.0j, 2.5 + 1.0j))
-    got = log_l_branch(Q, TRIV, path)
-    want = log_l_series(Q, TRIV, 2.5 + 1.0j)
-    # limited by the series truncation at the comparison point
-    assert abs(got - want) < 1e-7
-
-
-def test_log_l_branch_closed_loop_returns():
-    loop = PathSpec((3.0 + 0.0j, 3.0 + 2.0j, 4.0 + 2.0j, 4.0 + 0.0j,
-                     3.0 + 0.0j))
-    got = log_l_branch(Q, TRIV, loop)
-    want = log_l_series(Q, TRIV, 3.0)
-    assert abs(got - want) < 1e-9
-
-
-def test_log_l_branch_needs_real_anchor():
-    with pytest.raises(DomainError):
-        log_l_branch(Q, TRIV, PathSpec((2.0 + 1.0j, 3.0 + 0.0j)))
 
 
 def test_completed_lambda_convention_against_mpmath():

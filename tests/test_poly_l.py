@@ -1,8 +1,11 @@
 """Depth-r L-functions: Euler sums, ladder identity, continuation, monodromy."""
+import cmath
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydet import (
     DEFAULT_CONFIG,
@@ -12,6 +15,8 @@ from polydet import (
     PathSpec,
     PathLeavesOmega,
     StencilLeavesDomain,
+    determinant_closed,
+    dirichlet_character_by_index,
     erh_monodromy_defect,
     kronecker_character,
     l_log_derivative,
@@ -19,6 +24,7 @@ from polydet import (
     log_l_series,
     poly_l_continued,
     poly_l_euler,
+    poly_l_log_continued,
     poly_l_ladder_residual,
     trivial_character,
 )
@@ -30,6 +36,9 @@ CHI4 = kronecker_character(-4)
 # regression value: continued L^(2) for chi_-4 at s = 0.8, below the
 # abscissa of convergence, real because the character is self-dual
 L2_CHI4_08 = 0.7478397531605411
+# depth-1 closed determinant for chi_5 (index 1) at 1.01 + 2i, where the
+# path from the anchor stays right of Re(s) = 1 and needs no zero scan
+XI1_CHI5 = 0.06167239184477233 - 0.1476106335722032j
 
 
 def test_depth_one_euler_is_l_value():
@@ -145,14 +154,54 @@ def test_continued_blocks_pole_cut():
 
 def test_continued_depth_guard():
     with pytest.raises(DomainError):
-        poly_l_continued(Q, TRIV, 1, 2.5)
-    with pytest.raises(DomainError):
-        poly_l_continued(Q, TRIV, 4, 2.5)
+        poly_l_continued(Q, TRIV, 0, 2.5)
+    for r in (1, 4):
+        res = poly_l_continued(Q, TRIV, r, 2.5)
+        assert cmath.isfinite(res.value) and res.error_estimate > 0.0
     with pytest.raises(DomainError):
         poly_l_continued(Q, TRIV, 2, 2.5, anchor=1.2)
     with pytest.raises(DomainError):
         poly_l_continued(Q, TRIV, 2, 2.5,
                          path=PathSpec((3.0 + 0j, 2.0 + 0j)))  # wrong endpoint
+
+
+@settings(max_examples=30, deadline=None)
+@given(chi=st.sampled_from([TRIV, CHI4]), r=st.integers(1, 4),
+       re=st.floats(1.5, 4.0), im=st.floats(-2.0, 2.0))
+def test_continued_matches_euler_within_claims(chi, r, re, im):
+    s = complex(re, im)
+    got = poly_l_continued(Q, chi, r, s)
+    ref = poly_l_euler(Q, chi, r, s, prime_bound=2_000_000)
+    assert abs(got.value - ref.value) \
+        <= got.error_estimate + ref.error_estimate
+
+
+def test_depth_one_closed_determinant_right_of_one():
+    chi5 = dirichlet_character_by_index(5, 1)
+    got = determinant_closed(Q, chi5, 1, 1.01 + 2.0j)
+    assert abs(got.value - XI1_CHI5) <= 1e-13 * abs(XI1_CHI5)
+
+
+def test_log_continued_depth_one_matches_series_in_overlap():
+    got, err = poly_l_log_continued(Q, TRIV, 1, 2.5 + 1.0j)
+    want = log_l_series(Q, TRIV, 2.5 + 1.0j)
+    # limited by the series truncation at the comparison point
+    assert abs(got - want) < 1e-7
+    assert 0.0 < err < 1e-12
+
+
+def test_log_continued_depth_one_closed_loop_returns():
+    loop = PathSpec((3.0 + 0.0j, 3.0 + 2.0j, 4.0 + 2.0j, 4.0 + 0.0j,
+                     3.0 + 0.0j))
+    got, _ = poly_l_log_continued(Q, TRIV, 1, 3.0, path=loop)
+    want = log_l_series(Q, TRIV, 3.0)
+    assert abs(got - want) < 1e-9
+
+
+def test_log_continued_path_must_start_at_the_anchor():
+    with pytest.raises(DomainError):
+        poly_l_log_continued(Q, TRIV, 1, 3.0,
+                             path=PathSpec((2.0 + 1.0j, 3.0 + 0.0j)))
 
 
 def test_monodromy_defect_zero_free_box():

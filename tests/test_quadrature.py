@@ -1,5 +1,5 @@
 """Polyline quadrature: the Gauss-Kronrod rule, exactness on polynomials,
-residues on closed loops, local refinement, branch anchoring, the rounding
+residues on closed loops, local refinement, branch tracking, the rounding
 floor of the error estimate, and the one non-convergence policy of both
 entry points.
 
@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydet import DEFAULT_CONFIG
+from polydet import (DEFAULT_CONFIG, NumberField, trivial_character,
+                     xi_hankel)
 from polydet.errors import (BranchStepTooLarge, DomainError,
                             QuadratureNotConverged)
 from polydet.quadrature import (integrate_polyline, kronrod_rule,
@@ -64,18 +65,6 @@ def test_polynomials_integrate_exactly_at_first_level(coeffs, waypoints):
 def test_closed_square_picks_up_the_residue(a, expect):
     res = integrate_polyline(lambda u: 1.0 / (u - a), SQUARE)
     assert abs(res.value - expect) < 1e-9
-
-
-def test_anchor_selects_the_branch():
-    def wf(u):
-        return u + 3.0
-
-    wps = (0.0, 1.0 + 1.0j, 2.0 + 0.5j)
-    shifted = cmath.log(wf(wps[0])) + 2j * math.pi
-    base = tracked_log_polyline(wf, wps)
-    moved = tracked_log_polyline(wf, wps, anchor=shifted)
-    expect = 2j * math.pi * (wps[-1] - wps[0])
-    assert abs(moved.value - base.value - expect) < 1e-12
 
 
 def test_both_entry_points_raise_when_not_converged():
@@ -166,3 +155,16 @@ def test_claimed_error_covers_planted_node_noise():
     exact = 1e6 * (cmath.exp(1j) - 1.0) / 1j
     assert abs(res.value - exact) > 1e-9
     assert abs(res.value - exact) <= res.error
+
+
+def test_roundoff_floor_does_not_hold_panels_open():
+    # next to the small circle of this xi a short ray panel carries much of
+    # sum |f|: its roundoff floor exceeds its share of a tight tolerance at
+    # every bisection, so the floor is charged to the error but may not
+    # block settling
+    q = NumberField.rational()
+    args = (q, trivial_character(q), 3.907 + 2.908j, 1.408 + 0.189j)
+    loose = xi_hankel(*args)
+    tight = xi_hankel(*args, DEFAULT_CONFIG.with_updates(quad_tol=1e-12))
+    assert abs(tight.value - loose.value) \
+        <= tight.error_estimate + loose.error_estimate
