@@ -304,9 +304,6 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     chi = parse_character(fld, args.char)
     inputs = {"field": args.field, "char": args.char,
               "depth": args.depth, "s": str(args.s)}
-    if args.prime_bound:
-        cfg = cfg.with_updates(prime_bound=args.prime_bound)
-    inputs["prime_bound"] = cfg.prime_bound
     if args.continued:
         path = None
         if args.path:
@@ -483,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="depth-r poly L-function")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--s", type=_complex_arg, required=True)
-    p.add_argument("--prime-bound", type=int, dest="prime_bound")
     p.add_argument("--continued", action="store_true",
                    help="integrate from a real anchor instead of the Euler sum")
     p.add_argument("--anchor", type=float, default=3.0)

@@ -23,7 +23,8 @@ class EvalConfig:
     bernoulli_terms: int = 20
     # Hard cap on series lengths (polylog, Dirichlet series tails).
     series_max_terms: int = 2_000_000
-    # Euler products and prime power sums use prime ideals of norm <= this.
+    # Sieve bound of the plain prime-power series that cross-check the
+    # analytic L right of 1 (log_l_series, the "series" route of L'/L).
     prime_bound: int = 100_000
     # Relative/absolute tolerance for adaptive panel refinement.
     quad_tol: float = 1e-10

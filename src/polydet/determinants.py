@@ -16,6 +16,10 @@ valid for all s away from s = 1; `xi_ds_at_depth` is d/ds of the same
 pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
 This direct route reads only the analytic L'/L, no prime tables; the closed
 form uses the depth-r Euler sum, Bernoulli polynomials and Milnor gammas.
+
+Both routes read the analytic L'/L, whose integral is the closed route's
+Euler tail past norm 1000 (`poly_l.poly_l_log_euler`); the `ladder` verify
+suite checks that route against a plain sieve, tests check L'/L by mpmath.
 """
 
 from __future__ import annotations
@@ -224,8 +228,7 @@ def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
 
 @overflow_is_domain_error
 def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
-                       z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-                       prime_bound: int | None = None) -> Result:
+                       z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
     """Closed-form depth-r determinant.
 
     log Xi_r(z) = eps sum_{u in {z, z-1}} (u/2pi)^(r-1) log(u/2pi)
@@ -233,9 +236,9 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
                   + sum_v [ -((N_v pi)^(1-r)/r) B_r(w_v) log(N_v pi)
                             + (N_v pi)^(1-r) log MilnorGamma_r(w_v) ]
 
-    The depth-r logarithm comes from the truncated Euler sum (depth 1 from
-    the analytic log L continued from a real anchor, with its quadrature
-    error), Milnor gamma logs from the Hurwitz zeta s-derivative at 1 - r.
+    The depth-r logarithm comes from the Euler sum with its L'/L tail (depth
+    1 from the analytic log L continued from a real anchor, with its
+    quadrature error), Milnor gamma logs from zeta_s'(1 - r, w).
     """
     _check_pair(fld, chi)
     if not isinstance(r, int) or r < 1:
@@ -254,9 +257,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
     if r == 1:
         log_lr, tail = poly_l_log_continued(fld, chi, 1, z, cfg)
     else:
-        log_lr, tail, _ = poly_l_log_euler(fld, chi, r, z, cfg,
-                                           prime_bound
-                                           or _auto_prime_bound(fld, z))
+        log_lr, tail, _ = poly_l_log_euler(fld, chi, r, z, cfg)
     lcoef = (-1.0) ** (r - 1) * math.factorial(r - 1) * _TWO_PI ** (1 - r)
     logv += lcoef * log_lr
 
@@ -270,19 +271,6 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
         logv += coef * em.ds
         err += coef * em.err_ds
     return Result.from_log(logv, err, "closed")
-
-
-def _auto_prime_bound(fld: NumberField, z: complex) -> int:
-    """Smallest sieve bound whose estimated Euler tail is below 2e-7, else
-    the 8M cap: below Re z ~ 1.81 over Q (1.86 over a quadratic field) no
-    bound meets 2e-7, so the closed route there sums to 8M and claims the
-    larger tail."""
-    sigma = complex(z).real
-    for x in (100_000, 500_000, 2_000_000, 4_000_000, 8_000_000):
-        est = fld.degree * x ** (1.0 - sigma) / ((sigma - 1.0) * math.log(x))
-        if est <= 2e-7:
-            return x
-    return 8_000_000
 
 
 def regularized_product(fld: NumberField, chi: HeckeCharacter, z: complex,

@@ -23,14 +23,8 @@ principle.
 Right of Re(s) = 1 an independent route sums over prime ideals in one
 kernel, `_prime_power_sum`: its rung r = 1 is log L (`log_l_series`), its
 rung r = 0 is -L'/L (`l_log_derivative`, route "series"), and r >= 2 gives
-the depth-r logarithms of `poly_l`.  It sums norms below P0 = 4096 term by
-term and the rest in blocks of width h = 1/16 in log NP, each from
-precomputed moments and a 20-term Taylor series about the block centre
-(the local-Taylor step of the non-uniform FFT, Dutt & Rokhlin 1993), so
-a sum to the 8M bound costs a few hundred exponentials instead of one per
-prime ideal.  The moments depend on neither s nor r and are cached per
-table and power class of the character, their binomially weighted sums per
-depth r as well.
+the head of the depth-r logarithms of `poly_l`.  It sums every ideal and
+power term by term in one flat pass over the cached ideal table.
 """
 
 from __future__ import annotations
@@ -289,15 +283,6 @@ def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s,
 # Prime power series (independent route, Re s > 1)
 
 
-# Far field of the prime-power sum: norms of at least _NEAR_NORM fall into
-# blocks of width _BLOCK_WIDTH in log NP, each summed from _TAYLOR_TERMS
-# moments while |l s| _BLOCK_WIDTH / 2 <= 1 (see `_prime_power_sum`)
-_NEAR_NORM = 4096
-_LOG_NEAR = math.log(_NEAR_NORM)
-_BLOCK_WIDTH = 1.0 / 16.0
-_TAYLOR_TERMS = 20
-
-
 @lru_cache(maxsize=64)
 def _ideal_arrays(fld: NumberField, chi: HeckeCharacter, bound: int):
     """(norms, log norms, character values) of the prime ideals of norm
@@ -311,141 +296,30 @@ def _ideal_arrays(fld: NumberField, chi: HeckeCharacter, bound: int):
     return norms, np.log(norms), chiv
 
 
-def _block_centres(nblocks: int) -> np.ndarray:
-    """log NP at the centres a_b of the first nblocks far-field blocks."""
-    return _LOG_NEAR + _BLOCK_WIDTH * (np.arange(nblocks) + 0.5)
-
-
-def _block_edges(logn: np.ndarray) -> np.ndarray:
-    """Table indices where the far-field blocks [log P0 + b h,
-    log P0 + (b+1) h) start, then len(logn); [0, edges[0]) is near."""
-    top = logn[-1] if logn.size else 0.0
-    nblocks = int((top - _LOG_NEAR) // _BLOCK_WIDTH) + 1 if top >= _LOG_NEAR \
-        else 0
-    return np.searchsorted(
-        logn, _LOG_NEAR + _BLOCK_WIDTH * np.arange(nblocks + 1))
-
-
-@lru_cache(maxsize=64)
-def _character_order(chi: HeckeCharacter) -> int:
-    """Least m >= 1 with chi^m principal, so chi^l = chi^((l-1) % m + 1)."""
-    values = np.array([v for v in chi.values if abs(v) > 0.5],
-                      dtype=np.complex128)
-    m = 1
-    while np.abs(values ** m - 1.0).max(initial=0.0) > 1e-9:
-        m += 1
-    return m
-
-
-@lru_cache(maxsize=64)
-def _block_moments(fld: NumberField, chi: HeckeCharacter, bound: int,
-                   power: int) -> np.ndarray:
-    """M[b, n] = sum over P in far-field block b of chi(P)^power d_P^n,
-    n < _TAYLOR_TERMS, with d_P the offset of log NP from the block centre;
-    real for a real character.  Independent of s and r."""
-    _, logn, chiv = _ideal_arrays(fld, chi, bound)
-    edges = _block_edges(logn)
-    lo, counts = edges[0], np.diff(edges)
-    d = np.repeat(_block_centres(counts.size), counts)
-    np.subtract(logn[lo:], d, out=d)
-    w = chiv[lo:].real ** power if chi.is_self_dual else chiv[lo:] ** power
-    moments = np.zeros((counts.size, _TAYLOR_TERMS), dtype=w.dtype)
-    full = np.flatnonzero(counts)
-    starts = edges[full] - lo
-    for n in range(_TAYLOR_TERMS):
-        moments[full, n] = np.add.reduceat(w, starts)
-        w *= d
-    return moments
-
-
-@lru_cache(maxsize=256)
-def _weighted_moments(fld: NumberField, chi: HeckeCharacter, bound: int,
-                      power: int, r: int) -> np.ndarray:
-    """R[b, j] = sum over k < NT - j of binom(1-r, k) a_b^(1-r-k) M[b, k+j]:
-    the moments of `_block_moments` weighted by the binomial series of
-    (a_b + d)^(1-r) = (log NP)^(1-r) about the block centre a_b.
-    Independent of s."""
-    moments = _block_moments(fld, chi, bound, power)
-    k = np.arange(_TAYLOR_TERMS)
-    a = _block_centres(len(moments))
-    binom = np.cumprod(np.concatenate(([1.0], (1 - r - k[:-1]) / k[1:])))
-    weights = binom * a[:, None] ** (1 - r - k)
-    out = np.empty_like(moments)
-    for j in range(_TAYLOR_TERMS):
-        out[:, j] = np.sum(weights[:, :_TAYLOR_TERMS - j] * moments[:, j:],
-                           axis=1)
-    return out
-
-
-def _far_field(weighted: np.ndarray, ls: complex) -> complex:
-    """sum over the first len(weighted) blocks b of
-    exp(-ls a_b) sum_j (-ls)^j / j! R[b, j], R from `_weighted_moments`."""
-    a = _block_centres(len(weighted))
-    expo = np.cumprod(np.concatenate(
-        ([1.0], -ls / np.arange(1, _TAYLOR_TERMS))))
-    # elementwise, not a matrix product, which would page BLAS kernels
-    # into memory for a 20-term sum
-    return complex(np.sum(np.exp(-ls * a) * np.sum(weighted * expo, axis=1)))
-
-
 def _prime_power_sum(fld: NumberField, chi: HeckeCharacter, s: complex,
                      r: int, bound: int) -> complex:
     """sum over P with NP <= bound and l >= 1 of
     (log NP)^(1-r) chi(P)^l NP^(-ls) / l^r, for r >= 0 and Re(s) > 1.
 
-    Terms with NP^(-l Re s) < 1e-19 are dropped; the sum over l stops at the
-    first power where that drops every ideal, so Re(s) must not be NaN.
-
-    For each l the kept ideals are the table prefix [0, k).  The near field,
-    norms below P0 = `_NEAR_NORM` and the partial block at the cutoff k, is
-    summed term by term.  The far field, the whole blocks of width
-    h = `_BLOCK_WIDTH` in log NP between them, is summed per block b as
-
-        exp(-ls a_b) sum_{n < NT} c_n M[b, n],
-
-    with a_b the block centre, c_n the Taylor coefficients in d of
-    exp(-ls d) (a_b + d)^(1-r) and M[b, n] = sum_{P in b} chi(P)^l d_P^n
-    the moments of `_block_moments` (NT = `_TAYLOR_TERMS` = 20).  Grouped by
-    the power of ls this is exp(-ls a_b) sum_j (-ls)^j / j! R[b, j], with R
-    the binomially weighted moments of `_weighted_moments`, so a call costs
-    one exponential per block.  Blocks are used only while |l s| h/2 <= 1;
-    beyond that k itself ends the near field, so every ideal is summed term
-    by term.
-
-    Error: with |l s d| <= 1 the Taylor remainder of exp(-ls d) is at most
-    e/NT! relative to exp(-ls a_b), and each term is at least e^-1 times
-    that, so truncation costs about e^2/20! ~ 3e-18 of sum |terms|; the
-    binomial series converges like (h / 2 a_b)^n <= 0.004^n.  The sum of
-    |c_n M[b, n]| is at most about e^2 times the block's sum |terms|, so
-    rounding stays within a few units of eps sum |terms|, as for the
-    per-term sum.
+    Terms with NP^(-l Re s) < 1e-19 are dropped, so for each l the kept
+    ideals are a table prefix [0, k_l), and l stops at the first power that
+    drops every ideal; Re(s) must not be NaN.  All (l, ideal) terms form one
+    flat array, from a single exponential call over the table.
     """
     norms, logn, chiv = _ideal_arrays(fld, chi, bound)
-    edges = _block_edges(logn)
-
-    def near(lo: int, hi: int, l: int) -> complex:
-        x = logn[lo:hi]
-        return np.sum(x ** (1 - r) * chiv[lo:hi] ** l * np.exp(-l * s * x))
-
-    total = 0.0 + 0.0j
-    l = 1
-    while True:
-        k = int(np.searchsorted(norms, 10.0 ** (19.0 / (l * s.real)),
-                                side="right"))
-        if k == 0:
-            return complex(total)
-        nb = 0
-        if abs(l * s) * _BLOCK_WIDTH / 2 <= 1.0:
-            nb = int(np.searchsorted(edges[1:], k, side="right"))
-        if nb == 0:
-            part = near(0, k, l)
-        else:
-            power = (l - 1) % _character_order(chi) + 1
-            weighted = _weighted_moments(fld, chi, bound, power, r)
-            part = near(0, edges[0], l) + near(edges[nb], k, l) \
-                + _far_field(weighted[:nb], l * s)
-        total += part / l ** r
-        l += 1
+    # k_l is nonincreasing in l, and zero once l log10 NP_min > 19 / Re s
+    top = int(19.0 / (s.real * math.log10(norms[0]))) + 2
+    ls = np.arange(1, top + 1)
+    ks = np.searchsorted(norms, 10.0 ** (19.0 / (ls * s.real)), side="right")
+    ls, ks = ls[ks > 0], ks[ks > 0]
+    l = np.repeat(ls, ks)
+    i = np.arange(l.size) - np.repeat(np.cumsum(ks) - ks, ks)   # ideal index
+    # chi(P)^l NP^(-ls) as an integer power of chi(P) NP^-s, which numpy
+    # forms by repeated squaring; l^-r as a float power, which underflows
+    # to 0 quietly at large depth
+    base = chiv * np.exp(-s * logn)
+    inv_lr = np.repeat(ls.astype(float) ** -r, ks)
+    return complex(np.sum(logn[i] ** (1 - r) * base[i] ** l * inv_lr))
 
 
 def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex,

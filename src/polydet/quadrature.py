@@ -26,6 +26,9 @@ panel that is still unsettled after cfg.max_refinements bisections raises
 QuadratureNotConverged (BranchStepTooLarge when the branch step blocked
 it), a sum or tracked logarithm that is not finite raises it at once, and
 no unconverged value is returned.
+
+`laguerre_rule`, the Gauss rule of the weight x^alpha e^-x on [0, inf), is
+a fixed rule, not a second adaptive loop, for the Euler tail of `poly_l`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -41,7 +45,7 @@ from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import BranchStepTooLarge, DomainError, QuadratureNotConverged
 
 __all__ = ["QuadResult", "integrate_polyline", "tracked_log_polyline",
-           "kronrod_rule"]
+           "kronrod_rule", "laguerre_rule"]
 
 TWO_PI = 2.0 * math.pi
 # QUADPACK's roundoff floor: a panel's error is at least this many units of
@@ -98,6 +102,18 @@ def kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     wg[1::2] = _golub_welsch(a[:n], b[:n])[1]   # still Legendre's entries
     # exact symmetry about 0
     return 0.5 * (nodes - nodes[::-1]), 0.5 * (wk + wk[::-1]), wg
+
+
+@lru_cache(maxsize=None)
+def laguerre_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of the weight x^alpha e^-x on [0, inf) by
+    Golub-Welsch (Jacobi matrix: diagonal 2k + alpha + 1, off-diagonal
+    sqrt(k (k + alpha))): ascending nodes and weights summing to 1, i.e.
+    divided by Gamma(alpha + 1).  Cached arrays; do not write to them."""
+    k = np.arange(n, dtype=float)
+    b = k * (k + alpha)
+    b[0] = 1.0
+    return _golub_welsch(2.0 * k + alpha + 1.0, b)
 
 
 def _golub_welsch(a: np.ndarray, b: np.ndarray):

@@ -74,21 +74,17 @@ def test_eval_schema_all_functions(capsys):
         code, recs = run_json(capsys, argv)
         assert code == 0
         assert set(recs[0]) == SCHEMA_KEYS
-    # the last case is the Euler sum: its record names the config's bound
-    assert recs[0]["inputs"]["prime_bound"] == 100_000
 
 
-def test_continued_polyl_uses_and_records_the_prime_bound(capsys):
-    argv = ["polyl", "--depth", "2", "--s", "2.5", "--continued"]
-    recs = {}
-    for bound in (20, 1_000_000):
-        code, out = run_json(capsys, argv + ["--prime-bound", str(bound)])
-        assert code == 0
-        assert out[0]["inputs"]["prime_bound"] == bound
-        recs[bound] = out[0]
-    # the Euler tail at the anchor shrinks with the bound
-    assert recs[20]["error_estimate"] > 10 * recs[1_000_000]["error_estimate"]
-    assert recs[20]["config_hash"] != recs[1_000_000]["config_hash"]
+def test_polyl_has_no_prime_bound_flag(capsys):
+    # the Euler route sums a fixed table plus an exact tail, so a bound
+    # flag would be silently ignored; argparse rejects it instead
+    with pytest.raises(SystemExit) as exc:
+        main(["polyl", "--depth", "2", "--s", "2.5", "--continued",
+              "--prime-bound", "20"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--prime-bound" in err and "Traceback" not in err
 
 
 def test_det_both_routes(capsys):
@@ -134,6 +130,7 @@ def test_domain_error_exits_2(capsys):
     ["zeros", "--find", "--height", "nan"],
     ["eval", "--fn", "hurwitz", "--s", "2", "--z", "1e300"],
     ["polyl", "--depth", "200", "--s", "3"],
+    ["polyl", "--depth", "400", "--s", "3"],
 ])
 def test_non_finite_input_or_overflow_exits_2(capsys, argv):
     # a numpy RuntimeWarning would reach stderr ahead of the error line

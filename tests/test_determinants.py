@@ -179,10 +179,3 @@ def test_determinant_domain_guard():
         determinant_closed(Q, TRIV, 2, 0.5)
     with pytest.raises(DomainError):
         determinant_direct(Q, TRIV, 2, 0.5)
-
-
-def test_closed_prime_bound_override():
-    a = determinant_closed(Q, TRIV, 2, 2.0, prime_bound=50_000)
-    b = determinant_closed(Q, TRIV, 2, 2.0, prime_bound=2_000_000)
-    assert abs(a.value - b.value) < a.error_estimate + b.error_estimate
-    assert b.error_estimate < a.error_estimate

@@ -34,8 +34,7 @@ from polydet import (
     trivial_character,
 )
 from polydet import special_functions
-from polydet.l_functions import (_block_moments, _ideal_arrays, _l_and_ds,
-                                  _prime_power_sum, _weighted_moments)
+from polydet.l_functions import _ideal_arrays, _l_and_ds, _prime_power_sum
 from polydet.special_functions import EM_CHUNK, hurwitz_zeta_em, log_gamma
 
 mp.mp.dps = 30
@@ -349,7 +348,7 @@ def test_omega_region_tests_arrays_elementwise():
 
 
 # ---------------------------------------------------------------------------
-# Prime-power sum: blocked far field against the per-term sum
+# Prime-power sum: the flat (power x ideal) pass against per-power sums
 
 
 def _per_term_sum(fld, chi, s, r, bound):
@@ -380,8 +379,6 @@ SUM_PAIRS = [(Q, TRIV), (Q, CHI4), (QI, trivial_character(QI)),
        sigma=st.floats(1.02, 6.0), t=st.floats(-60.0, 60.0),
        bound=st.sampled_from([10_000, 200_000]))
 def test_prime_power_sum_matches_per_term_sum(pair, r, sigma, t, bound):
-    # |Im s| up to 60 puts l = 1 on both sides of the block cap
-    # |l s| h / 2 <= 1
     fld, chi = pair
     s = complex(sigma, t)
     want, size = _per_term_sum(fld, chi, s, r, bound)
@@ -392,15 +389,3 @@ def test_prime_power_sum_at_the_largest_sieve_bound():
     fld, chi, s, bound = QI, trivial_character(QI), 1.3 + 0j, 8_000_000
     want, size = _per_term_sum(fld, chi, s, 2, bound)
     assert abs(_prime_power_sum(fld, chi, s, 2, bound) - want) <= 1e-14 * size
-
-
-def test_block_moments_per_power_class():
-    # chi^l repeats with the order of chi, so the order-4 character needs
-    # at most four moment tables per bound; a real character's are real
-    _block_moments.cache_clear()
-    _weighted_moments.cache_clear()
-    for r in (0, 1, 3):
-        for s in (1.05 + 0.5j, 1.5 - 3.0j, 2.5 + 0j):
-            _prime_power_sum(Q, CHI5, s, r, 200_000)
-    assert 1 <= _block_moments.cache_info().currsize <= 4
-    assert _block_moments(Q, CHI4, 200_000, 2).dtype == np.float64

@@ -25,6 +25,7 @@ from polydet import (
     poly_l_continued,
     poly_l_euler,
     poly_l_log_continued,
+    poly_l_log_euler,
     poly_l_ladder_residual,
     trivial_character,
 )
@@ -32,6 +33,8 @@ from polydet import (
 Q = NumberField.rational()
 TRIV = trivial_character(Q)
 CHI4 = kronecker_character(-4)
+QI = NumberField.quadratic(-1)
+CHI5 = dirichlet_character_by_index(5, 1)     # complex, order 4
 
 # regression value: continued L^(2) for chi_-4 at s = 0.8, below the
 # abscissa of convergence, real because the character is self-dual
@@ -76,15 +79,6 @@ def test_series_domain_edges_at_floor():
         poly_l_euler(Q, CHI4, 2, nan)
 
 
-def test_euler_tail_bound_shrinks_with_prime_bound():
-    small = poly_l_euler(Q, TRIV, 2, 1.5, prime_bound=10_000)
-    large = poly_l_euler(Q, TRIV, 2, 1.5, prime_bound=1_000_000)
-    assert 0.0 < large.error_estimate < small.error_estimate
-    # both truncations must agree within their summed certified tails
-    gap = abs(small.value - large.value)
-    assert gap <= small.error_estimate + large.error_estimate
-
-
 def test_ladder_residuals():
     # d/ds log L^(r) = -log L^(r-1), finite differenced
     assert poly_l_ladder_residual(Q, TRIV, 2, 2.5, 1e-3) < 1e-5
@@ -103,7 +97,7 @@ def test_ladder_stencil_domain_guard():
 
 
 def test_continued_overlap_with_euler():
-    ref = poly_l_euler(Q, TRIV, 2, 2.5, prime_bound=2_000_000)
+    ref = poly_l_euler(Q, TRIV, 2, 2.5)
     got = poly_l_continued(Q, TRIV, 2, 2.5)
     assert abs(got.value - ref.value) < 1e-7
     assert got.route == "continued"
@@ -135,7 +129,7 @@ def test_continued_below_convergence_regression():
 def test_continued_certified_tails_cover_gap():
     # at s = 1.5 the Euler route tail is large but certified; the two
     # routes must agree within the sum of their claimed tails
-    ref = poly_l_euler(Q, TRIV, 2, 1.5, prime_bound=2_000_000)
+    ref = poly_l_euler(Q, TRIV, 2, 1.5)
     got = poly_l_continued(Q, TRIV, 2, 1.5)
     gap = abs(got.value - ref.value)
     assert gap <= got.error_estimate + ref.error_estimate
@@ -166,14 +160,55 @@ def test_continued_depth_guard():
 
 
 @settings(max_examples=30, deadline=None)
-@given(chi=st.sampled_from([TRIV, CHI4]), r=st.integers(1, 4),
-       re=st.floats(1.5, 4.0), im=st.floats(-2.0, 2.0))
-def test_continued_matches_euler_within_claims(chi, r, re, im):
+@given(pair=st.sampled_from([(Q, TRIV), (Q, CHI4), (QI, trivial_character(QI)),
+                             (Q, CHI5)]),
+       r=st.integers(1, 4), re=st.floats(1.5, 4.0), im=st.floats(-2.0, 2.0))
+def test_continued_matches_euler_within_claims(pair, r, re, im):
+    fld, chi = pair
     s = complex(re, im)
-    got = poly_l_continued(Q, chi, r, s)
-    ref = poly_l_euler(Q, chi, r, s, prime_bound=2_000_000)
+    got = poly_l_continued(fld, chi, r, s)
+    ref = poly_l_euler(fld, chi, r, s)
     assert abs(got.value - ref.value) \
         <= got.error_estimate + ref.error_estimate
+
+
+# log zeta^(r)(s) = sum_l l^-r T_r(l s), T_r(u) = sum_p (log p)^(1-r) p^-u
+# = (1/(r-2)!) int_0^inf t^(r-2) P(u + t) dt with P the prime zeta function;
+# about six minutes in mpmath, so the values are pinned:
+#
+#     mp.mp.dps = 20
+#     def T(r, u):
+#         f = lambda t: t ** (r - 2) * mp.primezeta(u + t)
+#         return mp.quad(f, [0, 1, 4, mp.inf]) / mp.factorial(r - 2)
+#     def log_zeta_r(r, s):
+#         tot, l = 0, 1
+#         while True:
+#             term = T(r, l * mp.mpc(s)) / l ** r
+#             tot += term
+#             if abs(term) < 1e-19 and l > 2:
+#                 return tot
+#             l += 1
+LOG_ZETA_R = {
+    (2, 1.3): 1.1112141700337953716 + 0j,
+    (2, 1.3 + 0.5j): 0.86084147582759723387 - 0.5464894936997792613j,
+    (3, 1.3 + 0.5j): 1.0481184979826168281 - 0.50878361671199018345j,
+    (4, 1.55 + 2j): 0.063443530686401302552 - 1.1156233711409190133j,
+}
+
+
+@pytest.mark.parametrize("r, s", list(LOG_ZETA_R))
+def test_log_euler_against_prime_zeta_reference(r, s):
+    got, err, _ = poly_l_log_euler(Q, TRIV, r, s)
+    assert abs(got - LOG_ZETA_R[r, s]) <= err <= 1e-11
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_log_euler_near_the_pole_within_its_claim(r):
+    # at Re s = 1.02 the tail integral carries most of the sum
+    s = 1.02 + 0.3j
+    got, err, _ = poly_l_log_euler(Q, TRIV, r, s)
+    ref, ref_err = poly_l_log_continued(Q, TRIV, r, s)
+    assert abs(got - ref) <= err + ref_err
 
 
 def test_depth_one_closed_determinant_right_of_one():
