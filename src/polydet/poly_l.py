@@ -108,7 +108,7 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     small, large = f[:split].sum(), f[split:].sum()
     size = np.sum(vex[split:] * (np.abs(lld[split:])
                                  + np.abs(corr[split:]).sum(axis=1)))
-    # sum |terms| of the head is below sum (log NP)^(1-r) NP^-s / (1 - NP^-s)
+    # the head's sum |terms| is at most sum (log NP)^(1-r) / (NP^Re(s) - 1)
     head_size = np.sum(logn ** (1 - r) / (norms ** s.real - 1.0))
     err = (abs(large - small) + _ROUNDOFF * size) / _LOG_X ** r \
         + _ROUNDOFF * (1.0 + abs(s.imag) * _LOG_X) * head_size
