@@ -336,12 +336,9 @@ def run_xi(args, cfg: EvalConfig) -> tuple[list[dict], int]:
                              "field/character (try `zeros --find --export`)")
         res = xi_zero_sum(fld, chi, s, z, table, cfg)
     else:
-        base = default_contour(z)
-        contour = ContourSpec(
-            args.delta if args.delta is not None else base.delta,
-            args.cut_depth if args.cut_depth is not None else base.cut_depth)
+        contour = default_contour(z) if args.delta is None \
+            else ContourSpec(args.delta)
         inputs["delta"] = contour.delta
-        inputs["cut_depth"] = contour.cut_depth
         res = xi_hankel(fld, chi, s, z, cfg, contour=contour)
     return [make_record(inputs, res.value, res.error_estimate, res.route, cfg)], 0
 
@@ -492,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("zeros", "hankel"), default="hankel")
     p.add_argument("--zeros-file", dest="zeros_file")
     p.add_argument("--delta", type=float, help="contour circle radius")
-    p.add_argument("--cut-depth", type=float, dest="cut_depth",
-                   help="ray truncation depth")
 
     p = sub.add_parser("det", parents=[common, pair],
                        help="depth-r determinant of the shifted zeros")

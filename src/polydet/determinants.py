@@ -7,13 +7,18 @@ over tabulated zeros (Re(s) > 1), and a Hankel-contour representation
     xi = A1 + A2 + A3,
 
     A1 = eps [(2pi/z)^s + (2pi/(z-1))^s]
-    A2 = (2pi)^s [ (sin(pi s)/pi) int_delta^X (L'/L)(z+x) x^-s dx
+    A2 = (2pi)^s [ (sin(pi s)/pi) int_delta^inf (L'/L)(z+x) x^-s dx
          + (delta^(1-s)/2pi) int_-pi^pi (L'/L)(z - delta e^(i psi))
                                         e^(i(1-s) psi) dpsi ]
     A3 = - sum_v (N_v pi)^s zeta(s, w_v),   w_v = (N_v(z+i phi_v)+|m_v|)/2
 
 valid for all s away from s = 1; `xi_ds_at_depth` is d/ds of the same
 pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
+The ray integral from lo (delta for xi, 0 at s = 1 - r) runs in t with the
+exp-sinh substitution x = lo + exp((pi/2) sinh t), t in
+[-4, asinh(2 log 80 / pi)], about 150 L'/L nodes per direct determinant;
+the cut ends x - lo < e^-42.9 and x - lo > 80 are bounded a priori from a
+majorant of |L'/L|.
 This direct route reads only the analytic L'/L, no prime tables; the closed
 form uses the depth-r Euler sum, Bernoulli polynomials and Milnor gammas.
 
@@ -57,10 +62,9 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Hankel contour data: circle radius and truncation depth of the ray."""
+    """Hankel contour data: the radius of the circle around z."""
 
     delta: float
-    cut_depth: float = 60.0
 
     def validate(self, z: complex) -> None:
         if not 0.0 < self.delta:
@@ -69,17 +73,14 @@ class ContourSpec:
             raise ContourInvalid(
                 f"circle of radius {self.delta} around z = {z} reaches "
                 "Re(w) <= 1")
-        if self.cut_depth <= self.delta + 1.0:
-            raise ContourInvalid("cut depth too shallow")
 
 
-def default_contour(z: complex, depth: int = 1) -> ContourSpec:
-    """Radius well inside Re(w) > 1; deeper cut for larger x^(r-1) weights."""
+def default_contour(z: complex) -> ContourSpec:
+    """Radius well inside Re(w) > 1."""
     z = complex(z)
     if not z.real > 1.0:   # also rejects NaN
         raise DomainError("Hankel evaluation needs Re(z) > 1")
-    delta = min(1.0, 0.4 * (z.real - 1.0))
-    return ContourSpec(delta, 60.0 + 15.0 * max(0, depth - 3))
+    return ContourSpec(min(1.0, 0.4 * (z.real - 1.0)))
 
 
 def _w_place(v: ArchPlace, z: complex) -> complex:
@@ -120,20 +121,55 @@ def xi_zero_sum(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 # Route 2: Hankel contour
 
 
-def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
-         lo: float, x_max: float, cfg: EvalConfig) -> tuple[complex, float]:
-    """int_lo^x_max (L'/L)(z+x) x^-s dx; its error adds a majorant of x > x_max
-    where |L'/L| halves per unit (the lightest prime ideal has norm 2)."""
-    def on_ray(x: np.ndarray) -> np.ndarray:
-        xr = x.real
-        return l_log_derivative(fld, chi, z + xr, cfg) * np.exp(-s * np.log(xr))
+# The ray x = lo + exp((pi/2) sinh t) over t in [_T_HEAD, _T_CUT]
+# (Takahasi & Mori 1974): the integrand decays double exponentially at both
+# ends of t, so a few G10/K21 panels of width _T_PANEL settle it.  The head
+# [lo, lo + _HEAD] and the part past x = lo + _X_CUT are bounded a priori.
+_T_HEAD = -4.0
+_X_CUT = 80.0
+_T_CUT = math.asinh(2.0 * math.log(_X_CUT) / math.pi)
+_T_PANEL = 2.0
+_HEAD = math.exp(0.5 * math.pi * math.sinh(_T_HEAD))
 
-    ray = integrate_polyline(on_ray, (complex(lo), complex(x_max)), cfg,
-                             base_len=2.0)
-    f0 = abs(l_log_derivative(fld, chi, z + x_max, cfg))
-    # unit-step majorant of the integral of the geometric envelope
-    tail = sum(f0 * 0.5 ** k * (x_max + k) ** -s.real for k in range(200))
-    return ray.value, ray.error + tail
+
+def _log_derivative_bound(fld: NumberField, sigma: float) -> float:
+    """A bound on |L'/L| on Re w = sigma > 1 for every character of fld:
+    n sum_{m >= 2} log(m) m^-sigma, n the degree of fld.  log(t) t^-sigma
+    falls after its peak at t = e^(1/sigma), so the sum is at most its
+    largest value on t >= 2 plus its integral from 2."""
+    d = sigma - 1.0
+    peak = math.log(2.0) * 2.0 ** -sigma if sigma * math.log(2.0) >= 1.0 \
+        else 1.0 / (math.e * sigma)
+    return fld.degree * (peak + 2.0 ** (1.0 - sigma) * (math.log(2.0) / d
+                                                        + 1.0 / (d * d)))
+
+
+def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
+         lo: float, cfg: EvalConfig) -> tuple[complex, float]:
+    """int_lo^inf (L'/L)(z+x) x^-s dx by the exp-sinh ray above, with its
+    quadrature error plus a priori bounds of the cut head and tail."""
+    def on_ray(t: np.ndarray) -> np.ndarray:
+        e = 0.5 * math.pi * np.sinh(t.real)
+        u = np.exp(e)
+        log_x = e if lo == 0.0 else np.log(lo + u)
+        # x^-s dx/dt, with dx/dt = (pi/2) cosh(t) u
+        weight = np.exp(e - s * log_x) * (0.5 * math.pi * np.cosh(t.real))
+        return l_log_derivative(fld, chi, z + lo + u, cfg) * weight
+
+    ray = integrate_polyline(on_ray, (_T_HEAD, _T_CUT), cfg,
+                             base_len=_T_PANEL)
+    k = -s.real                                 # |x^-s| = x^k on the ray
+    head_x = lo + _HEAD if k >= 0.0 else lo
+    head = _HEAD * _log_derivative_bound(fld, z.real + lo) * head_x ** k
+    # past x0 = lo + _X_CUT, |L'/L(z+x)| <= B(Re z + x0) 2^-(x - x0) with
+    # B the bound above, and int_x0^inf x^k 2^-(x - x0) dx is at most
+    # x0^k / (log 2 - max(k, 0) / x0) when that rate is positive
+    x0 = lo + _X_CUT
+    sigma0 = z.real + x0
+    rate = math.log(2.0) - max(k, 0.0) / x0
+    tail = math.inf if rate <= 0.0 else (
+        _log_derivative_bound(fld, sigma0) * x0 ** k / rate)
+    return ray.value, ray.error + head + tail
 
 
 def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex,
@@ -179,7 +215,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     pref = cmath.exp(s * math.log(_TWO_PI))
     ray_coef = pref * cmath.sin(math.pi * s) / math.pi
     circ_coef = pref * cmath.exp((1.0 - s) * math.log(dl)) / _TWO_PI
-    ray, ray_err = _ray(fld, chi, s, z, dl, contour.cut_depth, cfg)
+    ray, ray_err = _ray(fld, chi, s, z, dl, cfg)
 
     def on_circle(psi: np.ndarray) -> np.ndarray:
         p = psi.real
@@ -206,10 +242,11 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
     s, z = complex(1 - r), complex(z)
-    x_max = default_contour(z, r).cut_depth
+    if not z.real > 1.0:   # also rejects NaN
+        raise DomainError("Hankel evaluation needs Re(z) > 1")
     closed = _closed_pieces(chi, s, z, cfg)
     coef = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
-    ray, ray_err = _ray(fld, chi, s, z, 0.0, x_max, cfg)
+    ray, ray_err = _ray(fld, chi, s, z, 0.0, cfg)
     return Result(closed.ds + coef * ray, closed.err_ds + abs(coef) * ray_err,
                   "hankel-ds")
 

@@ -196,7 +196,10 @@ def _dirichlet_and_ds(chi: HeckeCharacter, s: np.ndarray,
 
     Assembled from pole-subtracted Hurwitz zetas, one batched call per
     residue; the subtracted poles cancel because the character values sum
-    to zero, so the assembly is valid at s = 1 as well.
+    to zero, so the assembly is valid at s = 1 as well.  Each residue's
+    derivative is that of q^-s zeta(s, a/q), summed from the bases q m + a
+    (`scale=q`): L' carries no -log(q) L, which far right would cancel to
+    rounding noise against the tiny true L'/L.
     """
     q = chi.modulus
     qs = np.exp(-s * math.log(q))
@@ -206,12 +209,10 @@ def _dirichlet_and_ds(chi: HeckeCharacter, s: np.ndarray,
         v = chi.values[a]
         if v == 0:
             continue
-        em = hurwitz_zeta_em(s, a / q, cfg, minus_pole=True)
+        em = hurwitz_zeta_em(s, a, cfg, minus_pole=True, scale=q)
         tot += v * em.value
         dtot += v * em.ds
-    L = qs * tot
-    dL = -math.log(q) * L + qs * dtot
-    return L, dL
+    return qs * tot, qs * dtot
 
 
 @lru_cache(maxsize=16)

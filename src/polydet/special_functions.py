@@ -138,6 +138,8 @@ class Result:
         return cls(value, abs(value) * math.expm1(err), route)
 
 
+_EPS = float(np.finfo(float).eps)
+
 # Largest node batch one kernel call sees.  Its direct sum is a (nodes x N)
 # array and its Pochhammer tables are (2J+1 x nodes), so this bounds the
 # working memory of a call whatever the size of the batch; 128 nodes also
@@ -193,14 +195,22 @@ def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _em_core(s: np.ndarray, z: complex, N: int, J: int,
-             minus_pole: bool) -> EmResult:
-    """Euler-Maclaurin evaluation of zeta(s, z) and d/ds zeta(s, z) at a
-    1-D array of s, one shift z and one split N, with error bounds.
+             minus_pole: bool, scale: int) -> EmResult:
+    """Euler-Maclaurin evaluation of zeta(s, z / q) and its s-derivative at
+    a 1-D array of s, one shift z / q (q = scale) and one split N, with
+    error bounds.
 
+    The derivative is that of q^-s zeta(s, z / q), divided by q^-s: it is
+    formed from the logarithms of the bases q m + z (exact integers on the
+    Dirichlet path) and of q w, so it carries no -log(q) zeta(s, z / q)
+    that would cancel to rounding noise where the true value is tiny.
     With minus_pole=True the simple pole term 1/(s-1) is subtracted
     analytically, so the result is finite and smooth across s = 1.
     """
-    logb = np.log(np.arange(N, dtype=np.float64) + z)
+    z0 = z / scale
+    logb = np.log(np.arange(N, dtype=np.float64) + z0)
+    logd = logb if scale == 1 else np.log(
+        scale * np.arange(N, dtype=np.float64) + z)
     pw = np.multiply.outer(-s, logb)
     np.exp(pw, out=pw)
     val = pw.sum(axis=1)
@@ -208,12 +218,13 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
     # large direct-sum powers cancel against the integral term at negative
     # Re(s), costing |largest part| * eps of absolute accuracy
     mag = np.abs(pw).sum(axis=1)
-    pw *= logb
+    pw *= logd
     dval = -pw.sum(axis=1)
     mag_ds = np.abs(pw).sum(axis=1)
 
-    w = N + z
+    w = N + z0
     lw = cmath.log(w)
+    lqw = lw if scale == 1 else cmath.log(scale * N + z)   # log(q w)
     winv = 1.0 / w
     wms = np.power(w, -s)  # w^{-s}, exact at small integer s
 
@@ -222,10 +233,12 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
     if minus_pole:
         phi, psi = _expm1_quotients(eps * lw)
         t, dt = lw * phi, lw * lw * psi
+        if scale != 1:
+            dt = dt - math.log(scale) * t
     else:
         w1ms = wms * w
         t = w1ms / eps
-        dt = -w1ms * (lw / eps + 1.0 / (eps * eps))
+        dt = -w1ms * (lqw / eps + 1.0 / (eps * eps))
 
     # Bernoulli tail: term j is B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1).  The
     # terms are stacked under the direct sum, the integral term and the
@@ -238,11 +251,11 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
     terms = np.empty((J + 3, len(s)), dtype=np.complex128)
     dterms = np.empty_like(terms)
     terms[0], terms[1], terms[2] = val, t, 0.5 * wms
-    dterms[0], dterms[1], dterms[2] = dval, dt, -0.5 * lw * wms
+    dterms[0], dterms[1], dterms[2] = dval, dt, -0.5 * lqw * wms
     tail, dtail = terms[3:], dterms[3:]
     np.multiply(poch[0:2 * J:2], coef, out=tail)
     tail *= wms
-    np.multiply(poch[0:2 * J:2], lw, out=dtail)
+    np.multiply(poch[0:2 * J:2], lqw, out=dtail)
     np.subtract(dpoch[0:2 * J:2], dtail, out=dtail)
     dtail *= coef
     dtail *= wms
@@ -254,22 +267,22 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
     awms = np.abs(wms)
 
     # first omitted term as remainder estimate, with the classical
-    # |s + 2J + 1| / (Re s + 2J + 1) inflation (10 where that is not > 0)
-    denom = s.real + 2 * J + 1
-    infl = np.where(denom > 0, np.minimum(10.0, np.abs(s + 2 * J + 1) / denom),
-                    10.0)
+    # |s + 2J + 1| / (Re s + 2J + 1) inflation (Re s > -(2J + 1): see
+    # hurwitz_zeta_em)
+    infl = np.minimum(10.0, np.abs(s + 2 * J + 1) / (s.real + 2 * J + 1))
     # oscillatory loss along the tail: |(x+w)^{-s}| carries e^{Im s arg(x+w)}
     infl *= 6.0 * np.exp(np.minimum(8.0, np.abs(s.imag) * abs(cmath.phase(w))))
-    scale = abs(bf[J + 1]) * awms * abs(winv) ** (2 * J + 1)
+    rem = abs(bf[J + 1]) * awms * abs(winv) ** (2 * J + 1)
     # rounding: each power costs |s| log|base| ulps through exp(-s log b)
     round_fac = 1e-16 * (4.0 + 0.5 * np.abs(s) * math.log(abs(w) + 2.0))
-    err = scale * pk * infl + round_fac * (mag + 1.0)
-    err_ds = scale * (dpk + pk * abs(lw)) * infl + round_fac * (mag_ds + 1.0)
+    err = rem * pk * infl + round_fac * (mag + 1.0)
+    err_ds = rem * (dpk + pk * abs(lqw)) * infl + round_fac * (mag_ds + 1.0)
     return EmResult(val, dval, err, err_ds, N)
 
 
+@overflow_is_domain_error
 def hurwitz_zeta_em(s, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-                    *, minus_pole: bool = False) -> EmResult:
+                    *, minus_pole: bool = False, scale: int = 1) -> EmResult:
     """zeta(s, z) = sum_{m >= 0} (m + z)^{-s} and d/ds zeta(s, z) by
     Euler-Maclaurin, with remainder bounds; Re(z) > 0, s != 1.
 
@@ -278,50 +291,61 @@ def hurwitz_zeta_em(s, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
     it feeds `_em_core` batches of at most EM_CHUNK nodes, each with one
     split N, the largest any node in the batch needs.  Every node must be
     finite, and a value or derivative that overflows raises DomainError.
-    With minus_pole=True the result is zeta(s, z) - 1/(s-1) and its
-    s-derivative, finite and smooth across s = 1 (no pole guard); the
-    Dirichlet assembly uses it, where the subtracted poles cancel.
+    A batch gets J = cfg.bernoulli_terms Bernoulli terms, or more where a
+    node has Re(s) <= -(2J + 1): the classical remainder bound needs
+    Re(s) > -(2J + 1).  With minus_pole=True the result is
+    zeta(s, z) - 1/(s-1) and its s-derivative, finite and smooth across
+    s = 1 (no pole guard); the Dirichlet assembly uses it, where the
+    subtracted poles cancel.
 
-    At nonpositive integer s the tail terminates (the Pochhammer factor
-    hits zero), so with minus_pole=False the value at such a node is
-    computed with N = 1: a large split there only piles up huge direct-sum
-    powers that cancel against the tail and cost ~|z+N|^(1-s) eps of
-    absolute accuracy.  The derivative keeps the large split, where the
-    differentiated tail still converges.
+    With an integer scale q > 1 the shift is z / q (z = a for the residue
+    a mod q), and ds is the derivative of q^-s times the value, divided by
+    q^-s: d/ds zeta - log(q) zeta, summed from the bases q m + a, so a
+    Dirichlet L' needs no -log(q) L that cancels to rounding noise.
+
+    At nonpositive integer s with minus_pole=False the value is the
+    closed form zeta(1 - r, z) = -B_r(z) / r: the kernel's large split
+    there only piles up huge direct-sum powers that cancel against the
+    tail and cost ~|z+N|^(1-s) eps of absolute accuracy.  The derivative
+    keeps the large split, where the differentiated tail still converges.
     """
     scalar = np.ndim(s) == 0
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     z = complex(z)
+    shift = z / scale
     if not (finite := np.isfinite(s)).all() or not cmath.isfinite(z):
         bad = s[~finite][0] if not finite.all() else s[0]
         raise DomainError(f"hurwitz zeta needs finite s and z, got s = {bad}, "
-                          f"z = {z}")
-    if z.real <= 0:
-        raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = {z}")
+                          f"z = {shift}")
+    if shift.real <= 0:
+        raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = {shift}")
     if not minus_pole and (near := np.abs(s - 1.0) < cfg.pole_guard).any():
         raise PoleAtOne(f"s = {s[near][0]} is inside the pole guard radius "
                         f"{cfg.pole_guard}")
-    J = cfg.bernoulli_terms
     parts = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(s), EM_CHUNK):
             part = s[lo:lo + EM_CHUNK]
-            N = int(math.ceil(np.abs(part.imag).max()) + math.ceil(abs(z))
+            N = int(math.ceil(np.abs(part.imag).max()) + math.ceil(abs(shift))
                     + cfg.euler_maclaurin_shift)
             if N > cfg.series_max_terms:
                 raise DomainError(f"Euler-Maclaurin split for s = {part[0]}, "
-                                  f"z = {z} exceeds cfg.series_max_terms")
-            parts.append(_em_core(part, z, N, J, minus_pole))
+                                  f"z = {shift} exceeds cfg.series_max_terms")
+            # J >= cfg.bernoulli_terms Bernoulli terms, and enough that
+            # Re s > -(2J + 1) on every node, where the remainder is bounded
+            J = max(cfg.bernoulli_terms,
+                    int((-part.real.min() - 1.0) // 2.0) + 1)
+            parts.append(_em_core(part, z, N, J, minus_pole, scale))
         em = parts[0] if len(parts) == 1 else EmResult(
             *(np.concatenate([getattr(p, f) for p in parts])
               for f in ("value", "ds", "err_value", "err_ds")),
             max(p.split for p in parts))
         if not minus_pole:
-            _trivial_zero_values(s, z, em)
+            _trivial_zero_values(s, shift, em)
     bad = ~(np.isfinite(em.value) & np.isfinite(em.ds)
             & np.isfinite(em.err_value))
     if bad.any():
-        raise DomainError(f"hurwitz zeta at s = {s[bad][0]}, z = {z} "
+        raise DomainError(f"hurwitz zeta at s = {s[bad][0]}, z = {shift} "
                           "overflows double precision")
     if scalar:
         return EmResult(complex(em.value[0]), complex(em.ds[0]),
@@ -330,15 +354,19 @@ def hurwitz_zeta_em(s, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
 
 
 def _trivial_zero_values(s: np.ndarray, z: complex, em: EmResult) -> None:
-    """Overwrite em's value and its error at nonpositive integer nodes with
-    the terminating N = 1 sum (see hurwitz_zeta_em)."""
+    """Overwrite em's value and its error at nonpositive integer nodes
+    s = 1 - r with -B_r(z) / r (see hurwitz_zeta_em).  Its error is the
+    Horner rounding bound 2 eps r sum_k |c_k| |z|^(r-k) over the
+    coefficients c_k of B_r, divided by r, plus the margin of the N = 1
+    kernel sum this replaced."""
     hits = np.flatnonzero((s.imag == 0.0) & (s.real <= 0.0)
                           & (s.real == np.round(s.real)))
     for i in hits:
         r = 1 - int(round(s[i].real))
-        one = _em_core(s[i:i + 1], z, 1, r // 2 + 1, minus_pole=False)
-        em.value[i] = one.value[0]
-        em.err_value[i] = one.err_value[0] \
+        size = np.polyval(np.abs(np.array(_bernoulli_poly_coeffs(r),
+                                          dtype=float)), abs(z))
+        em.value[i] = -bernoulli_poly(r, z) / r
+        em.err_value[i] = 2.0 * _EPS * size \
             + 1e-15 * np.float64(1.0 + abs(z)) ** max(r - 1, 1)
 
 

@@ -87,6 +87,16 @@ def test_polyl_has_no_prime_bound_flag(capsys):
     assert "--prime-bound" in err and "Traceback" not in err
 
 
+def test_xi_has_no_cut_depth_flag(capsys):
+    # the exp-sinh ray bounds its own cut ends, so there is no depth to set
+    with pytest.raises(SystemExit) as exc:
+        main(["xi", "--s", "3", "--z", "2", "--cut-depth", "40"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--cut-depth" in err
+    assert "Traceback" not in err
+
+
 def test_det_both_routes(capsys):
     code, recs = run_json(capsys, ["det", "--depth", "1", "--z", "2",
                                    "--both"])
@@ -260,6 +270,8 @@ def test_xi_routes_agree_within_estimates(capsys):
     code, hk = run_json(capsys, ["xi", "--s", "3", "--z", "2",
                                  "--route", "hankel"])
     assert code == 0
+    assert set(hk[0]["inputs"]) == {"field", "char", "s", "z", "route",
+                                    "delta"}
     gap = abs(zs[0]["value_re"] - hk[0]["value_re"])
     assert gap <= zs[0]["error_estimate"] + hk[0]["error_estimate"]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydet import (
+    DEFAULT_CONFIG,
     ContourInvalid,
     ContourSpec,
     DomainError,
@@ -20,12 +21,14 @@ from polydet import (
     determinant_closed,
     determinant_direct,
     kronecker_character,
+    l_log_derivative,
     regularized_product,
     trivial_character,
     truncation_tail_estimate,
     xi_hankel,
     xi_zero_sum,
 )
+from polydet.determinants import _log_derivative_bound
 from polydet.l_functions import _ideal_arrays
 
 mp.mp.dps = 30
@@ -127,12 +130,47 @@ def test_xi_hankel_guards():
 
 def test_contour_spec_validation():
     with pytest.raises(ContourInvalid):
-        ContourSpec(0.5, cut_depth=1.0).validate(3.0)
+        ContourSpec(0.0).validate(3.0)
+    with pytest.raises(ContourInvalid):
+        ContourSpec(2.5).validate(3.0)
     spec = default_contour(3.0)
     assert spec.delta > 0
     spec.validate(3.0)
-    deep = default_contour(3.0, depth=5)
-    assert deep.cut_depth > spec.cut_depth
+    with pytest.raises(DomainError):
+        default_contour(1.0)
+
+
+def test_log_derivative_bound_is_a_bound():
+    # the a priori bound of the ray's cut ends must dominate |L'/L|
+    for fld, chi in ((Q, TRIV), (Q, CHI4), (QI, trivial_character(QI)),
+                     (Q, kronecker_character(-23))):
+        for sigma in (1.3, 1.44, 1.45, 2.0, 5.0, 30.0, 81.0):
+            bound = _log_derivative_bound(fld, sigma)
+            for t in (0.0, 0.7, 14.1):
+                assert abs(l_log_derivative(fld, chi, complex(sigma, t))) \
+                    <= bound
+
+
+def test_direct_depth_four_dirichlet_within_claims():
+    # far out on the ray L'/L of chi_-4 is ~3^-x; formed as a difference
+    # that cancels to rounding noise, the x^3 weight kept the ray from
+    # settling
+    for z in (1.3, 1.5, 2.0, 3.0):
+        direct = determinant_direct(Q, CHI4, 4, z)
+        closed = determinant_closed(Q, CHI4, 4, z)
+        assert abs(direct.value - closed.value) \
+            <= direct.error_estimate + closed.error_estimate
+
+
+@pytest.mark.parametrize("quad_tol", [1e-12, 1e-13])
+def test_direct_route_at_tight_quad_tol(quad_tol):
+    cfg = DEFAULT_CONFIG.with_updates(quad_tol=quad_tol)
+    z = 1.4 + 2j
+    for r in (1, 2, 3, 4):
+        direct = determinant_direct(Q, CHI4, r, z, cfg)
+        closed = determinant_closed(Q, CHI4, r, z)
+        assert abs(direct.value - closed.value) \
+            <= direct.error_estimate + closed.error_estimate
 
 
 def test_xi_zero_sum_vs_hankel_within_tail():

@@ -130,6 +130,28 @@ def test_log_derivative_two_routes_agree():
             assert abs(a - b) < tol
 
 
+def _mp_log_derivative(chi, s):
+    # L'/L from the Dirichlet series: at Re(s) >= 30 its terms past
+    # n = 200 are below 1e-50 of either sum
+    s = mp.mpc(s)
+    q = chi.modulus
+    terms = [(mp.mpc(chi.values[n % q]) * mp.power(n, -s), mp.log(n))
+             for n in range(1, 200)]
+    return complex(-mp.fsum(t * ln for t, ln in terms)
+                   / mp.fsum(t for t, _ in terms))
+
+
+@pytest.mark.parametrize("disc", [-4, 5, -23])
+def test_log_derivative_far_right_against_mpmath(disc):
+    # far right L'/L is ~2^-s or 3^-s, so L' may not be formed as a
+    # difference that cancels to rounding noise
+    chi = kronecker_character(disc)
+    for s in (30 + 1j, 60 + 0.5j):
+        want = _mp_log_derivative(chi, s)
+        got = l_log_derivative(Q, chi, s)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_log_derivative_matches_finite_difference():
     h = 1e-6
     for s in (2.0, 0.3 + 2.0j):
@@ -256,11 +278,11 @@ def _dirichlet_err(chi, s):
     ev = ed = 0.0
     for a in range(1, q):
         if chi.values[a]:
-            em = hurwitz_zeta_em(s, a / q, minus_pole=True)
+            em = hurwitz_zeta_em(s, a, minus_pole=True, scale=q)
             ev = ev + em.err_value
             ed = ed + em.err_ds
     qs = np.abs(np.exp(-s * math.log(q)))
-    return qs * ev, qs * (ed + math.log(q) * ev)
+    return qs * ev, qs * ed
 
 
 def _l_err(fld, chi, s):

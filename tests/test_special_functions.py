@@ -118,6 +118,15 @@ def test_hurwitz_nonpositive_integers_are_bernoulli():
             assert abs(got - want) < 1e-10 * (1 + abs(want))
 
 
+def test_hurwitz_nonpositive_integers_within_claim():
+    # the closed form -B_r(z)/r and its rounding bound against mpmath
+    for r in range(1, 9):
+        for z in (0.3, 1.0, 2.5, 7.25, 1.0 + 2.0j, 2.5 + 1.5j, 0.7 - 3.0j):
+            got = hurwitz_zeta_em(complex(1 - r), complex(z))
+            want = complex(mp.zeta(1 - r, mp.mpc(z)))
+            assert abs(got.value - want) <= got.err_value
+
+
 def test_hurwitz_minus_pole_smooth_at_one():
     # zeta(s, z) - 1/(s-1) extends smoothly; compare both sides of s = 1
     z = 1.7
