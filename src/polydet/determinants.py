@@ -15,10 +15,11 @@ over tabulated zeros (Re(s) > 1), and a Hankel-contour representation
 valid for all s away from s = 1; `xi_ds_at_depth` is d/ds of the same
 pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
 The ray integral from lo (delta for xi, 0 at s = 1 - r) runs in t with the
-exp-sinh substitution x = lo + exp((pi/2) sinh t), t in
-[-4, asinh(2 log 80 / pi)], about 150 L'/L nodes per direct determinant;
-the cut ends x - lo < e^-42.9 and x - lo > 80 are bounded a priori from a
-majorant of |L'/L|.
+exp-sinh substitution x = lo + exp((pi/2) sinh t), t from -4 to the cut
+x - lo = max(80, 3 max(-Re s, 0) / log 2 + 60), past the peak of the weight
+|x^-s|; about 150 L'/L nodes per direct determinant at depth <= 4.  The cut
+ends x - lo < e^-42.9 and past the cut are bounded a priori from a majorant
+of |L'/L|.
 This direct route reads only the analytic L'/L, no prime tables; the closed
 form uses the depth-r Euler sum, Bernoulli polynomials and Milnor gammas.
 
@@ -121,13 +122,11 @@ def xi_zero_sum(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 # Route 2: Hankel contour
 
 
-# The ray x = lo + exp((pi/2) sinh t) over t in [_T_HEAD, _T_CUT]
+# The ray x = lo + exp((pi/2) sinh t) over t from _T_HEAD to the cut
 # (Takahasi & Mori 1974): the integrand decays double exponentially at both
 # ends of t, so a few G10/K21 panels of width _T_PANEL settle it.  The head
-# [lo, lo + _HEAD] and the part past x = lo + _X_CUT are bounded a priori.
+# [lo, lo + _HEAD] and the part past the cut are bounded a priori.
 _T_HEAD = -4.0
-_X_CUT = 80.0
-_T_CUT = math.asinh(2.0 * math.log(_X_CUT) / math.pi)
 _T_PANEL = 2.0
 _HEAD = math.exp(0.5 * math.pi * math.sinh(_T_HEAD))
 
@@ -156,19 +155,21 @@ def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
         weight = np.exp(e - s * log_x) * (0.5 * math.pi * np.cosh(t.real))
         return l_log_derivative(fld, chi, z + lo + u, cfg) * weight
 
-    ray = integrate_polyline(on_ray, (_T_HEAD, _T_CUT), cfg,
-                             base_len=_T_PANEL)
     k = -s.real                                 # |x^-s| = x^k on the ray
+    # x^k 2^-x peaks at x = k / log 2; a cut at three times that plus 60,
+    # and at least 80, leaves it below e^-39 of its peak there
+    x_cut = max(80.0, 3.0 * max(k, 0.0) / math.log(2.0) + 60.0)
+    t_cut = math.asinh(2.0 * math.log(x_cut) / math.pi)
+    ray = integrate_polyline(on_ray, (_T_HEAD, t_cut), cfg,
+                             base_len=_T_PANEL)
     head_x = lo + _HEAD if k >= 0.0 else lo
     head = _HEAD * _log_derivative_bound(fld, z.real + lo) * head_x ** k
-    # past x0 = lo + _X_CUT, |L'/L(z+x)| <= B(Re z + x0) 2^-(x - x0) with
+    # past x0 = lo + x_cut, |L'/L(z+x)| <= B(Re z + x0) 2^-(x - x0) with
     # B the bound above, and int_x0^inf x^k 2^-(x - x0) dx is at most
-    # x0^k / (log 2 - max(k, 0) / x0) when that rate is positive
-    x0 = lo + _X_CUT
-    sigma0 = z.real + x0
+    # x0^k / (log 2 - max(k, 0) / x0), where that rate is >= 2 log(2) / 3
+    x0 = lo + x_cut
     rate = math.log(2.0) - max(k, 0.0) / x0
-    tail = math.inf if rate <= 0.0 else (
-        _log_derivative_bound(fld, sigma0) * x0 ** k / rate)
+    tail = _log_derivative_bound(fld, z.real + x0) * x0 ** k / rate
     return ray.value, ray.error + head + tail
 
 

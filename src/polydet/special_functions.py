@@ -209,8 +209,7 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
     """
     z0 = z / scale
     logb = np.log(np.arange(N, dtype=np.float64) + z0)
-    logd = logb if scale == 1 else np.log(
-        scale * np.arange(N, dtype=np.float64) + z)
+    logd = np.log(scale * np.arange(N, dtype=np.float64) + z)
     pw = np.multiply.outer(-s, logb)
     np.exp(pw, out=pw)
     val = pw.sum(axis=1)
@@ -224,7 +223,7 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
 
     w = N + z0
     lw = cmath.log(w)
-    lqw = lw if scale == 1 else cmath.log(scale * N + z)   # log(q w)
+    lqw = cmath.log(scale * N + z)   # log(q w)
     winv = 1.0 / w
     wms = np.power(w, -s)  # w^{-s}, exact at small integer s
 
@@ -232,9 +231,8 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
     eps = s - 1.0
     if minus_pole:
         phi, psi = _expm1_quotients(eps * lw)
-        t, dt = lw * phi, lw * lw * psi
-        if scale != 1:
-            dt = dt - math.log(scale) * t
+        t = lw * phi
+        dt = lw * lw * psi - math.log(scale) * t
     else:
         w1ms = wms * w
         t = w1ms / eps
