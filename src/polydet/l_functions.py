@@ -12,7 +12,7 @@ every value and s-derivative read from `special_functions.hurwitz_zeta_em`
 
 `_l_and_ds` returns (L, L') from this assembly at a scalar s or an array of
 nodes (same shape back); the Dirichlet sum makes one batched Hurwitz call
-per residue for all nodes.  `l_value`, the analytic route of
+for all residues and nodes.  `l_value`, the analytic route of
 `l_log_derivative` and `completed_lambda` read it and take arrays too.
 
 On top of that sit the completed function with its gamma factors, the root
@@ -194,25 +194,22 @@ def _dirichlet_and_ds(chi: HeckeCharacter, s: np.ndarray,
     """L(s, chi) and L'(s, chi) at an array of nodes, for a primitive
     non-principal Dirichlet chi.
 
-    Assembled from pole-subtracted Hurwitz zetas, one batched call per
-    residue; the subtracted poles cancel because the character values sum
-    to zero, so the assembly is valid at s = 1 as well.  Each residue's
-    derivative is that of q^-s zeta(s, a/q), summed from the bases q m + a
-    (`scale=q`): L' carries no -log(q) L, which far right would cancel to
-    rounding noise against the tiny true L'/L.
+    Assembled from pole-subtracted Hurwitz zetas, one batched call for
+    every residue with chi(a) != 0 and every node, weighted and summed
+    over the residues by broadcasting; the subtracted poles cancel
+    because the character values sum to zero, so the assembly is valid at
+    s = 1 as well.  Each residue's derivative is that of q^-s zeta(s,
+    a/q), summed from the bases q m + a (`scale=q`): L' carries no
+    -log(q) L, which far right would cancel to rounding noise against the
+    tiny true L'/L.
     """
     q = chi.modulus
+    values = np.array(chi.values, dtype=np.complex128)
+    a = np.flatnonzero(values)
+    em = hurwitz_zeta_em(s, a, cfg, minus_pole=True, scale=q)
+    v = values[a, None]
     qs = np.exp(-s * math.log(q))
-    tot = np.zeros_like(s)
-    dtot = np.zeros_like(s)
-    for a in range(1, q):
-        v = chi.values[a]
-        if v == 0:
-            continue
-        em = hurwitz_zeta_em(s, a, cfg, minus_pole=True, scale=q)
-        tot += v * em.value
-        dtot += v * em.ds
-    return qs * tot, qs * dtot
+    return qs * (v * em.value).sum(axis=0), qs * (v * em.ds).sum(axis=0)
 
 
 @lru_cache(maxsize=16)
@@ -230,18 +227,23 @@ def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s,
     L = np.empty_like(nodes)
     dL = np.empty_like(nodes)
     # one kernel chunk at a time, so that all Hurwitz pieces of a chunk
-    # share its Pochhammer table
-    for lo in range(0, len(nodes), EM_CHUNK):
-        part, at = nodes[lo:lo + EM_CHUNK], slice(lo, lo + EM_CHUNK)
-        if chi.kind == "dirichlet":
-            L[at], dL[at] = _dirichlet_and_ds(chi, part, cfg)
-        elif fld.is_rational:
-            L[at], dL[at] = _zeta_and_ds(part, cfg)
-        else:
-            # Dedekind zeta of a quadratic field: zeta(s) * L(s, chi_disc)
-            z, dz = _zeta_and_ds(part, cfg)
-            l, dl = _dirichlet_and_ds(_quadratic_kronecker(fld), part, cfg)
-            L[at], dL[at] = z * l, dz * l + z * dl
+    # share its Pochhammer table; far left of 0 the q^-s factor or the
+    # Dedekind product can overflow finite Hurwitz values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(nodes), EM_CHUNK):
+            part, at = nodes[lo:lo + EM_CHUNK], slice(lo, lo + EM_CHUNK)
+            if chi.kind == "dirichlet":
+                L[at], dL[at] = _dirichlet_and_ds(chi, part, cfg)
+            elif fld.is_rational:
+                L[at], dL[at] = _zeta_and_ds(part, cfg)
+            else:
+                # Dedekind zeta of a quadratic field: zeta(s) L(s, chi_disc)
+                z, dz = _zeta_and_ds(part, cfg)
+                l, dl = _dirichlet_and_ds(_quadratic_kronecker(fld), part, cfg)
+                L[at], dL[at] = z * l, dz * l + z * dl
+    if not (finite := np.isfinite(L) & np.isfinite(dL)).all():
+        raise DomainError(f"L(s) at s = {nodes[~finite][0]} overflows double "
+                          "precision")
     if arr.ndim == 0:
         return complex(L[0]), complex(dL[0])
     return L.reshape(arr.shape), dL.reshape(arr.shape)

@@ -53,6 +53,12 @@ _LOG_X = math.log(_EULER_NORM)
 # its error; nodes below _MIN_WEIGHT of a rule's largest weight are dropped
 _LAGUERRE_SIZES = (20, 30)
 _MIN_WEIGHT = 1e-19
+# Laguerre nodes per block of the tail's (nodes x ideals) correction: 16 x
+# ~170 ideals keep a block's arrays near 40 KB.  All ~41 nodes at once
+# took ~430 KB of temporaries per call, which glibc's malloc could hand
+# back to the system after each call and fault in again on the next
+# (~75 page faults, ~20% of a closed determinant, depending on the heap)
+_NODE_BLOCK = 16
 
 
 @lru_cache(maxsize=64)
@@ -101,13 +107,19 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     x, vex, split = _tail_rules(r)
     v = s + x / _LOG_X
     lld = l_log_derivative(fld, chi, v, cfg)
-    # chi(P) NP^-v = chi(P) NP^-s NP^(-x / log X), nodes x ideals
-    p = chiv * np.exp(-s * logn) * np.exp(np.multiply.outer(-x / _LOG_X, logn))
-    corr = logn * p / (1.0 - p)
-    f = vex * (lld + corr.sum(axis=1))
+    # chi(P) NP^-v = chi(P) NP^-s NP^(-x / log X), nodes x ideals, summed
+    # over the ideals with and without signs, _NODE_BLOCK nodes at a time
+    head_p = chiv * np.exp(-s * logn)
+    corr = np.empty(len(x), dtype=np.complex128)
+    acorr = np.empty(len(x))
+    for lo in range(0, len(x), _NODE_BLOCK):
+        at = slice(lo, lo + _NODE_BLOCK)
+        p = head_p * np.exp(np.multiply.outer(-x[at] / _LOG_X, logn))
+        terms = logn * p / (1.0 - p)
+        corr[at], acorr[at] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    f = vex * (lld + corr)
     small, large = f[:split].sum(), f[split:].sum()
-    size = np.sum(vex[split:] * (np.abs(lld[split:])
-                                 + np.abs(corr[split:]).sum(axis=1)))
+    size = np.sum(vex[split:] * (np.abs(lld[split:]) + acorr[split:]))
     # the head's sum |terms| is at most sum (log NP)^(1-r) / (NP^Re(s) - 1)
     head_size = np.sum(logn ** (1 - r) / (norms ** s.real - 1.0))
     err = (abs(large - small) + _ROUNDOFF * size) / _LOG_X ** r \

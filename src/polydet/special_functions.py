@@ -5,13 +5,16 @@ Stirling-series log gamma.
 
 `hurwitz_zeta_em(s, z, cfg, minus_pole=...)` is the one entry point to the
 Euler-Maclaurin kernel `_em_core`.  s is a scalar or a 1-D array of nodes
-at one shift z; the kernel works on chunks of at most EM_CHUNK nodes, each
-with one split N (the largest any node in the chunk needs, at most
-cfg.series_max_terms), building the direct sum as a (nodes x N) array and
-the Bernoulli tail from (terms x nodes) Pochhammer tables.  The entry point
-checks every node: s and z finite, Re(z) > 0, and (unless the pole is
-subtracted) s outside the pole guard; it raises DomainError instead of
-returning a non-finite value or derivative.  `log_gamma` also takes arrays.
+and z a scalar or a 1-D array of shifts (all residues of a Dirichlet
+character in one call); the kernel works on chunks of at most EM_CHUNK
+nodes times blocks of shifts, at most EM_PAIRS (shift, node) pairs, each
+call with one split N (the largest any pair in it needs, at most
+cfg.series_max_terms), building the direct sum as a (shifts x nodes x N)
+array and the Bernoulli tail as one einsum over the chunk's Pochhammer
+table, shared by every shift.  The entry point checks every (shift, node)
+pair: s and z finite, Re(z) > 0, and (unless the pole is subtracted) s
+outside the pole guard; it raises DomainError instead of returning a
+non-finite value or derivative.  `log_gamma` also takes arrays.
 `Result` (value, error_estimate, route) is what the xi, determinant and
 poly-L routes return; `Result.from_log` exponentiates a logarithm and its
 error.
@@ -101,7 +104,8 @@ def _bern_over_fact(jmax: int) -> np.ndarray:
 @dataclass(frozen=True)
 class EmResult:
     """Value, s-derivative and their error bounds: complex and float for a
-    scalar s, arrays of the same length for an array of nodes."""
+    scalar s and shift, arrays of the same length for an array of nodes or
+    of shifts, and (shifts x nodes) arrays for both."""
 
     value: complex | np.ndarray
     ds: complex | np.ndarray
@@ -140,11 +144,16 @@ class Result:
 
 _EPS = float(np.finfo(float).eps)
 
-# Largest node batch one kernel call sees.  Its direct sum is a (nodes x N)
-# array and its Pochhammer tables are (2J+1 x nodes), so this bounds the
-# working memory of a call whatever the size of the batch; 128 nodes also
-# keep those tables in cache.
+# Largest node batch one kernel call sees.  Its Pochhammer tables are
+# (J+1 x nodes), shared by every shift of the chunk; 128 nodes keep them
+# in cache.
 EM_CHUNK = 128
+# Largest number of (shift, node) pairs one kernel call sees: a chunk's
+# shifts go to the kernel in blocks of EM_PAIRS // nodes.  The direct sum
+# is a (shifts x nodes x N) array, so this and EM_CHUNK bound the working
+# memory of a call whatever the number of nodes and shifts: at most
+# 1024 N complex numbers, 0.4 MB at the Hankel ray's N ~ 25.
+EM_PAIRS = 8 * EM_CHUNK
 
 # Taylor coefficients at 0 of (exp(-x) - 1) / x and its companion
 # (-x e^-x - (e^-x - 1)) / x^2, highest degree first for np.polyval
@@ -167,9 +176,10 @@ def _expm1_quotients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s)_k and d/ds (s)_k for k = 1..K at the nodes s (as bytes), as
-    read-only (K x nodes) arrays.
+def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, ...]:
+    """(s)_k and d/ds (s)_k at the odd orders k = 1, 3, .., K at the nodes
+    s (as bytes), and their moduli, as read-only ((K + 1) / 2 x nodes)
+    arrays: the Bernoulli tail reads no other order.
 
     The table depends on s alone, so the Hurwitz pieces of one L-value
     chunk (every residue, every factor) share it: the last one is kept.
@@ -181,8 +191,9 @@ def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, np.ndarray]:
     dpoch = np.arange(K)[:, None] + s
     poch = np.cumprod(dpoch, axis=0)
     np.divide(1.0, dpoch, out=dpoch)
-    bad = np.flatnonzero(~np.isfinite(dpoch).all(axis=0))
     np.cumsum(dpoch, axis=0, out=dpoch)
+    # an infinite or NaN 1/(s+m) leaves its column's total non-finite
+    bad = np.flatnonzero(~np.isfinite(dpoch[-1]))
     dpoch *= poch
     for i in bad:
         d, p, col = 0j, 1 + 0j, []
@@ -190,15 +201,26 @@ def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, np.ndarray]:
             d, p = d * f + p, p * f
             col.append(d)
         dpoch[:, i] = col
-    poch.flags.writeable = dpoch.flags.writeable = False
-    return poch, dpoch
+    odd = (poch[0::2], dpoch[0::2])
+    out = odd + (np.abs(odd[0]), np.abs(odd[1]))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _em_core(s: np.ndarray, z: complex, N: int, J: int,
+def _over(z: np.ndarray, q: int) -> np.ndarray:
+    """z / q for a contiguous complex array z and an integer q, each part
+    correctly rounded (numpy's complex division multiplies by a rounded
+    1 / q)."""
+    return z if q == 1 else (z.view(np.float64) / q).view(np.complex128)
+
+
+def _em_core(s: np.ndarray, z, N: int, J: int,
              minus_pole: bool, scale: int) -> EmResult:
     """Euler-Maclaurin evaluation of zeta(s, z / q) and its s-derivative at
-    a 1-D array of s, one shift z / q (q = scale) and one split N, with
-    error bounds.
+    a 1-D array of s, a scalar shift z or a 1-D array of shifts (q =
+    scale) and one split N, with error bounds.  For an array of shifts
+    the fields are (shifts x nodes) arrays.
 
     The derivative is that of q^-s zeta(s, z / q), divided by q^-s: it is
     formed from the logarithms of the bases q m + z (exact integers on the
@@ -207,23 +229,36 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
     With minus_pole=True the simple pole term 1/(s-1) is subtracted
     analytically, so the result is finite and smooth across s = 1.
     """
-    z0 = z / scale
-    logb = np.log(np.arange(N, dtype=np.float64) + z0)
-    logd = np.log(scale * np.arange(N, dtype=np.float64) + z)
-    pw = np.multiply.outer(-s, logb)
+    m = np.arange(N, dtype=np.float64)
+    if np.ndim(z) == 0:
+        # one shift: its own quantities stay Python scalars, which cost
+        # less than 1-element arrays
+        z = complex(z)
+        z0, log, phase = z / scale, cmath.log, cmath.phase
+        logb, logd = np.log(m + z0), np.log(scale * m + z)
+    else:
+        # the shifts on a leading axis, before the nodes
+        z = np.asarray(z, dtype=np.complex128)[:, None]
+        z0, log, phase = _over(z, scale), np.log, np.angle
+        logb = np.log(m + z0[..., None])
+        logd = np.log(scale * m + z[..., None])
+    pw = np.multiply(-s[:, None], logb)
     np.exp(pw, out=pw)
-    val = pw.sum(axis=1)
+    val = pw.sum(axis=-1)
     # magnitude of everything summed, for the rounding part of the error:
     # large direct-sum powers cancel against the integral term at negative
     # Re(s), costing |largest part| * eps of absolute accuracy
-    mag = np.abs(pw).sum(axis=1)
+    apw = np.abs(pw)
+    mag = apw.sum(axis=-1)
     pw *= logd
-    dval = -pw.sum(axis=1)
-    mag_ds = np.abs(pw).sum(axis=1)
+    dval = -pw.sum(axis=-1)
+    apw *= np.abs(logd)
+    mag_ds = apw.sum(axis=-1)
+    del pw, apw
 
     w = N + z0
-    lw = cmath.log(w)
-    lqw = cmath.log(scale * N + z)   # log(q w)
+    lw = log(w)
+    lqw = log(scale * N + z)   # log(q w)
     winv = 1.0 / w
     wms = np.power(w, -s)  # w^{-s}, exact at small integer s
 
@@ -238,134 +273,172 @@ def _em_core(s: np.ndarray, z: complex, N: int, J: int,
         t = w1ms / eps
         dt = -w1ms * (lqw / eps + 1.0 / (eps * eps))
 
-    # Bernoulli tail: term j is B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1).  The
-    # terms are stacked under the direct sum, the integral term and the
-    # boundary term w^{-s}/2 and added in that order (cumsum): at the
-    # trivial zeros these cancel exactly
+    # Bernoulli tail: term j is B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1), summed
+    # as w^-s sum_j coef_j (s)_(2j-1), one einsum over the Pochhammer
+    # table (no (terms x nodes) array per shift)
     bf = _bern_over_fact(J + 1)
-    poch, dpoch = _pochhammers(s.tobytes(), 2 * J + 1)
-    pk, dpk = np.abs(poch[-1]), np.abs(dpoch[-1])
-    coef = (bf[1:J + 1] * winv ** np.arange(1, 2 * J, 2))[:, None]
-    terms = np.empty((J + 3, len(s)), dtype=np.complex128)
-    dterms = np.empty_like(terms)
-    terms[0], terms[1], terms[2] = val, t, 0.5 * wms
-    dterms[0], dterms[1], dterms[2] = dval, dt, -0.5 * lqw * wms
-    tail, dtail = terms[3:], dterms[3:]
-    np.multiply(poch[0:2 * J:2], coef, out=tail)
-    tail *= wms
-    np.multiply(poch[0:2 * J:2], lqw, out=dtail)
-    np.subtract(dpoch[0:2 * J:2], dtail, out=dtail)
-    dtail *= coef
-    dtail *= wms
-    del poch, dpoch
-    mag += np.abs(terms[1:]).sum(axis=0)
-    mag_ds += np.abs(dterms[1:]).sum(axis=0)
-    val = np.cumsum(terms, axis=0, out=terms)[-1].copy()
-    dval = np.cumsum(dterms, axis=0, out=dterms)[-1].copy()
-    awms = np.abs(wms)
+    poch, dpoch, apoch, adpoch = _pochhammers(s.tobytes(), 2 * J + 1)
+    coef = bf[1:J + 1] * winv ** np.arange(1, 2 * J, 2)
+    tail = np.einsum("...j,jn->...n", coef, poch[:-1])
+    dtail = np.einsum("...j,jn->...n", coef, dpoch[:-1])
+    # added to the direct sum term by term in the formula's order (integral,
+    # boundary, tail): another order moves depth-3 direct determinants by
+    # ~1e-13, their rounding noise
+    val += t
+    val += 0.5 * wms
+    val += wms * tail
+    dval += dt
+    dval -= 0.5 * lqw * wms
+    dval += wms * (dtail - lqw * tail)
+    # the tail's magnitude as |w^-s| sum_j |coef_j| |(s)_(2j-1)|; its
+    # derivative's by the triangle inequality
+    awms, alqw = np.abs(wms), abs(lqw)
+    acoef = np.abs(coef)
+    atail = np.einsum("...j,jn->...n", acoef, apoch[:-1])
+    atail += 0.5
+    mag += np.abs(t) + awms * atail
+    mag_ds += np.abs(dt) + awms * (
+        np.einsum("...j,jn->...n", acoef, adpoch[:-1]) + alqw * atail)
 
     # first omitted term as remainder estimate, with the classical
     # |s + 2J + 1| / (Re s + 2J + 1) inflation (Re s > -(2J + 1): see
     # hurwitz_zeta_em)
     infl = np.minimum(10.0, np.abs(s + 2 * J + 1) / (s.real + 2 * J + 1))
     # oscillatory loss along the tail: |(x+w)^{-s}| carries e^{Im s arg(x+w)}
-    infl *= 6.0 * np.exp(np.minimum(8.0, np.abs(s.imag) * abs(cmath.phase(w))))
-    rem = abs(bf[J + 1]) * awms * abs(winv) ** (2 * J + 1)
+    rem = infl * np.exp(np.minimum(8.0, np.abs(s.imag) * abs(phase(w))))
+    rem *= awms
+    rem *= 6.0 * abs(bf[J + 1]) * abs(winv) ** (2 * J + 1)
     # rounding: each power costs |s| log|base| ulps through exp(-s log b)
-    round_fac = 1e-16 * (4.0 + 0.5 * np.abs(s) * math.log(abs(w) + 2.0))
-    err = rem * pk * infl + round_fac * (mag + 1.0)
-    err_ds = rem * (dpk + pk * abs(lqw)) * infl + round_fac * (mag_ds + 1.0)
+    round_fac = 4e-16 + np.abs(s) * (5e-17 * np.log(abs(w) + 2.0))
+    pk, dpk = apoch[-1], adpoch[-1]
+    err = rem * pk + round_fac * (mag + 1.0)
+    err_ds = rem * (dpk + pk * alqw) + round_fac * (mag_ds + 1.0)
     return EmResult(val, dval, err, err_ds, N)
 
 
 @overflow_is_domain_error
-def hurwitz_zeta_em(s, z: complex, cfg: EvalConfig = DEFAULT_CONFIG,
+def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
                     *, minus_pole: bool = False, scale: int = 1) -> EmResult:
     """zeta(s, z) = sum_{m >= 0} (m + z)^{-s} and d/ds zeta(s, z) by
     Euler-Maclaurin, with remainder bounds; Re(z) > 0, s != 1.
 
-    s is a scalar or a 1-D array of nodes (the result has the same form);
-    z is one shift.  The only entry point to the Euler-Maclaurin kernel:
-    it feeds `_em_core` batches of at most EM_CHUNK nodes, each with one
-    split N, the largest any node in the batch needs.  Every node must be
-    finite, and a value or derivative that overflows raises DomainError.
-    A batch gets J = cfg.bernoulli_terms Bernoulli terms, or more where a
-    node has Re(s) <= -(2J + 1): the classical remainder bound needs
-    Re(s) > -(2J + 1).  With minus_pole=True the result is
-    zeta(s, z) - 1/(s-1) and its s-derivative, finite and smooth across
-    s = 1 (no pole guard); the Dirichlet assembly uses it, where the
-    subtracted poles cancel.
+    s is a scalar or a 1-D array of nodes, z a scalar or a 1-D array of
+    shifts; the fields have the shape of s for a scalar z and are (shifts
+    x nodes) arrays for an array of shifts.  The only entry point to the
+    Euler-Maclaurin kernel: it feeds `_em_core` chunks of at most EM_CHUNK
+    nodes, and of each chunk blocks of shifts, at most EM_PAIRS (shift,
+    node) pairs a call; each call has one split N, the largest any pair in
+    it needs.  Every node and shift must be finite, and a value or
+    derivative that overflows raises DomainError.  A chunk gets J =
+    cfg.bernoulli_terms Bernoulli terms, or more where a node has Re(s) <=
+    -(2J + 1): the classical remainder bound needs Re(s) > -(2J + 1).
+    With minus_pole=True the result is zeta(s, z) - 1/(s-1) and its
+    s-derivative, finite and smooth across s = 1 (no pole guard); the
+    Dirichlet assembly uses it, where the subtracted poles cancel.
 
     With an integer scale q > 1 the shift is z / q (z = a for the residue
     a mod q), and ds is the derivative of q^-s times the value, divided by
     q^-s: d/ds zeta - log(q) zeta, summed from the bases q m + a, so a
     Dirichlet L' needs no -log(q) L that cancels to rounding noise.
 
-    At nonpositive integer s with minus_pole=False the value is the
-    closed form zeta(1 - r, z) = -B_r(z) / r: the kernel's large split
-    there only piles up huge direct-sum powers that cancel against the
-    tail and cost ~|z+N|^(1-s) eps of absolute accuracy.  The derivative
-    keeps the large split, where the differentiated tail still converges.
+    At nonpositive integer s = 1 - r the value is the closed form
+    zeta(1 - r, z) = -B_r(z) / r (plus 1/r with minus_pole=True): the
+    kernel's large split there only piles up huge direct-sum powers that
+    cancel against the tail and cost ~|z+N|^(1-s) eps of absolute
+    accuracy.  The derivative keeps the large split, where the
+    differentiated tail still converges.
     """
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    z = complex(z)
-    shift = z / scale
-    if not (finite := np.isfinite(s)).all() or not cmath.isfinite(z):
-        bad = s[~finite][0] if not finite.all() else s[0]
-        raise DomainError(f"hurwitz zeta needs finite s and z, got s = {bad}, "
-                          f"z = {shift}")
-    if shift.real <= 0:
-        raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = {shift}")
+    s = np.asarray(s, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    scalar_s, scalar_z = s.ndim == 0, z.ndim == 0
+    s, z = np.atleast_1d(s), np.ascontiguousarray(z)   # at least 1-D
+    if s.ndim != 1 or z.ndim != 1 or not (s.size and z.size):
+        raise DomainError("hurwitz zeta takes scalars or non-empty 1-D "
+                          "arrays of s and z")
+    if not (np.isfinite(s).all() and np.isfinite(z).all()):
+        # argmin finds the first non-finite entry (or the first entry)
+        raise DomainError(f"hurwitz zeta needs finite s and z, got s = "
+                          f"{s[np.argmin(np.isfinite(s))]}, z = "
+                          f"{z[np.argmin(np.isfinite(z))]}")
+    shift = _over(z, scale)
+    if shift.real.min() <= 0:
+        raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = "
+                          f"{shift[np.argmin(shift.real)]}")
     if not minus_pole and (near := np.abs(s - 1.0) < cfg.pole_guard).any():
         raise PoleAtOne(f"s = {s[near][0]} is inside the pole guard radius "
                         f"{cfg.pole_guard}")
-    parts = []
+    rows = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(s), EM_CHUNK):
             part = s[lo:lo + EM_CHUNK]
-            N = int(math.ceil(np.abs(part.imag).max()) + math.ceil(abs(shift))
-                    + cfg.euler_maclaurin_shift)
-            if N > cfg.series_max_terms:
-                raise DomainError(f"Euler-Maclaurin split for s = {part[0]}, "
-                                  f"z = {shift} exceeds cfg.series_max_terms")
             # J >= cfg.bernoulli_terms Bernoulli terms, and enough that
             # Re s > -(2J + 1) on every node, where the remainder is bounded
             J = max(cfg.bernoulli_terms,
                     int((-part.real.min() - 1.0) // 2.0) + 1)
-            parts.append(_em_core(part, z, N, J, minus_pole, scale))
-        em = parts[0] if len(parts) == 1 else EmResult(
-            *(np.concatenate([getattr(p, f) for p in parts])
-              for f in ("value", "ds", "err_value", "err_ds")),
-            max(p.split for p in parts))
-        if not minus_pole:
-            _trivial_zero_values(s, shift, em)
+            step = max(1, EM_PAIRS // len(part))
+            row = []
+            for zlo in range(0, len(z), step):
+                block = slice(zlo, zlo + step)
+                N = int(math.ceil(np.abs(part.imag).max())
+                        + math.ceil(np.abs(shift[block]).max())
+                        + cfg.euler_maclaurin_shift)
+                if N > cfg.series_max_terms:
+                    raise DomainError(
+                        f"Euler-Maclaurin split for s = {part[0]}, z = "
+                        f"{shift[zlo]} exceeds cfg.series_max_terms")
+                row.append(_em_core(part, z[0] if scalar_z else z[block],
+                                    N, J, minus_pole, scale))
+            rows.append(_joined(row, axis=0))
+        em = _joined(rows, axis=-1)
+        _trivial_zero_values(s, shift, em, minus_pole)
     bad = ~(np.isfinite(em.value) & np.isfinite(em.ds)
             & np.isfinite(em.err_value))
     if bad.any():
-        raise DomainError(f"hurwitz zeta at s = {s[bad][0]}, z = {shift} "
+        i, j = np.argwhere(bad.reshape(len(z), -1))[0]
+        raise DomainError(f"hurwitz zeta at s = {s[j]}, z = {shift[i]} "
                           "overflows double precision")
-    if scalar:
+    if scalar_s and scalar_z:
         return EmResult(complex(em.value[0]), complex(em.ds[0]),
                         float(em.err_value[0]), float(em.err_ds[0]), em.split)
+    if scalar_s:
+        return EmResult(em.value[:, 0], em.ds[:, 0], em.err_value[:, 0],
+                        em.err_ds[:, 0], em.split)
     return em
 
 
-def _trivial_zero_values(s: np.ndarray, z: complex, em: EmResult) -> None:
-    """Overwrite em's value and its error at nonpositive integer nodes
-    s = 1 - r with -B_r(z) / r (see hurwitz_zeta_em).  Its error is the
-    Horner rounding bound 2 eps r sum_k |c_k| |z|^(r-k) over the
-    coefficients c_k of B_r, divided by r, plus the margin of the N = 1
-    kernel sum this replaced."""
+def _joined(parts: list[EmResult], axis: int) -> EmResult:
+    """The kernel results of adjacent blocks as one, joined along axis."""
+    if len(parts) == 1:
+        return parts[0]
+    return EmResult(*(np.concatenate([getattr(p, f) for p in parts], axis)
+                      for f in ("value", "ds", "err_value", "err_ds")),
+                    max(p.split for p in parts))
+
+
+def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
+                         minus_pole: bool) -> None:
+    """Overwrite em's values and their errors at nonpositive integer nodes
+    s = 1 - r with -B_r(z) / r, plus 1/r with minus_pole=True (see
+    hurwitz_zeta_em), for every shift z (em's fields are 1-D for one
+    shift).  The error is the Horner rounding bound 2 eps r sum_k |c_k|
+    |z|^(r-k) over the coefficients c_k of B_r, divided by r, plus the
+    margin of the N = 1 kernel sum this replaced, plus the rounding of the
+    added 1/r."""
+    if s.real.min() > 0.0:
+        return
     hits = np.flatnonzero((s.imag == 0.0) & (s.real <= 0.0)
                           & (s.real == np.round(s.real)))
-    for i in hits:
-        r = 1 - int(round(s[i].real))
-        size = np.polyval(np.abs(np.array(_bernoulli_poly_coeffs(r),
-                                          dtype=float)), abs(z))
-        em.value[i] = -bernoulli_poly(r, z) / r
-        em.err_value[i] = 2.0 * _EPS * size \
-            + 1e-15 * np.float64(1.0 + abs(z)) ** max(r - 1, 1)
+    for j in hits:
+        r = 1 - int(round(s[j].real))
+        absc = np.abs(np.array(_bernoulli_poly_coeffs(r), dtype=float))
+        for i, zi in enumerate(z):
+            at = j if em.value.ndim == 1 else (i, j)
+            zi = complex(zi)
+            em.value[at] = -bernoulli_poly(r, zi) / r \
+                + (1.0 / r if minus_pole else 0.0)
+            em.err_value[at] = 2.0 * _EPS * np.polyval(absc, abs(zi)) \
+                + 1e-15 * np.float64(1.0 + abs(zi)) ** max(r - 1, 1) \
+                + (2.0 * _EPS / r if minus_pole else 0.0)
 
 
 # ---------------------------------------------------------------------------

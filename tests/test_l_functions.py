@@ -24,6 +24,8 @@ from polydet import (
     argument_principle_count,
     completed_lambda,
     conductor_factor,
+    determinant_closed,
+    determinant_direct,
     dirichlet_character_by_index,
     kronecker_character,
     l_log_derivative,
@@ -359,6 +361,64 @@ def test_large_batches_reach_the_kernel_in_chunks(monkeypatch):
     assert len(sizes) > 1
     assert max(sizes) <= EM_CHUNK
     assert sum(sizes) == s.size
+
+
+def test_dirichlet_residues_reach_the_kernel_in_shift_blocks(monkeypatch):
+    # chi_-23 has 22 residues; 150 nodes are two chunks, and each chunk
+    # sends its residues in blocks of at most EM_PAIRS (shift, node) pairs
+    calls = []
+    core = special_functions._em_core
+
+    def spy(s, z, *args):
+        calls.append((len(s), np.size(z)))
+        return core(s, z, *args)
+
+    monkeypatch.setattr(special_functions, "_em_core", spy)
+    s = 2.0 + np.exp(np.linspace(-4.0, 4.4, 150)) + 0.5j
+    out = l_log_derivative(Q, CHI23, s)
+    assert out.shape == s.shape and np.isfinite(out).all()
+    want = sum(math.ceil(22 / (special_functions.EM_PAIRS // n))
+               for n in (EM_CHUNK, 150 - EM_CHUNK))
+    assert len(calls) == want < 44
+    assert all(n * m <= special_functions.EM_PAIRS for n, m in calls)
+    assert sum(n * m for n, m in calls) == 22 * s.size
+
+
+@pytest.mark.parametrize("disc, s, want", [
+    (5, -6.0, 0.0),       # chi_5 is even: zeros at the negative even s
+    (-4, -5.0, 0.0),      # chi_-4 is odd: zeros at the negative odd s
+    (-4, -6.0, -30.5),
+    (-23, -4.0, 6816.0),
+])
+def test_dirichlet_l_at_nonpositive_integers(disc, s, want):
+    # L(1 - r, chi) = -q^(r-1) sum_a chi(a) B_r(a/q) / r, from the closed
+    # form per residue instead of a kernel sum that cancels to noise
+    chi = kronecker_character(disc)
+    ref = complex(mp.dirichlet(s, [chi.values[a].real
+                                   for a in range(chi.modulus)]))
+    assert ref == want
+    got = l_value(Q, chi, s)
+    assert abs(got - ref) <= _dirichlet_err(chi, np.array([s]))[0][0]
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_l_value_overflow_is_a_domain_error():
+    # finite Hurwitz pieces, but q^-s L or the Dedekind product overflows
+    with pytest.raises(DomainError):
+        l_value(Q, kronecker_character(-163), -150.0)
+    with pytest.raises(DomainError):
+        l_log_derivative(Q, CHI4, np.array([2.0, -170.0]))
+    with pytest.raises(DomainError):
+        l_value(QI, trivial_character(QI), -170.0)
+
+
+def test_chi163_direct_determinant_matches_closed():
+    # 162 residues: several shift blocks per chunk on the Hankel ray
+    chi = kronecker_character(-163)
+    direct = determinant_direct(Q, chi, 2, 2.0)
+    closed = determinant_closed(Q, chi, 2, 2.0)
+    assert abs(direct.value - closed.value) \
+        <= direct.error_estimate + closed.error_estimate
 
 
 def test_omega_region_tests_arrays_elementwise():

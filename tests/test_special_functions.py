@@ -9,8 +9,11 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polydet import (
     DEFAULT_CONFIG,
@@ -27,8 +30,14 @@ from polydet import (
     polylog_tail_bound,
 )
 
-# 50 digits so central-difference oracles for d/ds keep ~25 good digits
-mp.mp.dps = 50
+
+@pytest.fixture(autouse=True)
+def _fifty_digits():
+    """50 digits so central-difference oracles for d/ds keep ~25 good
+    digits, whatever precision another test module sets at import."""
+    with mp.workdps(50):
+        yield
+
 
 # mpmath, 30 digits
 LOG_GAMMA_37 = 1.42807232666538812920049835255
@@ -222,6 +231,77 @@ def test_hurwitz_rejects_pole_and_bad_z():
     # zeta(-200, 1) = -B_201/201 = 0, but its Euler-Maclaurin terms overflow
     with pytest.raises(DomainError):
         hurwitz_zeta_em(-200.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# An array of shifts: one kernel call for all residues a mod q
+
+
+node = st.builds(complex, st.floats(-6.0, 8.0), st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([4, 5, 23]), minus_pole=st.booleans(),
+       nodes=st.lists(node, min_size=1, max_size=4))
+def test_shift_array_rows_match_scalar_shift_calls(q, minus_pole, nodes):
+    if not minus_pole:
+        assume(all(abs(u - 1.0) > 1e-3 for u in nodes))
+    s = np.array(nodes, dtype=np.complex128)
+    a = np.arange(1, q)
+    em = hurwitz_zeta_em(s, a, minus_pole=minus_pole, scale=q)
+    assert em.value.shape == em.ds.shape == em.err_ds.shape == (q - 1, len(s))
+    for i in range(q - 1):
+        one = hurwitz_zeta_em(s, a[i], minus_pole=minus_pole, scale=q)
+        assert one.value.shape == s.shape
+        assert (np.abs(em.value[i] - one.value)
+                <= em.err_value[i] + one.err_value).all()
+        assert (np.abs(em.ds[i] - one.ds) <= em.err_ds[i] + one.err_ds).all()
+
+
+def test_shift_array_with_scalar_s():
+    em = hurwitz_zeta_em(2.5 + 1.0j, np.array([0.5, 1.0, 2.0 + 1.0j]))
+    assert em.value.shape == (3,)
+    for i, z in enumerate((0.5, 1.0, 2.0 + 1.0j)):
+        # the block's split serves its largest shift, so it may exceed
+        # the split of the shift alone
+        one = hurwitz_zeta_em(2.5 + 1.0j, z)
+        assert em.split >= one.split
+        assert abs(em.value[i] - one.value) <= em.err_value[i] + one.err_value
+
+
+def test_shift_array_with_a_bad_shift_or_node_is_a_domain_error():
+    s = np.array([2.0, 0.5 + 3.0j])
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(s, np.array([0.5, -0.5, 1.5]))
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(s, np.array([1, 0, 3]), minus_pole=True, scale=4)
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(s, np.array([0.5, complex(1.0, math.nan)]))
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(np.array([2.0, math.nan]), np.array([1, 3]),
+                        minus_pole=True, scale=4)
+    with pytest.raises(PoleAtOne):
+        hurwitz_zeta_em(np.array([2.0, 1.0]), np.array([0.5, 1.5]))
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(-200.0, np.array([1.0, 2.0]))
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(s, np.array([]))
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(s, np.ones((2, 2)))
+
+
+def test_trivial_zero_values_apply_per_shift():
+    # at s = 1 - r every row is -B_r(a/q)/r, plus 1/r with the pole removed
+    a, q = np.array([1, 2, 4]), 5
+    for r in (1, 3, 7):
+        s = np.array([2.0, 1.0 - r])
+        for minus_pole in (False, True):
+            em = hurwitz_zeta_em(s, a, minus_pole=minus_pole, scale=q)
+            for i, ai in enumerate(a):
+                want = complex(mp.zeta(1 - r, mp.mpf(int(ai)) / q))
+                if minus_pole:
+                    want += 1.0 / r
+                assert abs(em.value[i, 1] - want) <= em.err_value[i, 1]
 
 
 def test_result_is_finite_or_raises():
