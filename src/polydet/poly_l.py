@@ -57,7 +57,8 @@ _MIN_WEIGHT = 1e-19
 # ~170 ideals keep a block's arrays near 40 KB.  All ~41 nodes at once
 # took ~430 KB of temporaries per call, which glibc's malloc could hand
 # back to the system after each call and fault in again on the next
-# (~75 page faults, ~20% of a closed determinant, depending on the heap)
+# (94 against 19 minor faults per closed determinant, and ~8% fewer
+# closed determinants a second, on a 2-core x86_64 VM)
 _NODE_BLOCK = 16
 
 

@@ -7,14 +7,14 @@ Stirling-series log gamma.
 Euler-Maclaurin kernel `_em_core`.  s is a scalar or a 1-D array of nodes
 and z a scalar or a 1-D array of shifts (all residues of a Dirichlet
 character in one call); the kernel works on chunks of at most EM_CHUNK
-nodes times blocks of shifts, at most EM_PAIRS (shift, node) pairs, each
-call with one split N (the largest any pair in it needs, at most
-cfg.series_max_terms), building the direct sum as a (shifts x nodes x N)
-array and the Bernoulli tail as one einsum over the chunk's Pochhammer
-table, shared by every shift.  The entry point checks every (shift, node)
-pair: s and z finite, Re(z) > 0, and (unless the pole is subtracted) s
-outside the pole guard; it raises DomainError instead of returning a
-non-finite value or derivative.  `log_gamma` also takes arrays.
+nodes, each with one split N (the largest any (shift, node) pair of the
+chunk needs, at most cfg.series_max_terms), and blocks of shifts of at
+most EM_TERMS direct-sum terms a call.  It builds the direct sum as a
+(shifts x nodes x N) array and the Bernoulli tail as one einsum over the
+chunk's Pochhammer table, shared by every shift.  The entry point checks
+every (shift, node) pair: s and z finite, Re(z) > 0, and (unless the pole
+is subtracted) s outside the pole guard; it raises DomainError instead of
+returning a non-finite value or derivative.  `log_gamma` also takes arrays.
 `Result` (value, error_estimate, route) is what the xi, determinant and
 poly-L routes return; `Result.from_log` exponentiates a logarithm and its
 error.
@@ -148,12 +148,13 @@ _EPS = float(np.finfo(float).eps)
 # (J+1 x nodes), shared by every shift of the chunk; 128 nodes keep them
 # in cache.
 EM_CHUNK = 128
-# Largest number of (shift, node) pairs one kernel call sees: a chunk's
-# shifts go to the kernel in blocks of EM_PAIRS // nodes.  The direct sum
-# is a (shifts x nodes x N) array, so this and EM_CHUNK bound the working
-# memory of a call whatever the number of nodes and shifts: at most
-# 1024 N complex numbers, 0.4 MB at the Hankel ray's N ~ 25.
-EM_PAIRS = 8 * EM_CHUNK
+# Largest number of direct-sum terms (shifts x nodes x N, N the chunk's
+# split) one kernel call holds: a chunk's shifts go to the kernel in blocks
+# of EM_TERMS // (nodes N), or one at a time where one shift alone has more
+# terms.  The direct sum and its moduli are arrays of that size, so a call
+# needs at most ~0.6 MB beyond what one shift needs; on the Hankel ray (N ~
+# 25) a block is ~1024 (shift, node) pairs.
+EM_TERMS = 25 * 1024
 
 # Taylor coefficients at 0 of (exp(-x) - 1) / x and its companion
 # (-x e^-x - (e^-x - 1)) / x^2, highest degree first for np.polyval
@@ -208,19 +209,11 @@ def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, ...]:
     return out
 
 
-def _over(z: np.ndarray, q: int) -> np.ndarray:
-    """z / q for a contiguous complex array z and an integer q, each part
-    correctly rounded (numpy's complex division multiplies by a rounded
-    1 / q)."""
-    return z if q == 1 else (z.view(np.float64) / q).view(np.complex128)
-
-
-def _em_core(s: np.ndarray, z, N: int, J: int,
+def _em_core(s: np.ndarray, z: np.ndarray, N: int, J: int,
              minus_pole: bool, scale: int) -> EmResult:
     """Euler-Maclaurin evaluation of zeta(s, z / q) and its s-derivative at
-    a 1-D array of s, a scalar shift z or a 1-D array of shifts (q =
-    scale) and one split N, with error bounds.  For an array of shifts
-    the fields are (shifts x nodes) arrays.
+    a 1-D array of s and a 1-D array of shifts z (q = scale) with one split
+    N, with error bounds, as (shifts x nodes) arrays.
 
     The derivative is that of q^-s zeta(s, z / q), divided by q^-s: it is
     formed from the logarithms of the bases q m + z (exact integers on the
@@ -230,18 +223,11 @@ def _em_core(s: np.ndarray, z, N: int, J: int,
     analytically, so the result is finite and smooth across s = 1.
     """
     m = np.arange(N, dtype=np.float64)
-    if np.ndim(z) == 0:
-        # one shift: its own quantities stay Python scalars, which cost
-        # less than 1-element arrays
-        z = complex(z)
-        z0, log, phase = z / scale, cmath.log, cmath.phase
-        logb, logd = np.log(m + z0), np.log(scale * m + z)
-    else:
-        # the shifts on a leading axis, before the nodes
-        z = np.asarray(z, dtype=np.complex128)[:, None]
-        z0, log, phase = _over(z, scale), np.log, np.angle
-        logb = np.log(m + z0[..., None])
-        logd = np.log(scale * m + z[..., None])
+    # the shifts on a leading axis, before the nodes
+    z = z[:, None]
+    z0 = z / scale
+    logb = np.log(m + z0[..., None])
+    logd = np.log(scale * m + z[..., None])
     pw = np.multiply(-s[:, None], logb)
     np.exp(pw, out=pw)
     val = pw.sum(axis=-1)
@@ -257,8 +243,8 @@ def _em_core(s: np.ndarray, z, N: int, J: int,
     del pw, apw
 
     w = N + z0
-    lw = log(w)
-    lqw = log(scale * N + z)   # log(q w)
+    lw = np.log(w)
+    lqw = np.log(scale * N + z)   # log(q w)
     winv = 1.0 / w
     wms = np.power(w, -s)  # w^{-s}, exact at small integer s
 
@@ -305,7 +291,7 @@ def _em_core(s: np.ndarray, z, N: int, J: int,
     # hurwitz_zeta_em)
     infl = np.minimum(10.0, np.abs(s + 2 * J + 1) / (s.real + 2 * J + 1))
     # oscillatory loss along the tail: |(x+w)^{-s}| carries e^{Im s arg(x+w)}
-    rem = infl * np.exp(np.minimum(8.0, np.abs(s.imag) * abs(phase(w))))
+    rem = infl * np.exp(np.minimum(8.0, np.abs(s.imag) * np.abs(np.angle(w))))
     rem *= awms
     rem *= 6.0 * abs(bf[J + 1]) * abs(winv) ** (2 * J + 1)
     # rounding: each power costs |s| log|base| ulps through exp(-s log b)
@@ -326,12 +312,13 @@ def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
     shifts; the fields have the shape of s for a scalar z and are (shifts
     x nodes) arrays for an array of shifts.  The only entry point to the
     Euler-Maclaurin kernel: it feeds `_em_core` chunks of at most EM_CHUNK
-    nodes, and of each chunk blocks of shifts, at most EM_PAIRS (shift,
-    node) pairs a call; each call has one split N, the largest any pair in
-    it needs.  Every node and shift must be finite, and a value or
-    derivative that overflows raises DomainError.  A chunk gets J =
-    cfg.bernoulli_terms Bernoulli terms, or more where a node has Re(s) <=
-    -(2J + 1): the classical remainder bound needs Re(s) > -(2J + 1).
+    nodes, each with one split N, the largest any (shift, node) pair of the
+    chunk needs, and the chunk's shifts in blocks of at most EM_TERMS
+    direct-sum terms (or one shift).  Every node and shift must be
+    finite, and a value or derivative that overflows raises DomainError.
+    A chunk gets J = cfg.bernoulli_terms Bernoulli terms, or more where a
+    node has Re(s) <= -(2J + 1): the classical remainder bound needs
+    Re(s) > -(2J + 1).
     With minus_pole=True the result is zeta(s, z) - 1/(s-1) and its
     s-derivative, finite and smooth across s = 1 (no pole guard); the
     Dirichlet assembly uses it, where the subtracted poles cancel.
@@ -351,7 +338,7 @@ def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
     s = np.asarray(s, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     scalar_s, scalar_z = s.ndim == 0, z.ndim == 0
-    s, z = np.atleast_1d(s), np.ascontiguousarray(z)   # at least 1-D
+    s, z = np.atleast_1d(s), np.atleast_1d(z)
     if s.ndim != 1 or z.ndim != 1 or not (s.size and z.size):
         raise DomainError("hurwitz zeta takes scalars or non-empty 1-D "
                           "arrays of s and z")
@@ -360,13 +347,14 @@ def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
         raise DomainError(f"hurwitz zeta needs finite s and z, got s = "
                           f"{s[np.argmin(np.isfinite(s))]}, z = "
                           f"{z[np.argmin(np.isfinite(z))]}")
-    shift = _over(z, scale)
+    shift = z / scale
     if shift.real.min() <= 0:
         raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = "
                           f"{shift[np.argmin(shift.real)]}")
     if not minus_pole and (near := np.abs(s - 1.0) < cfg.pole_guard).any():
         raise PoleAtOne(f"s = {s[near][0]} is inside the pole guard radius "
                         f"{cfg.pole_guard}")
+    zmax = math.ceil(np.abs(shift).max())
     rows = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(s), EM_CHUNK):
@@ -375,35 +363,33 @@ def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
             # Re s > -(2J + 1) on every node, where the remainder is bounded
             J = max(cfg.bernoulli_terms,
                     int((-part.real.min() - 1.0) // 2.0) + 1)
-            step = max(1, EM_PAIRS // len(part))
-            row = []
-            for zlo in range(0, len(z), step):
-                block = slice(zlo, zlo + step)
-                N = int(math.ceil(np.abs(part.imag).max())
-                        + math.ceil(np.abs(shift[block]).max())
-                        + cfg.euler_maclaurin_shift)
-                if N > cfg.series_max_terms:
-                    raise DomainError(
-                        f"Euler-Maclaurin split for s = {part[0]}, z = "
-                        f"{shift[zlo]} exceeds cfg.series_max_terms")
-                row.append(_em_core(part, z[0] if scalar_z else z[block],
-                                    N, J, minus_pole, scale))
-            rows.append(_joined(row, axis=0))
+            N = int(math.ceil(np.abs(part.imag).max()) + zmax
+                    + cfg.euler_maclaurin_shift)
+            if N > cfg.series_max_terms:
+                raise DomainError(
+                    f"Euler-Maclaurin split for s = {part[0]}, |z| <= "
+                    f"{zmax} exceeds cfg.series_max_terms")
+            step = max(1, EM_TERMS // (len(part) * N))
+            rows.append(_joined([_em_core(part, z[b:b + step], N, J,
+                                          minus_pole, scale)
+                                 for b in range(0, len(z), step)], axis=0))
         em = _joined(rows, axis=-1)
         _trivial_zero_values(s, shift, em, minus_pole)
     bad = ~(np.isfinite(em.value) & np.isfinite(em.ds)
             & np.isfinite(em.err_value))
     if bad.any():
-        i, j = np.argwhere(bad.reshape(len(z), -1))[0]
+        i, j = np.argwhere(bad)[0]
         raise DomainError(f"hurwitz zeta at s = {s[j]}, z = {shift[i]} "
                           "overflows double precision")
-    if scalar_s and scalar_z:
-        return EmResult(complex(em.value[0]), complex(em.ds[0]),
-                        float(em.err_value[0]), float(em.err_ds[0]), em.split)
+    fields = (em.value, em.ds, em.err_value, em.err_ds)
+    if scalar_z:
+        fields = [f[0] for f in fields]
     if scalar_s:
-        return EmResult(em.value[:, 0], em.ds[:, 0], em.err_value[:, 0],
-                        em.err_ds[:, 0], em.split)
-    return em
+        fields = [f[..., 0] for f in fields]
+    if scalar_s and scalar_z:
+        fields = [f(x) for f, x in zip((complex, complex, float, float),
+                                       fields)]
+    return EmResult(*fields, em.split)
 
 
 def _joined(parts: list[EmResult], axis: int) -> EmResult:
@@ -419,8 +405,8 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
                          minus_pole: bool) -> None:
     """Overwrite em's values and their errors at nonpositive integer nodes
     s = 1 - r with -B_r(z) / r, plus 1/r with minus_pole=True (see
-    hurwitz_zeta_em), for every shift z (em's fields are 1-D for one
-    shift).  The error is the Horner rounding bound 2 eps r sum_k |c_k|
+    hurwitz_zeta_em), for every shift z (em's fields are (shifts x nodes)
+    arrays).  The error is the Horner rounding bound 2 eps r sum_k |c_k|
     |z|^(r-k) over the coefficients c_k of B_r, divided by r, plus the
     margin of the N = 1 kernel sum this replaced, plus the rounding of the
     added 1/r."""
@@ -432,11 +418,10 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
         r = 1 - int(round(s[j].real))
         absc = np.abs(np.array(_bernoulli_poly_coeffs(r), dtype=float))
         for i, zi in enumerate(z):
-            at = j if em.value.ndim == 1 else (i, j)
             zi = complex(zi)
-            em.value[at] = -bernoulli_poly(r, zi) / r \
+            em.value[i, j] = -bernoulli_poly(r, zi) / r \
                 + (1.0 / r if minus_pole else 0.0)
-            em.err_value[at] = 2.0 * _EPS * np.polyval(absc, abs(zi)) \
+            em.err_value[i, j] = 2.0 * _EPS * np.polyval(absc, abs(zi)) \
                 + 1e-15 * np.float64(1.0 + abs(zi)) ** max(r - 1, 1) \
                 + (2.0 * _EPS / r if minus_pole else 0.0)
 

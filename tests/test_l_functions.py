@@ -365,23 +365,44 @@ def test_large_batches_reach_the_kernel_in_chunks(monkeypatch):
 
 def test_dirichlet_residues_reach_the_kernel_in_shift_blocks(monkeypatch):
     # chi_-23 has 22 residues; 150 nodes are two chunks, and each chunk
-    # sends its residues in blocks of at most EM_PAIRS (shift, node) pairs
+    # sends its residues in blocks of at most EM_TERMS direct-sum terms
     calls = []
     core = special_functions._em_core
 
-    def spy(s, z, *args):
-        calls.append((len(s), np.size(z)))
-        return core(s, z, *args)
+    def spy(s, z, N, *args):
+        calls.append((len(s), len(z), N))
+        return core(s, z, N, *args)
 
     monkeypatch.setattr(special_functions, "_em_core", spy)
     s = 2.0 + np.exp(np.linspace(-4.0, 4.4, 150)) + 0.5j
     out = l_log_derivative(Q, CHI23, s)
     assert out.shape == s.shape and np.isfinite(out).all()
-    want = sum(math.ceil(22 / (special_functions.EM_PAIRS // n))
-               for n in (EM_CHUNK, 150 - EM_CHUNK))
+    chunks = sorted({(n, N) for n, _, N in calls})
+    assert [n for n, _ in chunks] == [150 - EM_CHUNK, EM_CHUNK]
+    want = sum(math.ceil(22 / (special_functions.EM_TERMS // (n * N)))
+               for n, N in chunks)
     assert len(calls) == want < 44
-    assert all(n * m <= special_functions.EM_PAIRS for n, m in calls)
-    assert sum(n * m for n, m in calls) == 22 * s.size
+    assert all(n * m * N <= special_functions.EM_TERMS for n, m, N in calls)
+    assert sum(n * m for n, m, _ in calls) == 22 * s.size
+
+
+def test_high_in_the_strip_residues_reach_the_kernel_one_at_a_time(
+        monkeypatch):
+    # at |Im s| ~ 3e4 one residue's direct sum alone is past EM_TERMS, so
+    # the 162 residues of chi_-163 go one per call, not all in one
+    calls = []
+    core = special_functions._em_core
+
+    def spy(s, z, N, *args):
+        calls.append((len(s), len(z), N))
+        return core(s, z, N, *args)
+
+    monkeypatch.setattr(special_functions, "_em_core", spy)
+    got = l_value(Q, kronecker_character(-163), 0.5 + 3e4j)
+    assert cmath.isfinite(got)
+    assert len(calls) == 162
+    assert all(n == m == 1 and N > special_functions.EM_TERMS
+               for n, m, N in calls)
 
 
 @pytest.mark.parametrize("disc, s, want", [
