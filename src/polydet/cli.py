@@ -246,15 +246,15 @@ def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
 
     if fn in ("hurwitz", "hurwitz-ds"):
         s, z = need("s"), need("z")
-        em = hurwitz_zeta_em(s, z, cfg)
+        em = hurwitz_zeta_em(s, z)
         if fn == "hurwitz":
             rec = make_record(inputs, em.value, em.err_value, "euler-maclaurin", cfg)
         else:
             rec = make_record(inputs, em.ds, em.err_ds, "euler-maclaurin", cfg)
     elif fn == "milnor-gamma":
         r, z = int(need("r")), need("z")
-        value = milnor_gamma(r, z, cfg)
-        em = hurwitz_zeta_em(complex(1 - r), z, cfg)
+        value = milnor_gamma(r, z)
+        em = hurwitz_zeta_em(complex(1 - r), z)
         rec = make_record(inputs, value, abs(value) * em.err_ds, "lerch", cfg)
     elif fn == "polylog":
         r, z = int(need("r")), need("z")
@@ -281,19 +281,19 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
                          "--completed, --root-number")
     mode = picked[0] if picked else "value"
     if mode == "log_derivative":
-        value = l_log_derivative(fld, chi, s, cfg)
+        value = l_log_derivative(fld, chi, s)
         route = "log-derivative"
         err = cfg.target_abs_error
     elif mode == "completed":
-        value = completed_lambda(fld, chi, s, cfg)
+        value = completed_lambda(fld, chi, s)
         route = "completed"
         err = abs(value) * cfg.target_abs_error
     elif mode == "root_number":
-        value = root_number(fld, chi, cfg=cfg)
+        value = root_number(fld, chi)
         route = "root-number"
         err = abs(abs(value) - 1.0)
     else:
-        value = l_value(fld, chi, s, cfg)
+        value = l_value(fld, chi, s)
         route = "euler-maclaurin"
         err = cfg.target_abs_error
     return [make_record(inputs, value, err, route, cfg)], 0
@@ -313,7 +313,7 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         res = poly_l_continued(fld, chi, args.depth, args.s, cfg,
                                anchor=args.anchor, path=path)
     else:
-        res = poly_l_euler(fld, chi, args.depth, args.s, cfg)
+        res = poly_l_euler(fld, chi, args.depth, args.s)
     return [make_record(inputs, res.value, res.error_estimate, res.route,
                         cfg)], 0
 
@@ -334,7 +334,7 @@ def run_xi(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         else:
             raise ParseError("the zeros route needs --zeros-file for this "
                              "field/character (try `zeros --find --export`)")
-        res = xi_zero_sum(fld, chi, s, z, table, cfg)
+        res = xi_zero_sum(fld, chi, s, z, table)
     else:
         contour = default_contour(z) if args.delta is None \
             else ContourSpec(args.delta)
@@ -380,7 +380,7 @@ def run_zeros(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         table = load_zeros(args.import_path)
         route = "file"
     elif args.find:
-        table = find_zeros(fld, chi, args.height, cfg)
+        table = find_zeros(fld, chi, args.height)
         route = "scan"
     elif args.export:
         if not (fld.degree == 1 and chi.is_principal):

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import (ContourInvalid, DomainError, PoleAtOne,
-                     overflow_is_domain_error)
+from .errors import ContourInvalid, DomainError, overflow_is_domain_error
 from .fields_and_characters import ArchPlace, HeckeCharacter, NumberField
 from .l_functions import _check_pair, completed_lambda, l_log_derivative
 from .poly_l import poly_l_log_continued, poly_l_log_euler
@@ -93,8 +92,7 @@ def _w_place(v: ArchPlace, z: complex) -> complex:
 
 
 def xi_zero_sum(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
-                table: ZeroTable,
-                cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
+                table: ZeroTable) -> Result:
     """sum over table zeros (both ordinate signs) of ((z - rho)/2pi)^-s.
 
     Needs Re(s) > 1 (convergent zero sum) and Re(z) > 1 (zeros stay in the
@@ -153,7 +151,7 @@ def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
         log_x = e if lo == 0.0 else np.log(lo + u)
         # x^-s dx/dt, with dx/dt = (pi/2) cosh(t) u
         weight = np.exp(e - s * log_x) * (0.5 * math.pi * np.cosh(t.real))
-        return l_log_derivative(fld, chi, z + lo + u, cfg) * weight
+        return l_log_derivative(fld, chi, z + lo + u) * weight
 
     k = -s.real                                 # |x^-s| = x^k on the ray
     # x^k 2^-x peaks at x = k / log 2; a cut at three times that plus 60,
@@ -173,9 +171,8 @@ def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     return ray.value, ray.error + head + tail
 
 
-def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex,
-                   cfg: EvalConfig) -> EmResult:
-    """A1 + A3 and its s-derivative with error bounds and the largest split."""
+def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex) -> EmResult:
+    """A1 + A3 and its s-derivative with error bounds; PoleAtOne at s = 1."""
     val = ds = 0.0 + 0.0j
     if chi.epsilon:
         for u in (z, z - 1.0):
@@ -183,17 +180,16 @@ def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex,
             p = cmath.exp(s * lg)
             val += p
             ds += lg * p
-    err, err_ds, split = 0.0, 0.0, 0
+    err = err_ds = 0.0
     for v in chi.arch_places():
         lb = math.log(v.nv * math.pi)
-        em = hurwitz_zeta_em(s, _w_place(v, z), cfg)
+        em = hurwitz_zeta_em(s, _w_place(v, z))
         coef = cmath.exp(s * lb)
         val -= coef * em.value
         ds -= coef * (lb * em.value + em.ds)
         err += abs(coef) * em.err_value
         err_ds += abs(coef) * (lb * em.err_value + em.err_ds)
-        split = max(split, em.split)
-    return EmResult(val, ds, err, err_ds, split)
+    return EmResult(val, ds, err, err_ds)
 
 
 @overflow_is_domain_error
@@ -207,12 +203,10 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     """
     _check_pair(fld, chi)
     s, z = complex(s), complex(z)
-    if abs(s - 1.0) < cfg.pole_guard:
-        raise PoleAtOne("xi has a pole at s = 1")
     contour = contour or default_contour(z)
     contour.validate(z)
     dl = contour.delta
-    closed = _closed_pieces(chi, s, z, cfg)
+    closed = _closed_pieces(chi, s, z)
     pref = cmath.exp(s * math.log(_TWO_PI))
     ray_coef = pref * cmath.sin(math.pi * s) / math.pi
     circ_coef = pref * cmath.exp((1.0 - s) * math.log(dl)) / _TWO_PI
@@ -220,7 +214,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 
     def on_circle(psi: np.ndarray) -> np.ndarray:
         p = psi.real
-        return l_log_derivative(fld, chi, z - dl * np.exp(1j * p), cfg) \
+        return l_log_derivative(fld, chi, z - dl * np.exp(1j * p)) \
             * np.exp(1j * (1.0 - s) * p)
 
     circ = integrate_polyline(on_circle, (complex(-math.pi), complex(math.pi)),
@@ -245,7 +239,7 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
     s, z = complex(1 - r), complex(z)
     if not z.real > 1.0:   # also rejects NaN
         raise DomainError("Hankel evaluation needs Re(z) > 1")
-    closed = _closed_pieces(chi, s, z, cfg)
+    closed = _closed_pieces(chi, s, z)
     coef = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
     ray, ray_err = _ray(fld, chi, s, z, 0.0, cfg)
     return Result(closed.ds + coef * ray, closed.err_ds + abs(coef) * ray_err,
@@ -295,7 +289,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
     if r == 1:
         log_lr, tail = poly_l_log_continued(fld, chi, 1, z, cfg)
     else:
-        log_lr, tail, _ = poly_l_log_euler(fld, chi, r, z, cfg)
+        log_lr, tail, _ = poly_l_log_euler(fld, chi, r, z)
     lcoef = (-1.0) ** (r - 1) * math.factorial(r - 1) * _TWO_PI ** (1 - r)
     logv += lcoef * log_lr
 
@@ -303,7 +297,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
     for v in chi.arch_places():
         base = v.nv * math.pi
         w = _w_place(v, z)
-        em = hurwitz_zeta_em(1 - r, w, cfg)
+        em = hurwitz_zeta_em(1 - r, w)
         coef = base ** (1 - r)
         logv += -(coef / r) * complex(bernoulli_poly(r, w)) * math.log(base)
         logv += coef * em.ds
@@ -311,8 +305,8 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
     return Result.from_log(logv, err, "closed")
 
 
-def regularized_product(fld: NumberField, chi: HeckeCharacter, z: complex,
-                        cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def regularized_product(fld: NumberField, chi: HeckeCharacter,
+                        z: complex) -> complex:
     """Depth-1 determinant as an elementary multiple of the completed
     L-function:
 
@@ -330,7 +324,7 @@ def regularized_product(fld: NumberField, chi: HeckeCharacter, z: complex,
     m = sum(abs(v.m) for v in places)
     eps = chi.epsilon
     q = chi.conductor_norm * abs(fld.discriminant)
-    lam = completed_lambda(fld, chi, z, cfg)
+    lam = completed_lambda(fld, chi, z)
     two_exp = -(eps + 0.5 * fld.r1 + 1j * phi_c + 0.5 * m_c)
     pi_exp = -(2.0 * eps + 0.5 * m)
     return cmath.exp(-0.5 * z * math.log(q)

@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 _SERIES_MIN_RE = 1.02      # prime power series only used comfortably right of 1
+# Sieve bound of the plain prime-power series that cross-check the analytic
+# L right of 1 (log_l_series, the "series" route of L'/L)
+_SERIES_BOUND = 100_000
 _SMALL_L = 1e-12
 
 
@@ -184,13 +187,13 @@ def _check_pair(fld: NumberField, chi: HeckeCharacter):
         raise UnsupportedCharacter("only Q and quadratic fields are supported")
 
 
-def _zeta_and_ds(s: np.ndarray, cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    em = hurwitz_zeta_em(s, 1.0, cfg)
+def _zeta_and_ds(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    em = hurwitz_zeta_em(s, 1.0)
     return em.value, em.ds
 
 
-def _dirichlet_and_ds(chi: HeckeCharacter, s: np.ndarray,
-                      cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+def _dirichlet_and_ds(chi: HeckeCharacter,
+                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L(s, chi) and L'(s, chi) at an array of nodes, for a primitive
     non-principal Dirichlet chi.
 
@@ -206,7 +209,7 @@ def _dirichlet_and_ds(chi: HeckeCharacter, s: np.ndarray,
     q = chi.modulus
     values = np.array(chi.values, dtype=np.complex128)
     a = np.flatnonzero(values)
-    em = hurwitz_zeta_em(s, a, cfg, minus_pole=True, scale=q)
+    em = hurwitz_zeta_em(s, a, minus_pole=True, scale=q)
     v = values[a, None]
     qs = np.exp(-s * math.log(q))
     return qs * (v * em.value).sum(axis=0), qs * (v * em.ds).sum(axis=0)
@@ -217,8 +220,7 @@ def _quadratic_kronecker(fld: NumberField) -> HeckeCharacter:
     return kronecker_character(fld.discriminant)
 
 
-def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s,
-              cfg: EvalConfig) -> tuple:
+def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s) -> tuple:
     """(L, L') by the analytic route at a scalar s (complex results) or an
     array of nodes (arrays of the same shape)."""
     _check_pair(fld, chi)
@@ -233,13 +235,13 @@ def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s,
         for lo in range(0, len(nodes), EM_CHUNK):
             part, at = nodes[lo:lo + EM_CHUNK], slice(lo, lo + EM_CHUNK)
             if chi.kind == "dirichlet":
-                L[at], dL[at] = _dirichlet_and_ds(chi, part, cfg)
+                L[at], dL[at] = _dirichlet_and_ds(chi, part)
             elif fld.is_rational:
-                L[at], dL[at] = _zeta_and_ds(part, cfg)
+                L[at], dL[at] = _zeta_and_ds(part)
             else:
                 # Dedekind zeta of a quadratic field: zeta(s) L(s, chi_disc)
-                z, dz = _zeta_and_ds(part, cfg)
-                l, dl = _dirichlet_and_ds(_quadratic_kronecker(fld), part, cfg)
+                z, dz = _zeta_and_ds(part)
+                l, dl = _dirichlet_and_ds(_quadratic_kronecker(fld), part)
                 L[at], dL[at] = z * l, dz * l + z * dl
     if not (finite := np.isfinite(L) & np.isfinite(dL)).all():
         raise DomainError(f"L(s) at s = {nodes[~finite][0]} overflows double "
@@ -249,15 +251,13 @@ def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s,
     return L.reshape(arr.shape), dL.reshape(arr.shape)
 
 
-def l_value(fld: NumberField, chi: HeckeCharacter, s,
-            cfg: EvalConfig = DEFAULT_CONFIG):
+def l_value(fld: NumberField, chi: HeckeCharacter, s):
     """L_K(s, chi) for the supported family, continued to s != pole, at a
     scalar s or elementwise over an array of nodes."""
-    return _l_and_ds(fld, chi, s, cfg)[0]
+    return _l_and_ds(fld, chi, s)[0]
 
 
 def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s,
-                     cfg: EvalConfig = DEFAULT_CONFIG,
                      route: str = "analytic"):
     """(L'/L)(s, chi).
 
@@ -272,10 +272,10 @@ def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s,
         _check_pair(fld, chi)
         if not s.real > _SERIES_MIN_RE:   # also rejects NaN
             raise DomainError(f"series route requires Re(s) > {_SERIES_MIN_RE}")
-        return -_prime_power_sum(fld, chi, s, 0, cfg.prime_bound)
+        return -_prime_power_sum(fld, chi, s, 0, _SERIES_BOUND)
     if route != "analytic":
         raise DomainError(f"unknown route {route!r}")
-    L, dL = _l_and_ds(fld, chi, s, cfg)
+    L, dL = _l_and_ds(fld, chi, s)
     if (small := np.abs(L) < _SMALL_L).any():
         raise NearZeroOfL(f"|L| is below {_SMALL_L} at s = "
                           f"{np.asarray(s, dtype=np.complex128)[small][0]}")
@@ -325,8 +325,7 @@ def _prime_power_sum(fld: NumberField, chi: HeckeCharacter, s: complex,
     return complex(np.sum(logn[i] ** (1 - r) * base[i] ** l * inv_lr))
 
 
-def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex) -> complex:
     """log L(s, chi) from the absolutely convergent prime power series.
 
     This is the canonical branch on Re(s) > 1 (it tends to 0 as
@@ -336,7 +335,7 @@ def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex,
     _check_pair(fld, chi)
     if not s.real > _SERIES_MIN_RE:   # also rejects NaN
         raise DomainError(f"log L series requires Re(s) > {_SERIES_MIN_RE}")
-    return _prime_power_sum(fld, chi, s, 1, cfg.prime_bound)
+    return _prime_power_sum(fld, chi, s, 1, _SERIES_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +349,7 @@ def conductor_factor(fld: NumberField, chi: HeckeCharacter) -> float:
         (4.0 ** fld.r2 * math.pi ** n)
 
 
-def completed_lambda(fld: NumberField, chi: HeckeCharacter, s,
-                     cfg: EvalConfig = DEFAULT_CONFIG):
+def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
     """Completed L-function: pole factor, conductor power, gamma factors,
     at a scalar s or elementwise over an array of nodes.
 
@@ -372,23 +370,22 @@ def completed_lambda(fld: NumberField, chi: HeckeCharacter, s,
             raise GammaPole(f"gamma factor pole at argument {w[pole][0]}")
         gamma_prod = gamma_prod * np.exp(log_gamma(w))
     A = conductor_factor(fld, chi)
-    out = np.exp(0.5 * s * math.log(A)) * l_value(fld, chi, s, cfg) * gamma_prod
+    out = np.exp(0.5 * s * math.log(A)) * l_value(fld, chi, s) * gamma_prod
     if chi.epsilon == 1:
         out = out * (0.5 * s * (s - 1.0))
     return complex(out) if s.ndim == 0 else out
 
 
 def root_number(fld: NumberField, chi: HeckeCharacter,
-                s_sample: complex = 0.3 + 2.0j,
-                cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+                s_sample: complex = 0.3 + 2.0j) -> complex:
     """W with Lambda(1 - s, conj chi) = W Lambda(s, chi), from two samples."""
     chib = chi.conjugate()
 
     def ratio(s: complex) -> complex:
-        den = completed_lambda(fld, chi, s, cfg)
+        den = completed_lambda(fld, chi, s)
         if abs(den) < 1e-250:
             raise DegenerateSample(f"|Lambda({s})| too small for a ratio")
-        return completed_lambda(fld, chib, 1.0 - s, cfg) / den
+        return completed_lambda(fld, chib, 1.0 - s) / den
 
     w1 = ratio(complex(s_sample))
     w2 = ratio(complex(s_sample) + 0.31 + 0.17j)
@@ -412,7 +409,7 @@ def argument_principle_count(fld: NumberField, chi: HeckeCharacter,
         raise NonClosedLoop("argument principle needs a closed loop")
 
     def f(u: np.ndarray) -> np.ndarray:
-        return l_log_derivative(fld, chi, u, cfg)
+        return l_log_derivative(fld, chi, u)
 
     res = integrate_polyline(f, loop.waypoints, cfg)
     raw = res.value / (2j * math.pi)

@@ -76,8 +76,8 @@ def _tail_rules(r: int) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 @overflow_is_domain_error
-def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
-                     cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[complex, float, int]:
+def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int,
+                     s: complex) -> tuple[complex, float, int]:
     """log L^(r)(s) for Re(s) >= 1.02; returns (log, err, X), X = 1000 the
     norm bound of the term-by-term sum.  By int_0^inf tau^(r-1)
     e^(-l tau log NP) dtau = (r-1)! / (l log NP)^r (Froberg, BIT 1968),
@@ -107,7 +107,7 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     norms, logn, chiv = _ideal_arrays(fld, chi, _EULER_NORM)
     x, vex, split = _tail_rules(r)
     v = s + x / _LOG_X
-    lld = l_log_derivative(fld, chi, v, cfg)
+    lld = l_log_derivative(fld, chi, v)
     # chi(P) NP^-v = chi(P) NP^-s NP^(-x / log X), nodes x ideals, summed
     # over the ideals with and without signs, _NODE_BLOCK nodes at a time
     head_p = chiv * np.exp(-s * logn)
@@ -128,11 +128,11 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
     return head - large / _LOG_X ** r, float(err), _EULER_NORM
 
 
-def poly_l_euler(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
+def poly_l_euler(fld: NumberField, chi: HeckeCharacter, r: int,
+                 s: complex) -> Result:
     """L^(r)(s; chi) from the Euler sum with its exact tail, valid for
     Re(s) >= 1.02 (`poly_l_log_euler`)."""
-    logv, err, _ = poly_l_log_euler(fld, chi, r, s, cfg)
+    logv, err, _ = poly_l_log_euler(fld, chi, r, s)
     return Result.from_log(logv, err, "euler")
 
 
@@ -159,7 +159,6 @@ def _central_stencil(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def poly_l_ladder_residual(fld: NumberField, chi: HeckeCharacter, r: int,
                            s: complex, h: float,
-                           cfg: EvalConfig = DEFAULT_CONFIG,
                            target_depth: int = 1) -> float:
     """|FD^(r-d)[log L^(r)](s) - (-1)^(r-d) log L^(d)(s)| with step h.
 
@@ -180,9 +179,9 @@ def poly_l_ladder_residual(fld: NumberField, chi: HeckeCharacter, r: int,
             f"{_SERIES_MIN_RE}")
     fd = 0.0 + 0.0j
     for k, c in zip(offs, coeffs):
-        fd += c * poly_l_log_euler(fld, chi, r, s + k * h, cfg)[0]
+        fd += c * poly_l_log_euler(fld, chi, r, s + k * h)[0]
     fd /= h ** m
-    target = (-1.0) ** m * poly_l_log_euler(fld, chi, d, s, cfg)[0]
+    target = (-1.0) ** m * poly_l_log_euler(fld, chi, d, s)[0]
     return abs(fd - target)
 
 
@@ -190,8 +189,8 @@ def poly_l_ladder_residual(fld: NumberField, chi: HeckeCharacter, r: int,
 # Continuation left of Re(s) = 1
 
 
-def _omega_for_path(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
-                    cfg: EvalConfig) -> OmegaRegion | None:
+def _omega_for_path(fld: NumberField, chi: HeckeCharacter,
+                    path: PathSpec) -> OmegaRegion | None:
     """Zero-cut region for a path that leaves Re(s) > 1; None otherwise,
     since the pole, the zeros and every cut lie in Re(s) <= 1."""
     if min(w.real for w in path.waypoints) > 1.0:
@@ -201,7 +200,7 @@ def _omega_for_path(fld: NumberField, chi: HeckeCharacter, path: PathSpec,
         raise UnsupportedCharacter(
             "continuation into the strip needs a zero table; only self-dual "
             "characters are scanned automatically")
-    return omega_region(fld, chi, scan_ordinates(fld, chi, need, cfg), need)
+    return omega_region(fld, chi, scan_ordinates(fld, chi, need), need)
 
 
 def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
@@ -238,17 +237,17 @@ def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
     for k in range(r):
         coef = ((-1.0) ** k / math.factorial(k)) * (s - a) ** k
         if k < r - 1:
-            lg, tail, _ = poly_l_log_euler(fld, chi, r - k, a, cfg)
+            lg, tail, _ = poly_l_log_euler(fld, chi, r - k, a)
             err += abs(coef) * tail
         else:
-            lg = cmath.log(l_value(fld, chi, a, cfg))
+            lg = cmath.log(l_value(fld, chi, a))
         logv += coef * lg
     if path is None and abs(s - a) < 1e-9:
         # s sits at the anchor: the remainder integral vanishes
         return logv, err
     path = path or PathSpec((complex(a), s))
 
-    omega = _omega_for_path(fld, chi, path, cfg)
+    omega = _omega_for_path(fld, chi, path)
     flagged: list[complex] = []
 
     def remainder(xi: np.ndarray) -> np.ndarray:
@@ -257,7 +256,7 @@ def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
                 raise PathLeavesOmega(
                     f"path point {xi[~inside][0]} leaves the cut region")
             flagged.extend(xi[~omega.verifiable(xi)])
-        return (s - xi) ** (r - 1) * l_log_derivative(fld, chi, xi, cfg)
+        return (s - xi) ** (r - 1) * l_log_derivative(fld, chi, xi)
 
     quad = integrate_polyline(remainder, path.waypoints, cfg)
     if flagged:
@@ -300,7 +299,7 @@ def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,
     eps = chi.epsilon
 
     def wf(xi: np.ndarray) -> np.ndarray:
-        v = l_value(fld, chi, xi, cfg)
+        v = l_value(fld, chi, xi)
         return v * (xi - 1.0) ** eps if eps else v
 
     tracked = tracked_log_polyline(wf, loop.waypoints, cfg)

@@ -3,21 +3,23 @@ s-derivative by Euler-Maclaurin summation, the exponentiated derivative
 (a higher analogue of the gamma factor), truncated polylogarithms, and a
 Stirling-series log gamma.
 
-`hurwitz_zeta_em(s, z, cfg, minus_pole=...)` is the one entry point to the
+`hurwitz_zeta_em(s, z, minus_pole=...)` is the one entry point to the
 Euler-Maclaurin kernel `_em_core`.  s is a scalar or a 1-D array of nodes
 and z a scalar or a 1-D array of shifts (all residues of a Dirichlet
 character in one call); the kernel works on chunks of at most EM_CHUNK
 nodes, each with one split N (the largest any (shift, node) pair of the
-chunk needs, at most cfg.series_max_terms), and blocks of shifts of at
-most EM_TERMS direct-sum terms a call.  It builds the direct sum as a
-(shifts x nodes x N) array and the Bernoulli tail as one einsum over the
-chunk's Pochhammer table, shared by every shift.  The entry point checks
+chunk needs, at most SERIES_MAX_TERMS), and blocks of shifts of at most
+EM_TERMS direct-sum terms a call.  It builds the direct sum as a (shifts
+x nodes x N) array and the Bernoulli tail as one einsum over the chunk's
+Pochhammer table, shared by every shift.  The split (EM_SHIFT), the
+Bernoulli term count (EM_BERNOULLI_TERMS) and the pole guard (POLE_GUARD)
+are module constants: the kernel takes no config.  The entry point checks
 every (shift, node) pair: s and z finite, Re(z) > 0, and (unless the pole
 is subtracted) s outside the pole guard; it raises DomainError instead of
 returning a non-finite value or derivative.  `log_gamma` also takes arrays.
 `Result` (value, error_estimate, route) is what the xi, determinant and
 poly-L routes return; `Result.from_log` exponentiates a logarithm and its
-error.
+error, and raises DomainError where the value would underflow.
 
 Everything here is plain double precision.  The Euler-Maclaurin split point
 grows with |Im s| and |z| so the Bernoulli tail stays geometrically
@@ -111,7 +113,6 @@ class EmResult:
     ds: complex | np.ndarray
     err_value: float | np.ndarray
     err_ds: float | np.ndarray
-    split: int
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,18 @@ class Result:
     @overflow_is_domain_error
     def from_log(cls, log: complex, err: float, route: str) -> "Result":
         """exp(log) given an absolute error err of log: the value's error
-        is |value| expm1(err)."""
+        is |value| expm1(err).  A log whose real part is below that of the
+        smallest normal double raises DomainError: its exp would be a
+        subnormal or 0 with an error bound of 0, a claim of exactness."""
+        if log.real < _LOG_TINY:
+            raise DomainError(f"{route} result exp({log}) underflows double "
+                              "precision")
         value = cmath.exp(log)
         return cls(value, abs(value) * math.expm1(err), route)
 
 
 _EPS = float(np.finfo(float).eps)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 # Largest node batch one kernel call sees.  Its Pochhammer tables are
 # (J+1 x nodes), shared by every shift of the chunk; 128 nodes keep them
@@ -155,6 +162,15 @@ EM_CHUNK = 128
 # needs at most ~0.6 MB beyond what one shift needs; on the Hankel ray (N ~
 # 25) a block is ~1024 (shift, node) pairs.
 EM_TERMS = 25 * 1024
+# Base shift added to ceil(|Im s|) + ceil(|z|) for the split N.
+EM_SHIFT = 20
+# Fewest Bernoulli correction terms J of the Euler-Maclaurin tail; beyond
+# ~30 the Bernoulli terms grow before they shrink.
+EM_BERNOULLI_TERMS = 20
+# Largest split N, and the longest polylog partial sum.
+SERIES_MAX_TERMS = 2_000_000
+# Radius around s = 1 inside which the Hurwitz zeta raises PoleAtOne.
+POLE_GUARD = 1e-8
 
 # Taylor coefficients at 0 of (exp(-x) - 1) / x and its companion
 # (-x e^-x - (e^-x - 1)) / x^2, highest degree first for np.polyval
@@ -299,12 +315,12 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, J: int,
     pk, dpk = apoch[-1], adpoch[-1]
     err = rem * pk + round_fac * (mag + 1.0)
     err_ds = rem * (dpk + pk * alqw) + round_fac * (mag_ds + 1.0)
-    return EmResult(val, dval, err, err_ds, N)
+    return EmResult(val, dval, err, err_ds)
 
 
 @overflow_is_domain_error
-def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
-                    *, minus_pole: bool = False, scale: int = 1) -> EmResult:
+def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
+                    scale: int = 1) -> EmResult:
     """zeta(s, z) = sum_{m >= 0} (m + z)^{-s} and d/ds zeta(s, z) by
     Euler-Maclaurin, with remainder bounds; Re(z) > 0, s != 1.
 
@@ -316,9 +332,11 @@ def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
     chunk needs, and the chunk's shifts in blocks of at most EM_TERMS
     direct-sum terms (or one shift).  Every node and shift must be
     finite, and a value or derivative that overflows raises DomainError.
-    A chunk gets J = cfg.bernoulli_terms Bernoulli terms, or more where a
-    node has Re(s) <= -(2J + 1): the classical remainder bound needs
-    Re(s) > -(2J + 1).
+    A chunk gets J = EM_BERNOULLI_TERMS Bernoulli terms, or more where a
+    node has Re(s) <= -(2J + 1) (the classical remainder bound needs
+    Re(s) > -(2J + 1)), and the split N = ceil(max |Im s|) + ceil(max |z|)
+    + EM_SHIFT, at most SERIES_MAX_TERMS; s within POLE_GUARD of 1 raises
+    PoleAtOne.
     With minus_pole=True the result is zeta(s, z) - 1/(s-1) and its
     s-derivative, finite and smooth across s = 1 (no pole guard); the
     Dirichlet assembly uses it, where the subtracted poles cancel.
@@ -351,24 +369,23 @@ def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
     if shift.real.min() <= 0:
         raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = "
                           f"{shift[np.argmin(shift.real)]}")
-    if not minus_pole and (near := np.abs(s - 1.0) < cfg.pole_guard).any():
+    if not minus_pole and (near := np.abs(s - 1.0) < POLE_GUARD).any():
         raise PoleAtOne(f"s = {s[near][0]} is inside the pole guard radius "
-                        f"{cfg.pole_guard}")
+                        f"{POLE_GUARD}")
     zmax = math.ceil(np.abs(shift).max())
     rows = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, len(s), EM_CHUNK):
             part = s[lo:lo + EM_CHUNK]
-            # J >= cfg.bernoulli_terms Bernoulli terms, and enough that
+            # J >= EM_BERNOULLI_TERMS Bernoulli terms, and enough that
             # Re s > -(2J + 1) on every node, where the remainder is bounded
-            J = max(cfg.bernoulli_terms,
+            J = max(EM_BERNOULLI_TERMS,
                     int((-part.real.min() - 1.0) // 2.0) + 1)
-            N = int(math.ceil(np.abs(part.imag).max()) + zmax
-                    + cfg.euler_maclaurin_shift)
-            if N > cfg.series_max_terms:
+            N = int(math.ceil(np.abs(part.imag).max()) + zmax + EM_SHIFT)
+            if N > SERIES_MAX_TERMS:
                 raise DomainError(
                     f"Euler-Maclaurin split for s = {part[0]}, |z| <= "
-                    f"{zmax} exceeds cfg.series_max_terms")
+                    f"{zmax} exceeds {SERIES_MAX_TERMS} terms")
             step = max(1, EM_TERMS // (len(part) * N))
             rows.append(_joined([_em_core(part, z[b:b + step], N, J,
                                           minus_pole, scale)
@@ -389,7 +406,7 @@ def hurwitz_zeta_em(s, z, cfg: EvalConfig = DEFAULT_CONFIG,
     if scalar_s and scalar_z:
         fields = [f(x) for f, x in zip((complex, complex, float, float),
                                        fields)]
-    return EmResult(*fields, em.split)
+    return EmResult(*fields)
 
 
 def _joined(parts: list[EmResult], axis: int) -> EmResult:
@@ -397,8 +414,7 @@ def _joined(parts: list[EmResult], axis: int) -> EmResult:
     if len(parts) == 1:
         return parts[0]
     return EmResult(*(np.concatenate([getattr(p, f) for p in parts], axis)
-                      for f in ("value", "ds", "err_value", "err_ds")),
-                    max(p.split for p in parts))
+                      for f in ("value", "ds", "err_value", "err_ds")))
 
 
 def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
@@ -431,14 +447,14 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
 
 
 @overflow_is_domain_error
-def milnor_gamma(r: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def milnor_gamma(r: int, z: complex) -> complex:
     """exp(d/ds zeta(s, z) at s = 1 - r); at r = 1 this is Gamma(z)/sqrt(2 pi).
 
     Defined for integer depth r >= 1 and Re(z) > 0.
     """
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
-    return cmath.exp(hurwitz_zeta_em(1 - r, z, cfg).ds)
+    return cmath.exp(hurwitz_zeta_em(1 - r, z).ds)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +473,7 @@ def polylog(r: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
 
     The term count is chosen so the geometric tail bound is below
     cfg.target_abs_error; DomainError if that needs more than
-    cfg.series_max_terms terms.
+    SERIES_MAX_TERMS terms.
     """
     if not isinstance(r, int) or r < 1:
         raise DomainError("polylog order must be a positive integer")
@@ -470,7 +486,7 @@ def polylog(r: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
     M = 8
     while polylog_tail_bound(r, a, M) > cfg.target_abs_error:
         M *= 2
-        if M > cfg.series_max_terms:
+        if M > SERIES_MAX_TERMS:
             raise DomainError("polylog series cap exceeded")
     k = np.arange(1, M + 1, dtype=np.float64)
     return complex(np.sum(np.power(complex(z), k) / k ** r))

@@ -91,7 +91,7 @@ def suite_special(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     worst = 0.0
     for r in range(1, 7):
         for w in (0.3, 1.0, 2.5, 1.0 + 2.0j, 4.75 - 1.5j):
-            em = hurwitz_zeta_em(1 - r, w, cfg).value
+            em = hurwitz_zeta_em(1 - r, w).value
             exact = -complex(bernoulli_poly(r, w)) / r
             worst = max(worst, abs(em - exact))
     out.append(CheckResult("special", "hurwitz-bernoulli", worst, tol))
@@ -99,7 +99,7 @@ def suite_special(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     # Lerch: zeta_s'(0, w) = log Gamma(w) - (1/2) log 2pi
     worst = 0.0
     for w in (0.5, 1.0, 3.7, 2.0 + 1.0j, 6.25 - 2.0j):
-        lhs = hurwitz_zeta_em(0, w, cfg).ds
+        lhs = hurwitz_zeta_em(0, w).ds
         rhs = log_gamma(complex(w)) - 0.5 * _LOG_2PI
         worst = max(worst, abs(lhs - rhs))
     out.append(CheckResult("special", "lerch-loggamma", worst, tol))
@@ -108,8 +108,8 @@ def suite_special(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     worst = 0.0
     for s in (2.0, -1.5, 0.5 + 3.0j):
         for w in (0.7, 2.2 + 1.0j):
-            lhs = hurwitz_zeta_em(s, w, cfg).value
-            rhs = hurwitz_zeta_em(s, w + 1.0, cfg).value + w ** (-s)
+            lhs = hurwitz_zeta_em(s, w).value
+            rhs = hurwitz_zeta_em(s, w + 1.0).value + w ** (-s)
             worst = max(worst, abs(lhs - rhs))
     out.append(CheckResult("special", "hurwitz-shift", worst, tol))
 
@@ -137,19 +137,19 @@ def suite_ladder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     points = np.linspace(2.2, 4.0, 10)
     for r, h, tol in ((2, 1e-3, 1e-5), (3, 1e-2, 1e-4)):
         for chi, cname in chars:
-            worst = max(poly_l_ladder_residual(q, chi, r, float(s), h, cfg)
+            worst = max(poly_l_ladder_residual(q, chi, r, float(s), h)
                         for s in points)
             out.append(CheckResult("ladder", f"r{r}-{cname}", worst, tol))
     # single rung: one derivative of the depth-3 log meets depth 2
     worst = max(poly_l_ladder_residual(q, trivial_character(q), 3, float(s),
-                                       1e-3, cfg, target_depth=2)
+                                       1e-3, target_depth=2)
                 for s in points[::3])
     out.append(CheckResult("ladder", "r3-one-step", worst, 1e-5))
     # the plain 2M sieve reads no L'/L (its own truncation ~2e-9 at r = 2)
     for r in (2, 3):
         for chi, cname in chars:
             gap = abs(_prime_power_sum(q, chi, 2.0 + 0j, r, 2_000_000)
-                      - poly_l_log_euler(q, chi, r, 2.0, cfg)[0])
+                      - poly_l_log_euler(q, chi, r, 2.0)[0])
             out.append(CheckResult("ladder", f"sieve-r{r}-{cname}", gap, 1e-7))
     return out
 
@@ -182,12 +182,12 @@ def suite_deninger(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
         worst = 0.0
         for z in np.arange(1.5, 4.01, 0.5):
             z = float(z)
-            lam = completed_lambda(fld, chi, z, cfg)
+            lam = completed_lambda(fld, chi, z)
             target = const ** (-0.5 * z) * 2.0 ** (-1.0 - 0.5 * fld.r1) \
                 * math.pi ** -2.0 * lam
             got = determinant_closed(fld, chi, 1, z, cfg).value
             worst = max(worst, abs(got - target) / abs(target))
-            rp = regularized_product(fld, chi, z, cfg)
+            rp = regularized_product(fld, chi, z)
             worst = max(worst, abs(rp - target) / abs(target))
         out.append(CheckResult("deninger", name, worst, 1e-9))
     # frozen special value for the rational field at z = 2
@@ -208,7 +208,7 @@ def suite_explicit(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
         direct = xi_hankel(q, chi, s, z, cfg)
         gaps = []
         for n in (25, 50, 100):
-            zs = xi_zero_sum(q, chi, s, z, table.truncated(n), cfg)
+            zs = xi_zero_sum(q, chi, s, z, table.truncated(n))
             gaps.append((abs(zs.value - direct.value), zs.error_estimate))
         # the 100-pair gap must sit inside the density tail estimate
         gap, est = gaps[-1]
@@ -224,7 +224,7 @@ def suite_zerofinder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     q = NumberField.rational()
     triv = trivial_character(q)
     published = (14.134725142, 21.022039639, 25.010857580)
-    tab = find_zeros(q, triv, 30.0, cfg)
+    tab = find_zeros(q, triv, 30.0)
     worst = max(abs(a - b) for a, b in zip(tab.ordinates[:3], published))
     out.append(CheckResult("zerofinder", "zeta-first-three", worst, 1e-6))
 
@@ -237,9 +237,9 @@ def suite_zerofinder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     # Dedekind zeta of Q(i) factors: its ordinates below 15 are the union
     # of the zeta and chi_-4 ordinates
     gi = NumberField.quadratic(-1)
-    t_gi = find_zeros(gi, trivial_character(gi), 15.0, cfg)
-    t_chi = find_zeros(q, kronecker_character(-4), 15.0, cfg)
-    t_z = find_zeros(q, triv, 15.0, cfg)
+    t_gi = find_zeros(gi, trivial_character(gi), 15.0)
+    t_chi = find_zeros(q, kronecker_character(-4), 15.0)
+    t_z = find_zeros(q, triv, 15.0)
     merged = sorted(list(t_chi.ordinates) + list(t_z.ordinates))
     if len(merged) != len(t_gi.ordinates):
         worst = math.inf
@@ -295,7 +295,7 @@ def suite_continuation(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
             straight = poly_l_continued(q, triv, r, s, cfg)
             bent = PathSpec((3.0 + 0.0j, 0.5 * (3.0 + s) + 1.2j, s))
             dog = poly_l_continued(q, triv, r, s, cfg, path=bent)
-            ref = poly_l_euler(q, triv, r, s, cfg)
+            ref = poly_l_euler(q, triv, r, s)
             worst = max(worst, abs(straight.value - ref.value),
                         abs(dog.value - ref.value))
         out.append(CheckResult("continuation", f"overlap-r{r}", worst, 1e-7))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DomainError, EmptyZeroTable, NonMonotoneError,
                      ParseError, UnsupportedCharacter)
 from .fields_and_characters import HeckeCharacter, NumberField
@@ -156,7 +155,6 @@ def builtin_zeta_zeros() -> ZeroTable:
 
 
 def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
-                   cfg: EvalConfig = DEFAULT_CONFIG,
                    step: float = _SCAN_STEP) -> tuple[float, ...]:
     """Ordinates found by a sign-change scan along Re(s) = 1/2; may be empty.
 
@@ -168,14 +166,13 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
         raise DomainError("scan height must exceed 1")
 
     def g(t: np.ndarray) -> np.ndarray:
-        return completed_lambda(fld, chi, 0.5 + 1j * t, cfg).real
+        return completed_lambda(fld, chi, 0.5 + 1j * t).real
 
     # realness probes at generic heights (away from zeros, where Im/|Lambda|
     # would be 0/0): Lambda is real on the line exactly when the root number
     # is +1, as for every self-dual character of the supported family
     v = completed_lambda(fld, chi,
-                         0.5 + 1j * (height * (np.arange(16) + 0.389) / 16.0),
-                         cfg)
+                         0.5 + 1j * (height * (np.arange(16) + 0.389) / 16.0))
     w = np.abs(v)
     off = np.abs(v.imag[w > 1e-280]) / w[w > 1e-280]
     if off.size and (off_slack := off.max()) > 1e-6:
@@ -206,12 +203,12 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
     return tuple(float(t) for t in np.sort(found))
 
 
-def find_zeros(fld: NumberField, chi: HeckeCharacter, height: float,
-               cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroTable:
+def find_zeros(fld: NumberField, chi: HeckeCharacter,
+               height: float) -> ZeroTable:
     """Zeros of the completed function with 0 < gamma <= height (<= 50)."""
     if not height <= _MAX_SCAN_HEIGHT:   # also rejects NaN
         raise DomainError(f"scan height capped at {_MAX_SCAN_HEIGHT}")
-    ordinates = scan_ordinates(fld, chi, height, cfg)
+    ordinates = scan_ordinates(fld, chi, height)
     if not ordinates:
         raise EmptyZeroTable(f"no zeros found below height {height}")
     return ZeroTable(f"{fld.label}, {chi.label}", ordinates, height)

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from polydet import NumberField, ParseError
+from polydet import NumberField, ParseError, verification
 from polydet.cli import (
     RunManifest,
     main,
@@ -13,6 +13,7 @@ from polydet.cli import (
     parse_field,
     parse_waypoints,
 )
+from polydet.verification import CheckResult
 
 SCHEMA_KEYS = {"inputs", "value_re", "value_im", "error_estimate", "route",
                "config_hash"}
@@ -132,7 +133,7 @@ def test_domain_error_exits_2(capsys):
     ["det", "--depth", "1", "--z", "1000", "--closed"],
     ["eval", "--fn", "milnor-gamma", "--r", "1", "--z", "500"],
     ["eval", "--fn", "hurwitz", "--s", "-400", "--z", "1"],
-    ["lfun", "--s", "1", "--set", "pole_guard=nan"],
+    ["lfun", "--s", "1", "--set", "quad_tol=nan"],
     ["xi", "--s", "400", "--z", "2"],
     ["xi", "--s", "-400", "--z", "2"],
     ["det", "--depth", "200", "--z", "2", "--closed"],
@@ -141,6 +142,7 @@ def test_domain_error_exits_2(capsys):
     ["eval", "--fn", "hurwitz", "--s", "2", "--z", "1e300"],
     ["polyl", "--depth", "200", "--s", "3"],
     ["polyl", "--depth", "400", "--s", "3"],
+    ["det", "--depth", "18", "--z", "2.5"],
 ])
 def test_non_finite_input_or_overflow_exits_2(capsys, argv):
     # a numpy RuntimeWarning would reach stderr ahead of the error line
@@ -172,10 +174,10 @@ def test_verify_table_output(capsys):
     assert "5/5 checks passed" in out
 
 
-def test_verify_failure_exits_1(capsys):
-    # starving the Euler-Maclaurin split wrecks the Lerch checks
-    code = main(["verify", "--suite", "special", "--set",
-                 "bernoulli_terms=2", "--set", "euler_maclaurin_shift=1"])
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    failing = [CheckResult("special", "planted", 1.0, 0.5)]
+    monkeypatch.setitem(verification.SUITES, "special", lambda cfg: failing)
+    code = main(["verify", "--suite", "special"])
     assert code == 1
     assert "[FAIL]" in capsys.readouterr().out
 
@@ -200,7 +202,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):
     cfgfile = tmp_path / "env.cfg"
-    cfgfile.write_text("prime_bound=50000\n")
+    cfgfile.write_text("quad_tol=1e-9\n")
     monkeypatch.setenv("POLYDET_CONFIG", str(cfgfile))
     _, recs = run_json(capsys, ["eval", "--fn", "bernoulli", "--r", "1",
                                 "--z", "0"])
@@ -214,6 +216,17 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
 def test_unknown_config_key_exits_2(capsys):
     assert main(["eval", "--fn", "bernoulli", "--r", "1", "--z", "0",
                  "--set", "no_such_knob=3"]) == 2
+
+
+# the split, Bernoulli, series, prime-bound and pole guard values are
+# module constants of the L-value layer, not settings
+@pytest.mark.parametrize("key", [
+    "bernoulli_terms", "euler_maclaurin_shift", "series_max_terms",
+    "prime_bound", "pole_guard"])
+def test_fixed_kernel_constant_is_no_config_key(capsys, key):
+    assert main(["eval", "--fn", "bernoulli", "--r", "1", "--z", "0",
+                 "--set", f"{key}=2"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_manifest_round_trip(tmp_path, capsys):

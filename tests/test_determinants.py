@@ -119,8 +119,12 @@ def test_xi_hankel_contour_independence():
 
 
 def test_xi_hankel_guards():
-    with pytest.raises(PoleAtOne):
-        xi_hankel(Q, TRIV, 1.0, 3.0)
+    # the pole guard of the gamma-factor Hurwitz zetas, for every character
+    for fld, chi in ((Q, TRIV), (Q, CHI4), (QI, trivial_character(QI))):
+        with pytest.raises(PoleAtOne):
+            xi_hankel(fld, chi, 1.0, 3.0)
+        with pytest.raises(PoleAtOne):
+            xi_hankel(fld, chi, 1.0 + 1e-9j, 3.0)
     with pytest.raises(ContourInvalid):
         xi_hankel(Q, TRIV, 2.0, 3.0, contour=ContourSpec(-0.1))
     with pytest.raises(ContourInvalid):
@@ -252,3 +256,11 @@ def test_determinant_domain_guard():
         determinant_closed(Q, TRIV, 2, 0.5)
     with pytest.raises(DomainError):
         determinant_direct(Q, TRIV, 2, 0.5)
+
+
+@pytest.mark.parametrize("route", [determinant_closed, determinant_direct])
+def test_underflowing_determinant_is_a_domain_error(route):
+    # -log Xi_18(2.5) is about -862, below log of the smallest normal
+    # double (-708.4): exp of it is 0, which an error of 0 would call exact
+    with pytest.raises(DomainError, match="underflows"):
+        route(Q, TRIV, 18, 2.5)

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydet import (
-    DEFAULT_CONFIG,
     DomainError,
     NearZeroOfL,
     NonClosedLoop,
@@ -123,7 +122,7 @@ def test_euler_product_consistency():
 
 
 def test_log_derivative_two_routes_agree():
-    # the series route truncates at cfg.prime_bound; its tail at Re(s) = 2.5
+    # the series route truncates at norm 1e5; its tail at Re(s) = 2.5
     # is ~ log(X) X^{-1.5} / 1.5 ~ 2e-8 for X = 1e5, smaller at Re(s) = 3
     for fld, chi in ((Q, TRIV), (Q, CHI4)):
         for s, tol in ((2.5, 5e-8), (3.0 + 1.5j, 1e-9)):
@@ -295,7 +294,7 @@ def _l_err(fld, chi, s):
     if fld.is_rational:
         return em.err_value, em.err_ds
     chi_d = kronecker_character(fld.discriminant)
-    l, dl = _l_and_ds(Q, chi_d, s, DEFAULT_CONFIG)
+    l, dl = _l_and_ds(Q, chi_d, s)
     el, edl = _dirichlet_err(chi_d, s)
     z, dz, ez, edz = em.value, em.ds, em.err_value, em.err_ds
     return (abs(l) * ez + abs(z) * el,
@@ -313,11 +312,11 @@ def test_batch_matches_one_node_calls(pair, nodes):
     if chi.epsilon == 1:
         assume(all(abs(u - 1.0) > 1e-3 for u in nodes))
     s = np.array(nodes, dtype=np.complex128)
-    L, dL = _l_and_ds(fld, chi, s, DEFAULT_CONFIG)
+    L, dL = _l_and_ds(fld, chi, s)
     assert L.shape == dL.shape == s.shape
     eb, db = _l_err(fld, chi, s)
     for i, u in enumerate(nodes):
-        one, done = _l_and_ds(fld, chi, u, DEFAULT_CONFIG)
+        one, done = _l_and_ds(fld, chi, u)
         # the batch may use a larger split than the node alone; each
         # evaluation lies within its own bound of the true value
         e1, d1 = _l_err(fld, chi, np.array([u]))

@@ -206,10 +206,8 @@ def test_polylog_domain_guard():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        EvalConfig(bernoulli_terms=0)
-    with pytest.raises(ValueError):
         EvalConfig(quad_tol=-1.0)
-    for key in ("target_abs_error", "quad_tol", "pole_guard"):
+    for key in ("target_abs_error", "quad_tol"):
         with pytest.raises(ValueError):
             EvalConfig(**{key: math.nan})
     assert DEFAULT_CONFIG.with_updates(max_refinements=8).max_refinements == 8
@@ -262,10 +260,7 @@ def test_shift_array_with_scalar_s():
     em = hurwitz_zeta_em(2.5 + 1.0j, np.array([0.5, 1.0, 2.0 + 1.0j]))
     assert em.value.shape == (3,)
     for i, z in enumerate((0.5, 1.0, 2.0 + 1.0j)):
-        # the block's split serves its largest shift, so it may exceed
-        # the split of the shift alone
         one = hurwitz_zeta_em(2.5 + 1.0j, z)
-        assert em.split >= one.split
         assert abs(em.value[i] - one.value) <= em.err_value[i] + one.err_value
 
 
@@ -314,3 +309,8 @@ def test_result_is_finite_or_raises():
         Result(1.0 + 0.0j, math.inf, "closed")
     with pytest.raises(DomainError):
         Result.from_log(800.0, 1e-12, "closed")   # exp overflows
+    # exp(-709) is subnormal and exp(-800) is 0: neither has a relative error
+    for log in (-709.0, -800.0 + 1.0j):
+        with pytest.raises(DomainError, match="underflows"):
+            Result.from_log(log, 1e-12, "closed")
+    assert Result.from_log(-708.0, 1e-12, "closed").value.real > 0.0

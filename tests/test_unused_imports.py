@@ -1,6 +1,7 @@
 """Static checks: no module imports a name it never uses, every name a
-module lists in `__all__` is bound at its top level, and every private
-top-level `_name` is referenced somewhere in the package.
+module lists in `__all__` is bound at its top level, every private
+top-level `_name` is referenced somewhere in the package, and every
+exported or private top-level function that takes a `cfg` reads it.
 
 A small stand-in for pyflakes' unused-import and undefined-export rules
 and for a dead-code finder, built on `ast` so it needs no extra dependency.
@@ -126,3 +127,40 @@ def test_checker_flags_an_unreferenced_private():
 
 def test_every_private_name_is_referenced():
     assert unreferenced_privates(package_sources()) == []
+
+
+def unread_cfg(source: str) -> list[str]:
+    """Top-level functions in `__all__` or named `_private` that take a
+    `cfg` parameter but never read it (nested functions count as reads)."""
+    tree = ast.parse(source)
+    public = set(exported(tree))
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if name not in public and not (name.startswith("_")
+                                       and not name.startswith("__")):
+            continue
+        args = node.args
+        if not any(a.arg == "cfg" for a in
+                   args.posonlyargs + args.args + args.kwonlyargs):
+            continue
+        if not any(isinstance(n, ast.Name) and n.id == "cfg"
+                   and isinstance(n.ctx, ast.Load) for n in ast.walk(node)):
+            out.append(name)
+    return out
+
+
+def test_checker_flags_an_unread_cfg():
+    src = "__all__ = ['f', 'g']\n" \
+          "def f(x, cfg=None):\n    return x\n" \
+          "def g(x, cfg=None):\n    return (lambda: cfg.tol)()\n" \
+          "def _h(x, *, cfg):\n    return x\n" \
+          "def k(x, cfg=None):\n    return x\n"
+    assert unread_cfg(src) == ["f", "_h"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cfg_parameter_is_read(path):
+    assert unread_cfg(path.read_text()) == []
