@@ -37,8 +37,8 @@ from .poly_l import poly_l_continued, poly_l_euler
 from .special_functions import (bernoulli_poly, hurwitz_zeta_em, milnor_gamma,
                                 polylog)
 from .verification import SUITES, format_results, run_suite
-from .zero_data import (ZeroTable, builtin_zeta_zeros, find_zeros, load_zeros,
-                        save_zeros)
+from .zero_data import (_BISECT_TOL, ZeroTable, builtin_zeta_zeros, find_zeros,
+                        load_zeros, save_zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,8 @@ def run_zeros(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     for idx, (gamma, mult) in enumerate(zip(table.ordinates,
                                             table.multiplicities), 1):
         inputs = dict(inputs_base, index=idx, multiplicity=mult)
-        records.append(make_record(inputs, complex(gamma), 1e-9, route, cfg))
+        records.append(make_record(inputs, complex(gamma), _BISECT_TOL,
+                                   route, cfg))
     return records, 0
 
 
