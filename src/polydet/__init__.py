@@ -14,9 +14,9 @@ from .config import DEFAULT_CONFIG, EvalConfig
 from .determinants import (ContourSpec, default_contour, determinant_closed,
                            determinant_direct, regularized_product,
                            xi_ds_at_depth, xi_hankel, xi_zero_sum)
-from .errors import (BranchStepTooLarge, ContourInvalid, DegenerateSample,
-                     DomainError, EmptyZeroTable, FieldMismatch, GammaPole,
-                     NearZeroOfL, NonClosedLoop, NonMonotoneError, ParseError,
+from .errors import (BranchStepTooLarge, ContourInvalid, DomainError,
+                     EmptyZeroTable, FieldMismatch, GammaPole, NearZeroOfL,
+                     NonClosedLoop, NonMonotoneError, ParseError,
                      PathLeavesOmega, PoleAtOne, PolydetError,
                      QuadratureNotConverged, ResidualTooLarge,
                      StencilLeavesDomain, UnsupportedCharacter)

@@ -291,7 +291,9 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     elif mode == "root_number":
         value = root_number(fld, chi)
         route = "root-number"
-        err = abs(abs(value) - 1.0)
+        # rounding bound of the Gauss sum: ~20 ulp on each of its q unit
+        # terms, over |tau(chi)| = sqrt(q)
+        err = 20.0 * chi.conductor_norm ** 0.5 * np.finfo(float).eps
     else:
         value = l_value(fld, chi, s)
         route = "euler-maclaurin"

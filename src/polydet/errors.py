@@ -63,10 +63,6 @@ class GammaPole(PolydetError):
     """Gamma factor evaluated at (or too near) a non-positive integer."""
 
 
-class DegenerateSample(PolydetError):
-    """Sample point gives a vanishing denominator in a ratio computation."""
-
-
 class NonClosedLoop(PolydetError):
     """A closed contour was required but first and last waypoints differ."""
 

@@ -6,7 +6,13 @@ Prime ideals exist only as numpy arrays: `_ideal_table` gives the rational
 prime below and the norm of every prime ideal up to a bound, built from one
 cached sieve (`_primes`).  In a quadratic field the splitting of p is the
 Kronecker symbol (d_K|p), read once per residue class of p mod |d_K|; no
-general ideal arithmetic is attempted.
+general ideal arithmetic is attempted.  The Kronecker symbol (d|n) of any
+n >= 1 takes (d|2) from d mod 8 and the odd part by Jacobi reciprocity.
+
+Dirichlet characters mod q are selected by index among the generator
+powers of (Z/q)^*: the smallest primitive root of each odd prime power,
+3 mod 4 or -1 and 5 mod 2^e, each lifted to modulus q by the Chinese
+remainder theorem.  Only primitive characters are accepted.
 """
 
 from __future__ import annotations
@@ -38,14 +44,20 @@ __all__ = [
 # Fields
 
 
-def _is_squarefree(d: int) -> bool:
-    n = abs(d)
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 1
-    return True
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p^e) for every prime power p^e exactly dividing n >= 1."""
+    out, p = [], 2
+    while p * p <= n:
+        pk = 1
+        while n % p == 0:
+            n //= p
+            pk *= p
+        if pk > 1:
+            out.append((p, pk))
+        p += 1
+    if n > 1:
+        out.append((n, n))
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,7 @@ class NumberField:
     def quadratic(d: int) -> "NumberField":
         if d in (0, 1):
             raise DomainError("quadratic field needs d != 0, 1")
-        if not _is_squarefree(d):
+        if any(pk != p for p, pk in _prime_powers(abs(d))):
             raise DomainError(f"d = {d} is not squarefree")
         disc = d if d % 4 == 1 else 4 * d
         if d > 0:
@@ -97,19 +109,30 @@ class ArchPlace:
 # Kronecker symbol and primes
 
 
-def kronecker_symbol(d: int, p: int) -> int:
-    """Kronecker symbol (d|p) for p prime (including p = 2)."""
-    if p < 2:
-        raise DomainError("p must be a prime >= 2")
-    if p == 2:
+def kronecker_symbol(d: int, n: int) -> int:
+    """Kronecker symbol (d|n) for n >= 1: a factor (d|2) per factor 2 of n,
+    read from d mod 8, then the Jacobi symbol of the odd part by
+    reciprocity (Cohen, Alg. 1.4.10)."""
+    if n < 1:
+        raise DomainError("Kronecker symbol needs n >= 1")
+    t = 1
+    while n % 2 == 0:
         if d % 2 == 0:
             return 0
-        return 1 if d % 8 in (1, 7) else -1
-    r = d % p
-    if r == 0:
-        return 0
-    e = pow(r, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
+        n //= 2
+        if d % 8 in (3, 5):
+            t = -t
+    d %= n
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        d, n = n, d
+        if d % 4 == 3 and n % 4 == 3:
+            t = -t
+        d %= n
+    return t if n == 1 else 0
 
 
 @lru_cache(maxsize=8)
@@ -239,26 +262,19 @@ def trivial_character(fld: NumberField) -> HeckeCharacter:
     return HeckeCharacter(fld, "trivial", 1, (), "trivial")
 
 
-def _conductor_of_table(q: int, values: tuple[complex, ...]) -> int:
-    """Smallest induced modulus of a character table mod q."""
-    for f in range(1, q + 1):
-        if q % f != 0:
-            continue
-        ok = True
-        for a in range(1, q):
-            if math.gcd(a, q) != 1:
-                continue
-            for b in range(1, q):
-                if math.gcd(b, q) != 1:
-                    continue
-                if (a - b) % f == 0 and abs(values[a] - values[b]) > 1e-10:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return f
-    return q
+def _primitive_character(q: int, values: tuple[complex, ...],
+                         label: str) -> HeckeCharacter:
+    """The Dirichlet character of a multiplicative table mod q, which must
+    be primitive: its conductor, the smallest f | q with chi(a) = chi(1)
+    for every a = 1 (mod f) coprime to q, is q itself."""
+    cond = next(f for f in range(1, q + 1) if q % f == 0 and all(
+        abs(values[a] - values[1]) <= 1e-10
+        for a in range(1, q, f) if math.gcd(a, q) == 1))
+    if cond != q:
+        raise UnsupportedCharacter(
+            f"table mod {q} is induced from modulus {cond}; only primitive "
+            "characters are supported")
+    return HeckeCharacter(NumberField.rational(), "dirichlet", q, values, label)
 
 
 def dirichlet_character_from_values(q: int, table: dict[int, complex],
@@ -266,34 +282,23 @@ def dirichlet_character_from_values(q: int, table: dict[int, complex],
     """Build a Dirichlet character over Q from values on residues coprime to q."""
     if q < 1:
         raise DomainError("modulus must be positive")
+    if q == 1:
+        raise UnsupportedCharacter("use the trivial character for modulus 1")
+    units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+    if missing := set(units) - {k % q for k in table}:
+        raise DomainError(f"missing character value at residue {min(missing)} mod {q}")
     vals = [0j] * q
-    for a in range(q):
-        if math.gcd(a, q) == 1:
-            if a % q not in {k % q for k in table}:
-                raise DomainError(f"missing character value at residue {a} mod {q}")
     for a, v in table.items():
         if math.gcd(a, q) != 1:
             raise DomainError(f"residue {a} is not coprime to {q}")
         vals[a % q] = complex(v)
     vals_t = tuple(vals)
     # multiplicativity check on the table
-    for a in range(1, q):
-        if math.gcd(a, q) != 1:
-            continue
-        for b in range(a, q):
-            if math.gcd(b, q) != 1:
-                continue
-            if abs(vals_t[(a * b) % q] - vals_t[a] * vals_t[b]) > 1e-10:
+    for i, a in enumerate(units):
+        for b in units[i:]:
+            if abs(vals_t[a * b % q] - vals_t[a] * vals_t[b]) > 1e-10:
                 raise DomainError(f"value table is not multiplicative at ({a},{b})")
-    if q == 1:
-        raise UnsupportedCharacter("use the trivial character for modulus 1")
-    cond = _conductor_of_table(q, vals_t)
-    if cond != q:
-        raise UnsupportedCharacter(
-            f"table mod {q} is induced from modulus {cond}; only primitive "
-            "characters are supported")
-    return HeckeCharacter(NumberField.rational(), "dirichlet", q, vals_t,
-                          label or f"dirichlet mod {q}")
+    return _primitive_character(q, vals_t, label or f"dirichlet mod {q}")
 
 
 def kronecker_character(disc: int) -> HeckeCharacter:
@@ -301,90 +306,35 @@ def kronecker_character(disc: int) -> HeckeCharacter:
     q = abs(disc)
     if disc % 4 not in (0, 1):
         raise DomainError("discriminant must be 0 or 1 mod 4")
-    table: dict[int, complex] = {}
-    for a in range(1, q + 1):
-        if math.gcd(a, q) != 1:
-            continue
-        table[a % q] = float(_kronecker_general(disc, a))
+    table = {a % q: float(kronecker_symbol(disc, a))
+             for a in range(1, q + 1) if math.gcd(a, q) == 1}
     return dirichlet_character_from_values(q, table, label=f"kronecker({disc})")
-
-
-def _kronecker_general(d: int, n: int) -> int:
-    """Kronecker symbol (d|n) for positive n via prime factorization of n."""
-    if n == 1:
-        return 1
-    out = 1
-    m = n
-    f = 2
-    while f * f <= m:
-        while m % f == 0:
-            out *= kronecker_symbol(d, f)
-            m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out *= kronecker_symbol(d, m)
-    return out
 
 
 # --- character group enumeration (for CLI selection by index) --------------
 
 
 def _unit_group_generators(q: int) -> list[tuple[int, int]]:
-    """Generators (g, order) of (Z/q)^* via CRT on prime power factors."""
-    def factor(n):
-        fs = []
-        f = 2
-        while f * f <= n:
-            if n % f == 0:
-                e = 0
-                while n % f == 0:
-                    n //= f
-                    e += 1
-                fs.append((f, e))
-            f += 1
-        if n > 1:
-            fs.append((n, 1))
-        return fs
-
-    def primitive_root(pk, p):
-        phi = pk - pk // p
-        def ordmod(g):
-            o, x = 1, g % pk
-            while x != 1:
-                x = x * g % pk
-                o += 1
-            return o
-        for g in range(2, pk):
-            if math.gcd(g, pk) == 1 and ordmod(g) == phi:
-                return g, phi
-        raise RuntimeError("no primitive root found")
-
+    """Generators (g, order) of (Z/q)^*: per odd prime power its smallest
+    primitive root, 3 mod 4, or -1 and 5 mod 2^e for e >= 3, each lifted to
+    g mod p^k and 1 mod q/p^k."""
     gens = []
-    for p, e in factor(q):
-        pk = p ** e
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                gens.append((_crt_lift(3, pk, q), 2))
-            else:
-                gens.append((_crt_lift(pk - 1, pk, q), 2))
-                gens.append((_crt_lift(5, pk, q), pk // 4))
+    for p, pk in _prime_powers(q):
+        if pk == 2:
+            continue
+        if pk == 4:
+            local = [(3, 2)]
+        elif p == 2:
+            local = [(pk - 1, 2), (5, pk // 4)]
         else:
-            g, order = primitive_root(pk, p)
-            gens.append((_crt_lift(g, pk, q), order))
+            phi = pk - pk // p
+            g = next(g for g in range(2, pk) if g % p and all(
+                pow(g, phi // l, pk) != 1 for l, _ in _prime_powers(phi)))
+            local = [(g, phi)]
+        rest = q // pk
+        inv = pow(pk, -1, rest)
+        gens += [((g + pk * ((1 - g) * inv % rest)) % q, o) for g, o in local]
     return gens
-
-
-def _crt_lift(g: int, pk: int, q: int) -> int:
-    """Lift g mod pk to x mod q with x = g mod pk and x = 1 mod q/pk."""
-    m = q // pk
-    if m == 1:
-        return g % q
-    inv = pow(pk, -1, m)
-    # x = g + pk * t with t = (1 - g) * inv mod m
-    t = ((1 - g) * inv) % m
-    return (g + pk * t) % q
 
 
 def dirichlet_character_by_index(q: int, index: int) -> HeckeCharacter:
@@ -396,35 +346,25 @@ def dirichlet_character_by_index(q: int, index: int) -> HeckeCharacter:
     """
     gens = _unit_group_generators(q)
     orders = [o for _, o in gens]
-    total = math.prod(orders) if orders else 1
+    total = math.prod(orders)
     if not 0 <= index < total:
         raise DomainError(f"character index must be in [0, {total}) for q = {q}")
     if index == 0:
         raise UnsupportedCharacter(
             "index 0 is the principal character mod q; use the trivial character")
-    exps = []
-    rem = index
-    for o in reversed(orders):
-        exps.append(rem % o)
-        rem //= o
-    exps.reverse()
-    # discrete logs by brute force walk over the group
-    vals: dict[int, complex] = {}
-    # enumerate group elements as products of generator powers
-    def rec(i, elem, phase):
-        if i == len(gens):
-            vals[elem] = cmath.exp(2j * math.pi * phase)
-            return
-        g, o = gens[i]
-        cur = 1
-        for k in range(o):
-            rec(i + 1, (elem * cur) % q, phase + exps[i] * k / o)
-            cur = (cur * g) % q
-    rec(0, 1 % q, 0.0)
-    table = {a: v for a, v in vals.items()}
-    # tidy tiny imaginary parts from roots of unity
-    clean = {a: complex(round(v.real, 15), round(v.imag, 15)) for a, v in table.items()}
-    return dirichlet_character_from_values(q, clean, label=f"dirichlet:{q}:{index}")
+    exps = [index // math.prod(orders[i + 1:]) % o for i, o in enumerate(orders)]
+    # walk the units as products of generator powers, adding up the phase
+    # of each; the table is multiplicative by construction, and the tiny
+    # parts of exp are rounded away
+    phase = {1: 0.0}
+    for (g, o), e in zip(gens, exps):
+        phase = {a * pow(g, k, q) % q: ph + e * k / o
+                 for a, ph in phase.items() for k in range(o)}
+    vals = [0j] * q
+    for a, ph in phase.items():
+        v = cmath.exp(2j * math.pi * ph)
+        vals[a] = complex(round(v.real, 15), round(v.imag, 15))
+    return _primitive_character(q, tuple(vals), f"dirichlet:{q}:{index}")
 
 
 def load_character_file(path: str) -> HeckeCharacter:

@@ -16,9 +16,9 @@ for all residues and nodes.  `l_value`, the analytic route of
 `l_log_derivative` and `completed_lambda` read it and take arrays too.
 
 On top of that sit the completed function with its gamma factors, the root
-number from the functional equation, the path and cut-plane types that
-`poly_l` continues log L^(r) on, and contour zero counting by the argument
-principle.
+number of its functional equation from the Gauss sum, the path and
+cut-plane types that `poly_l` continues log L^(r) on, and contour zero
+counting by the argument principle.
 
 Right of Re(s) = 1 an independent route sums over prime ideals in one
 kernel, `_prime_power_sum`: its rung r = 1 is log L (`log_l_series`), its
@@ -29,6 +29,7 @@ power term by term in one flat pass over the cached ideal table.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,9 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import (DegenerateSample, DomainError, FieldMismatch, GammaPole,
-                     NearZeroOfL, NonClosedLoop, ResidualTooLarge,
-                     UnsupportedCharacter)
+from .errors import (DomainError, FieldMismatch, GammaPole, NearZeroOfL,
+                     NonClosedLoop, ResidualTooLarge, UnsupportedCharacter)
 from .fields_and_characters import (HeckeCharacter, NumberField,
                                     _ideal_table, kronecker_character)
 from .quadrature import integrate_polyline
@@ -376,25 +376,23 @@ def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
     return complex(out) if s.ndim == 0 else out
 
 
-def root_number(fld: NumberField, chi: HeckeCharacter,
-                s_sample: complex = 0.3 + 2.0j) -> complex:
-    """W with Lambda(1 - s, conj chi) = W Lambda(s, chi), from two samples."""
-    chib = chi.conjugate()
+def root_number(fld: NumberField, chi: HeckeCharacter) -> complex:
+    """W with Lambda(1 - s, conj chi) = W Lambda(s, chi), in closed form.
 
-    def ratio(s: complex) -> complex:
-        den = completed_lambda(fld, chi, s)
-        if abs(den) < 1e-250:
-            raise DegenerateSample(f"|Lambda({s})| too small for a ratio")
-        return completed_lambda(fld, chib, 1.0 - s) / den
-
-    w1 = ratio(complex(s_sample))
-    w2 = ratio(complex(s_sample) + 0.31 + 0.17j)
-    if abs(w1 - w2) > 1e-8:
-        raise DegenerateSample(
-            f"root number differs between samples: {w1} vs {w2}")
-    if abs(abs(w1) - 1.0) > 1e-8:
-        raise DegenerateSample(f"|W| = {abs(w1)} deviates from 1")
-    return w1
+    W = 1 for the trivial character of any supported field.  For a
+    primitive Dirichlet chi mod q of parity a it is i^a sqrt(q) / tau(chi),
+    with the Gauss sum tau(chi) = sum_m chi(m) e^(2 pi i m / q) (Davenport,
+    Multiplicative Number Theory, ch. 9), under the conductor and gamma
+    factors of `completed_lambda`.  The Gauss sum is summed exactly rounded
+    (`math.fsum`), so only its q terms carry rounding error.
+    """
+    _check_pair(fld, chi)
+    if chi.is_principal:
+        return 1.0 + 0j
+    q = chi.modulus
+    terms = [v * cmath.exp(2j * math.pi * a / q) for a, v in enumerate(chi.values)]
+    tau = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return 1j ** chi.parity * math.sqrt(q) / tau
 
 
 def argument_principle_count(fld: NumberField, chi: HeckeCharacter,

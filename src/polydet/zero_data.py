@@ -34,7 +34,6 @@ __all__ = [
 
 _SCAN_STEP = 0.05
 _BISECT_TOL = 1e-9
-_MAX_SCAN_HEIGHT = 50.0
 
 
 @dataclass(frozen=True)
@@ -213,13 +212,11 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
     bracket.  Two zeros in one grid interval are missed.  Raises
     DomainError if the function falls below the normal double range, where
     its sign is lost, below height.
-
-    Workhorse without the desk-scale height cap; prefer find_zeros.
     """
     if not chi.is_self_dual:
         raise UnsupportedCharacter("zero scan requires a self-dual character")
-    if not height > 1.0:   # also rejects NaN
-        raise DomainError("scan height must exceed 1")
+    if not 1.0 < height < math.inf:   # also rejects NaN
+        raise DomainError("scan height must be finite and exceed 1")
 
     def g(t: np.ndarray) -> np.ndarray:
         return completed_lambda(fld, chi, 0.5 + 1j * t).real
@@ -270,9 +267,8 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
 
 def find_zeros(fld: NumberField, chi: HeckeCharacter,
                height: float) -> ZeroTable:
-    """Zeros of the completed function with 0 < gamma <= height (<= 50)."""
-    if not height <= _MAX_SCAN_HEIGHT:   # also rejects NaN
-        raise DomainError(f"scan height capped at {_MAX_SCAN_HEIGHT}")
+    """Zeros of the completed function with 0 < gamma <= height, by
+    `scan_ordinates` (whose errors it raises); EmptyZeroTable when none."""
     ordinates = scan_ordinates(fld, chi, height)
     if not ordinates:
         raise EmptyZeroTable(f"no zeros found below height {height}")

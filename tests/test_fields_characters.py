@@ -18,7 +18,8 @@ from polydet import (
     load_character_file,
     trivial_character,
 )
-from polydet.fields_and_characters import _ideal_table, _primes
+from polydet.fields_and_characters import (_ideal_table, _primes,
+                                           _unit_group_generators)
 from polydet.l_functions import _ideal_arrays
 
 
@@ -54,6 +55,36 @@ def test_kronecker_symbol_quadratic_residues():
     assert kronecker_symbol(5, 3) == -1
     assert kronecker_symbol(5, 7) == -1
     assert kronecker_symbol(5, 5) == 0
+
+
+def _factor(n):
+    """Prime factors of n with multiplicity, by trial division."""
+    out, f = [], 2
+    while n > 1:
+        while n % f == 0:
+            out.append(f)
+            n //= f
+        f += 1
+    return out
+
+
+def _euler_criterion(d, p):
+    """(d|p) for prime p: d mod 8 at p = 2, d^((p-1)/2) mod p otherwise."""
+    if p == 2:
+        return 0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1
+    e = pow(d, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
+def test_kronecker_symbol_is_product_over_prime_factors():
+    for n in range(1, 301):
+        fs = _factor(n)
+        for d in range(-100, 101):
+            want = math.prod(_euler_criterion(d, p) for p in fs)
+            assert kronecker_symbol(d, n) == want, (d, n)
+    for n in (0, -3):
+        with pytest.raises(DomainError):
+            kronecker_symbol(5, n)
 
 
 def test_prime_ideal_norms_real_quadratic():
@@ -196,6 +227,53 @@ def test_character_group_enumeration():
             order += 1
         orders.add(order)
     assert orders == {2, 4}         # one quadratic, two quartic
+
+
+# (generator, order) of each cyclic factor of (Z/q)^*: the smallest
+# primitive root of an odd prime power, 3 mod 4, or -1 and 5 mod 2^e, each
+# lifted to 1 mod the rest of q
+UNIT_GENERATORS = {
+    8: [(7, 2), (5, 2)], 12: [(7, 2), (5, 2)], 15: [(11, 2), (7, 4)],
+    16: [(15, 2), (5, 4)], 20: [(11, 2), (17, 4)],
+    24: [(7, 2), (13, 2), (17, 2)], 35: [(22, 4), (31, 6)],
+    63: [(29, 6), (10, 6)], 100: [(51, 2), (77, 20)],
+}
+
+
+def test_unit_group_generators_pinned():
+    for q, gens in UNIT_GENERATORS.items():
+        assert _unit_group_generators(q) == gens
+
+
+def _primitive_count(q):
+    """Number of primitive characters mod q: p - 2 at p^1 and
+    p^e (1 - 1/p)^2 at p^e, e >= 2, multiplied over q's prime powers."""
+    fs = _factor(q)
+    return math.prod(p - 2 if fs.count(p) == 1
+                     else p ** (fs.count(p) - 2) * (p - 1) ** 2
+                     for p in set(fs))
+
+
+def test_character_enumeration_is_the_primitive_characters():
+    for q in range(2, 201):
+        units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        total = math.prod(o for _, o in _unit_group_generators(q))
+        assert total == len(units)
+        # a character induced from q/p is trivial on the units = 1 mod q/p
+        near_one = [[a for a in units if (a - 1) % (q // p) == 0]
+                    for p in set(_factor(q))]
+        seen, returned = set(), 0
+        for index in range(1, total):
+            try:
+                chi = dirichlet_character_by_index(q, index)
+            except UnsupportedCharacter:
+                continue
+            returned += 1
+            vals = np.array(chi.values)
+            for sub in near_one:
+                assert np.abs(vals[sub] - 1.0).max() > 1e-9, (q, index)
+            seen.add(np.round(vals[units], 9).tobytes())
+        assert returned == len(seen) == _primitive_count(q), q
 
 
 def test_character_by_index_out_of_range():

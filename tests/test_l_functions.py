@@ -219,6 +219,23 @@ def test_root_numbers_are_one():
         assert abs(w - 1.0) < 1e-9
 
 
+def test_functional_equation_complex_characters():
+    # Lambda(1 - s, conj chi) = W Lambda(s, chi) with W = i^a sqrt(q) / tau(chi)
+    for q in (5, 7, 13, 16):
+        chi = dirichlet_character_by_index(q, 1)
+        assert not chi.is_self_dual
+        w = root_number(Q, chi)
+        # the reference: W as the ratio of the two sides at two samples
+        for s in (0.3 + 2.0j, 0.61 + 2.17j):
+            ratio = completed_lambda(Q, chi.conjugate(), 1 - s) / \
+                completed_lambda(Q, chi, s)
+            assert abs(ratio - w) <= 1e-10
+        for s in (0.3 + 2.0j, 0.7 - 1.0j, 0.45 + 7.0j):
+            rhs = w * completed_lambda(Q, chi, s)
+            lhs = completed_lambda(Q, chi.conjugate(), 1 - s)
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
 def test_argument_principle_counts():
     # first zeta zero
     loop = PathSpec.rectangle(0.2, 0.8, 13.0, 15.0)

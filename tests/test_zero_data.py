@@ -53,6 +53,14 @@ def test_builtin_table_first_three():
         assert abs(got - want) < 1e-9
 
 
+def test_builtin_table_matches_mpmath():
+    # the bundled table holds mpmath's ordinates to 12 decimals
+    tab = builtin_zeta_zeros()
+    for got, want in zip(tab.ordinates[:10], ZETA_10, strict=True):
+        assert abs(got - want) <= 1e-12
+    assert tab.completeness_height == tab.ordinates[-1]
+
+
 def test_builtin_table_monotone_and_complete():
     tab = builtin_zeta_zeros()
     assert all(a < b for a, b in zip(tab.ordinates, tab.ordinates[1:]))
@@ -174,9 +182,21 @@ def test_illinois_lockstep_and_scale_free():
     assert np.allclose(*results, rtol=0.0, atol=1e-13)
 
 
-def test_scan_height_capped():
+def test_find_zeros_uncapped_matches_scan():
+    tab = find_zeros(Q, TRIV, 80.0)
+    assert tab.ordinates == scan_ordinates(Q, TRIV, 80.0)
+    assert len(tab) == 21   # N(80) for zeta
+
+
+def test_find_zeros_raises_above_normal_range():
+    # |Lambda| of Q(i) leaves the normal double range near t = 459
+    t0 = time.perf_counter()
     with pytest.raises(DomainError):
-        find_zeros(Q, TRIV, 80.0)
+        find_zeros(QI, trivial_character(QI), 500.0)
+    assert time.perf_counter() - t0 < 1.0
+    for height in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            find_zeros(Q, TRIV, height)
 
 
 def test_scan_empty_range_raises():
