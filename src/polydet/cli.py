@@ -273,27 +273,25 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     fld = parse_field(args.field)
     chi = parse_character(fld, args.char)
     s = args.s
-    inputs = {"field": args.field, "char": args.char, "s": str(s)}
-    picked = [name for name in ("log_derivative", "completed", "root_number")
-              if getattr(args, name)]
-    if len(picked) > 1:
-        raise ParseError("choose at most one of --log-derivative, "
-                         "--completed, --root-number")
-    mode = picked[0] if picked else "value"
-    if mode == "log_derivative":
-        value = l_log_derivative(fld, chi, s)
-        route = "log-derivative"
-        err = cfg.target_abs_error
-    elif mode == "completed":
-        value = completed_lambda(fld, chi, s)
-        route = "completed"
-        err = abs(value) * cfg.target_abs_error
-    elif mode == "root_number":
+    inputs = {"field": args.field, "char": args.char}
+    if s is not None:
+        inputs["s"] = str(s)
+    if args.root_number:
         value = root_number(fld, chi)
-        route = "root-number"
         # rounding bound of the Gauss sum: ~20 ulp on each of its q unit
         # terms, over |tau(chi)| = sqrt(q)
         err = 20.0 * chi.conductor_norm ** 0.5 * np.finfo(float).eps
+        return [make_record(inputs, value, err, "root-number", cfg)], 0
+    if s is None:
+        raise ParseError("lfun needs --s (only --root-number does not)")
+    if args.log_derivative:
+        value = l_log_derivative(fld, chi, s)
+        route = "log-derivative"
+        err = cfg.target_abs_error
+    elif args.completed:
+        value = completed_lambda(fld, chi, s)
+        route = "completed"
+        err = abs(value) * cfg.target_abs_error
     else:
         value = l_value(fld, chi, s)
         route = "euler-maclaurin"
@@ -468,13 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lfun", parents=[common, pair],
                        help="Hecke/Dirichlet L-function values")
-    p.add_argument("--s", type=_complex_arg, required=True)
-    p.add_argument("--log-derivative", action="store_true",
-                   dest="log_derivative", help="L'/L instead of L")
-    p.add_argument("--completed", action="store_true",
-                   help="completed Lambda instead of L")
-    p.add_argument("--root-number", action="store_true", dest="root_number",
-                   help="functional equation root number")
+    p.add_argument("--s", type=_complex_arg,
+                   help="argument (every mode but --root-number)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--log-derivative", action="store_true",
+                       dest="log_derivative", help="L'/L instead of L")
+    group.add_argument("--completed", action="store_true",
+                       help="completed Lambda instead of L")
+    group.add_argument("--root-number", action="store_true",
+                       dest="root_number",
+                       help="functional equation root number (no --s)")
 
     p = sub.add_parser("polyl", parents=[common, pair],
                        help="depth-r poly L-function")

@@ -10,7 +10,7 @@ over tabulated zeros (Re(s) > 1), and a Hankel-contour representation
     A2 = (2pi)^s [ (sin(pi s)/pi) int_delta^inf (L'/L)(z+x) x^-s dx
          + (delta^(1-s)/2pi) int_-pi^pi (L'/L)(z - delta e^(i psi))
                                         e^(i(1-s) psi) dpsi ]
-    A3 = - sum_v (N_v pi)^s zeta(s, w_v),   w_v = (N_v(z+i phi_v)+|m_v|)/2
+    A3 = - sum_v (N_v pi)^s zeta(s, w_v),   w_v = (N_v z + m_v)/2
 
 valid for all s away from s = 1; `xi_ds_at_depth` is d/ds of the same
 pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
@@ -38,8 +38,9 @@ import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import ContourInvalid, DomainError, overflow_is_domain_error
-from .fields_and_characters import ArchPlace, HeckeCharacter, NumberField
-from .l_functions import _check_pair, completed_lambda, l_log_derivative
+from .fields_and_characters import HeckeCharacter, NumberField
+from .l_functions import (_check_pair, completed_lambda, conductor,
+                          l_log_derivative)
 from .poly_l import poly_l_log_continued, poly_l_log_euler
 from .quadrature import integrate_polyline
 from .special_functions import (EmResult, Result, bernoulli_poly,
@@ -81,10 +82,6 @@ def default_contour(z: complex) -> ContourSpec:
     if not z.real > 1.0:   # also rejects NaN
         raise DomainError("Hankel evaluation needs Re(z) > 1")
     return ContourSpec(min(1.0, 0.4 * (z.real - 1.0)))
-
-
-def _w_place(v: ArchPlace, z: complex) -> complex:
-    return 0.5 * (v.nv * (z + 1j * v.phi) + abs(v.m))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +180,7 @@ def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex) -> EmResult:
     err = err_ds = 0.0
     for v in chi.arch_places():
         lb = math.log(v.nv * math.pi)
-        em = hurwitz_zeta_em(s, _w_place(v, z))
+        em = hurwitz_zeta_em(s, v.w(z))
         coef = cmath.exp(s * lb)
         val -= coef * em.value
         ds -= coef * (lb * em.value + em.ds)
@@ -296,7 +293,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
     err = abs(lcoef) * tail
     for v in chi.arch_places():
         base = v.nv * math.pi
-        w = _w_place(v, z)
+        w = v.w(z)
         em = hurwitz_zeta_em(1 - r, w)
         coef = base ** (1 - r)
         logv += -(coef / r) * complex(bernoulli_poly(r, w)) * math.log(base)
@@ -310,22 +307,21 @@ def regularized_product(fld: NumberField, chi: HeckeCharacter,
     """Depth-1 determinant as an elementary multiple of the completed
     L-function:
 
-        Xi_1(z) = (Nf |d_K|)^(-z/2) 2^(-eps - r1/2 - i phi_C - m_C/2)
+        Xi_1(z) = (Nf |d_K|)^(-z/2) 2^(-eps - r1/2 - m_C/2)
                   pi^(-2 eps - m/2) Lambda(z)
 
-    with phi_C, m_C summing the frequencies and weights of the complex
-    places and m the total weight over all places.
+    with m_C summing the weights of the complex places and m the total
+    weight over all places.
     """
     _check_pair(fld, chi)
     z = complex(z)
     places = chi.arch_places()
-    phi_c = sum(v.phi for v in places if v.nv == 2)
-    m_c = sum(abs(v.m) for v in places if v.nv == 2)
-    m = sum(abs(v.m) for v in places)
+    m_c = sum(v.m for v in places if v.nv == 2)
+    m = sum(v.m for v in places)
     eps = chi.epsilon
-    q = chi.conductor_norm * abs(fld.discriminant)
+    q = conductor(fld, chi)
     lam = completed_lambda(fld, chi, z)
-    two_exp = -(eps + 0.5 * fld.r1 + 1j * phi_c + 0.5 * m_c)
+    two_exp = -(eps + 0.5 * fld.r1 + 0.5 * m_c)
     pi_exp = -(2.0 * eps + 0.5 * m)
     return cmath.exp(-0.5 * z * math.log(q)
                      + two_exp * math.log(2.0)

@@ -1,6 +1,11 @@
 """Number fields (rational and quadratic), prime ideal tables, and the
-supported family of characters: the trivial (class) character over any
-supported field and Dirichlet characters over the rationals.
+supported family of characters.
+
+A character is one model: its field, a modulus q and a value table on the
+residues mod q.  The principal character of any supported field is the
+table (1,) mod 1; every other character is a primitive Dirichlet
+character over the rationals.  Each archimedean place contributes the
+gamma factor Gamma(w_v), w_v(s) = (N_v s + m_v)/2 (`ArchPlace.w`).
 
 Prime ideals exist only as numpy arrays: `_ideal_table` gives the rational
 prime below and the norm of every prime ideal up to a bound, built from one
@@ -97,12 +102,15 @@ class NumberField:
 
 @dataclass(frozen=True)
 class ArchPlace:
-    """Archimedean place data entering a gamma factor: local degree N_v,
-    frequency parameter phi_v, and integer weight m_v."""
+    """Archimedean place data entering a gamma factor: local degree N_v and
+    weight m_v in {0, 1}."""
 
     nv: int
-    phi: float = 0.0
     m: int = 0
+
+    def w(self, s):
+        """w_v(s) = (N_v s + m_v)/2, the argument of this place's Gamma."""
+        return (self.nv * s + self.m) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +193,18 @@ def _ideal_table(fld: NumberField, norm_bound: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class HeckeCharacter:
-    """A character of the supported family.
-
-    kind "trivial": the principal class character of its field.
-    kind "dirichlet": a primitive Dirichlet character over Q given by a
-    value table on residues coprime to the modulus.
-    """
+    """A character of the supported family: a value table mod `modulus`,
+    which is (1,) mod 1 for the principal character of `fld` and otherwise
+    a primitive Dirichlet character over Q (zero off the units)."""
 
     fld: NumberField
-    kind: str
     modulus: int = 1
-    values: tuple[complex, ...] = ()   # indexed by residue 0..modulus-1
+    values: tuple[complex, ...] = (1,)   # indexed by residue 0..modulus-1
     label: str = "trivial"
 
     @property
     def is_principal(self) -> bool:
-        return self.kind == "trivial"
+        return self.modulus == 1
 
     @property
     def epsilon(self) -> int:
@@ -209,11 +213,9 @@ class HeckeCharacter:
 
     @property
     def conductor_norm(self) -> int:
-        return 1 if self.kind == "trivial" else self.modulus
+        return self.modulus
 
     def value_at_int(self, n: int) -> complex:
-        if self.kind == "trivial":
-            return 1.0
         if math.gcd(n, self.modulus) != 1:
             return 0.0
         return self.values[n % self.modulus]
@@ -221,8 +223,6 @@ class HeckeCharacter:
     @property
     def parity(self) -> int:
         """0 for even characters, 1 for odd."""
-        if self.kind == "trivial":
-            return 0
         v = self.value_at_int(self.modulus - 1)  # chi(-1)
         if abs(v - 1.0) < 1e-12:
             return 0
@@ -232,34 +232,25 @@ class HeckeCharacter:
 
     @property
     def is_self_dual(self) -> bool:
-        if self.kind == "trivial":
-            return True
         return all(abs(v.imag) < 1e-12 for v in self.values)
 
     def conjugate(self) -> "HeckeCharacter":
-        if self.kind == "trivial":
-            return self
         vals = tuple(v.conjugate() for v in self.values)
-        return HeckeCharacter(self.fld, self.kind, self.modulus, vals,
+        return HeckeCharacter(self.fld, self.modulus, vals,
                               self.label + "~" if not self.is_self_dual else self.label)
 
     def arch_places(self) -> tuple[ArchPlace, ...]:
-        """Gamma factor data: one place per archimedean place of the field.
-
-        For Dirichlet characters the real place carries weight m = parity.
-        """
-        if self.kind == "dirichlet":
-            return (ArchPlace(1, 0.0, self.parity),)
-        places = [ArchPlace(1, 0.0, 0)] * self.fld.r1 + \
-                 [ArchPlace(2, 0.0, 0)] * self.fld.r2
-        return tuple(places)
+        """Gamma factor data: one place per archimedean place of the field;
+        a real place carries weight m = parity."""
+        return (ArchPlace(1, self.parity),) * self.fld.r1 + \
+            (ArchPlace(2),) * self.fld.r2
 
     def __str__(self):
         return self.label
 
 
 def trivial_character(fld: NumberField) -> HeckeCharacter:
-    return HeckeCharacter(fld, "trivial", 1, (), "trivial")
+    return HeckeCharacter(fld)
 
 
 def _primitive_character(q: int, values: tuple[complex, ...],
@@ -274,7 +265,7 @@ def _primitive_character(q: int, values: tuple[complex, ...],
         raise UnsupportedCharacter(
             f"table mod {q} is induced from modulus {cond}; only primitive "
             "characters are supported")
-    return HeckeCharacter(NumberField.rational(), "dirichlet", q, values, label)
+    return HeckeCharacter(NumberField.rational(), q, values, label)
 
 
 def dirichlet_character_from_values(q: int, table: dict[int, complex],
@@ -304,11 +295,15 @@ def dirichlet_character_from_values(q: int, table: dict[int, complex],
 def kronecker_character(disc: int) -> HeckeCharacter:
     """The real primitive character a -> (disc|a) of a fundamental discriminant."""
     q = abs(disc)
-    if disc % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
-    table = {a % q: float(kronecker_symbol(disc, a))
-             for a in range(1, q + 1) if math.gcd(a, q) == 1}
-    return dirichlet_character_from_values(q, table, label=f"kronecker({disc})")
+    if disc == 0 or disc % 4 not in (0, 1):
+        raise DomainError("discriminant must be nonzero and 0 or 1 mod 4")
+    if q == 1:
+        raise UnsupportedCharacter("use the trivial character for modulus 1")
+    # for disc = 0, 1 (mod 4), a -> (disc|a) is a character mod q, zero
+    # exactly off the units, so its table needs no multiplicativity check
+    values = (0j,) + tuple(complex(kronecker_symbol(disc, a))
+                           for a in range(1, q))
+    return _primitive_character(q, values, f"kronecker({disc})")
 
 
 # --- character group enumeration (for CLI selection by index) --------------

@@ -51,6 +51,7 @@ __all__ = [
     "l_log_derivative",
     "log_l_series",
     "completed_lambda",
+    "conductor",
     "conductor_factor",
     "root_number",
     "argument_principle_count",
@@ -164,8 +165,8 @@ class OmegaRegion:
 
 def omega_region(fld: NumberField, chi: HeckeCharacter,
                  zero_ordinates=(), completeness: float = 0.0) -> OmegaRegion:
-    starts = tuple(complex(-abs(pl.m) / pl.nv, -pl.phi)
-                   for pl in chi.arch_places())
+    # the rightmost trivial zero of a place is where w_v(s) = 0
+    starts = tuple(complex(-pl.m / pl.nv) for pl in chi.arch_places())
     return OmegaRegion(chi.epsilon == 1, starts, tuple(float(g) for g in
                        zero_ordinates), float(completeness))
 
@@ -177,12 +178,8 @@ def omega_region(fld: NumberField, chi: HeckeCharacter,
 def _check_pair(fld: NumberField, chi: HeckeCharacter):
     if chi.fld != fld:
         raise FieldMismatch(f"character of {chi.fld} used with {fld}")
-    if chi.kind == "dirichlet" and not fld.is_rational:
+    if not (chi.is_principal or fld.is_rational):
         raise UnsupportedCharacter("Dirichlet characters live over Q")
-    if chi.kind == "trivial":
-        return
-    if chi.kind != "dirichlet":
-        raise UnsupportedCharacter(f"unsupported character kind {chi.kind!r}")
     if fld.degree > 2:
         raise UnsupportedCharacter("only Q and quadratic fields are supported")
 
@@ -234,7 +231,7 @@ def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(nodes), EM_CHUNK):
             part, at = nodes[lo:lo + EM_CHUNK], slice(lo, lo + EM_CHUNK)
-            if chi.kind == "dirichlet":
+            if not chi.is_principal:
                 L[at], dL[at] = _dirichlet_and_ds(chi, part)
             elif fld.is_rational:
                 L[at], dL[at] = _zeta_and_ds(part)
@@ -291,10 +288,7 @@ def _ideal_arrays(fld: NumberField, chi: HeckeCharacter, bound: int):
     """(norms, log norms, character values) of the prime ideals of norm
     <= bound, sorted by norm; a Dirichlet character is read at p mod q."""
     ps, norms = _ideal_table(fld, bound)
-    if chi.kind == "trivial":
-        chiv = np.ones(len(ps), dtype=np.complex128)
-    else:
-        chiv = np.array(chi.values, dtype=np.complex128)[ps % chi.modulus]
+    chiv = np.array(chi.values, dtype=np.complex128)[ps % chi.modulus]
     norms = norms.astype(np.float64)
     return norms, np.log(norms), chiv
 
@@ -342,11 +336,14 @@ def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex) -> complex:
 # Completed function, root number, zero counting
 
 
+def conductor(fld: NumberField, chi: HeckeCharacter) -> int:
+    """The conductor q = N(f) |d_K| of L(s, chi)."""
+    return chi.conductor_norm * abs(fld.discriminant)
+
+
 def conductor_factor(fld: NumberField, chi: HeckeCharacter) -> float:
-    """N(conductor) |d_K| / (2^{2 r2} pi^n)."""
-    n = fld.degree
-    return chi.conductor_norm * abs(fld.discriminant) / \
-        (4.0 ** fld.r2 * math.pi ** n)
+    """q / (2^{2 r2} pi^n), q the conductor."""
+    return conductor(fld, chi) / (4.0 ** fld.r2 * math.pi ** fld.degree)
 
 
 def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
@@ -361,7 +358,7 @@ def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
     s = np.asarray(s, dtype=np.complex128)
     gamma_prod = 1.0
     for pl in chi.arch_places():
-        w = (pl.nv * (s + 1j * pl.phi) + abs(pl.m)) / 2.0
+        w = pl.w(s)
         if (left := w.real <= 0).any():
             raise DomainError(f"gamma argument {w[left][0]} has Re <= 0; "
                               "reflection not implemented")
@@ -379,16 +376,14 @@ def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
 def root_number(fld: NumberField, chi: HeckeCharacter) -> complex:
     """W with Lambda(1 - s, conj chi) = W Lambda(s, chi), in closed form.
 
-    W = 1 for the trivial character of any supported field.  For a
-    primitive Dirichlet chi mod q of parity a it is i^a sqrt(q) / tau(chi),
-    with the Gauss sum tau(chi) = sum_m chi(m) e^(2 pi i m / q) (Davenport,
+    For a character mod q of parity a it is i^a sqrt(q) / tau(chi), with
+    the Gauss sum tau(chi) = sum_m chi(m) e^(2 pi i m / q) (Davenport,
     Multiplicative Number Theory, ch. 9), under the conductor and gamma
-    factors of `completed_lambda`.  The Gauss sum is summed exactly rounded
+    factors of `completed_lambda`; the principal table (1,) mod 1 has
+    tau = 1, so W = 1.  The Gauss sum is summed exactly rounded
     (`math.fsum`), so only its q terms carry rounding error.
     """
     _check_pair(fld, chi)
-    if chi.is_principal:
-        return 1.0 + 0j
     q = chi.modulus
     terms = [v * cmath.exp(2j * math.pi * a / q) for a, v in enumerate(chi.values)]
     tau = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DomainError, EmptyZeroTable, NonMonotoneError,
                      ParseError, UnsupportedCharacter)
 from .fields_and_characters import HeckeCharacter, NumberField
-from .l_functions import completed_lambda
+from .l_functions import completed_lambda, conductor
 
 __all__ = [
     "ZeroTable",
@@ -294,11 +294,11 @@ def zero_count_estimate(fld: NumberField, chi: HeckeCharacter,
     if not 0 < height < math.inf:   # also rejects NaN
         raise DomainError("height must be positive and finite")
     n = fld.degree
-    q = chi.conductor_norm * abs(fld.discriminant)
+    q = conductor(fld, chi)
     t = height / (2.0 * math.pi)
-    # a real place is Gamma_R(s + |m|), a complex one Gamma_R(s + |m|/2)
-    # Gamma_R(s + |m|/2 + 1): (nv + 2|m| - 2)/8 per place
-    const = chi.epsilon + sum((v.nv + 2 * abs(v.m) - 2) / 8.0
+    # a real place is Gamma_R(s + m), a complex one Gamma_R(s + m/2)
+    # Gamma_R(s + m/2 + 1): (nv + 2m - 2)/8 per place
+    const = chi.epsilon + sum((v.nv + 2 * v.m - 2) / 8.0
                               for v in chi.arch_places())
     return t * (n * (math.log(t) - 1.0) + math.log(q)) + const
 
@@ -322,7 +322,7 @@ def truncation_tail_estimate(fld: NumberField, chi: HeckeCharacter,
     if height <= a + 1.0:
         raise DomainError("height must exceed |Im z| + 1")
     n = fld.degree
-    q = chi.conductor_norm * abs(fld.discriminant)
+    q = conductor(fld, chi)
     A = (height - a) / (2.0 * math.pi)
     j0 = A ** (1.0 - sigma) / (sigma - 1.0)
     j1 = A ** (1.0 - sigma) * (math.log(A) / (sigma - 1.0)

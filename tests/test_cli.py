@@ -310,5 +310,31 @@ def test_lfun_value_route_is_euler_maclaurin(capsys):
     assert recs[0]["route"] == "euler-maclaurin"
 
 
+def test_lfun_root_number_needs_no_s(capsys):
+    # W does not depend on s
+    code, recs = run_json(capsys, ["lfun", "--root-number", "--char",
+                                   "dirichlet:5:1"])
+    assert code == 0 and recs[0]["route"] == "root-number"
+    assert abs(abs(complex(recs[0]["value_re"], recs[0]["value_im"])) - 1.0) \
+        < 1e-12
+
+
+def test_lfun_other_modes_need_s(capsys):
+    for argv in (["lfun", "--char", "kronecker:-4"],
+                 ["lfun", "--completed"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--s" in err
+        assert "Traceback" not in err
+    assert main(["lfun", "--s", "nan"]) == 2
+
+
 def test_lfun_mode_flags_exclusive(capsys):
-    assert main(["lfun", "--s", "2", "--completed", "--root-number"]) == 2
+    # one argparse group, as for det: a second mode flag is a usage error
+    for flags in (["--completed", "--root-number"],
+                  ["--log-derivative", "--completed"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lfun", "--s", "2", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with" in err and "Traceback" not in err

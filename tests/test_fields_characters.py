@@ -2,11 +2,13 @@
 import cmath
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from polydet import (
+    ArchPlace,
     DomainError,
     NumberField,
     ParseError,
@@ -191,6 +193,26 @@ def test_kronecker_character_chi4():
         assert got == (want.get(n % 4, 0.0))
 
 
+def test_kronecker_character_rejects_non_discriminants():
+    for d in (0, 2, 3, -1, -5):
+        with pytest.raises(DomainError):
+            kronecker_character(d)
+    with pytest.raises(UnsupportedCharacter):
+        kronecker_character(1)
+    with pytest.raises(UnsupportedCharacter):
+        kronecker_character(-16)    # induced from chi_-4
+
+
+def test_kronecker_character_builds_its_table_directly():
+    # one Kronecker symbol per residue plus the primitivity test, with no
+    # pairwise multiplicativity check, which is quadratic in the modulus
+    t0 = time.perf_counter()
+    chi = kronecker_character(-4003)
+    assert time.perf_counter() - t0 < 0.2
+    assert chi.modulus == 4003 and chi.parity == 1
+    assert chi.value_at_int(2) == kronecker_symbol(-4003, 2)
+
+
 def test_kronecker_character_chi5_is_legendre():
     chi = kronecker_character(5)
     assert chi.parity == 0          # even character
@@ -317,8 +339,7 @@ def test_character_file_errors(tmp_path):
 
 def test_arch_places():
     q = NumberField.rational()
-    assert trivial_character(q).arch_places() == \
-        tuple([type(trivial_character(q).arch_places()[0])(1, 0.0, 0)])
+    assert trivial_character(q).arch_places() == (ArchPlace(1, 0),)
     chi4 = kronecker_character(-4)
     (place,) = chi4.arch_places()
     assert (place.nv, place.m) == (1, 1)    # odd character carries weight 1

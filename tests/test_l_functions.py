@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from polydet import (
     DomainError,
+    FieldMismatch,
+    HeckeCharacter,
     NearZeroOfL,
     NonClosedLoop,
     NumberField,
     PathSpec,
     PoleAtOne,
     ResidualTooLarge,
+    UnsupportedCharacter,
     argument_principle_count,
     completed_lambda,
     conductor_factor,
@@ -219,6 +222,18 @@ def test_root_numbers_are_one():
         assert abs(w - 1.0) < 1e-9
 
 
+def test_character_and_field_must_match():
+    # a character of Q used with Q(i), and a Dirichlet table attached to
+    # Q(i), which the package does not support
+    with pytest.raises(FieldMismatch):
+        l_value(QI, CHI4, 2.0)
+    stray = HeckeCharacter(QI, 4, CHI4.values)
+    with pytest.raises(UnsupportedCharacter):
+        l_value(QI, stray, 2.0)
+    with pytest.raises(UnsupportedCharacter):
+        root_number(QI, stray)
+
+
 def test_functional_equation_complex_characters():
     # Lambda(1 - s, conj chi) = W Lambda(s, chi) with W = i^a sqrt(q) / tau(chi)
     for q in (5, 7, 13, 16):
@@ -305,7 +320,7 @@ def _dirichlet_err(chi, s):
 
 def _l_err(fld, chi, s):
     """Error bounds of (L, L') at the nodes s."""
-    if chi.kind == "dirichlet":
+    if not chi.is_principal:
         return _dirichlet_err(chi, s)
     em = hurwitz_zeta_em(s, 1.0)
     if fld.is_rational:
