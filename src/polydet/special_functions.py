@@ -7,13 +7,14 @@ Stirling-series log gamma.
 Euler-Maclaurin kernel `_em_core`.  s is a scalar or a 1-D array of nodes
 and z a scalar or a 1-D array of shifts (all residues of a Dirichlet
 character in one call); the kernel works on chunks of at most EM_CHUNK
-nodes, each with one split N (the largest any (shift, node) pair of the
-chunk needs, at most SERIES_MAX_TERMS), and blocks of shifts of at most
-EM_TERMS direct-sum terms a call.  It builds the direct sum as a (shifts
-x nodes x N) array and the Bernoulli tail as one einsum over the chunk's
-Pochhammer table, shared by every shift.  The split (EM_SHIFT), the
-Bernoulli term count (EM_BERNOULLI_TERMS) and the pole guard (POLE_GUARD)
-are module constants: the kernel takes no config.  The entry point checks
+nodes, each with the split N its nodes need (cut where their needs differ
+too much to share one, at most SERIES_MAX_TERMS), and blocks of shifts of
+at most EM_TERMS direct-sum terms a call.  It builds the direct sum as a
+(shifts x nodes x N) array and the Bernoulli tail as one einsum over the
+chunk's Pochhammer table, shared by every shift.  The truncation target,
+the Bernoulli term count (EM_BERNOULLI_TERMS), the split at nonpositive
+integers (EM_SHIFT) and the pole guard (POLE_GUARD) are module constants:
+the kernel takes no config.  The entry point checks
 every (shift, node) pair: s and z finite, Re(z) > 0, and (unless the pole
 is subtracted) s outside the pole guard; it raises DomainError instead of
 returning a non-finite value or derivative.  `log_gamma` also takes arrays.
@@ -21,10 +22,11 @@ returning a non-finite value or derivative.  `log_gamma` also takes arrays.
 poly-L routes return; `Result.from_log` exponentiates a logarithm and its
 error, and raises DomainError where the value would underflow.
 
-Everything here is plain double precision.  The Euler-Maclaurin split point
-grows with |Im s| and |z| so the Bernoulli tail stays geometrically
-convergent; the a-posteriori remainder bounds use the first omitted term
-with the classical |s + 2J + 1| / (Re s + 2J + 1) inflation factor.
+Everything here is plain double precision.  The a-posteriori remainder
+bounds use the first omitted term with the classical |s + 2J + 1| / (Re s
++ 2J + 1) inflation factor, and each node's split is the smallest |w| at
+which that bound is below 1e-16 (about 0.4 |Im s| high in the strip), plus
+ceil|z|.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,19 +76,22 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def _bernoulli_poly_coeffs(r: int) -> tuple[Fraction, ...]:
-    # B_r(z) = sum_k C(r,k) B_k z^{r-k}; coefficients in descending degree
-    return tuple(math.comb(r, k) * bernoulli_number(k) for k in range(r + 1))
+def _bernoulli_poly_coeffs(r: int) -> tuple[float, ...]:
+    # B_r(z) = sum_k C(r,k) B_k z^{r-k}, each exact coefficient rounded once;
+    # descending degree
+    return tuple(float(math.comb(r, k) * bernoulli_number(k))
+                 for k in range(r + 1))
 
 
 def bernoulli_poly(r: int, z: complex) -> complex:
-    """Bernoulli polynomial B_r(z), exact rational coefficients, Horner eval."""
+    """Bernoulli polynomial B_r(z): exact rational coefficients rounded to
+    doubles, Horner eval."""
     if not isinstance(r, int) or r < 0:
         raise DomainError("bernoulli_poly degree must be a non-negative integer")
     coeffs = _bernoulli_poly_coeffs(r)
-    acc: complex = 0
+    acc = 0j
     for c in coeffs:
-        acc = acc * z + complex(c)
+        acc = acc * z + c
     return acc
 
 
@@ -151,18 +157,25 @@ class Result:
 _EPS = float(np.finfo(float).eps)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
-# Largest node batch one kernel call sees.  Its Pochhammer tables are
-# (J+1 x nodes), shared by every shift of the chunk; 128 nodes keep them
-# in cache.
+# Largest node batch one kernel call sees.  Its `_NodeTable` holds (J x
+# nodes) Pochhammer tables, shared by every shift of the chunk; 128 nodes
+# keep them in cache.
 EM_CHUNK = 128
-# Largest number of direct-sum terms (shifts x nodes x N, N the chunk's
-# split) one kernel call holds: a chunk's shifts go to the kernel in blocks
-# of EM_TERMS // (nodes N), or one at a time where one shift alone has more
+# Largest number of direct-sum terms (shifts x nodes x N, N the split) one
+# kernel call holds: a chunk's shifts go to the kernel in blocks of
+# EM_TERMS // (nodes N), or one at a time where one shift alone has more
 # terms.  The direct sum and its moduli are arrays of that size, so a call
-# needs at most ~0.6 MB beyond what one shift needs; on the Hankel ray (N ~
-# 25) a block is ~1024 (shift, node) pairs.
+# needs at most ~0.6 MB beyond what one shift needs.
 EM_TERMS = 25 * 1024
-# Base shift added to ceil(|Im s|) + ceil(|z|) for the split N.
+# Largest first omitted Bernoulli term a split admits, absolute: a quarter
+# of the kernel's 4e-16 (mag + 1) rounding floor, so truncation never sets
+# an error bound.
+_TRUNCATION_TARGET = 1e-16
+# Most a node's rounding floor may grow where it shares a chunk's split
+# with nodes that need a larger one (see _split_groups).
+_BATCH_GROWTH = 4.0
+# Split |w| at a nonpositive integer s = 1 - r, plus ceil(|z|): there the
+# value is in closed form and the derivative keeps this fixed split.
 EM_SHIFT = 20
 # Fewest Bernoulli correction terms J of the Euler-Maclaurin tail; beyond
 # ~30 the Bernoulli terms grow before they shrink.
@@ -192,19 +205,82 @@ def _expm1_quotients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, psi
 
 
-@lru_cache(maxsize=1)
-def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, ...]:
-    """(s)_k and d/ds (s)_k at the odd orders k = 1, 3, .., K at the nodes
-    s (as bytes), and their moduli, as read-only ((K + 1) / 2 x nodes)
-    arrays: the Bernoulli tail reads no other order.
+def _omitted(rem, pk, dpk, alqw):
+    """Bounds on the first omitted Bernoulli term of the value and of the
+    s-derivative, from the remainder factor rem at w, |(s)_(2J+1)| = pk,
+    |d/ds (s)_(2J+1)| = dpk and |log(q w)| = alqw.  The one remainder
+    expression: `_em_core` adds it to its error bounds, and
+    `_NodeTable.need` sizes the split from it."""
+    return rem * pk, rem * (dpk + pk * alqw)
 
-    The table depends on s alone, so the Hurwitz pieces of one L-value
-    chunk (every residue, every factor) share it: the last one is kept.
+
+class _NodeTable(NamedTuple):
+    """What the kernel reads of a chunk's nodes s alone, for J Bernoulli
+    terms: (s)_k and d/ds (s)_k at the odd orders k = 1, 3, .., 2J - 1 and
+    their moduli ((J x nodes) arrays), and per node the moduli pk and dpk
+    of the first omitted order 2J + 1, the remainder factor rem (the
+    |s + 2J + 1| / (Re s + 2J + 1) inflation times 6 |B_(2J+2)| / (2J+2)!),
+    the rounding |s| eps each unit of log|base| costs, and the split each
+    node needs, per scale q."""
+
+    s: np.ndarray
+    J: int
+    poch: np.ndarray
+    dpoch: np.ndarray
+    apoch: np.ndarray
+    adpoch: np.ndarray
+    pk: np.ndarray
+    dpk: np.ndarray
+    rem: np.ndarray
+    sround: np.ndarray
+    needs: dict
+
+    def take(self, idx: np.ndarray) -> "_NodeTable":
+        """The table of the nodes s[idx]."""
+        return _NodeTable(self.s[idx], self.J,
+                          *(a[..., idx] for a in self[2:-1]),
+                          {q: n[idx] for q, n in self.needs.items()})
+
+    def need(self, scale: int) -> np.ndarray:
+        """The smallest real |w| >= 1 per node at which `_omitted` is below
+        _TRUNCATION_TARGET for both the value and the derivative of the
+        scale-q kernel, or EM_SHIFT at a nonpositive integer s.
+
+        At real w the remainder factor is rem |w|^-(Re s + 2J + 1), so the
+        bound is met where log|w| is at least log(_omitted / target) / (Re
+        s + 2J + 1); log|q w| makes that a fixed point in log|w|, which
+        two steps up from |w| = 1 reach to ~1e-3 (the right side grows
+        only like log log|w|).  An overflowing Pochhammer modulus gives an
+        infinite or NaN need."""
+        got = self.needs.get(scale)
+        if got is None:
+            a = self.s.real + (2 * self.J + 1)
+            rem = self.rem / _TRUNCATION_TARGET
+            logw = 0.0
+            for _ in range(2):
+                bound = np.maximum(*_omitted(rem, self.pk, self.dpk,
+                                             math.log(scale) + logw))
+                logw = np.maximum(logw, np.log(bound) / a)
+            got = np.exp(logw)
+            # (s)_(2J+1) vanishes exactly at a nonpositive integer s
+            got[self.pk == 0.0] = EM_SHIFT
+            self.needs[scale] = got
+        return got
+
+
+@lru_cache(maxsize=8)
+def _node_table(nodes: bytes, J: int) -> _NodeTable:
+    """The `_NodeTable` of the nodes s (as bytes), its tables read-only.
+
+    It depends on s alone, so the Hurwitz pieces of one L-value chunk
+    (every residue, every factor) share it, and the closed route's s = 1 - r
+    tables outlive the L'/L chunks between them: the last 8 are kept.
     d/ds (s)_k = (s)_k sum_(i<k) 1/(s+i), except at a node where some
     factor s + m is 0 or too small to invert (s at or next to a nonpositive
     integer): there the product rule runs factor by factor.
     """
     s = np.frombuffer(nodes, dtype=np.complex128)
+    K = 2 * J + 1
     dpoch = np.arange(K)[:, None] + s
     poch = np.cumprod(dpoch, axis=0)
     np.divide(1.0, dpoch, out=dpoch)
@@ -218,18 +294,26 @@ def _pochhammers(nodes: bytes, K: int) -> tuple[np.ndarray, ...]:
             d, p = d * f + p, p * f
             col.append(d)
         dpoch[:, i] = col
-    odd = (poch[0::2], dpoch[0::2])
-    out = odd + (np.abs(odd[0]), np.abs(odd[1]))
-    for a in out:
+    # the tail reads the odd orders below K, the remainder order K; the
+    # cache keeps those rows alone
+    poch, dpoch = poch[0::2].copy(), dpoch[0::2].copy()
+    apoch, adpoch = np.abs(poch), np.abs(dpoch)
+    for a in (poch, dpoch, apoch, adpoch):
         a.flags.writeable = False
-    return out
+    rem = np.abs(s + K)
+    rem /= s.real + K
+    np.minimum(rem, 10.0, out=rem)
+    rem *= 6.0 * abs(_bern_over_fact(J + 1)[J + 1])
+    return _NodeTable(s, J, poch[:-1], dpoch[:-1], apoch[:-1], adpoch[:-1],
+                      apoch[-1], adpoch[-1], rem, _EPS * np.abs(s), {})
 
 
-def _em_core(s: np.ndarray, z: np.ndarray, N: int, J: int,
-             minus_pole: bool, scale: int) -> EmResult:
+def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
+             scale: int, tab: _NodeTable) -> EmResult:
     """Euler-Maclaurin evaluation of zeta(s, z / q) and its s-derivative at
     a 1-D array of s and a 1-D array of shifts z (q = scale) with one split
-    N, with error bounds, as (shifts x nodes) arrays.
+    N, with error bounds, as (shifts x nodes) arrays; tab is the
+    `_NodeTable` of the nodes s, with its J Bernoulli terms.
 
     The derivative is that of q^-s zeta(s, z / q), divided by q^-s: it is
     formed from the logarithms of the bases q m + z (exact integers on the
@@ -278,11 +362,11 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, J: int,
     # Bernoulli tail: term j is B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1), summed
     # as w^-s sum_j coef_j (s)_(2j-1), one einsum over the Pochhammer
     # table (no (terms x nodes) array per shift)
+    J = tab.J
     bf = _bern_over_fact(J + 1)
-    poch, dpoch, apoch, adpoch = _pochhammers(s.tobytes(), 2 * J + 1)
     coef = bf[1:J + 1] * winv ** np.arange(1, 2 * J, 2)
-    tail = np.einsum("...j,jn->...n", coef, poch[:-1])
-    dtail = np.einsum("...j,jn->...n", coef, dpoch[:-1])
+    tail = np.einsum("...j,jn->...n", coef, tab.poch)
+    dtail = np.einsum("...j,jn->...n", coef, tab.dpoch)
     # added to the direct sum term by term in the formula's order (integral,
     # boundary, tail): another order moves depth-3 direct determinants by
     # ~1e-13, their rounding noise
@@ -296,25 +380,25 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, J: int,
     # derivative's by the triangle inequality
     awms, alqw = np.abs(wms), abs(lqw)
     acoef = np.abs(coef)
-    atail = np.einsum("...j,jn->...n", acoef, apoch[:-1])
+    atail = np.einsum("...j,jn->...n", acoef, tab.apoch)
     atail += 0.5
     mag += np.abs(t) + awms * atail
     mag_ds += np.abs(dt) + awms * (
-        np.einsum("...j,jn->...n", acoef, adpoch[:-1]) + alqw * atail)
+        np.einsum("...j,jn->...n", acoef, tab.adpoch) + alqw * atail)
 
     # first omitted term as remainder estimate, with the classical
-    # |s + 2J + 1| / (Re s + 2J + 1) inflation (Re s > -(2J + 1): see
-    # hurwitz_zeta_em)
-    infl = np.minimum(10.0, np.abs(s + 2 * J + 1) / (s.real + 2 * J + 1))
-    # oscillatory loss along the tail: |(x+w)^{-s}| carries e^{Im s arg(x+w)}
-    rem = infl * np.exp(np.minimum(8.0, np.abs(s.imag) * np.abs(np.angle(w))))
+    # |s + 2J + 1| / (Re s + 2J + 1) inflation in tab.rem (Re s > -(2J + 1):
+    # see hurwitz_zeta_em) and the oscillatory loss along the tail:
+    # |(x+w)^{-s}| carries e^{Im s arg(x+w)}
+    rem = np.exp(np.minimum(8.0, np.abs(s.imag) * np.abs(np.angle(w))))
+    rem *= tab.rem
     rem *= awms
-    rem *= 6.0 * abs(bf[J + 1]) * abs(winv) ** (2 * J + 1)
+    rem *= abs(winv) ** (2 * J + 1)
+    err, err_ds = _omitted(rem, tab.pk, tab.dpk, alqw)
     # rounding: each power costs |s| log|base| ulps through exp(-s log b)
-    round_fac = 4e-16 + np.abs(s) * (5e-17 * np.log(abs(w) + 2.0))
-    pk, dpk = apoch[-1], adpoch[-1]
-    err = rem * pk + round_fac * (mag + 1.0)
-    err_ds = rem * (dpk + pk * alqw) + round_fac * (mag_ds + 1.0)
+    round_fac = 4e-16 + tab.sround * np.log(abs(w) + 2.0)
+    err += round_fac * (mag + 1.0)
+    err_ds += round_fac * (mag_ds + 1.0)
     return EmResult(val, dval, err, err_ds)
 
 
@@ -328,15 +412,21 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
     shifts; the fields have the shape of s for a scalar z and are (shifts
     x nodes) arrays for an array of shifts.  The only entry point to the
     Euler-Maclaurin kernel: it feeds `_em_core` chunks of at most EM_CHUNK
-    nodes, each with one split N, the largest any (shift, node) pair of the
-    chunk needs, and the chunk's shifts in blocks of at most EM_TERMS
-    direct-sum terms (or one shift).  Every node and shift must be
-    finite, and a value or derivative that overflows raises DomainError.
-    A chunk gets J = EM_BERNOULLI_TERMS Bernoulli terms, or more where a
-    node has Re(s) <= -(2J + 1) (the classical remainder bound needs
-    Re(s) > -(2J + 1)), and the split N = ceil(max |Im s|) + ceil(max |z|)
-    + EM_SHIFT, at most SERIES_MAX_TERMS; s within POLE_GUARD of 1 raises
-    PoleAtOne.
+    nodes and the chunk's shifts in blocks of at most EM_TERMS direct-sum
+    terms (or one shift).  Every node and shift must be finite, and a value
+    or derivative that overflows raises DomainError.  A chunk gets J =
+    EM_BERNOULLI_TERMS Bernoulli terms, or more where a node has Re(s) <=
+    -(2J + 1) (the classical remainder bound needs Re(s) > -(2J + 1)).
+    Each node needs the smallest real |w| at which the kernel's own bound
+    on the first omitted term is below _TRUNCATION_TARGET, for the value
+    and the derivative (`_NodeTable.need`), and EM_SHIFT at a nonpositive
+    integer s; its split is ceil(need) + ceil(max |z|), so |w| >= need for
+    every shift.  A chunk's nodes share the largest split unless that
+    would grow some node's rounding floor by more than _BATCH_GROWTH: then
+    the chunk is cut into groups of similar split (`_split_groups`).  A
+    split past SERIES_MAX_TERMS, or one that overflows (a Pochhammer
+    modulus past double range), raises DomainError; s within POLE_GUARD of
+    1 raises PoleAtOne.
     With minus_pole=True the result is zeta(s, z) - 1/(s-1) and its
     s-derivative, finite and smooth across s = 1 (no pole guard); the
     Dirichlet assembly uses it, where the subtracted poles cancel.
@@ -348,10 +438,9 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
 
     At nonpositive integer s = 1 - r the value is the closed form
     zeta(1 - r, z) = -B_r(z) / r (plus 1/r with minus_pole=True): the
-    kernel's large split there only piles up huge direct-sum powers that
-    cancel against the tail and cost ~|z+N|^(1-s) eps of absolute
-    accuracy.  The derivative keeps the large split, where the
-    differentiated tail still converges.
+    kernel's direct-sum powers there cancel against the tail and cost
+    ~|z+N|^(1-s) eps of absolute accuracy.  The derivative keeps the split
+    ceil|z| + EM_SHIFT, where the differentiated tail still converges.
     """
     s = np.asarray(s, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
@@ -381,15 +470,24 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
             # Re s > -(2J + 1) on every node, where the remainder is bounded
             J = max(EM_BERNOULLI_TERMS,
                     int((-part.real.min() - 1.0) // 2.0) + 1)
-            N = int(math.ceil(np.abs(part.imag).max()) + zmax + EM_SHIFT)
-            if N > SERIES_MAX_TERMS:
+            tab = _node_table(part.tobytes(), J)
+            split = np.ceil(tab.need(scale)) + zmax
+            if not (split <= SERIES_MAX_TERMS).all():
+                i = np.argmin(split <= SERIES_MAX_TERMS)
                 raise DomainError(
-                    f"Euler-Maclaurin split for s = {part[0]}, |z| <= "
-                    f"{zmax} exceeds {SERIES_MAX_TERMS} terms")
-            step = max(1, EM_TERMS // (len(part) * N))
-            rows.append(_joined([_em_core(part, z[b:b + step], N, J,
-                                          minus_pole, scale)
-                                 for b in range(0, len(z), step)], axis=0))
+                    f"Euler-Maclaurin split for s = {part[i]}, |z| <= "
+                    f"{zmax} exceeds {SERIES_MAX_TERMS} terms or overflows "
+                    "double precision")
+            groups = _split_groups(split, part.real)
+            if groups is None:
+                rows.append(_shift_blocks(part, z, int(split.max()),
+                                          minus_pole, scale, tab))
+                continue
+            em = _joined([_shift_blocks(part[g], z, int(split[g].max()),
+                                        minus_pole, scale, tab.take(g))
+                          for g in groups], axis=-1)
+            back = np.argsort(np.concatenate(groups))
+            rows.append(EmResult(*(f[..., back] for f in _fields(em))))
         em = _joined(rows, axis=-1)
         _trivial_zero_values(s, shift, em, minus_pole)
     bad = ~(np.isfinite(em.value) & np.isfinite(em.ds)
@@ -398,7 +496,7 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
         i, j = np.argwhere(bad)[0]
         raise DomainError(f"hurwitz zeta at s = {s[j]}, z = {shift[i]} "
                           "overflows double precision")
-    fields = (em.value, em.ds, em.err_value, em.err_ds)
+    fields = _fields(em)
     if scalar_z:
         fields = [f[0] for f in fields]
     if scalar_s:
@@ -409,12 +507,52 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
     return EmResult(*fields)
 
 
+def _split_groups(split: np.ndarray,
+                  re_s: np.ndarray) -> list[np.ndarray] | None:
+    """None where every node of a chunk can share its largest split, else
+    index arrays of the nodes that share one split each.
+
+    A split N larger than a node's own N_i adds nothing to its truncation
+    but grows its rounding floor with the direct-sum magnitude, ~N^(1 -
+    Re s) left of Re s = 1.  So a node may share a split up to N_i
+    _BATCH_GROWTH^(1 / (1 - Re s)); the nodes sorted by split are cut
+    greedily where the next one would pass that limit for some node of
+    its group."""
+    if re_s.min() >= 1.0 or split.min() == split.max():
+        return None
+    lim = split * _BATCH_GROWTH ** (1.0 / np.maximum(1.0 - re_s, 0.0))
+    if split.max() <= lim.min():
+        return None
+    order = np.argsort(split, kind="stable")
+    groups, start, cap = [], 0, math.inf
+    for k, i in enumerate(order):
+        if split[i] > cap:
+            groups.append(order[start:k])
+            start, cap = k, math.inf
+        cap = min(cap, lim[i])
+    groups.append(order[start:])
+    return groups
+
+
+def _shift_blocks(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
+                  scale: int, tab: _NodeTable) -> EmResult:
+    """The kernel at the nodes s with split N over the shifts z, in blocks
+    of at most EM_TERMS direct-sum terms (or one shift)."""
+    step = max(1, EM_TERMS // (len(s) * N))
+    return _joined([_em_core(s, z[b:b + step], N, minus_pole, scale, tab)
+                    for b in range(0, len(z), step)], axis=0)
+
+
+def _fields(em: EmResult) -> tuple:
+    return em.value, em.ds, em.err_value, em.err_ds
+
+
 def _joined(parts: list[EmResult], axis: int) -> EmResult:
     """The kernel results of adjacent blocks as one, joined along axis."""
     if len(parts) == 1:
         return parts[0]
-    return EmResult(*(np.concatenate([getattr(p, f) for p in parts], axis)
-                      for f in ("value", "ds", "err_value", "err_ds")))
+    return EmResult(*(np.concatenate(f, axis)
+                      for f in zip(*map(_fields, parts))))
 
 
 def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
@@ -432,7 +570,7 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
                           & (s.real == np.round(s.real)))
     for j in hits:
         r = 1 - int(round(s[j].real))
-        absc = np.abs(np.array(_bernoulli_poly_coeffs(r), dtype=float))
+        absc = np.abs(_bernoulli_poly_coeffs(r))
         for i, zi in enumerate(z):
             zi = complex(zi)
             em.value[i, j] = -bernoulli_poly(r, zi) / r \

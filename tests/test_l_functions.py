@@ -419,8 +419,9 @@ def test_dirichlet_residues_reach_the_kernel_in_shift_blocks(monkeypatch):
 
 def test_high_in_the_strip_residues_reach_the_kernel_one_at_a_time(
         monkeypatch):
-    # at |Im s| ~ 3e4 one residue's direct sum alone is past EM_TERMS, so
-    # the 162 residues of chi_-163 go one per call, not all in one
+    # at |Im s| ~ 1e5 one residue's direct sum alone (a split of ~4e4) is
+    # past EM_TERMS, so the 162 residues of chi_-163 go one per call, not
+    # all in one
     calls = []
     core = special_functions._em_core
 
@@ -429,11 +430,39 @@ def test_high_in_the_strip_residues_reach_the_kernel_one_at_a_time(
         return core(s, z, N, *args)
 
     monkeypatch.setattr(special_functions, "_em_core", spy)
-    got = l_value(Q, kronecker_character(-163), 0.5 + 3e4j)
+    got = l_value(Q, kronecker_character(-163), 0.5 + 1e5j)
     assert cmath.isfinite(got)
     assert len(calls) == 162
     assert all(n == m == 1 and N > special_functions.EM_TERMS
                for n, m, N in calls)
+
+
+def test_split_cuts_add_no_kernel_call_on_a_scan_grid_or_the_hankel_ray(
+        monkeypatch):
+    # a chunk is cut only where its nodes' splits differ by a lot: the Q
+    # scan grid to 200 and a Q direct determinant's ray and circle send one
+    # kernel call per chunk, as with one split per chunk
+    calls, chunks = [], []
+    core, groups = special_functions._em_core, special_functions._split_groups
+
+    def spy_core(s, *args):
+        calls.append(len(s))
+        return core(s, *args)
+
+    def spy_groups(*args):
+        chunks.append(groups(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(special_functions, "_em_core", spy_core)
+    monkeypatch.setattr(special_functions, "_split_groups", spy_groups)
+    grid = 0.5 + 1j * np.arange(0.0, 200.0 + 0.05, 0.05)
+    assert np.isfinite(completed_lambda(Q, TRIV, grid)).all()
+    assert len(calls) == math.ceil(grid.size / EM_CHUNK) == 32
+    calls.clear()
+    chunks.clear()
+    determinant_direct(Q, TRIV, 2, 2.0)
+    assert len(calls) == len(chunks) > 0
+    assert not any(chunks)
 
 
 @pytest.mark.parametrize("disc, s, want", [

@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polydet import (
@@ -314,3 +314,111 @@ def test_result_is_finite_or_raises():
         with pytest.raises(DomainError, match="underflows"):
             Result.from_log(log, 1e-12, "closed")
     assert Result.from_log(-708.0, 1e-12, "closed").value.real > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Each node's split sized from the kernel's own remainder bound
+
+# (s, a, q, zeta(s, a/q), d/ds zeta(s, a/q) - log(q) zeta(s, a/q)): the
+# value and the `scale=q` derivative, with a the shift itself where q = 1.
+# Nine nodes on the line 1/2 + it, t <= 200 (z = 1, 1/4, 3/4), eight at
+# z = 1 with Re s in [-6, 8], |Im s| <= 30, and eight at complex shifts with
+# |Im z| <= 3; pinned with mpmath 1.3 at 30 digits by
+#   rng = np.random.default_rng(20)
+#   rows = [(complex(0.5, t), a, q) for t, (a, q) in zip(
+#       rng.uniform(0, 200, 9), [(1, 1), (1, 4), (3, 4)] * 3)]
+#   rows += [(complex(rng.uniform(-6, 8), rng.uniform(-30, 30)), 1, 1)
+#            for _ in range(8)]
+#   for _ in range(8):
+#       s = complex(rng.uniform(-6, 8), rng.uniform(-30, 30))
+#       rows.append((s, complex(rng.uniform(0.05, 3), rng.uniform(-3, 3)), 1))
+#   for s, a, q in rows:
+#       v = mp.zeta(s, mp.mpf(a) / q) if q > 1 else mp.zeta(s, a)
+#       d = (mp.zeta(s, mp.mpf(a) / q, 1) - mp.log(q) * v if q > 1
+#            else mp.zeta(s, a, 1))
+#       print((s, a, q, complex(v), complex(d)))
+HURWITZ_PINS = [
+    ((0.5+56.01519252603187j), 1, 1, (0.11783395650440288-1.0370137922117946j),
+     (2.2489484837490497+1.404544346075406j)),
+    ((0.5+92.22934196058843j), 1, 4, (0.4499664167667894+0.6690827229911243j),
+     (-5.72958808764098+0.8322202478003324j)),
+    ((0.5+24.34393851528838j), 3, 4, (2.518952148424533+0.18942356052549325j),
+     (-5.044220511271501+0.23579761867168558j)),
+    ((0.5+104.5216703437865j), 1, 1, (1.0200552911452965-0.03176513801873968j),
+     (-1.4379512997840256-0.08384916127490626j)),
+    ((0.5+81.83368175484098j), 1, 4, (0.8163467497189998+2.425918611522771j),
+     (4.561293022104776-4.828472183884642j)),
+    ((0.5+14.327909440932984j), 3, 4, (-0.6819131203905147-2.2212566114809156j),
+     (0.6832545905900186+3.7161005579893627j)),
+    ((0.5+19.79333516370636j), 1, 1, (0.6536145347561487-1.1879520618224397j),
+     (0.4768033667120981+1.1501513876915042j)),
+    ((0.5+197.25767279334937j), 1, 4, (-0.5099096249295435-1.1152615967606923j),
+     (-4.932747412071609+2.0328572914174305j)),
+    ((0.5+138.81357647151734j), 3, 4, (-1.304844437182038-1.2089176164728936j),
+     (0.8120583724894775+4.164519848263203j)),
+    ((0.2816384436836614+8.410608515385718j), 1, 1, (1.3671454091742183+0.3590449817546433j),
+     (-0.16376314275849177-0.24854814171791487j)),
+    ((-2.2131560096370384-11.887561981082268j), 1, 1, (4.056604852340694+3.986874684751676j),
+     (-3.264619710462521-2.0396972293479863j)),
+    ((-4.973211054277073-26.84486573265041j), 1, 1, (-560.9118906733007-2929.0960905416873j),
+     (1421.7212730119563+4167.451563087614j)),
+    ((5.304651796962565+18.798320147380977j), 1, 1, (1.0223815564509473-0.014551839464528094j),
+     (-0.015540932106761758+0.01147971568403539j)),
+    ((-5.930397425568149-10.196679354150152j), 1, 1, (-3.452533241609754-32.960924257008095j),
+     (20.67280074063351+19.40630239656474j)),
+    ((-4.752784007446525-1.9231855326333793j), 1, 1, (-0.029550929429495644-0.001966189574873949j),
+     (-0.0009365086638256597-0.035712343207552066j)),
+    ((2.6476524383206943+3.0628837771653323j), 1, 1, (0.8721208244158527-0.08784338580241681j),
+     (0.09538339201400936+0.03255013850752447j)),
+    ((-4.123133785304654+12.146570195105731j), 1, 1, (20.56197199799415-10.56533857983458j),
+     (-18.741056643679812+0.6730453372004961j)),
+    ((2.581571683779474-1.9544785412623078j), (0.9265250640145827+2.5103633041051756j), 1, (0.0053783430685274145+0.0025684022181511495j),
+     (-0.001730117814822728-0.01225865631189386j)),
+    ((-4.8318442278742815-21.314203577195038j), (1.16678372069179-1.4446569333305854j), 1, (-3035819537.6751995+1792584129.408386j),
+     (266951584.02787772-3807631284.2383237j)),
+    ((2.6269348329439683+11.673263309047094j), (2.1264882006344052+1.643316379741167j), 1, (114.62084883062283-100.80867405542556j),
+     (-178.19024786516886+21.948593113246876j)),
+    ((-3.546691859841596+14.77883610890246j), (0.7758442245565353+0.21601466135941205j), 1, (1.7866934025025714-161.77546068148607j),
+     (-63.134270879510744+113.22679056305891j)),
+    ((-2.903695963552145+18.730477836996073j), (0.36828869423823846-0.4149729624859586j), 1, (-3.0333304843990554-0.5687407015562927j),
+     (3.261580167164265+1.1863474413237447j)),
+    ((2.8720592350025136+11.845389359641601j), (0.33133869206652566+2.9047180805546224j), 1, (-547448.2457866676+1360309.3689556762j),
+     (2561560.01941439-665554.395127342j)),
+    ((-1.9410934554136485-3.2167004290301158j), (0.9465290655357442-2.760606232072924j), 1, (6.822010545135285+443.03573894291077j),
+     (-546.1230612858853-393.7520661063361j)),
+    ((-2.57653523451682-10.379921375167033j), (1.7467537166626497-2.5826114289798774j), 1, (-415406.7649012963+30252.1269905934j),
+     (429091.42594409495-445858.12068122736j)),
+]
+
+
+@pytest.mark.parametrize("s, a, q, value, ds", HURWITZ_PINS)
+def test_hurwitz_pinned_values_within_claims(s, a, q, value, ds):
+    em = hurwitz_zeta_em(s, a, scale=q)
+    assert abs(em.value - value) <= em.err_value
+    assert abs(em.ds - ds) <= em.err_ds
+
+
+@settings(max_examples=25, deadline=None)
+@given(nodes=st.lists(node, min_size=2, max_size=12))
+@example(nodes=[-5.397 - 0.809j, 3.0 + 30.0j])
+def test_batched_node_within_10x_of_its_error_alone(nodes):
+    # a chunk is cut where its nodes' splits differ, so no node pays for a
+    # batch-mate's larger split: left of 0 a shared split 51 against its
+    # own 22 once cost zeta(-5.397 - 0.809i) ~400x
+    assume(all(abs(u - 1.0) > 1e-3 for u in nodes))
+    em = hurwitz_zeta_em(np.array(nodes, dtype=np.complex128), 1.0)
+    for i, u in enumerate(nodes):
+        alone = hurwitz_zeta_em(u, 1.0)
+        assert em.err_value[i] <= 10.0 * alone.err_value
+        assert em.err_ds[i] <= 10.0 * alone.err_ds
+        assert abs(em.value[i] - complex(mp.zeta(u))) <= 10.0 * alone.err_value
+        assert abs(em.ds[i] - complex(mp.zeta(u, 1, 1))) \
+            <= 10.0 * alone.err_ds
+
+
+@pytest.mark.parametrize("s", [1e9 + 0.5, -200.5, 3.0 + 2e7j])
+def test_split_past_cap_or_pochhammer_overflow_is_a_domain_error(s):
+    # (s)_41 overflows at s = 1e9 + 0.5 and (s)_201 at -200.5, so the need
+    # is infinite; at Im s = 2e7 the split is ~3e6 > SERIES_MAX_TERMS
+    with pytest.raises(DomainError):
+        hurwitz_zeta_em(s, 1.0)

@@ -25,6 +25,7 @@ from polydet import (
     truncation_tail_estimate,
     zero_count_estimate,
 )
+from polydet import special_functions
 from polydet.zero_data import _BISECT_TOL, _SCAN_STEP, _illinois
 
 Q = NumberField.rational()
@@ -314,3 +315,20 @@ def test_scan_rejects_non_self_dual():
     if not chi.is_self_dual:
         with pytest.raises(UnsupportedCharacter):
             find_zeros(Q, chi, 10.0)
+
+
+def test_q_scan_to_200_stays_within_its_kernel_term_budget(monkeypatch):
+    # the direct-sum terms (shifts x nodes x split) the Q scan hands the
+    # Euler-Maclaurin kernel: ~213k with each split sized from the
+    # remainder bound, 591k with the split ceil|Im s| + ceil|z| + 20, so a
+    # lost split shows here without timing noise
+    terms = []
+    core = special_functions._em_core
+
+    def spy(s, z, N, *args):
+        terms.append(len(s) * len(z) * N)
+        return core(s, z, N, *args)
+
+    monkeypatch.setattr(special_functions, "_em_core", spy)
+    assert len(scan_ordinates(Q, TRIV, 200.0)) == 79
+    assert sum(terms) <= 300_000
