@@ -234,18 +234,16 @@ def suite_zerofinder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
                 zip(tab.ordinates, bundled.ordinates[:len(tab)]))
     out.append(CheckResult("zerofinder", "bundled-consistency", worst, 1e-8))
 
-    # Dedekind zeta of Q(i) factors: its ordinates below 15 are the union
-    # of the zeta and chi_-4 ordinates
+    # the Q(i) table merges the scans of its zeta and chi_-4 factors: its
+    # count below 15 against the argument principle on the Dedekind zeta
     gi = NumberField.quadratic(-1)
     t_gi = find_zeros(gi, trivial_character(gi), 15.0)
     t_chi = find_zeros(q, kronecker_character(-4), 15.0)
-    t_z = find_zeros(q, triv, 15.0)
-    merged = sorted(list(t_chi.ordinates) + list(t_z.ordinates))
-    if len(merged) != len(t_gi.ordinates):
-        worst = math.inf
-    else:
-        worst = max(abs(a - b) for a, b in zip(merged, t_gi.ordinates))
-    out.append(CheckResult("zerofinder", "dedekind-factorization", worst, 1e-6))
+    inside = argument_principle_count(
+        gi, trivial_character(gi), PathSpec.rectangle(0.25, 0.75, 1.0, 15.0),
+        cfg)
+    out.append(CheckResult("zerofinder", "dedekind-factorization",
+                           abs(len(t_gi) - inside), 0.5))
 
     # zero counts against the density main term
     worst = 0.0

@@ -1,6 +1,6 @@
-"""Nontrivial zero ordinates: file ingest/export, sign-change scanning on
-the critical line for self-dual characters, and density-based truncation
-tail estimates for zero sums.
+"""Nontrivial zero ordinates: file ingest/export, scanning the critical
+line of self-dual characters by Hardy's Z at Gram points, one Euler factor
+at a time, and density-based truncation tail estimates for zero sums.
 
 File format: one positive ordinate per line (optionally followed by an
 integer multiplicity), '#' starts a comment, and an optional "height: T"
@@ -17,8 +17,11 @@ import numpy as np
 
 from .errors import (DomainError, EmptyZeroTable, NonMonotoneError,
                      ParseError, UnsupportedCharacter)
-from .fields_and_characters import HeckeCharacter, NumberField
-from .l_functions import completed_lambda, conductor
+from .fields_and_characters import (HeckeCharacter, NumberField,
+                                    trivial_character)
+from .l_functions import (_quadratic_kronecker, conductor, l_value,
+                          root_number)
+from .special_functions import log_gamma
 
 __all__ = [
     "ZeroTable",
@@ -32,8 +35,16 @@ __all__ = [
     "builtin_zeta_zeros",
 ]
 
-_SCAN_STEP = 0.05
 _BISECT_TOL = 1e-9
+# Gram points sampled past the one at the scan height, of which the first
+# good one closes the top block
+_SPARE_GRAM = 8
+# a Gram block short of sign changes is resampled at up to 2^8 points per
+# Gram interval
+_MAX_DOUBLINGS = 8
+# cap on the safeguarded Newton steps per batch of Gram points
+_NEWTON_STEPS = 30
+_Q = NumberField.rational()
 
 
 @dataclass(frozen=True)
@@ -166,8 +177,9 @@ def _illinois(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
     (the Illinois rule, Dowell & Jarratt 1971).  A bracket that has halved
     fewer than k/2 - 2 times in k steps takes a bisection step instead, so a
     bracket of width w needs at most 2 log2(w / tol) + 5 evaluations, rounded
-    up (57 for the grid step 0.05), where regula falsi alone can stall at a
-    flat zero (~190 evaluations for (t - c)^9).
+    up (67 for a Gram interval 1.8 wide, as at t = 200 on zeta), where
+    regula falsi alone can stall at a flat zero (~190 evaluations for
+    (t - c)^9).
     Each zero is the linear interpolant of the true end values of its final
     bracket, clipped into it.
     """
@@ -201,74 +213,165 @@ def _illinois(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
     return np.clip(lo + (hi - lo) * (flo / (flo - fhi)), lo, hi)
 
 
-def scan_ordinates(fld: NumberField, chi: HeckeCharacter, height: float,
-                   step: float = _SCAN_STEP) -> tuple[float, ...]:
-    """Ordinates found by a sign-change scan along Re(s) = 1/2; may be empty.
+def _theta(chi: HeckeCharacter, t: np.ndarray) -> np.ndarray:
+    """Hardy's phase theta(t) = Im log Gamma((1/2 + a + it)/2) + (t/2)
+    log(q/pi) of a Dirichlet factor of parity a mod q, continuous in t and
+    convex on t > 0, with one minimum."""
+    return (log_gamma((0.5 + chi.parity + 1j * t) / 2.0).imag
+            + 0.5 * t * math.log(chi.modulus / math.pi))
 
-    The real completed function is evaluated on the whole grid in one
-    batch; its sign changes bracket zeros, which `_illinois` refines to
-    brackets at most _BISECT_TOL = 1e-9 wide (about 6 evaluations each, at
-    most 57 at the default step), and every ordinate lies in its final
-    bracket.  Two zeros in one grid interval are missed.  Raises
-    DomainError if the function falls below the normal double range, where
-    its sign is lost, below height.
+
+def _hardy_z(chi: HeckeCharacter, t: np.ndarray) -> np.ndarray:
+    """Z(t) = e^(i theta(t)) L(1/2 + it, chi): real for root number +1, of
+    the sign of the completed function and of modulus |L|, so it stays in
+    the double range however far up the line."""
+    return (np.exp(1j * _theta(chi, t)) * l_value(_Q, chi, 0.5 + 1j * t)).real
+
+
+def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
+                 thb: np.ndarray) -> np.ndarray:
+    """The Gram points g_n, theta(g_n) = n pi, of the indices n, where
+    thb = theta(tb) are increasing samples of theta's increasing branch
+    whose range brackets every n pi.
+
+    Vectorized Newton steps from the linear interpolant, with theta' from
+    the Stirling series of Re psi; a step that leaves the bracket, which
+    tightens at every step, is a bisection instead.  A Gram point need not
+    be exact: a sample where theta is within pi/2 of n pi has the same
+    expected sign.
+    """
+    target = n * math.pi
+    k = np.searchsorted(thb, target)
+    lo, hi = tb[k - 1], tb[k]
+    t = np.interp(target, thb, tb)
+    for _ in range(_NEWTON_STEPS):
+        f = _theta(chi, t) - target
+        if np.abs(f).max() <= 1e-12 * (1.0 + np.abs(target).max()):
+            break
+        lo, hi = np.where(f < 0, t, lo), np.where(f > 0, t, hi)
+        # psi(v) = psi(v + 1) - 1/v at v = w - 1, the argument of theta
+        w = (1.5 + chi.parity + 1j * t) / 2.0
+        psi = np.log(w) - 0.5 / w - 1.0 / (12.0 * w * w) - 1.0 / (w - 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - f / (0.5 * (psi.real + math.log(chi.modulus / math.pi)))
+        t = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    return t
+
+
+def _sign_changes(z: np.ndarray) -> np.ndarray:
+    # signs are compared, never multiplied as values, which can underflow
+    return np.sign(z[:-1]) * np.sign(z[1:]) < 0
+
+
+def _rosser_blocks(g, t: np.ndarray, n: np.ndarray,
+                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples (t, z = g(t)) of a Hardy Z-function, from its values z at
+    Gram points t of indices n, on which every Gram block shows its sign
+    changes (Rosser's rule; Brent, Math. Comp. 33, 1979).
+
+    The first and last samples and every good one ((-1)^n z > 0) bound the
+    blocks, and a block of n' - n Gram intervals must show n' - n sign
+    changes.  Short blocks gain uniform samples at doubling density, one
+    call of g per doubling; DomainError names a block still short after
+    _MAX_DOUBLINGS.
+    """
+    bounds = np.unique(np.concatenate(
+        ([0], np.flatnonzero(np.where(n % 2, -z, z) > 0), [t.size - 1])))
+    ends, want = t[bounds], np.diff(n[bounds])
+    for d in range(1, _MAX_DOUBLINGS + 2):
+        seen = np.concatenate(([0], np.cumsum(_sign_changes(z))))
+        found = np.diff(seen[np.searchsorted(t, ends)])
+        short = np.flatnonzero(found < want)
+        if not short.size or d > _MAX_DOUBLINGS:
+            break
+        new = np.concatenate([np.linspace(ends[j], ends[j + 1],
+                                          want[j] * 2 ** d + 1)[1::2]
+                              for j in short])
+        order = np.argsort(np.concatenate((t, new)), kind="stable")
+        t = np.concatenate((t, new))[order]
+        z = np.concatenate((z, g(new)))[order]
+    if short.size:
+        j = short[0]
+        raise DomainError(
+            f"Gram block ({ends[j]:.6f}, {ends[j + 1]:.6f}] shows {found[j]} "
+            f"of its {want[j]} sign changes at 2^{_MAX_DOUBLINGS} samples per "
+            "Gram interval")
+    return t, z
+
+
+def _factor_ordinates(chi: HeckeCharacter, height: float) -> np.ndarray:
+    """Ordinates in (0, height] of a Dirichlet factor L(s, chi) over Q, by
+    its Hardy Z at Gram points, each block resolved by `_rosser_blocks`.
+
+    theta is sampled at unit steps, from 0 until it covers _SPARE_GRAM Gram
+    points past height, and the Gram points are solved on its increasing
+    branch from the first index n0 there; Z at all of them is one call.
+    The head (0, g_n0] is one more block, of n0 + eps zeros (eps = 1 for
+    zeta's pole): t = 0 stands for Gram index -eps.  The scan runs past
+    height to the next good Gram point, so that the top block closes.
+    """
+    tg = np.append(np.arange(0.0, height), height)
+    thg = _theta(chi, tg)
+    n0 = math.floor(thg.min() / math.pi) + 1
+    n_top = max(n0, math.ceil(thg[-1] / math.pi))
+    while thg[-1] < (n_top + _SPARE_GRAM) * math.pi:
+        more = tg[-1] + np.arange(1.0, tg.size + 1.0)
+        tg, thg = np.append(tg, more), np.append(thg, _theta(chi, more))
+    k = int(thg.argmin())
+    n = np.arange(n0 - 1, n_top + _SPARE_GRAM + 1)
+    n[0] = -chi.epsilon
+    t = np.append(0.0, _gram_points(chi, n[1:], tg[k:], thg[k:]))
+
+    def g(x: np.ndarray) -> np.ndarray:
+        return _hardy_z(chi, x)
+    z = g(t)
+    m = n_top - n0 + 1   # the position of g_n_top >= height
+    top = np.flatnonzero(np.where(n[m:] % 2, -z[m:], z[m:]) > 0)
+    if not top.size:
+        raise DomainError(f"no good Gram point among the {_SPARE_GRAM + 1} "
+                          f"from height {height}")
+    end = m + top[0] + 1
+    t, z = _rosser_blocks(g, t[:end], n[:end], z[:end])
+    brk = np.flatnonzero(_sign_changes(z))
+    found = _illinois(g, t[brk], t[brk + 1], z[brk], z[brk + 1])
+    return found[found <= height]
+
+
+def scan_ordinates(fld: NumberField, chi: HeckeCharacter,
+                   height: float) -> tuple[float, ...]:
+    """Ordinates of the zeros 1/2 + i gamma with 0 < gamma <= height found
+    on the critical line, in increasing order; may be empty.
+
+    Every supported self-dual L-function is a product of Dirichlet factors
+    over Q (zeta, L(s, chi) for a real primitive chi, and both for the
+    Dedekind zeta of Q(sqrt d)); each is scanned by `_factor_ordinates`,
+    every ordinate in a final bracket at most _BISECT_TOL = 1e-9 wide, and
+    the results are merged.  Completeness rests on Rosser's rule and is not
+    certified.  Raises UnsupportedCharacter unless the root number is +1,
+    and DomainError where a Gram block stays short of its zeros.
     """
     if not chi.is_self_dual:
         raise UnsupportedCharacter("zero scan requires a self-dual character")
     if not 1.0 < height < math.inf:   # also rejects NaN
         raise DomainError("scan height must be finite and exceed 1")
-
-    def g(t: np.ndarray) -> np.ndarray:
-        return completed_lambda(fld, chi, 0.5 + 1j * t).real
-
-    def below_normal(t: float) -> bool:
-        # on the eight grid points up to t, so that a zero cannot pass for
-        # the envelope
-        return np.abs(g(t - step * np.arange(8))).max() < np.finfo(float).tiny
-
-    # realness probes at generic heights (away from zeros, where Im/|Lambda|
-    # would be 0/0): Lambda is real on the line exactly when the root number
-    # is +1, as for every self-dual character of the supported family
-    v = completed_lambda(fld, chi,
-                         0.5 + 1j * (height * (np.arange(16) + 0.389) / 16.0))
-    w = np.abs(v)
-    off = np.abs(v.imag[w > 1e-280]) / w[w > 1e-280]
-    if off.size and (off_slack := off.max()) > 1e-6:
-        raise UnsupportedCharacter(
-            "completed function is not real on the line (residual "
-            f"{off_slack:.2e}); sign scanning needs root number +1")
-
-    # |Lambda| falls off like exp(-pi n t / 4) up the line, so check the top
-    # of the grid before the rest; where it fails, bisect for the height at
-    # which the grid leaves the normal range
-    if below_normal(height):
-        a, b = 0.0, height
-        while b - a > 1.0:
-            mid = 0.5 * (a + b)
-            if below_normal(mid):
-                b = mid
-            else:
-                a = mid
-        raise DomainError(
-            f"|Lambda(1/2 + it)| falls below the normal double range near "
-            f"t = {b:.0f}, so its sign is lost; scan below that height")
-
-    ts = np.arange(0.0, height + step, step)
-    ts[-1] = min(ts[-1], height)
-    vals = g(ts)
-    sgn = np.sign(vals)
-    # an exact zero on the grid is an ordinate; a sign change brackets one
-    exact = ts[:-1][(sgn[:-1] == 0) & (ts[:-1] > 0)]
-    brk = np.flatnonzero((sgn[:-1] != 0) & (sgn[:-1] == -sgn[1:]))
-    found = np.concatenate((exact, _illinois(
-        g, ts[brk], ts[brk + 1], vals[brk], vals[brk + 1])))
-    return tuple(float(t) for t in np.sort(found))
+    # a principal character has W = 1, and so has every real primitive
+    # character, the Kronecker factor of a Dedekind zeta among them
+    if abs((w := root_number(fld, chi)) - 1.0) > 1e-9:
+        raise UnsupportedCharacter(f"root number {w:.6g}; sign scanning "
+                                   "needs root number +1")
+    factors = [chi] if not chi.is_principal else (
+        [trivial_character(_Q)]
+        + ([] if fld.is_rational else [_quadratic_kronecker(fld)]))
+    found = np.sort(np.concatenate([_factor_ordinates(f, height)
+                                    for f in factors]))
+    return tuple(float(t) for t in found)
 
 
 def find_zeros(fld: NumberField, chi: HeckeCharacter,
                height: float) -> ZeroTable:
-    """Zeros of the completed function with 0 < gamma <= height, by
-    `scan_ordinates` (whose errors it raises); EmptyZeroTable when none."""
+    """Zeros of the completed function with 0 < gamma <= height, by the
+    Gram-point scan `scan_ordinates` (whose errors it raises), as a table
+    complete up to height under Rosser's rule; EmptyZeroTable when none."""
     ordinates = scan_ordinates(fld, chi, height)
     if not ordinates:
         raise EmptyZeroTable(f"no zeros found below height {height}")

@@ -26,7 +26,7 @@ from polydet import (
     zero_count_estimate,
 )
 from polydet import special_functions
-from polydet.zero_data import _BISECT_TOL, _SCAN_STEP, _illinois
+from polydet.zero_data import _BISECT_TOL, _illinois, _rosser_blocks
 
 Q = NumberField.rational()
 TRIV = trivial_character(Q)
@@ -104,8 +104,8 @@ def test_dedekind_zeros_factorize():
 
 
 def test_dedekind_scan_high_on_the_line():
-    # |Lambda| of Q(i) is ~1e-180 here, so a product of two grid values
-    # underflows to zero; comparing signs still sees every sign change
+    # |Lambda| of Q(i) is ~1e-180 here; the scan reads its factors' Hardy
+    # Z, whose modulus is |L|
     qi = scan_ordinates(QI, trivial_character(QI), 270.0)
     merged = sorted(scan_ordinates(Q, TRIV, 270.0)
                     + scan_ordinates(Q, CHI4, 270.0))
@@ -116,13 +116,21 @@ def test_dedekind_scan_high_on_the_line():
         assert abs(a - b) < _BISECT_TOL
 
 
-def test_scan_raises_below_the_normal_range():
-    # Lambda of Q(i) leaves the normal double range near t = 459 and
-    # underflows to 0.0 near 470; the top of the grid is checked first
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match="normal double range near t = 4"):
-        scan_ordinates(QI, trivial_character(QI), 500.0)
-    assert time.perf_counter() - start < 1.0
+# mpmath 1.3 at 30 digits:
+#   mp.mp.dps = 30
+#   ZETA_647_649 = [mp.zetazero(n).imag for n in (647, 648, 649)]
+ZETA_647_649 = (997.51193475193922921, 998.82754713692963313,
+                999.79157155741294046)
+
+
+def test_scan_runs_past_the_old_lambda_ceiling():
+    # Hardy's Z has modulus |L|, so the scan runs where Lambda itself left
+    # the normal double range (near t = 918 for zeta); the top Gram block
+    # closes past the height
+    got = scan_ordinates(Q, TRIV, 1000.0)
+    assert len(got) == 649
+    for g, want in zip(got[-3:], ZETA_647_649, strict=True):
+        assert abs(g - want) < _BISECT_TOL
 
 
 def _refine_on_grid(g, t):
@@ -144,14 +152,18 @@ def _sine(t):
     return np.sin(7.0 * t) * (1.0 + 0.3 * t)
 
 
+# bracket width of the grids the refiner is tested on
+_STEP = 0.05
+
+
 def test_illinois_flat_zero_within_cap():
     # regula falsi alone stalls at a zero of order 9 (about 190 steps);
-    # the bisection safeguard keeps it within 2 log2(step / tol) + 5
-    cap = 2 * math.ceil(math.log2(_SCAN_STEP / _BISECT_TOL)) + 5
+    # the bisection safeguard keeps it within 2 log2(width / tol) + 5
+    cap = 2 * math.ceil(math.log2(_STEP / _BISECT_TOL)) + 5
     for c in (0.0123, 0.3141, 0.04999):
-        lo = math.floor(c / _SCAN_STEP) * _SCAN_STEP
+        lo = math.floor(c / _STEP) * _STEP
         got, calls = _refine_on_grid(lambda t: (t - c) ** 9,
-                                     np.array([lo, lo + _SCAN_STEP]))
+                                     np.array([lo, lo + _STEP]))
         assert len(calls) <= cap
         assert abs(got[0] - c) <= _BISECT_TOL
 
@@ -162,9 +174,9 @@ def test_illinois_few_evaluations():
     # weights, 7 without the clip on the sine)
     def lam(t):
         return completed_lambda(QI, trivial_character(QI), 0.5 + 1j * t).real
-    got, calls = _refine_on_grid(lam, np.arange(0.0, 40.0, _SCAN_STEP))
+    got, calls = _refine_on_grid(lam, np.arange(0.0, 40.0, _STEP))
     assert sum(calls) <= 6 * len(got) and len(calls) <= 8
-    _, calls = _refine_on_grid(_sine, np.arange(0.02, 6.0, _SCAN_STEP))
+    _, calls = _refine_on_grid(_sine, np.arange(0.02, 6.0, _STEP))
     assert len(calls) <= 6
 
 
@@ -175,7 +187,7 @@ def test_illinois_lockstep_and_scale_free():
     results = []
     for scale in (1.0, 1e-200):
         got, calls = _refine_on_grid(lambda t: scale * _sine(t),
-                                     np.arange(0.02, 6.0, _SCAN_STEP))
+                                     np.arange(0.02, 6.0, _STEP))
         assert calls[0] == len(got) == 13
         # the interpolant of a final bracket, not its midpoint
         assert np.all(np.abs(got - np.pi * np.arange(1, 14) / 7.0) <= 1e-12)
@@ -189,12 +201,17 @@ def test_find_zeros_uncapped_matches_scan():
     assert len(tab) == 21   # N(80) for zeta
 
 
-def test_find_zeros_raises_above_normal_range():
-    # |Lambda| of Q(i) leaves the normal double range near t = 459
+def test_find_zeros_high_on_the_line_and_bad_heights():
+    # Lambda of Q(i) leaves the normal double range near t = 459; its
+    # factors' Z do not, and the table is the union of theirs, as many as
+    # Riemann-von Mangoldt's main term says
     t0 = time.perf_counter()
-    with pytest.raises(DomainError):
-        find_zeros(QI, trivial_character(QI), 500.0)
-    assert time.perf_counter() - t0 < 1.0
+    tab = find_zeros(QI, trivial_character(QI), 1000.0)
+    assert time.perf_counter() - t0 < 3.0
+    assert tab.ordinates == tuple(sorted(scan_ordinates(Q, TRIV, 1000.0)
+                                         + scan_ordinates(Q, CHI4, 1000.0)))
+    assert abs(len(tab) - zero_count_estimate(QI, trivial_character(QI),
+                                              1000.0)) < 1.0
     for height in (math.inf, math.nan):
         with pytest.raises(DomainError):
             find_zeros(Q, TRIV, height)
@@ -318,10 +335,11 @@ def test_scan_rejects_non_self_dual():
 
 
 def test_q_scan_to_200_stays_within_its_kernel_term_budget(monkeypatch):
-    # the direct-sum terms (shifts x nodes x split) the Q scan hands the
-    # Euler-Maclaurin kernel: ~213k with each split sized from the
-    # remainder bound, 591k with the split ceil|Im s| + ceil|z| + 20, so a
-    # lost split shows here without timing noise
+    # the direct-sum terms (shifts x nodes x split) the scans hand the
+    # Euler-Maclaurin kernel: ~56k for Q and ~227k for Q(i) with Hardy's Z
+    # at Gram points, 213k and 779k on the 0.05 grid of the completed
+    # function, so a lost split or a denser sampling shows here without
+    # timing noise
     terms = []
     core = special_functions._em_core
 
@@ -331,4 +349,42 @@ def test_q_scan_to_200_stays_within_its_kernel_term_budget(monkeypatch):
 
     monkeypatch.setattr(special_functions, "_em_core", spy)
     assert len(scan_ordinates(Q, TRIV, 200.0)) == 79
-    assert sum(terms) <= 300_000
+    assert sum(terms) <= 100_000
+    terms.clear()
+    assert len(scan_ordinates(QI, trivial_character(QI), 200.0)) == 201
+    assert sum(terms) <= 320_000
+
+
+@pytest.mark.parametrize("disc", [None, -3, -4, -7, -8, -11, 5, 8, 12, 13,
+                                  -20, -23, 17, 21, 24, 101, -163, -199])
+def test_gram_scan_matches_a_dense_sign_scan(disc):
+    # the head block (0, g_n0] and Rosser's rule against the sign changes
+    # of the completed function at step 0.01; the first zero of chi_-163,
+    # at 0.203, lies below its first Gram point
+    chi = TRIV if disc is None else kronecker_character(disc)
+    t = np.arange(0.0, 60.0, 0.01)
+    sgn = np.sign(completed_lambda(Q, chi, 0.5 + 1j * t).real)
+    brk = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+    got = np.array(scan_ordinates(Q, chi, 60.0))
+    assert got.size == brk.size
+    assert np.all((t[brk] < got) & (got < t[brk + 1]))
+    if disc == -163:
+        assert abs(got[0] - 0.2029) < 1e-4
+
+
+def test_rosser_blocks_resolve_or_raise():
+    # Gram points 0, 1, 2 of indices 0, 1, 2, where the one at 1 is bad:
+    # the block (0, 2] needs two sign changes
+    t, n = np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2])
+
+    def pair(x):   # zeros at 0.8 and 0.9
+        return (x - 0.8) * (x - 0.9)
+    ts, zs = _rosser_blocks(pair, t, n, pair(t))
+    assert ts[0] == 0.0 and ts[-1] == 2.0 and np.all(np.diff(ts) > 0)
+    assert (np.sign(zs[:-1]) * np.sign(zs[1:]) < 0).sum() == 2
+
+    def touch(x):   # no sign change at all
+        return 1.0 + (x - 1.0) ** 2
+    with pytest.raises(DomainError,
+                       match=r"Gram block \(0.000000, 2.000000\]"):
+        _rosser_blocks(touch, t, n, touch(t))
