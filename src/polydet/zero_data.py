@@ -19,9 +19,9 @@ from .errors import (DomainError, EmptyZeroTable, NonMonotoneError,
                      ParseError, UnsupportedCharacter)
 from .fields_and_characters import (HeckeCharacter, NumberField,
                                     trivial_character)
-from .l_functions import (_quadratic_kronecker, conductor, l_value,
+from .l_functions import (_l_and_ds, _quadratic_kronecker, conductor,
                           root_number)
-from .special_functions import log_gamma
+from .special_functions import digamma, log_gamma
 
 __all__ = [
     "ZeroTable",
@@ -42,7 +42,8 @@ _SPARE_GRAM = 8
 # a Gram block short of sign changes is resampled at up to 2^8 points per
 # Gram interval
 _MAX_DOUBLINGS = 8
-# cap on the safeguarded Newton steps per batch of Gram points
+# cap on the safeguarded Newton steps per batch of Gram points, and per
+# batch of Hermite cubics that start the refinement of Z's sign changes
 _NEWTON_STEPS = 30
 _Q = NumberField.rational()
 
@@ -164,51 +165,76 @@ def builtin_zeta_zeros() -> ZeroTable:
 # Sign-change scanning
 
 
-def _illinois(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-              fhi: np.ndarray) -> np.ndarray:
-    """One zero per bracket [lo, hi] of a sign change of g (flo = g(lo) and
-    fhi = g(hi), nonzero with opposite signs), all refined in lockstep.
+def _hermite_root(f0: np.ndarray, f1: np.ndarray, d0: np.ndarray,
+                  d1: np.ndarray) -> np.ndarray:
+    """A root u in [0, 1] of the cubic Hermite interpolant of the end
+    values f0, f1 (nonzero, of opposite signs) and the end slopes d0, d1
+    per unit of u, by safeguarded Newton steps on the cubic from the
+    regula falsi point: a step that leaves the shrinking bracket is a
+    bisection instead."""
+    lo, hi = np.zeros_like(f0), np.ones_like(f0)
+    u = f0 / (f0 - f1)
+    neg = f0 < 0
+    for _ in range(_NEWTON_STEPS):
+        v = 1.0 - u
+        p = (f0 * (1.0 + 2.0 * u) + d0 * u) * v * v \
+            + (f1 * (3.0 - 2.0 * u) - d1 * v) * u * u
+        dp = 6.0 * (f1 - f0) * u * v + d0 * v * (1.0 - 3.0 * u) \
+            + d1 * u * (3.0 * u - 2.0)
+        same = (p < 0) == neg
+        lo, hi = np.where(same, u, lo), np.where(same, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = u - p / dp
+        # a start within 1e-9 of a bracket's width is plenty: the cubic is
+        # itself only a model of g
+        if np.all(np.abs(step - u) <= 1e-9):
+            break
+        u = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    return u
 
-    Every step makes one call of the vectorized g at one point per bracket
-    still wider than _BISECT_TOL: the regula falsi point of the weighted end
-    values, clipped tol/2 inside the bracket so that a point next to an end
-    that is already close to the zero crosses it and closes the bracket.
-    When the same end moves twice in a row the stale end's weight is halved
-    (the Illinois rule, Dowell & Jarratt 1971).  A bracket that has halved
-    fewer than k/2 - 2 times in k steps takes a bisection step instead, so a
-    bracket of width w needs at most 2 log2(w / tol) + 5 evaluations, rounded
-    up (67 for a Gram interval 1.8 wide, as at t = 200 on zeta), where
-    regula falsi alone can stall at a flat zero (~190 evaluations for
-    (t - c)^9).
+
+def _newton_refine(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
+                   fhi: np.ndarray, dlo: np.ndarray,
+                   dhi: np.ndarray) -> np.ndarray:
+    """One zero per bracket [lo, hi] of a sign change of g, all refined
+    in lockstep, where g(x) returns (g, g') at an array x, flo = g(lo) and
+    fhi = g(hi) are nonzero with opposite signs, and dlo, dhi are the
+    slopes there.
+
+    Every step makes one call of g at one point per bracket still wider
+    than _BISECT_TOL: first the root of the cubic Hermite interpolant of
+    the end values and slopes, then the Newton step from the point last
+    evaluated, each clipped tol/2 inside the bracket so that a point next
+    to an end that is already close to the zero crosses it and closes the
+    bracket.  A step that leaves the bracket, or a bracket that has halved
+    fewer than k/2 - 2 times in k steps, takes a bisection instead, so a
+    bracket of width w needs at most 2 log2(w / tol) + 5 evaluations,
+    rounded up, where Newton alone crawls to a flat zero ((t - c)^9).
     Each zero is the linear interpolant of the true end values of its final
     bracket, clipped into it.
     """
     lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
-    wlo, whi = flo.copy(), fhi.copy()
-    moved = np.zeros(lo.size, dtype=int)   # -1: lo moved last, +1: hi
     w0 = hi - lo
+    nxt = lo + w0 * _hermite_root(flo, fhi, w0 * dlo, w0 * dhi)
     k = 0
     while (act := np.flatnonzero(hi - lo > _BISECT_TOL)).size:
-        a, b = lo[act], hi[act]
-        x = np.clip(a + (b - a) * (wlo[act] / (wlo[act] - whi[act])),
-                    a + 0.5 * _BISECT_TOL, b - 0.5 * _BISECT_TOL)
-        bis = b - a > w0[act] * 2.0 ** (2.0 - 0.5 * k)
-        x[bis] = 0.5 * (a[bis] + b[bis])
-        fx = g(x)
+        a, b, x = lo[act], hi[act], nxt[act]
+        bis = (~((a <= x) & (x <= b))
+               | (b - a > w0[act] * 2.0 ** (2.0 - 0.5 * k)))
+        x = np.where(bis, 0.5 * (a + b),
+                     np.clip(x, a + 0.5 * _BISECT_TOL, b - 0.5 * _BISECT_TOL))
+        fx, dx = g(x)
         hit = fx == 0.0
         # signs are compared, never multiplied: products of small values
         # underflow to zero
         left = ~hit & ((fx < 0) == (flo[act] < 0))
         right = ~hit & ~left
-        side = np.where(left, -1, 1)
-        stale = moved[act] == side
-        wlo[act[right & stale]] *= 0.5
-        whi[act[left & stale]] *= 0.5
-        moved[act] = side
         il, ir = act[left], act[right]
-        lo[il], flo[il], wlo[il] = x[left], fx[left], fx[left]
-        hi[ir], fhi[ir], whi[ir] = x[right], fx[right], fx[right]
+        lo[il], flo[il] = x[left], fx[left]
+        hi[ir], fhi[ir] = x[right], fx[right]
         lo[act[hit]] = hi[act[hit]] = x[hit]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt[act] = x - fx / dx
         k += 1
     return np.clip(lo + (hi - lo) * (flo / (flo - fhi)), lo, hi)
 
@@ -221,11 +247,22 @@ def _theta(chi: HeckeCharacter, t: np.ndarray) -> np.ndarray:
             + 0.5 * t * math.log(chi.modulus / math.pi))
 
 
-def _hardy_z(chi: HeckeCharacter, t: np.ndarray) -> np.ndarray:
-    """Z(t) = e^(i theta(t)) L(1/2 + it, chi): real for root number +1, of
-    the sign of the completed function and of modulus |L|, so it stays in
-    the double range however far up the line."""
-    return (np.exp(1j * _theta(chi, t)) * l_value(_Q, chi, 0.5 + 1j * t)).real
+def _dtheta(chi: HeckeCharacter, t: np.ndarray) -> np.ndarray:
+    """theta'(t) = Re psi((1/2 + a + it)/2) / 2 + log(q/pi) / 2."""
+    return 0.5 * (digamma((0.5 + chi.parity + 1j * t) / 2.0).real
+                  + math.log(chi.modulus / math.pi))
+
+
+def _hardy_z(chi: HeckeCharacter,
+             t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Z(t), Z'(t)), Z(t) = e^(i theta(t)) L(1/2 + it, chi): real for
+    root number +1, of the sign of the completed function and of modulus
+    |L|, so it stays in the double range however far up the line.
+    Z' = Re(i e^(i theta) (theta' L + L')) reads the L' that the kernel
+    returns with L."""
+    L, dL = _l_and_ds(_Q, chi, 0.5 + 1j * t)
+    rot = np.exp(1j * _theta(chi, t))
+    return (rot * L).real, (1j * rot * (_dtheta(chi, t) * L + dL)).real
 
 
 def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
@@ -235,9 +272,10 @@ def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
     whose range brackets every n pi.
 
     Vectorized Newton steps from the linear interpolant, with theta' from
-    the Stirling series of Re psi; a step that leaves the bracket, which
-    tightens at every step, is a bisection instead.  A Gram point need not
-    be exact: a sample where theta is within pi/2 of n pi has the same
+    `_dtheta`; a step that leaves the bracket, which tightens at every
+    step, is a bisection instead.  A converged step lands on the end just
+    moved to it, so the bracket is closed.  A Gram point need not be
+    exact: a sample where theta is within pi/2 of n pi has the same
     expected sign.
     """
     target = n * math.pi
@@ -249,12 +287,9 @@ def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
         if np.abs(f).max() <= 1e-12 * (1.0 + np.abs(target).max()):
             break
         lo, hi = np.where(f < 0, t, lo), np.where(f > 0, t, hi)
-        # psi(v) = psi(v + 1) - 1/v at v = w - 1, the argument of theta
-        w = (1.5 + chi.parity + 1j * t) / 2.0
-        psi = np.log(w) - 0.5 / w - 1.0 / (12.0 * w * w) - 1.0 / (w - 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - f / (0.5 * (psi.real + math.log(chi.modulus / math.pi)))
-        t = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            step = t - f / _dtheta(chi, t)
+        t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
     return t
 
 
@@ -263,11 +298,12 @@ def _sign_changes(z: np.ndarray) -> np.ndarray:
     return np.sign(z[:-1]) * np.sign(z[1:]) < 0
 
 
-def _rosser_blocks(g, t: np.ndarray, n: np.ndarray,
-                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Samples (t, z = g(t)) of a Hardy Z-function, from its values z at
-    Gram points t of indices n, on which every Gram block shows its sign
-    changes (Rosser's rule; Brent, Math. Comp. 33, 1979).
+def _rosser_blocks(g, t: np.ndarray, n: np.ndarray, z: np.ndarray,
+                   dz: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Samples (t, z, dz) of a Hardy Z-function, (z, dz) = g(t), from its
+    values z and slopes dz at Gram points t of indices n, on which every
+    Gram block shows its sign changes (Rosser's rule; Brent, Math. Comp.
+    33, 1979).
 
     The first and last samples and every good one ((-1)^n z > 0) bound the
     blocks, and a block of n' - n Gram intervals must show n' - n sign
@@ -289,26 +325,29 @@ def _rosser_blocks(g, t: np.ndarray, n: np.ndarray,
                               for j in short])
         order = np.argsort(np.concatenate((t, new)), kind="stable")
         t = np.concatenate((t, new))[order]
-        z = np.concatenate((z, g(new)))[order]
+        znew, dznew = g(new)
+        z = np.concatenate((z, znew))[order]
+        dz = np.concatenate((dz, dznew))[order]
     if short.size:
         j = short[0]
         raise DomainError(
             f"Gram block ({ends[j]:.6f}, {ends[j + 1]:.6f}] shows {found[j]} "
             f"of its {want[j]} sign changes at 2^{_MAX_DOUBLINGS} samples per "
             "Gram interval")
-    return t, z
+    return t, z, dz
 
 
 def _factor_ordinates(chi: HeckeCharacter, height: float) -> np.ndarray:
     """Ordinates in (0, height] of a Dirichlet factor L(s, chi) over Q, by
-    its Hardy Z at Gram points, each block resolved by `_rosser_blocks`.
+    its Hardy Z at Gram points, each block resolved by `_rosser_blocks`
+    and each sign change refined by `_newton_refine`.
 
     theta is sampled at unit steps, from 0 until it covers _SPARE_GRAM Gram
     points past height, and the Gram points are solved on its increasing
-    branch from the first index n0 there; Z at all of them is one call.
-    The head (0, g_n0] is one more block, of n0 + eps zeros (eps = 1 for
-    zeta's pole): t = 0 stands for Gram index -eps.  The scan runs past
-    height to the next good Gram point, so that the top block closes.
+    branch from the first index n0 there; Z and Z' at all of them are one
+    call.  The head (0, g_n0] is one more block, of n0 + eps zeros (eps =
+    1 for zeta's pole): t = 0 stands for Gram index -eps.  The scan runs
+    past height to the next good Gram point, so that the top block closes.
     """
     tg = np.append(np.arange(0.0, height), height)
     thg = _theta(chi, tg)
@@ -322,18 +361,19 @@ def _factor_ordinates(chi: HeckeCharacter, height: float) -> np.ndarray:
     n[0] = -chi.epsilon
     t = np.append(0.0, _gram_points(chi, n[1:], tg[k:], thg[k:]))
 
-    def g(x: np.ndarray) -> np.ndarray:
+    def g(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _hardy_z(chi, x)
-    z = g(t)
+    z, dz = g(t)
     m = n_top - n0 + 1   # the position of g_n_top >= height
     top = np.flatnonzero(np.where(n[m:] % 2, -z[m:], z[m:]) > 0)
     if not top.size:
         raise DomainError(f"no good Gram point among the {_SPARE_GRAM + 1} "
                           f"from height {height}")
     end = m + top[0] + 1
-    t, z = _rosser_blocks(g, t[:end], n[:end], z[:end])
+    t, z, dz = _rosser_blocks(g, t[:end], n[:end], z[:end], dz[:end])
     brk = np.flatnonzero(_sign_changes(z))
-    found = _illinois(g, t[brk], t[brk + 1], z[brk], z[brk + 1])
+    found = _newton_refine(g, t[brk], t[brk + 1], z[brk], z[brk + 1],
+                           dz[brk], dz[brk + 1])
     return found[found <= height]
 
 
@@ -345,10 +385,11 @@ def scan_ordinates(fld: NumberField, chi: HeckeCharacter,
     Every supported self-dual L-function is a product of Dirichlet factors
     over Q (zeta, L(s, chi) for a real primitive chi, and both for the
     Dedekind zeta of Q(sqrt d)); each is scanned by `_factor_ordinates`,
-    every ordinate in a final bracket at most _BISECT_TOL = 1e-9 wide, and
-    the results are merged.  Completeness rests on Rosser's rule and is not
-    certified.  Raises UnsupportedCharacter unless the root number is +1,
-    and DomainError where a Gram block stays short of its zeros.
+    every ordinate refined by Newton steps on Hardy's Z to a final bracket
+    at most _BISECT_TOL = 1e-9 wide, and the results are merged.
+    Completeness rests on Rosser's rule and is not certified.  Raises
+    UnsupportedCharacter unless the root number is +1, and DomainError
+    where a Gram block stays short of its zeros.
     """
     if not chi.is_self_dual:
         raise UnsupportedCharacter("zero scan requires a self-dual character")

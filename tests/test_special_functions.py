@@ -29,6 +29,7 @@ from polydet import (
     polylog,
     polylog_tail_bound,
 )
+from polydet.special_functions import digamma
 
 
 @pytest.fixture(autouse=True)
@@ -79,6 +80,22 @@ def test_log_gamma_against_scipy():
 
 def test_log_gamma_frozen_digits():
     assert abs(log_gamma(3.7) - LOG_GAMMA_37) < 1e-12
+
+
+def test_log_gamma_and_digamma_across_the_stirling_shift():
+    # an argument is shifted right only until |z| >= 12, so Hardy's theta
+    # (Re z = 1/4, 3/4) high on the line takes no shift; points just
+    # inside and outside that circle, at a scalar and in one array
+    z = np.array([complex(x, y) for x in (0.25, 0.75, 3.0)
+                  for y in (0.0, 11.9, 12.0, 12.1, 100.0, 1000.0)])
+    for fn, ref in ((log_gamma, mp.loggamma), (digamma, mp.digamma)):
+        got = fn(z)
+        for w, g in zip(z, got):
+            want = complex(ref(mp.mpc(w)))
+            assert abs(g - want) <= 1e-14 * abs(want)
+            assert abs(fn(complex(w)) - g) <= 1e-15 * abs(want)
+    with pytest.raises(DomainError):
+        digamma(np.array([1.5, -0.5 + 1.0j]))
 
 
 def test_hurwitz_reduces_to_zeta():

@@ -2,6 +2,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,8 +26,8 @@ from polydet import (
     truncation_tail_estimate,
     zero_count_estimate,
 )
-from polydet import special_functions
-from polydet.zero_data import _BISECT_TOL, _illinois, _rosser_blocks
+from polydet import special_functions, zero_data
+from polydet.zero_data import _BISECT_TOL, _newton_refine, _rosser_blocks
 
 Q = NumberField.rational()
 TRIV = trivial_character(Q)
@@ -134,9 +135,9 @@ def test_scan_runs_past_the_old_lambda_ceiling():
 
 
 def _refine_on_grid(g, t):
-    """_illinois on the sign changes of g over the grid t; also returns the
-    sizes of its calls of g."""
-    v = g(t)
+    """_newton_refine on the sign changes of g over the grid t, where g
+    returns (g, g'); also returns the sizes of its calls of g."""
+    v, dv = g(t)
     sgn = np.sign(v)
     i = np.flatnonzero((sgn[:-1] != 0) & (sgn[:-1] == -sgn[1:]))
     calls = []
@@ -144,55 +145,135 @@ def _refine_on_grid(g, t):
     def counted(x):
         calls.append(x.size)
         return g(x)
-    return _illinois(counted, t[i], t[i + 1], v[i], v[i + 1]), calls
+    return _newton_refine(counted, t[i], t[i + 1], v[i], v[i + 1], dv[i],
+                          dv[i + 1]), calls
 
 
 def _sine(t):
-    """Simple zeros at k pi / 7, of varying slopes."""
-    return np.sin(7.0 * t) * (1.0 + 0.3 * t)
+    """Simple zeros at k pi / 7, of varying slopes, and the slope."""
+    return (np.sin(7.0 * t) * (1.0 + 0.3 * t),
+            7.0 * np.cos(7.0 * t) * (1.0 + 0.3 * t) + 0.3 * np.sin(7.0 * t))
 
 
 # bracket width of the grids the refiner is tested on
 _STEP = 0.05
 
 
-def test_illinois_flat_zero_within_cap():
-    # regula falsi alone stalls at a zero of order 9 (about 190 steps);
-    # the bisection safeguard keeps it within 2 log2(width / tol) + 5
+def test_newton_refine_flat_zero_within_cap():
+    # Newton steps crawl to a zero of order 9 (a factor 8/9 per step); the
+    # bisection safeguard keeps it within 2 log2(width / tol) + 5
     cap = 2 * math.ceil(math.log2(_STEP / _BISECT_TOL)) + 5
     for c in (0.0123, 0.3141, 0.04999):
         lo = math.floor(c / _STEP) * _STEP
-        got, calls = _refine_on_grid(lambda t: (t - c) ** 9,
-                                     np.array([lo, lo + _STEP]))
+        got, calls = _refine_on_grid(
+            lambda t: ((t - c) ** 9, 9.0 * (t - c) ** 8),
+            np.array([lo, lo + _STEP]))
         assert len(calls) <= cap
         assert abs(got[0] - c) <= _BISECT_TOL
 
 
-def test_illinois_few_evaluations():
-    # superlinear steps: ~5.5 evaluations per bracket on Q(i) below 40,
-    # where bisection takes 26 (13 lockstep calls without the Illinois
-    # weights, 7 without the clip on the sine)
-    def lam(t):
-        return completed_lambda(QI, trivial_character(QI), 0.5 + 1j * t).real
-    got, calls = _refine_on_grid(lam, np.arange(0.0, 40.0, _STEP))
-    assert sum(calls) <= 6 * len(got) and len(calls) <= 8
+def test_newton_refine_few_evaluations(monkeypatch):
+    # quadratic steps from the Hermite start: 3 lockstep calls on the
+    # sine's 0.05 brackets (5 with the Illinois rule), and on Hardy's Z
+    # of zeta and chi_-4 at Gram points 5.6 L-value points per ordinate,
+    # the Gram samples and Rosser's resampling included (8.4-8.6 with the
+    # Illinois rule)
     _, calls = _refine_on_grid(_sine, np.arange(0.02, 6.0, _STEP))
-    assert len(calls) <= 6
+    assert len(calls) <= 4
+    points = []
+    hardy_z = zero_data._hardy_z
+
+    def counted(chi, t):
+        points.append(t.size)
+        return hardy_z(chi, t)
+    monkeypatch.setattr(zero_data, "_hardy_z", counted)
+    for fld, chi, count in ((Q, TRIV, 79), (Q, CHI4, 122),
+                            (QI, trivial_character(QI), 201)):
+        points.clear()
+        assert len(scan_ordinates(fld, chi, 200.0)) == count
+        assert sum(points) <= 6.0 * count
 
 
-def test_illinois_lockstep_and_scale_free():
+def test_newton_refine_lockstep_and_scale_free():
     # the 13 zeros of _sine below 6, one bracket each, all refined in
     # lockstep; scaled by 1e-200 the end-value products underflow, but
     # the signs and ratios the refiner reads do not
     results = []
     for scale in (1.0, 1e-200):
-        got, calls = _refine_on_grid(lambda t: scale * _sine(t),
-                                     np.arange(0.02, 6.0, _STEP))
+        got, calls = _refine_on_grid(
+            lambda t: tuple(scale * f for f in _sine(t)),
+            np.arange(0.02, 6.0, _STEP))
         assert calls[0] == len(got) == 13
         # the interpolant of a final bracket, not its midpoint
         assert np.all(np.abs(got - np.pi * np.arange(1, 14) / 7.0) <= 1e-12)
         results.append(got)
     assert np.allclose(*results, rtol=0.0, atol=1e-13)
+
+
+# Z' against mpmath 1.3 at 30 digits: mp.siegelz(t, derivative=1) for
+# zeta; for chi_-4 a central difference of
+#   Z(t) = re(exp(1j * (im(loggamma((1.5 + 1j * t) / 2))
+#                      + t / 2 * log(4 / pi)))
+#             * dirichlet(0.5 + 1j * t, [0, 1, 0, -1]))
+def test_hardy_z_slope_against_mpmath():
+    with mp.workdps(30):
+        for t in (14.0, 50.3, 150.7):
+            z, dz = zero_data._hardy_z(TRIV, np.array([t]))
+            assert abs(z[0] - float(mp.siegelz(t))) <= 1e-12
+            assert abs(dz[0] - float(mp.siegelz(t, derivative=1))) <= 1e-11
+
+        def z_chi4(t):
+            theta = (mp.im(mp.loggamma((1.5 + 1j * t) / 2))
+                     + t / 2 * mp.log(4 / mp.pi))
+            return mp.re(mp.exp(1j * theta)
+                         * mp.dirichlet(0.5 + 1j * t, [0, 1, 0, -1]))
+        h = mp.mpf("1e-10")
+        for t in (6.5, 50.3, 150.7):
+            z, dz = zero_data._hardy_z(CHI4, np.array([t]))
+            want = (z_chi4(t + h) - z_chi4(t - h)) / (2 * h)
+            assert abs(z[0] - float(z_chi4(t))) <= 1e-12
+            assert abs(dz[0] - float(want)) <= 1e-11
+
+
+def test_dtheta_against_digamma():
+    # theta'(t) = Re psi((1/2 + a + it)/2) / 2 + log(q/pi) / 2; Newton on
+    # theta at Gram points and Z' read it
+    t = np.array([1.0, 5.0, 20.0, 200.0])
+    for chi, a, q in ((TRIV, 0, 1), (CHI4, 1, 4)):
+        got = zero_data._dtheta(chi, t)
+        for x, g in zip(t, got):
+            want = (mp.re(mp.digamma((0.5 + a + 1j * x) / 2))
+                    + mp.log(q / mp.pi)) / 2
+            assert abs(g - float(want)) <= 1e-14
+
+
+def test_gram_points_converge_in_few_theta_passes(monkeypatch):
+    # a converged Newton step lands on the bracket end just moved to it
+    # and is kept; the scan of chi_-4 to 200 made 16 passes (31 theta
+    # calls in all) when such a step was bisected away
+    calls, passes = [0], []
+    theta, gram = zero_data._theta, zero_data._gram_points
+
+    def counted_theta(chi, t):
+        calls[0] += 1
+        return theta(chi, t)
+
+    def counted_gram(*args):
+        before = calls[0]
+        out = gram(*args)
+        passes.append(calls[0] - before)
+        return out
+    monkeypatch.setattr(zero_data, "_theta", counted_theta)
+    monkeypatch.setattr(zero_data, "_gram_points", counted_gram)
+    for disc, height in ((None, 1000.0), (-4, 1000.0), (-3, 200.0),
+                         (5, 200.0), (101, 200.0), (-163, 60.0)):
+        chi = TRIV if disc is None else kronecker_character(disc)
+        passes.clear()
+        scan_ordinates(Q, chi, height)
+        assert passes[0] <= 4
+    calls[0] = 0
+    scan_ordinates(Q, CHI4, 200.0)
+    assert calls[0] <= 16
 
 
 def test_find_zeros_uncapped_matches_scan():
@@ -336,9 +417,9 @@ def test_scan_rejects_non_self_dual():
 
 def test_q_scan_to_200_stays_within_its_kernel_term_budget(monkeypatch):
     # the direct-sum terms (shifts x nodes x split) the scans hand the
-    # Euler-Maclaurin kernel: ~56k for Q and ~227k for Q(i) with Hardy's Z
-    # at Gram points, 213k and 779k on the 0.05 grid of the completed
-    # function, so a lost split or a denser sampling shows here without
+    # Euler-Maclaurin kernel: ~37k for Q and ~152k for Q(i) with Newton
+    # steps on Hardy's Z, ~58k and ~229k with the Illinois rule, so a lost
+    # split, a denser sampling or a slower refinement shows here without
     # timing noise
     terms = []
     core = special_functions._em_core
@@ -349,10 +430,10 @@ def test_q_scan_to_200_stays_within_its_kernel_term_budget(monkeypatch):
 
     monkeypatch.setattr(special_functions, "_em_core", spy)
     assert len(scan_ordinates(Q, TRIV, 200.0)) == 79
-    assert sum(terms) <= 100_000
+    assert sum(terms) <= 50_000
     terms.clear()
     assert len(scan_ordinates(QI, trivial_character(QI), 200.0)) == 201
-    assert sum(terms) <= 320_000
+    assert sum(terms) <= 200_000
 
 
 @pytest.mark.parametrize("disc", [None, -3, -4, -7, -8, -11, 5, 8, 12, 13,
@@ -377,14 +458,15 @@ def test_rosser_blocks_resolve_or_raise():
     # the block (0, 2] needs two sign changes
     t, n = np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2])
 
-    def pair(x):   # zeros at 0.8 and 0.9
-        return (x - 0.8) * (x - 0.9)
-    ts, zs = _rosser_blocks(pair, t, n, pair(t))
+    def pair(x):   # zeros at 0.8 and 0.9, and the slope
+        return (x - 0.8) * (x - 0.9), 2.0 * x - 1.7
+    ts, zs, dzs = _rosser_blocks(pair, t, n, *pair(t))
     assert ts[0] == 0.0 and ts[-1] == 2.0 and np.all(np.diff(ts) > 0)
     assert (np.sign(zs[:-1]) * np.sign(zs[1:]) < 0).sum() == 2
+    assert np.array_equal(dzs, 2.0 * ts - 1.7)
 
     def touch(x):   # no sign change at all
-        return 1.0 + (x - 1.0) ** 2
+        return 1.0 + (x - 1.0) ** 2, 2.0 * (x - 1.0)
     with pytest.raises(DomainError,
                        match=r"Gram block \(0.000000, 2.000000\]"):
-        _rosser_blocks(touch, t, n, touch(t))
+        _rosser_blocks(touch, t, n, *touch(t))
