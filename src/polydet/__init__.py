@@ -19,7 +19,7 @@ from .errors import (BranchStepTooLarge, ContourInvalid, DomainError,
                      NonClosedLoop, NonMonotoneError, ParseError,
                      PathLeavesOmega, PoleAtOne, PolydetError,
                      QuadratureNotConverged, ResidualTooLarge,
-                     StencilLeavesDomain, UnsupportedCharacter)
+                     UnsupportedCharacter)
 from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
                                     dirichlet_character_by_index,
                                     dirichlet_character_from_values,
@@ -34,7 +34,7 @@ from .poly_l import (erh_monodromy_defect, poly_l_continued, poly_l_euler,
                      poly_l_log_euler)
 from .special_functions import (EmResult, Result, bernoulli_number,
                                 bernoulli_poly, hurwitz_zeta_em, log_gamma,
-                                milnor_gamma, polylog, polylog_tail_bound)
+                                milnor_gamma)
 from .verification import (SUITES, CheckResult, format_results, run_all,
                            run_suite)
 from .zero_data import (ZeroTable, builtin_zeta_zeros, find_zeros, load_zeros,

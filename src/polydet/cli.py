@@ -34,8 +34,7 @@ from .fields_and_characters import (HeckeCharacter, NumberField,
 from .l_functions import (PathSpec, completed_lambda, l_log_derivative,
                           l_value, root_number)
 from .poly_l import poly_l_continued, poly_l_euler
-from .special_functions import (bernoulli_poly, hurwitz_zeta_em, milnor_gamma,
-                                polylog)
+from .special_functions import bernoulli_poly, hurwitz_zeta_em, milnor_gamma
 from .verification import SUITES, format_results, run_suite
 from .zero_data import (_BISECT_TOL, ZeroTable, builtin_zeta_zeros, find_zeros,
                         load_zeros, save_zeros)
@@ -256,10 +255,6 @@ def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         value = milnor_gamma(r, z)
         em = hurwitz_zeta_em(complex(1 - r), z)
         rec = make_record(inputs, value, abs(value) * em.err_ds, "lerch", cfg)
-    elif fn == "polylog":
-        r, z = int(need("r")), need("z")
-        value = polylog(r, z, cfg)
-        rec = make_record(inputs, value, cfg.target_abs_error, "series", cfg)
     elif fn == "bernoulli":
         r, z = int(need("r")), need("z")
         value = bernoulli_poly(r, z)
@@ -459,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="special function evaluation")
     p.add_argument("--fn", required=True,
                    choices=("hurwitz", "hurwitz-ds", "milnor-gamma",
-                            "polylog", "bernoulli"))
+                            "bernoulli"))
     p.add_argument("--r", type=int, help="depth/order for the r-indexed families")
     p.add_argument("--s", type=_complex_arg, help="first argument")
     p.add_argument("--z", type=_complex_arg, help="second argument")

@@ -1,7 +1,8 @@
 """Evaluation configuration: three tolerances in one frozen dataclass, so
-that a run can be reproduced from its config snapshot alone.  Only the
-quadrature routes and the polylog series read it; the L-value layer below
-them takes none.
+that a run can be reproduced from its config snapshot alone.  The
+quadrature routes read it, and the CLI reports target_abs_error as the
+error of its `lfun` records; the special-function kernel, the L-value
+layer and the zero scans take none.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, asdict, replace
 
 @dataclass(frozen=True)
 class EvalConfig:
-    # Absolute error target for series/quadrature termination decisions.
+    # Absolute error the CLI's lfun records report.
     target_abs_error: float = 1e-12
     # Relative/absolute tolerance for adaptive panel refinement.
     quad_tol: float = 1e-10

@@ -94,7 +94,3 @@ class NonMonotoneError(PolydetError):
 
 class EmptyZeroTable(PolydetError):
     """Zero table contains no ordinates."""
-
-
-class StencilLeavesDomain(PolydetError):
-    """Finite difference stencil would leave the convergence half plane."""

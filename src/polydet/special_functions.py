@@ -1,7 +1,7 @@
 """Special functions: Bernoulli polynomials, Hurwitz zeta and its
 s-derivative by Euler-Maclaurin summation, the exponentiated derivative
-(a higher analogue of the gamma factor), truncated polylogarithms, and a
-Stirling-series log gamma.
+(a higher analogue of the gamma factor), and log gamma and digamma from
+one shifted Stirling series.
 
 `hurwitz_zeta_em(s, z, minus_pole=...)` is the one entry point to the
 Euler-Maclaurin kernel `_em_core`.  s is a scalar or a 1-D array of nodes
@@ -17,7 +17,8 @@ integers (EM_SHIFT) and the pole guard (POLE_GUARD) are module constants:
 the kernel takes no config.  The entry point checks
 every (shift, node) pair: s and z finite, Re(z) > 0, and (unless the pole
 is subtracted) s outside the pole guard; it raises DomainError instead of
-returning a non-finite value or derivative.  `log_gamma` also takes arrays.
+returning a non-finite value or derivative.  `log_gamma` and `digamma`
+also take arrays.
 `Result` (value, error_estimate, route) is what the xi, determinant and
 poly-L routes return; `Result.from_log` exponentiates a logarithm and its
 error, and raises DomainError where the value would underflow.
@@ -40,7 +41,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import DomainError, PoleAtOne, overflow_is_domain_error
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "bernoulli_poly",
     "hurwitz_zeta_em",
     "milnor_gamma",
-    "polylog",
-    "polylog_tail_bound",
     "log_gamma",
     "digamma",
     "EmResult",
@@ -181,7 +179,7 @@ EM_SHIFT = 20
 # Fewest Bernoulli correction terms J of the Euler-Maclaurin tail; beyond
 # ~30 the Bernoulli terms grow before they shrink.
 EM_BERNOULLI_TERMS = 20
-# Largest split N, and the longest polylog partial sum.
+# Largest split N of the direct sum.
 SERIES_MAX_TERMS = 2_000_000
 # Radius around s = 1 inside which the Hurwitz zeta raises PoleAtOne.
 POLE_GUARD = 1e-8
@@ -597,56 +595,28 @@ def milnor_gamma(r: int, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Polylogarithm partial sums
-
-
-def polylog_tail_bound(r: int, absz: float, terms: int) -> float:
-    """Bound |sum_{m > terms} z^m / m^r| for |z| = absz < 1."""
-    if absz == 0.0:
-        return 0.0
-    return absz ** (terms + 1) / ((terms + 1) ** r * (1.0 - absz))
-
-
-def polylog(r: int, z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Li_r(z) by direct partial sums, restricted to |z| <= 0.99.
-
-    The term count is chosen so the geometric tail bound is below
-    cfg.target_abs_error; DomainError if that needs more than
-    SERIES_MAX_TERMS terms.
-    """
-    if not isinstance(r, int) or r < 1:
-        raise DomainError("polylog order must be a positive integer")
-    z = complex(z)
-    a = abs(z)
-    if a > 0.99 + 1e-12:
-        raise DomainError(f"polylog series requires |z| <= 0.99, got |z| = {a}")
-    if a == 0.0:
-        return 0.0
-    M = 8
-    while polylog_tail_bound(r, a, M) > cfg.target_abs_error:
-        M *= 2
-        if M > SERIES_MAX_TERMS:
-            raise DomainError("polylog series cap exceeded")
-    k = np.arange(1, M + 1, dtype=np.float64)
-    return complex(np.sum(np.power(complex(z), k) / k ** r))
-
-
-# ---------------------------------------------------------------------------
 # log Gamma and digamma, principal branch on Re(z) > 0
 
-# B_{2j} / (2j (2j-1)) for the Stirling series, j = 1..12
-_STIRLING = [float(bernoulli_number(2 * j) / Fraction(2 * j * (2 * j - 1)))
-             for j in range(1, 13)]
+# The Stirling series of log Gamma(w) is sum_j c_j w^(1 - 2j), c_j =
+# B_2j / (2j (2j - 1)), j = 1..12, and that of psi(w) its derivative
+# -sum_j (2j - 1) c_j w^(-2j): column 0 holds c_j, column 1 (2j - 1) c_j
+_STIRLING = np.array([float(bernoulli_number(2 * j)
+                            / Fraction(2 * j * (2 * j - 1)))
+                      for j in range(1, 13)])
+_STIRLING = np.stack((_STIRLING, np.arange(1, 24, 2) * _STIRLING), axis=-1)
 
 
-def _stirling_args(z, name: str):
-    """z as a complex array, checked to be finite with Re z > 0, the
-    number n >= 0 of unit steps that take each |z + n| to 12 or past, and
-    the steps z + k, k < max n, with the mask k < n of each.
+def _log_gamma_and_psi(z, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """log Gamma(z) and psi(z) = (log Gamma)'(z) on Re z > 0, elementwise
+    as arrays of z's shape, from one shifted Stirling series; DomainError
+    (naming the caller) unless every z is finite with Re z > 0.
 
-    At |w| >= 12 on Re w > 0 the first Stirling term omitted after the
-    12 kept is below ~1e-19, its sector factor sec^26(arg w / 2) included;
-    an argument high on the line needs no step at all.
+    Each z takes the n >= 0 unit steps that bring |z + n| to 12 or past;
+    there the first Stirling term omitted after the 12 kept is below
+    ~1e-19, its sector factor sec^26(arg w / 2) included, so an argument
+    high on the line takes no step.  The recursions log Gamma(z) = log
+    Gamma(z + 1) - log z and psi(z) = psi(z + 1) - 1/z stay on the
+    principal branch throughout the right half plane.
     """
     z = np.asarray(z, dtype=np.complex128)
     if (bad := ~(np.isfinite(z) & (z.real > 0))).any():
@@ -655,47 +625,34 @@ def _stirling_args(z, name: str):
     n = np.maximum(0.0, np.ceil(np.sqrt(np.maximum(0.0, 144.0 - z.imag ** 2))
                                 - z.real))
     steps = np.arange(int(n.max()) if n.size else 0)
-    return z, n, z[..., None] + steps, steps < n[..., None]
+    shifted = z[..., None] + steps
+    used = steps < n[..., None]
+    w = z + n
+    lw = np.log(w)
+    winv = 1.0 / w
+    winv2 = winv * winv
+    # both series at once: the powers w^-2 .. w^-22 on a trailing axis
+    # times the two coefficient columns
+    pw = np.cumprod(np.broadcast_to(winv2[..., None], winv2.shape + (11,)),
+                    axis=-1)
+    series = _STIRLING[0] + pw @ _STIRLING[1:]
+    lg = (w - 0.5) * lw - w + 0.5 * math.log(2.0 * math.pi) \
+        + winv * series[..., 0]
+    lg -= np.log(shifted, where=used, out=np.zeros_like(shifted)).sum(axis=-1)
+    psi = lw - winv * (0.5 + winv * series[..., 1]) - np.divide(
+        1.0, shifted, where=used, out=np.zeros_like(shifted)).sum(axis=-1)
+    return lg, psi
 
 
 def log_gamma(z):
     """Principal branch of log Gamma on Re(z) > 0, at a scalar z or
-    elementwise over an array.
-
-    Arguments are shifted right until the Stirling series converges fast;
-    the recursion log Gamma(z) = log Gamma(z+1) - log(z) stays on the
-    principal branch throughout the right half plane.
-    """
-    z, n, shifted, used = _stirling_args(z, "log_gamma")
-    shift = np.log(shifted, where=used,
-                   out=np.zeros_like(shifted)).sum(axis=-1)
-    w = z + n
-    lw = np.log(w)
-    acc = (w - 0.5) * lw - w + 0.5 * math.log(2.0 * math.pi)
-    winv = 1.0 / w
-    winv2 = winv * winv
-    p = winv
-    for c in _STIRLING:
-        acc = acc + c * p
-        p = p * winv2
-    out = acc - shift
-    return complex(out) if z.ndim == 0 else out
+    elementwise over an array (`_log_gamma_and_psi`)."""
+    out = _log_gamma_and_psi(z, "log_gamma")[0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def digamma(z):
     """psi = (log Gamma)' on Re(z) > 0, at a scalar z or elementwise over
-    an array: the derivative of log_gamma's shifted Stirling series,
-    psi(z) = psi(z + n) - sum_k 1/(z + k)."""
-    z, n, shifted, used = _stirling_args(z, "digamma")
-    shift = np.divide(1.0, shifted, where=used,
-                      out=np.zeros_like(shifted)).sum(axis=-1)
-    w = z + n
-    winv2 = 1.0 / (w * w)
-    acc = np.log(w) - 0.5 / w
-    p = winv2
-    # d/dw of c_j w^(1 - 2j) is -(2j - 1) c_j w^(-2j)
-    for j, c in enumerate(_STIRLING, start=1):
-        acc = acc - (2 * j - 1) * c * p
-        p = p * winv2
-    out = acc - shift
-    return complex(out) if z.ndim == 0 else out
+    an array (`_log_gamma_and_psi`)."""
+    out = _log_gamma_and_psi(z, "digamma")[1]
+    return complex(out) if out.ndim == 0 else out

@@ -21,7 +21,7 @@ from .fields_and_characters import (HeckeCharacter, NumberField,
                                     trivial_character)
 from .l_functions import (_l_and_ds, _quadratic_kronecker, conductor,
                           root_number)
-from .special_functions import digamma, log_gamma
+from .special_functions import _log_gamma_and_psi
 
 __all__ = [
     "ZeroTable",
@@ -239,18 +239,17 @@ def _newton_refine(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
     return np.clip(lo + (hi - lo) * (flo / (flo - fhi)), lo, hi)
 
 
-def _theta(chi: HeckeCharacter, t: np.ndarray) -> np.ndarray:
-    """Hardy's phase theta(t) = Im log Gamma((1/2 + a + it)/2) + (t/2)
-    log(q/pi) of a Dirichlet factor of parity a mod q, continuous in t and
-    convex on t > 0, with one minimum."""
-    return (log_gamma((0.5 + chi.parity + 1j * t) / 2.0).imag
-            + 0.5 * t * math.log(chi.modulus / math.pi))
-
-
-def _dtheta(chi: HeckeCharacter, t: np.ndarray) -> np.ndarray:
-    """theta'(t) = Re psi((1/2 + a + it)/2) / 2 + log(q/pi) / 2."""
-    return 0.5 * (digamma((0.5 + chi.parity + 1j * t) / 2.0).real
-                  + math.log(chi.modulus / math.pi))
+def _theta(chi: HeckeCharacter,
+           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta(t), theta'(t)) from one Stirling pass: Hardy's phase
+    theta(t) = Im log Gamma((1/2 + a + it)/2) + (t/2) log(q/pi) of a
+    Dirichlet factor of parity a mod q, continuous in t and convex on
+    t > 0, with one minimum, and theta'(t) = Re psi((1/2 + a + it)/2) / 2
+    + log(q/pi) / 2."""
+    lg, psi = _log_gamma_and_psi((0.5 + chi.parity + 1j * t) / 2.0,
+                                 "Hardy's theta")
+    c = 0.5 * math.log(chi.modulus / math.pi)
+    return lg.imag + c * t, 0.5 * psi.real + c
 
 
 def _hardy_z(chi: HeckeCharacter,
@@ -261,8 +260,9 @@ def _hardy_z(chi: HeckeCharacter,
     Z' = Re(i e^(i theta) (theta' L + L')) reads the L' that the kernel
     returns with L."""
     L, dL = _l_and_ds(_Q, chi, 0.5 + 1j * t)
-    rot = np.exp(1j * _theta(chi, t))
-    return (rot * L).real, (1j * rot * (_dtheta(chi, t) * L + dL)).real
+    th, dth = _theta(chi, t)
+    rot = np.exp(1j * th)
+    return (rot * L).real, (1j * rot * (dth * L + dL)).real
 
 
 def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
@@ -271,9 +271,9 @@ def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
     thb = theta(tb) are increasing samples of theta's increasing branch
     whose range brackets every n pi.
 
-    Vectorized Newton steps from the linear interpolant, with theta' from
-    `_dtheta`; a step that leaves the bracket, which tightens at every
-    step, is a bisection instead.  A converged step lands on the end just
+    Vectorized Newton steps from the linear interpolant, each pass one
+    `_theta` call for theta and theta'; a step that leaves the bracket,
+    which tightens at every step, is a bisection instead.  A converged step lands on the end just
     moved to it, so the bracket is closed.  A Gram point need not be
     exact: a sample where theta is within pi/2 of n pi has the same
     expected sign.
@@ -283,12 +283,13 @@ def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
     lo, hi = tb[k - 1], tb[k]
     t = np.interp(target, thb, tb)
     for _ in range(_NEWTON_STEPS):
-        f = _theta(chi, t) - target
+        th, dth = _theta(chi, t)
+        f = th - target
         if np.abs(f).max() <= 1e-12 * (1.0 + np.abs(target).max()):
             break
         lo, hi = np.where(f < 0, t, lo), np.where(f > 0, t, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - f / _dtheta(chi, t)
+            step = t - f / dth
         t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
     return t
 
@@ -350,12 +351,13 @@ def _factor_ordinates(chi: HeckeCharacter, height: float) -> np.ndarray:
     past height to the next good Gram point, so that the top block closes.
     """
     tg = np.append(np.arange(0.0, height), height)
-    thg = _theta(chi, tg)
+    thg = _theta(chi, tg)[0]
     n0 = math.floor(thg.min() / math.pi) + 1
     n_top = max(n0, math.ceil(thg[-1] / math.pi))
     while thg[-1] < (n_top + _SPARE_GRAM) * math.pi:
         more = tg[-1] + np.arange(1.0, tg.size + 1.0)
-        tg, thg = np.append(tg, more), np.append(thg, _theta(chi, more))
+        tg = np.append(tg, more)
+        thg = np.append(thg, _theta(chi, more)[0])
     k = int(thg.argmin())
     n = np.arange(n0 - 1, n_top + _SPARE_GRAM + 1)
     n[0] = -chi.epsilon

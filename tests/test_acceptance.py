@@ -32,7 +32,7 @@ def test_criterion_1_lerch_bernoulli():
 
 
 def test_criterion_2_ladder_identity():
-    _gate(2, "derivative ladder FD residuals", "ladder", budget=30.0)
+    _gate(2, "derivative ladder residuals on a circle", "ladder", budget=30.0)
 
 
 def test_criterion_3_two_route_determinants():

@@ -14,7 +14,6 @@ from polydet import (
     NumberField,
     PathSpec,
     PathLeavesOmega,
-    StencilLeavesDomain,
     determinant_closed,
     dirichlet_character_by_index,
     erh_monodromy_defect,
@@ -29,6 +28,7 @@ from polydet import (
     poly_l_ladder_residual,
     trivial_character,
 )
+from polydet.poly_l import _circle_derivative
 
 Q = NumberField.rational()
 TRIV = trivial_character(Q)
@@ -79,21 +79,37 @@ def test_series_domain_edges_at_floor():
         poly_l_euler(Q, CHI4, 2, nan)
 
 
+def test_circle_derivative_against_closed_forms():
+    # the first and second derivatives of e^(2s) and log s at s = 2.5
+    s = 2.5
+    for f, d1, d2 in ((lambda v: cmath.exp(2 * v), 2 * math.exp(2 * s),
+                       4 * math.exp(2 * s)),
+                      (cmath.log, 1 / s, -1 / s ** 2)):
+        for m, want in ((1, d1), (2, d2)):
+            got = _circle_derivative(f, s, m)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 def test_ladder_residuals():
-    # d/ds log L^(r) = -log L^(r-1), finite differenced
-    assert poly_l_ladder_residual(Q, TRIV, 2, 2.5, 1e-3) < 1e-5
-    assert poly_l_ladder_residual(Q, CHI4, 2, 3.0, 1e-3) < 1e-5
-    assert poly_l_ladder_residual(Q, TRIV, 3, 2.5, 1e-2) < 1e-4
+    # d/ds log L^(r) = -log L^(r-1), differentiated on a circle
+    assert poly_l_ladder_residual(Q, TRIV, 2, 2.5) < 1e-12
+    assert poly_l_ladder_residual(Q, CHI4, 2, 3.0) < 1e-12
+    assert poly_l_ladder_residual(Q, TRIV, 3, 2.5) < 1e-12
 
 
 def test_ladder_one_step_depth_three():
     # one derivative of log L^(3) lands on log L^(2)
-    assert poly_l_ladder_residual(Q, TRIV, 3, 2.5, 1e-3, target_depth=2) < 1e-5
+    assert poly_l_ladder_residual(Q, TRIV, 3, 2.5, target_depth=2) < 1e-12
 
 
-def test_ladder_stencil_domain_guard():
-    with pytest.raises(StencilLeavesDomain):
-        poly_l_ladder_residual(Q, TRIV, 2, 1.05, 0.1)
+def test_ladder_circle_domain_guard():
+    # the circle around 1.05 reaches Re(s) = 0.55, left of the Euler
+    # route's floor 1.02
+    with pytest.raises(DomainError):
+        poly_l_ladder_residual(Q, TRIV, 2, 1.05)
+    for d in (0, 2, 1.5):
+        with pytest.raises(DomainError):
+            poly_l_ladder_residual(Q, TRIV, 2, 2.5, target_depth=d)
 
 
 def test_continued_overlap_with_euler():

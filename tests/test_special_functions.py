@@ -26,8 +26,6 @@ from polydet import (
     hurwitz_zeta_em,
     log_gamma,
     milnor_gamma,
-    polylog,
-    polylog_tail_bound,
 )
 from polydet.special_functions import digamma
 
@@ -44,7 +42,6 @@ def _fifty_digits():
 LOG_GAMMA_37 = 1.42807232666538812920049835255
 ZETA_PRIME_MINUS1 = -0.165421143700450929213919660243
 EXP_ZETA_PRIME_MINUS1 = 0.847536694177301291028403410087
-LI2_HALF = 0.58224052646501250590265632016
 
 
 def test_bernoulli_numbers_exact():
@@ -191,34 +188,6 @@ def test_milnor_gamma_rejects_bad_depth():
     # Gamma(500) / sqrt(2 pi) is about 1e1131, beyond a double
     with pytest.raises(DomainError):
         milnor_gamma(1, 500.0)
-
-
-def test_polylog_against_mpmath():
-    for r in (1, 2, 3):
-        for z in (0.5, -0.8, 0.3 + 0.4j):
-            want = complex(mp.polylog(r, mp.mpc(z)))
-            assert abs(polylog(r, complex(z)) - want) < 1e-11
-
-
-def test_polylog_frozen_li2_half():
-    assert abs(polylog(2, 0.5) - LI2_HALF) < 1e-12
-
-
-def test_polylog_depth_one_is_log():
-    for z in (0.5, -0.7, 0.2 + 0.6j):
-        assert abs(polylog(1, complex(z)) + cmath.log(1 - z)) < 1e-11
-
-
-def test_polylog_tail_bound_is_a_bound():
-    r, z, terms = 2, 0.9, 40
-    partial = sum(z ** m / m ** r for m in range(1, terms + 1))
-    true_tail = abs(complex(mp.polylog(r, z)) - partial)
-    assert true_tail <= polylog_tail_bound(r, abs(z), terms)
-
-
-def test_polylog_domain_guard():
-    with pytest.raises(DomainError):
-        polylog(2, 1.2)
 
 
 def test_config_validation():

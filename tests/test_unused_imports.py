@@ -1,7 +1,9 @@
 """Static checks: no module imports a name it never uses, every name a
 module lists in `__all__` is bound at its top level, every private
-top-level `_name` is referenced somewhere in the package, and every
-exported or private top-level function that takes a `cfg` reads it.
+top-level `_name` is referenced somewhere in the package, every
+exported or private top-level function that takes a `cfg` reads it, and
+the kernel and the zero scans (`special_functions`, `zero_data`) import
+nothing from `polydet.config`: they take no config.
 
 A small stand-in for pyflakes' unused-import and undefined-export rules
 and for a dead-code finder, built on `ast` so it needs no extra dependency.
@@ -164,3 +166,36 @@ def test_checker_flags_an_unread_cfg():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_cfg_parameter_is_read(path):
     assert unread_cfg(path.read_text()) == []
+
+
+def config_imports(source: str) -> list[str]:
+    """Imports of `polydet.config` or of names from it, relative or
+    absolute, as "line n: module" entries."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+            if node.level and not node.module:   # from . import config
+                mods = [a.name for a in node.names]
+            mods = [("polydet." if node.level else "") + m for m in mods]
+        elif isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        else:
+            continue
+        out.extend(f"line {node.lineno}: {m}" for m in mods
+                   if m == "polydet.config"
+                   or m.startswith("polydet.config."))
+    return out
+
+
+def test_checker_flags_a_config_import():
+    src = "from .config import DEFAULT_CONFIG\nfrom . import config\n" \
+          "import polydet.config\nfrom polydet.config import EvalConfig\n" \
+          "from .configure import x\nfrom . import errors\n"
+    assert config_imports(src) == [f"line {n}: polydet.config"
+                                   for n in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("name", ["special_functions.py", "zero_data.py"])
+def test_kernel_and_scans_take_no_config(name):
+    assert config_imports((SRC / name).read_text()) == []

@@ -236,34 +236,41 @@ def test_hardy_z_slope_against_mpmath():
 
 
 def test_dtheta_against_digamma():
-    # theta'(t) = Re psi((1/2 + a + it)/2) / 2 + log(q/pi) / 2; Newton on
-    # theta at Gram points and Z' read it
+    # _theta returns theta(t) = Im log Gamma((1/2 + a + it)/2) + (t/2)
+    # log(q/pi) and theta'(t) = Re psi((1/2 + a + it)/2) / 2 + log(q/pi) / 2
+    # from one Stirling pass; Newton on theta at Gram points and Z' read
+    # theta'
     t = np.array([1.0, 5.0, 20.0, 200.0])
     for chi, a, q in ((TRIV, 0, 1), (CHI4, 1, 4)):
-        got = zero_data._dtheta(chi, t)
-        for x, g in zip(t, got):
-            want = (mp.re(mp.digamma((0.5 + a + 1j * x) / 2))
-                    + mp.log(q / mp.pi)) / 2
-            assert abs(g - float(want)) <= 1e-14
+        got, dgot = zero_data._theta(chi, t)
+        for x, g, dg in zip(t, got, dgot):
+            w = (0.5 + a + 1j * x) / 2
+            want = mp.im(mp.loggamma(w)) + x / 2 * mp.log(q / mp.pi)
+            dwant = (mp.re(mp.digamma(w)) + mp.log(q / mp.pi)) / 2
+            assert abs(g - float(want)) <= 1e-14 * max(1.0, abs(g))
+            assert abs(dg - float(dwant)) <= 1e-14
 
 
 def test_gram_points_converge_in_few_theta_passes(monkeypatch):
     # a converged Newton step lands on the bracket end just moved to it
     # and is kept; the scan of chi_-4 to 200 made 16 passes (31 theta
-    # calls in all) when such a step was bisected away
+    # calls in all) when such a step was bisected away.  Counted in
+    # Stirling series: one gives theta and theta' together, so a Newton
+    # pass and a Z call each build one (29 for chi_-4 to 200 when theta'
+    # built its own)
     calls, passes = [0], []
-    theta, gram = zero_data._theta, zero_data._gram_points
+    stirling, gram = zero_data._log_gamma_and_psi, zero_data._gram_points
 
-    def counted_theta(chi, t):
+    def counted_stirling(*args):
         calls[0] += 1
-        return theta(chi, t)
+        return stirling(*args)
 
     def counted_gram(*args):
         before = calls[0]
         out = gram(*args)
         passes.append(calls[0] - before)
         return out
-    monkeypatch.setattr(zero_data, "_theta", counted_theta)
+    monkeypatch.setattr(zero_data, "_log_gamma_and_psi", counted_stirling)
     monkeypatch.setattr(zero_data, "_gram_points", counted_gram)
     for disc, height in ((None, 1000.0), (-4, 1000.0), (-3, 200.0),
                          (5, 200.0), (101, 200.0), (-163, 60.0)):
