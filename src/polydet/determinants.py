@@ -15,11 +15,13 @@ over tabulated zeros (Re(s) > 1), and a Hankel-contour representation
 valid for all s away from s = 1; `xi_ds_at_depth` is d/ds of the same
 pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
 The ray integral from lo (delta for xi, 0 at s = 1 - r) runs in t with the
-exp-sinh substitution x = lo + exp((pi/2) sinh t), t from -4 to the cut
+double-exponential substitution for exponentially decaying integrands,
+x = lo + exp(t - e^-t), t from -4 to the cut
 x - lo = max(80, 3 max(-Re s, 0) / log 2 + 60), past the peak of the weight
-|x^-s|; about 150 L'/L nodes per direct determinant at depth <= 4.  The cut
-ends x - lo < e^-42.9 and past the cut are bounded a priori from a majorant
-of |L'/L|.
+|x^-s|; at Re z >= 1.3 a direct determinant of depth <= 3 settles in one
+pass of 126 L'/L nodes, and depths 4 to 12 in two passes.  The cut ends
+x - lo < e^-58.6 and past the cut are bounded a priori from a majorant of
+|L'/L|.
 This direct route reads only the analytic L'/L, no prime tables; the closed
 form uses the depth-r Euler sum, Bernoulli polynomials and Milnor gammas.
 
@@ -117,13 +119,16 @@ def xi_zero_sum(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 # Route 2: Hankel contour
 
 
-# The ray x = lo + exp((pi/2) sinh t) over t from _T_HEAD to the cut
-# (Takahasi & Mori 1974): the integrand decays double exponentially at both
-# ends of t, so a few G10/K21 panels of width _T_PANEL settle it.  The head
-# [lo, lo + _HEAD] and the part past the cut are bounded a priori.
+# The ray x = lo + exp(t - e^-t) over t from _T_HEAD to the cut, the
+# double-exponential map for integrands that decay exponentially
+# (Mori & Sugihara, J. Comput. Appl. Math. 127, 2001): (L'/L)(z+x) falls
+# like 2^-x, so the integrand decays double exponentially in t at both ends
+# and the default ray is 6 G10/K21 panels of width _T_PANEL, 126 nodes, one
+# kernel chunk.  The head [lo, lo + _HEAD] and the part past the cut are
+# bounded a priori.
 _T_HEAD = -4.0
-_T_PANEL = 2.0
-_HEAD = math.exp(0.5 * math.pi * math.sinh(_T_HEAD))
+_T_PANEL = 1.5
+_HEAD = math.exp(_T_HEAD - math.exp(-_T_HEAD))
 
 
 def _log_derivative_bound(fld: NumberField, sigma: float) -> float:
@@ -140,29 +145,38 @@ def _log_derivative_bound(fld: NumberField, sigma: float) -> float:
 
 def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
          lo: float, cfg: EvalConfig) -> tuple[complex, float]:
-    """int_lo^inf (L'/L)(z+x) x^-s dx by the exp-sinh ray above, with its
-    quadrature error plus a priori bounds of the cut head and tail."""
+    """int_lo^inf (L'/L)(z+x) x^-s dx by the double-exponential ray above,
+    with its quadrature error plus a priori bounds of the cut head and
+    tail."""
     def on_ray(t: np.ndarray) -> np.ndarray:
-        e = 0.5 * math.pi * np.sinh(t.real)
+        t = t.real
+        g = np.exp(-t)
+        e = t - g
         u = np.exp(e)
         log_x = e if lo == 0.0 else np.log(lo + u)
-        # x^-s dx/dt, with dx/dt = (pi/2) cosh(t) u
-        weight = np.exp(e - s * log_x) * (0.5 * math.pi * np.cosh(t.real))
+        # x^-s dx/dt, with dx/dt = (1 + e^-t) u
+        weight = np.exp(e - s * log_x) * (1.0 + g)
         return l_log_derivative(fld, chi, z + lo + u) * weight
 
     k = -s.real                                 # |x^-s| = x^k on the ray
     # x^k 2^-x peaks at x = k / log 2; a cut at three times that plus 60,
     # and at least 80, leaves it below e^-39 of its peak there
     x_cut = max(80.0, 3.0 * max(k, 0.0) / math.log(2.0) + 60.0)
-    t_cut = math.asinh(2.0 * math.log(x_cut) / math.pi)
+    # t - e^-t = log x_cut by Newton steps from t = log x_cut, where e^-t
+    # is below 1/80
+    log_cut = t_cut = math.log(x_cut)
+    for _ in range(3):
+        g = math.exp(-t_cut)
+        t_cut -= (t_cut - g - log_cut) / (1.0 + g)
     ray = integrate_polyline(on_ray, (_T_HEAD, t_cut), cfg,
                              base_len=_T_PANEL)
     head_x = lo + _HEAD if k >= 0.0 else lo
     head = _HEAD * _log_derivative_bound(fld, z.real + lo) * head_x ** k
     # past x0 = lo + x_cut, |L'/L(z+x)| <= B(Re z + x0) 2^-(x - x0) with
     # B the bound above, and int_x0^inf x^k 2^-(x - x0) dx is at most
-    # x0^k / (log 2 - max(k, 0) / x0), where that rate is >= 2 log(2) / 3
-    x0 = lo + x_cut
+    # x0^k / (log 2 - max(k, 0) / x0), where that rate is >= 2 log(2) / 3;
+    # x0 is where the map ends
+    x0 = lo + math.exp(t_cut - math.exp(-t_cut))
     rate = math.log(2.0) - max(k, 0.0) / x0
     tail = _log_derivative_bound(fld, z.real + x0) * x0 ** k / rate
     return ray.value, ray.error + head + tail

@@ -39,8 +39,9 @@ _BISECT_TOL = 1e-9
 # Gram points sampled past the one at the scan height, of which the first
 # good one closes the top block
 _SPARE_GRAM = 8
-# a Gram block short of sign changes is resampled at up to 2^8 points per
-# Gram interval
+# a Gram block short of sign changes is resampled at 2^3 points per Gram
+# interval, then at doubling density up to 2^8
+_FIRST_DOUBLINGS = 3
 _MAX_DOUBLINGS = 8
 # cap on the safeguarded Newton steps per batch of Gram points, and per
 # batch of Hermite cubics that start the refinement of Z's sign changes
@@ -308,22 +309,30 @@ def _rosser_blocks(g, t: np.ndarray, n: np.ndarray, z: np.ndarray,
 
     The first and last samples and every good one ((-1)^n z > 0) bound the
     blocks, and a block of n' - n Gram intervals must show n' - n sign
-    changes.  Short blocks gain uniform samples at doubling density, one
-    call of g per doubling; DomainError names a block still short after
-    _MAX_DOUBLINGS.
+    changes.  Short blocks gain uniform samples, one call of g per
+    resample: first the grid of 2^_FIRST_DOUBLINGS points per Gram
+    interval at once (a short block mostly needs that many, and each call
+    pays the kernel's set-up), then the grid at doubling density;
+    DomainError names a block still short at 2^_MAX_DOUBLINGS.
     """
     bounds = np.unique(np.concatenate(
         ([0], np.flatnonzero(np.where(n % 2, -z, z) > 0), [t.size - 1])))
     ends, want = t[bounds], np.diff(n[bounds])
-    for d in range(1, _MAX_DOUBLINGS + 2):
+    d = 0
+    while True:
         seen = np.concatenate(([0], np.cumsum(_sign_changes(z))))
         found = np.diff(seen[np.searchsorted(t, ends)])
         short = np.flatnonzero(found < want)
-        if not short.size or d > _MAX_DOUBLINGS:
+        if not short.size or d >= _MAX_DOUBLINGS:
             break
-        new = np.concatenate([np.linspace(ends[j], ends[j + 1],
-                                          want[j] * 2 ** d + 1)[1::2]
-                              for j in short])
+        # the grid of 2^d points per Gram interval, less the coarser grid
+        # already sampled (at first, the ends and the points near the Gram
+        # points, which the block already has)
+        prev, d = d, d + 1 if d else _FIRST_DOUBLINGS
+        grids = [np.linspace(ends[j], ends[j + 1], want[j] * 2 ** d + 1)
+                 for j in short]
+        new = np.concatenate([x[np.arange(x.size) % 2 ** (d - prev) != 0]
+                              for x in grids])
         order = np.argsort(np.concatenate((t, new)), kind="stable")
         t = np.concatenate((t, new))[order]
         znew, dznew = g(new)

@@ -99,7 +99,8 @@ def test_polyl_has_no_prime_bound_flag(capsys):
 
 
 def test_xi_has_no_cut_depth_flag(capsys):
-    # the exp-sinh ray bounds its own cut ends, so there is no depth to set
+    # the double-exponential ray bounds its own cut ends, so there is no
+    # depth to set
     with pytest.raises(SystemExit) as exc:
         main(["xi", "--s", "3", "--z", "2", "--cut-depth", "40"])
     assert exc.value.code == 2

@@ -4,6 +4,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from polydet import (
     xi_hankel,
     xi_zero_sum,
 )
+from polydet import determinants
 from polydet.determinants import _log_derivative_bound, _ray
 from polydet.l_functions import _ideal_arrays
 
@@ -191,6 +193,52 @@ def test_deep_ray_against_dirichlet_series(k):
     assert abs(value - exact) <= err
     assert abs(value - exact) <= 1e-14 * abs(exact)
     assert err <= 1e-11 * abs(exact)
+
+
+# int_0^inf (zeta'/zeta)(z+x) x^k dx from mpmath 1.3 (the same digits at
+# dps 30 and 40; at k = 0 it is -log zeta(z)):
+#   mp.mp.dps = 30
+#   f = lambda x: mp.zeta(z + x, derivative=1) / mp.zeta(z + x) * x ** k
+#   mp.quad(f, [0, 1, 2, 4, 8, 16, 32, 64, 128, mp.inf])
+RAY_PINS = {
+    (0, 1.3): -1.36913528557117018543349,
+    (1, 1.3): -1.111214170033795432473197,
+    (3, 1.3): -8.926975295665010422110674,
+    (0, 2 + 1.5j): -0.0322006791206019907625 + 0.3641722507733556586720j,
+    (1, 2 + 1.5j): -0.1253508905565935312950 + 0.4428673680354322975805j,
+    (3, 2 + 1.5j): -2.137053977557562430575 + 4.482350727601453789172j,
+}
+
+
+@pytest.mark.parametrize("k, z", list(RAY_PINS))
+def test_ray_against_mpmath_at_benchmark_depths(k, z):
+    # the weights x^0, x^1 and x^3 of depths 1, 2 and 4; the claim is the
+    # panels' Kronrod-Gauss differences, which reach 1.7e-11 of the value at
+    # x^3 on z = 1.3 (2.4e-11 at x^0 on z = 2 + 1.5i with the exp-sinh map)
+    value, err = _ray(Q, TRIV, complex(-k), complex(z), 0.0, DEFAULT_CONFIG)
+    exact = RAY_PINS[k, z]
+    assert abs(value - exact) <= err
+    assert abs(value - exact) <= 1e-14 * abs(exact)
+    assert err <= 2e-11 * abs(exact)
+
+
+def test_direct_determinant_settles_in_one_pass(monkeypatch):
+    # over the benchmark's Re z in [1.8, 3.5], |Im z| <= 3.7 and depths 1-3,
+    # the ray's six starting panels settle at once: one L'/L call of 126
+    # nodes, one kernel chunk (63 + 42 + 42 nodes in three calls, or four,
+    # with the exp-sinh map)
+    calls = []
+
+    def counted(fld, chi, s):
+        calls.append(np.asarray(s).size)
+        return l_log_derivative(fld, chi, s)
+    monkeypatch.setattr(determinants, "l_log_derivative", counted)
+    for fld, chi in ((Q, TRIV), (Q, CHI4), (QI, trivial_character(QI))):
+        for r in (1, 2, 3):
+            for z in (1.8 - 3.7j, 2.5 + 1.2j, 3.5 + 3.7j):
+                calls.clear()
+                determinant_direct(fld, chi, r, z)
+                assert calls == [126], (fld, chi, r, z)
 
 
 def test_deep_direct_determinant_within_claims():

@@ -477,3 +477,37 @@ def test_rosser_blocks_resolve_or_raise():
     with pytest.raises(DomainError,
                        match=r"Gram block \(0.000000, 2.000000\]"):
         _rosser_blocks(touch, t, n, *touch(t))
+
+
+def test_short_gram_block_resamples_in_one_call(monkeypatch):
+    # the block (0, 2] above shows both zeros on the grid of 8 points per
+    # Gram interval, which its first resample takes in one call of g (three
+    # calls, at 2, 4 and 8 points, when each doubled the last); later
+    # resamples double the density, each point sampled once
+    t, n = np.array([0.0, 1.0, 2.0]), np.array([0, 1, 2])
+    sizes = []
+
+    def pair(x):   # zeros at 0.8 and 0.9
+        sizes.append(x.size)
+        return (x - 0.8) * (x - 0.9), 2.0 * x - 1.7
+    ts, _, _ = _rosser_blocks(pair, t, n, *pair(t))
+    assert sizes == [3, 14] and ts.size == 17
+
+    def close(x):   # zeros at 0.8 and 0.81, first split at 2^7 per interval
+        sizes.append(x.size)
+        return (x - 0.8) * (x - 0.81), 2.0 * x - 1.61
+    sizes.clear()
+    ts, _, _ = _rosser_blocks(close, t, n, *close(t))
+    assert sizes == [3, 14, 16, 32, 64, 128]
+    assert ts.size == np.unique(ts).size == 2 * 2 ** 7 + 1
+    # the chi_-4 scan to 200 makes 8 lockstep Z calls (10 at one doubling
+    # per call)
+    calls = []
+    hardy_z = zero_data._hardy_z
+
+    def counted(chi, x):
+        calls.append(x.size)
+        return hardy_z(chi, x)
+    monkeypatch.setattr(zero_data, "_hardy_z", counted)
+    assert len(scan_ordinates(Q, CHI4, 200.0)) == 122
+    assert len(calls) <= 8
