@@ -11,14 +11,13 @@ special functions, L-functions, zero tables, and verification suites that
 cross-check them.
 """
 from .config import DEFAULT_CONFIG, EvalConfig
-from .determinants import (ContourSpec, default_contour, determinant_closed,
-                           determinant_direct, regularized_product,
-                           xi_ds_at_depth, xi_hankel, xi_zero_sum)
-from .errors import (BranchStepTooLarge, ContourInvalid, DomainError,
-                     EmptyZeroTable, FieldMismatch, GammaPole, NearZeroOfL,
-                     NonClosedLoop, NonMonotoneError, ParseError,
-                     PathLeavesOmega, PoleAtOne, PolydetError,
-                     QuadratureNotConverged, ResidualTooLarge,
+from .determinants import (determinant_closed, determinant_direct,
+                           regularized_product, xi_ds_at_depth, xi_hankel,
+                           xi_zero_sum)
+from .errors import (BranchStepTooLarge, DomainError, EmptyZeroTable,
+                     FieldMismatch, GammaPole, NearZeroOfL, NonClosedLoop,
+                     NonMonotoneError, ParseError, PathLeavesOmega, PoleAtOne,
+                     PolydetError, QuadratureNotConverged, ResidualTooLarge,
                      UnsupportedCharacter)
 from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
                                     dirichlet_character_by_index,

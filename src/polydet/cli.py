@@ -11,7 +11,8 @@ JSON/CSV records with a stable schema:
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Evaluation settings come from, in increasing precedence: built-in defaults,
 a flat key=value config file (--config, or the POLYDET_CONFIG environment
-variable), then repeated --set key=value flags.
+variable), then repeated --set key=value flags.  Each subparser carries
+its handler as the `run` default, which returns (records, exit code).
 """
 from __future__ import annotations
 
@@ -20,12 +21,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
-from .determinants import (ContourSpec, default_contour, determinant_closed,
+from .determinants import (_circle_radius, determinant_closed,
                            determinant_direct, xi_hankel, xi_zero_sum)
 from .errors import ParseError, PolydetError
 from .fields_and_characters import (HeckeCharacter, NumberField,
@@ -134,7 +134,7 @@ def _config_pair(key: str, val: str, where: str = "--set") -> dict:
     kind = type(getattr(DEFAULT_CONFIG, key))
     try:
         parsed = int(float(val)) if kind is int else float(val)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ParseError(f"{where}: bad value {val!r} for {key}") from None
     return {key: parsed}
 
@@ -156,31 +156,7 @@ def build_config(args: argparse.Namespace) -> EvalConfig:
 
 
 # ---------------------------------------------------------------------------
-# Run manifest and record emission
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run, JSON round-trippable."""
-
-    subcommand: str
-    params: dict
-    config: dict
-    output_format: str
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "config": self.config,
-            "output_format": self.output_format,
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        d = json.loads(text)
-        return cls(d["subcommand"], d["params"], d["config"],
-                   d["output_format"])
+# Record emission
 
 
 def make_record(inputs: dict, value: complex, err: float, route: str,
@@ -232,6 +208,13 @@ def emit_records(records: list[dict], fmt: str, out=None) -> None:
 # Subcommand bodies: each returns (records, exit code)
 
 
+def _pair(args) -> tuple[NumberField, HeckeCharacter, dict]:
+    """The --field/--char pair, and the record inputs it starts."""
+    fld = parse_field(args.field)
+    chi = parse_character(fld, args.char)
+    return fld, chi, {"field": args.field, "char": args.char}
+
+
 def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     fn = args.fn
     inputs = {"fn": fn}
@@ -265,10 +248,8 @@ def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
 
 
 def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
-    fld = parse_field(args.field)
-    chi = parse_character(fld, args.char)
+    fld, chi, inputs = _pair(args)
     s = args.s
-    inputs = {"field": args.field, "char": args.char}
     if s is not None:
         inputs["s"] = str(s)
     if args.root_number:
@@ -295,10 +276,8 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
 
 
 def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
-    fld = parse_field(args.field)
-    chi = parse_character(fld, args.char)
-    inputs = {"field": args.field, "char": args.char,
-              "depth": args.depth, "s": str(args.s)}
+    fld, chi, inputs = _pair(args)
+    inputs.update(depth=args.depth, s=str(args.s))
     if args.continued:
         path = None
         if args.path:
@@ -314,11 +293,9 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
 
 
 def run_xi(args, cfg: EvalConfig) -> tuple[list[dict], int]:
-    fld = parse_field(args.field)
-    chi = parse_character(fld, args.char)
+    fld, chi, inputs = _pair(args)
     s, z = args.s, args.z
-    inputs = {"field": args.field, "char": args.char,
-              "s": str(s), "z": str(z), "route": args.route}
+    inputs.update(s=str(s), z=str(z), route=args.route)
     if args.route == "zeros":
         if args.zeros_file:
             table = load_zeros(args.zeros_file)
@@ -331,42 +308,29 @@ def run_xi(args, cfg: EvalConfig) -> tuple[list[dict], int]:
                              "field/character (try `zeros --find --export`)")
         res = xi_zero_sum(fld, chi, s, z, table)
     else:
-        contour = default_contour(z) if args.delta is None \
-            else ContourSpec(args.delta)
-        inputs["delta"] = contour.delta
-        res = xi_hankel(fld, chi, s, z, cfg, contour=contour)
+        inputs["delta"] = _circle_radius(z)
+        res = xi_hankel(fld, chi, s, z, cfg)
     return [make_record(inputs, res.value, res.error_estimate, res.route, cfg)], 0
 
 
 def run_det(args, cfg: EvalConfig) -> tuple[list[dict], int]:
-    fld = parse_field(args.field)
-    chi = parse_character(fld, args.char)
-    inputs = {"field": args.field, "char": args.char,
-              "depth": args.depth, "z": str(args.z)}
-    mode = "both"
-    if args.closed:
-        mode = "closed"
-    elif args.numeric:
-        mode = "numeric"
-    records = []
-    closed = direct = None
-    if mode in ("closed", "both"):
-        closed = determinant_closed(fld, chi, args.depth, args.z, cfg)
-        records.append(make_record(inputs, closed.value,
-                                   closed.error_estimate, closed.route, cfg))
-    if mode in ("numeric", "both"):
-        direct = determinant_direct(fld, chi, args.depth, args.z, cfg)
-        records.append(make_record(inputs, direct.value,
-                                   direct.error_estimate, direct.route, cfg))
-    if mode == "both":
-        gap = abs(closed.value - direct.value)
+    fld, chi, inputs = _pair(args)
+    inputs.update(depth=args.depth, z=str(args.z))
+    results = []
+    if not args.numeric:
+        results.append(determinant_closed(fld, chi, args.depth, args.z, cfg))
+    if not args.closed:
+        results.append(determinant_direct(fld, chi, args.depth, args.z, cfg))
+    records = [make_record(inputs, res.value, res.error_estimate, res.route,
+                           cfg) for res in results]
+    if len(results) == 2:
+        gap = abs(results[0].value - results[1].value)
         records.append(make_record(inputs, complex(gap), 0.0, "residual", cfg))
     return records, 0
 
 
 def run_zeros(args, cfg: EvalConfig) -> tuple[list[dict], int]:
-    fld = parse_field(args.field)
-    chi = parse_character(fld, args.char)
+    fld, chi, inputs_base = _pair(args)
     if args.find and args.import_path:
         raise ParseError("choose one of --find or --import")
     table: ZeroTable | None = None
@@ -387,9 +351,8 @@ def run_zeros(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         raise ParseError("zeros needs one of --find, --import, --export")
     if args.export:
         save_zeros(table, args.export)
-    inputs_base = {"field": args.field, "char": args.char,
-                   "label": table.label,
-                   "completeness_height": table.completeness_height}
+    inputs_base.update(label=table.label,
+                       completeness_height=table.completeness_height)
     records = []
     for idx, (gamma, mult) in enumerate(zip(table.ordinates,
                                             table.multiplicities), 1):
@@ -399,9 +362,9 @@ def run_zeros(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     return records, 0
 
 
-def run_verify(args, cfg: EvalConfig, fmt: str) -> tuple[list[dict], int]:
+def run_verify(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     results = run_suite(args.suite, cfg)
-    if fmt == "table":
+    if args.format == "table":
         print(format_results(results))
     records = []
     for res in results:
@@ -411,17 +374,6 @@ def run_verify(args, cfg: EvalConfig, fmt: str) -> tuple[list[dict], int]:
                                    "pass" if res.passed else "fail", cfg))
     code = 0 if all(r.passed for r in results) else 1
     return records, code
-
-
-_HANDLERS = {
-    "eval": run_eval,
-    "lfun": run_lfun,
-    "polyl": run_polyl,
-    "xi": run_xi,
-    "det": run_det,
-    "zeros": run_zeros,
-    "verify": lambda args, cfg: run_verify(args, cfg, args.format),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common],
                        help="special function evaluation")
+    p.set_defaults(run=run_eval)
     p.add_argument("--fn", required=True,
                    choices=("hurwitz", "hurwitz-ds", "milnor-gamma",
                             "bernoulli"))
@@ -461,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lfun", parents=[common, pair],
                        help="Hecke/Dirichlet L-function values")
+    p.set_defaults(run=run_lfun)
     p.add_argument("--s", type=_complex_arg,
                    help="argument (every mode but --root-number)")
     group = p.add_mutually_exclusive_group()
@@ -474,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polyl", parents=[common, pair],
                        help="depth-r poly L-function")
+    p.set_defaults(run=run_polyl)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--s", type=_complex_arg, required=True)
     p.add_argument("--continued", action="store_true",
@@ -483,14 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xi", parents=[common, pair],
                        help="zero-side xi function, two routes")
+    p.set_defaults(run=run_xi)
     p.add_argument("--s", type=_complex_arg, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
     p.add_argument("--route", choices=("zeros", "hankel"), default="hankel")
     p.add_argument("--zeros-file", dest="zeros_file")
-    p.add_argument("--delta", type=float, help="contour circle radius")
 
     p = sub.add_parser("det", parents=[common, pair],
                        help="depth-r determinant of the shifted zeros")
+    p.set_defaults(run=run_det)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--z", type=_complex_arg, required=True)
     group = p.add_mutually_exclusive_group()
@@ -503,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", parents=[common, pair],
                        help="find, import, or export zero tables")
+    p.set_defaults(run=run_zeros)
     p.add_argument("--find", action="store_true",
                    help="scan the critical line up to --height")
     p.add_argument("--height", type=float, default=30.0)
@@ -511,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run verification suites")
+    p.set_defaults(run=run_verify)
     p.add_argument("--suite", default="all",
                    choices=tuple(SUITES) + ("all",))
     return parser
@@ -522,18 +480,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         fmt = args.format
-        params = {k: (str(v) if isinstance(v, complex) else v)
-                  for k, v in vars(args).items()
-                  if k not in ("subcommand", "format", "config", "set",
-                               "manifest") and v is not None}
-        manifest = RunManifest(args.subcommand, params, cfg.snapshot(), fmt)
         if args.manifest:
+            params = {k: (str(v) if isinstance(v, complex) else v)
+                      for k, v in vars(args).items()
+                      if k not in ("subcommand", "format", "config", "set",
+                                   "manifest", "run") and v is not None}
             with open(args.manifest, "w") as fh:
-                fh.write(manifest.to_json())
+                json.dump({"subcommand": args.subcommand, "params": params,
+                           "config": cfg.snapshot(), "output_format": fmt},
+                          fh, sort_keys=True)
         # keep numpy's overflow warnings off stderr, which carries only the
         # error line; hurwitz_zeta_em reports such an overflow as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
-            records, code = _HANDLERS[args.subcommand](args, cfg)
+            records, code = args.run(args, cfg)
         if args.subcommand == "verify" and fmt == "table":
             return code    # run_verify printed its own table
         emit_records(records, fmt)

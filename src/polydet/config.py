@@ -7,8 +7,8 @@ layer and the zero scans take none.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, asdict, replace
 
 
@@ -22,10 +22,11 @@ class EvalConfig:
     max_refinements: int = 12
 
     def __post_init__(self):
-        if not self.target_abs_error > 0:   # "not x > 0" also rejects NaN
-            raise ValueError("target_abs_error must be positive")
-        if not self.quad_tol > 0:
-            raise ValueError("quad_tol must be positive")
+        # "not 0 < x < inf" also rejects NaN
+        if not 0 < self.target_abs_error < math.inf:
+            raise ValueError("target_abs_error must be positive and finite")
+        if not 0 < self.quad_tol < math.inf:
+            raise ValueError("quad_tol must be positive and finite")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
 
@@ -36,6 +37,7 @@ class EvalConfig:
         return replace(self, **kw)
 
     def config_hash(self) -> str:
+        import hashlib   # loads OpenSSL; only the CLI's records read it
         blob = json.dumps(self.snapshot(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 

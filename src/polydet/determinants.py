@@ -12,7 +12,10 @@ over tabulated zeros (Re(s) > 1), and a Hankel-contour representation
                                         e^(i(1-s) psi) dpsi ]
     A3 = - sum_v (N_v pi)^s zeta(s, w_v),   w_v = (N_v z + m_v)/2
 
-valid for all s away from s = 1; `xi_ds_at_depth` is d/ds of the same
+valid for all s away from s = 1 and for every circle radius delta with
+Re(z) - delta > 1.  xi does not depend on delta, so it is no input: the
+code takes delta = min(1, 0.4 (Re z - 1)) (`_circle_radius`).
+`xi_ds_at_depth` is d/ds of the same
 pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
 The ray integral from lo (delta for xi, 0 at s = 1 - r) runs in t with the
 double-exponential substitution for exponentially decaying integrands,
@@ -34,12 +37,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import ContourInvalid, DomainError, overflow_is_domain_error
+from .errors import DomainError, overflow_is_domain_error
 from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_check_pair, completed_lambda, conductor,
                           l_log_derivative)
@@ -50,8 +52,6 @@ from .special_functions import (EmResult, Result, bernoulli_poly,
 from .zero_data import ZeroTable, truncation_tail_estimate
 
 __all__ = [
-    "ContourSpec",
-    "default_contour",
     "xi_zero_sum",
     "xi_hankel",
     "xi_ds_at_depth",
@@ -63,27 +63,11 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Hankel contour data: the radius of the circle around z."""
-
-    delta: float
-
-    def validate(self, z: complex) -> None:
-        if not 0.0 < self.delta:
-            raise ContourInvalid("circle radius must be positive")
-        if z.real - self.delta <= 1.0:
-            raise ContourInvalid(
-                f"circle of radius {self.delta} around z = {z} reaches "
-                "Re(w) <= 1")
-
-
-def default_contour(z: complex) -> ContourSpec:
-    """Radius well inside Re(w) > 1."""
-    z = complex(z)
+def _circle_radius(z: complex) -> float:
+    """Radius delta of the Hankel circle around z, well inside Re(w) > 1."""
     if not z.real > 1.0:   # also rejects NaN
         raise DomainError("Hankel evaluation needs Re(z) > 1")
-    return ContourSpec(min(1.0, 0.4 * (z.real - 1.0)))
+    return min(1.0, 0.4 * (z.real - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +189,7 @@ def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex) -> EmResult:
 
 @overflow_is_domain_error
 def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
-              cfg: EvalConfig = DEFAULT_CONFIG,
-              contour: ContourSpec | None = None) -> Result:
+              cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
     """A1 + A2 + A3 with the ray and circle pieces by adaptive quadrature.
 
     Analytic in s away from the Hurwitz pole at s = 1, so this route also
@@ -214,9 +197,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     """
     _check_pair(fld, chi)
     s, z = complex(s), complex(z)
-    contour = contour or default_contour(z)
-    contour.validate(z)
-    dl = contour.delta
+    dl = _circle_radius(z)
     closed = _closed_pieces(chi, s, z)
     pref = cmath.exp(s * math.log(_TWO_PI))
     ray_coef = pref * cmath.sin(math.pi * s) / math.pi

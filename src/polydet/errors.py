@@ -71,10 +71,6 @@ class ResidualTooLarge(PolydetError):
     """Integer-valued quantity computed with too large a residual."""
 
 
-class ContourInvalid(PolydetError):
-    """Hankel contour parameters violate their constraints."""
-
-
 class ParseError(PolydetError):
     """Zero table or character file could not be parsed.
 

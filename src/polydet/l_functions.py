@@ -82,10 +82,6 @@ class PathSpec:
                 raise DomainError("consecutive waypoints must be distinct")
 
     @staticmethod
-    def line(a: complex, b: complex) -> "PathSpec":
-        return PathSpec((complex(a), complex(b)))
-
-    @staticmethod
     def rectangle(re0: float, re1: float, im0: float, im1: float) -> "PathSpec":
         """Closed counterclockwise rectangle [re0, re1] x [im0, im1]."""
         c = (complex(re0, im0), complex(re1, im0), complex(re1, im1),
@@ -95,11 +91,6 @@ class PathSpec:
     @property
     def is_closed(self) -> bool:
         return abs(self.waypoints[0] - self.waypoints[-1]) < 1e-12
-
-    @property
-    def length(self) -> float:
-        return sum(abs(b - a) for a, b in
-                   zip(self.waypoints[:-1], self.waypoints[1:]))
 
     @property
     def max_abs_im(self) -> float:

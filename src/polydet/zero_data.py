@@ -58,7 +58,6 @@ class ZeroTable:
     ordinates: tuple[float, ...]
     completeness_height: float
     multiplicities: tuple[int, ...] = ()
-    assumes_critical_line: bool = True
 
     def __post_init__(self):
         if not self.ordinates:
@@ -85,8 +84,7 @@ class ZeroTable:
             raise DomainError(f"need 1 <= n_pairs <= {len(self.ordinates)}")
         return ZeroTable(self.label, self.ordinates[:n_pairs],
                          self.ordinates[n_pairs - 1],
-                         self.multiplicities[:n_pairs],
-                         self.assumes_critical_line)
+                         self.multiplicities[:n_pairs])
 
     def to_text(self) -> str:
         lines = [f"# zeros of {self.label}",

@@ -1,12 +1,13 @@
 """Command line interface: parsing, output schema, exit codes, config."""
+import argparse
 import json
 import warnings
 
 import pytest
 
-from polydet import NumberField, ParseError, verification
+from polydet import DEFAULT_CONFIG, NumberField, ParseError, verification
 from polydet.cli import (
-    RunManifest,
+    build_parser,
     main,
     parse_character,
     parse_complex,
@@ -109,6 +110,25 @@ def test_xi_has_no_cut_depth_flag(capsys):
     assert "Traceback" not in err
 
 
+def test_xi_has_no_delta_flag(capsys):
+    # xi does not depend on the circle radius, so the code chooses it
+    with pytest.raises(SystemExit) as exc:
+        main(["xi", "--s", "3", "--z", "2", "--delta", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --delta" in err
+    assert "Traceback" not in err
+
+
+def test_every_subcommand_has_a_handler():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 7
+    for name, p in sub.choices.items():
+        assert callable(p.get_default("run")), name
+
+
 def test_det_both_routes(capsys):
     code, recs = run_json(capsys, ["det", "--depth", "1", "--z", "2",
                                    "--both"])
@@ -154,6 +174,12 @@ def test_domain_error_exits_2(capsys):
     ["polyl", "--depth", "200", "--s", "3"],
     ["polyl", "--depth", "400", "--s", "3"],
     ["det", "--depth", "18", "--z", "2.5"],
+    ["lfun", "--s", "2", "--set", "max_refinements=inf"],
+    ["lfun", "--s", "2", "--set", "max_refinements=1e400"],
+    ["lfun", "--s", "2", "--set", "max_refinements=-inf"],
+    ["lfun", "--s", "2", "--set", "target_abs_error=inf"],
+    ["lfun", "--s", "2", "--set", "quad_tol=inf"],
+    ["lfun", "--s", "2", "--set", "quad_tol=1e400"],
 ])
 def test_non_finite_input_or_overflow_exits_2(capsys, argv):
     # a numpy RuntimeWarning would reach stderr ahead of the error line
@@ -224,6 +250,21 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     assert env_hash != recs[0]["config_hash"]
 
 
+@pytest.mark.parametrize("line", [
+    "max_refinements = inf", "max_refinements = 1e400",
+    "max_refinements = -inf", "target_abs_error = inf", "quad_tol = inf"])
+def test_non_finite_config_file_value_exits_2(tmp_path, capsys, monkeypatch,
+                                              line):
+    monkeypatch.delenv("POLYDET_CONFIG", raising=False)
+    cfgfile = tmp_path / "polydet.cfg"
+    cfgfile.write_text(line + "\n")
+    assert main(["lfun", "--s", "2", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_config_key_exits_2(capsys):
     assert main(["eval", "--fn", "bernoulli", "--r", "1", "--z", "0",
                  "--set", "no_such_knob=3"]) == 2
@@ -246,12 +287,13 @@ def test_manifest_round_trip(tmp_path, capsys):
                  "--manifest", str(path), "--format", "json"])
     capsys.readouterr()
     assert code == 0
-    manifest = RunManifest.from_json(path.read_text())
-    assert manifest.subcommand == "det"
-    assert manifest.params["depth"] == 1
-    assert manifest.output_format == "json"
-    # lossless round trip
-    assert RunManifest.from_json(manifest.to_json()) == manifest
+    manifest = json.loads(path.read_text())
+    assert manifest["subcommand"] == "det"
+    assert manifest["params"] == {"field": "Q", "char": "trivial",
+                                  "depth": 1, "z": "(2+0j)", "closed": True,
+                                  "numeric": False, "both": False}
+    assert manifest["config"] == DEFAULT_CONFIG.snapshot()
+    assert manifest["output_format"] == "json"
 
 
 def test_csv_output(capsys):

@@ -6,6 +6,9 @@ with a diff, not just a boolean.
 """
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -194,11 +197,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(quad_tol=-1.0)
     for key in ("target_abs_error", "quad_tol"):
-        with pytest.raises(ValueError):
-            EvalConfig(**{key: math.nan})
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError):
+                EvalConfig(**{key: bad})
     assert DEFAULT_CONFIG.with_updates(max_refinements=8).max_refinements == 8
     assert DEFAULT_CONFIG.config_hash() != \
         DEFAULT_CONFIG.with_updates(max_refinements=8).config_hash()
+
+
+def test_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL; only EvalConfig.config_hash reads it
+    code = ("import sys, polydet; "
+            "assert 'hashlib' not in sys.modules, 'hashlib loaded'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hurwitz_rejects_pole_and_bad_z():
