@@ -12,8 +12,7 @@ cross-check them.
 """
 from .config import DEFAULT_CONFIG, EvalConfig
 from .determinants import (determinant_closed, determinant_direct,
-                           regularized_product, xi_ds_at_depth, xi_hankel,
-                           xi_zero_sum)
+                           regularized_product, xi_hankel, xi_zero_sum)
 from .errors import (BranchStepTooLarge, DomainError, EmptyZeroTable,
                      FieldMismatch, GammaPole, NearZeroOfL, NonClosedLoop,
                      NonMonotoneError, ParseError, PathLeavesOmega, PoleAtOne,
@@ -23,11 +22,11 @@ from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
                                     dirichlet_character_by_index,
                                     dirichlet_character_from_values,
                                     kronecker_character, kronecker_symbol,
-                                    load_character_file, trivial_character)
-from .l_functions import (OmegaRegion, PathSpec, argument_principle_count,
+                                    trivial_character)
+from .l_functions import (PathSpec, argument_principle_count,
                           completed_lambda, conductor_factor,
                           l_log_derivative, l_value, log_l_series,
-                          omega_region, root_number)
+                          root_number)
 from .poly_l import (erh_monodromy_defect, poly_l_continued, poly_l_euler,
                      poly_l_ladder_residual, poly_l_log_continued,
                      poly_l_log_euler)

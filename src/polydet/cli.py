@@ -33,7 +33,7 @@ from .fields_and_characters import (HeckeCharacter, NumberField,
                                     kronecker_character, trivial_character)
 from .l_functions import (PathSpec, completed_lambda, l_log_derivative,
                           l_value, root_number)
-from .poly_l import poly_l_continued, poly_l_euler
+from .poly_l import _ANCHOR, poly_l_continued, poly_l_euler
 from .special_functions import bernoulli_poly, hurwitz_zeta_em, milnor_gamma
 from .verification import SUITES, format_results, run_suite
 from .zero_data import (_BISECT_TOL, ZeroTable, builtin_zeta_zeros, find_zeros,
@@ -133,10 +133,12 @@ def _config_pair(key: str, val: str, where: str = "--set") -> dict:
         raise ParseError(f"{where}: unknown config key {key!r}")
     kind = type(getattr(DEFAULT_CONFIG, key))
     try:
-        parsed = int(float(val)) if kind is int else float(val)
-    except (ValueError, OverflowError):
+        parsed = float(val)
+    except ValueError:
         raise ParseError(f"{where}: bad value {val!r} for {key}") from None
-    return {key: parsed}
+    if kind is int and not parsed.is_integer():   # also rejects inf and NaN
+        raise ParseError(f"{where}: {key} must be an integer, got {val!r}")
+    return {key: int(parsed) if kind is int else parsed}
 
 
 def build_config(args: argparse.Namespace) -> EvalConfig:
@@ -283,9 +285,8 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         if args.path:
             path = PathSpec(parse_waypoints(args.path))
             inputs["path"] = args.path
-        inputs["anchor"] = args.anchor
-        res = poly_l_continued(fld, chi, args.depth, args.s, cfg,
-                               anchor=args.anchor, path=path)
+        inputs["anchor"] = _ANCHOR
+        res = poly_l_continued(fld, chi, args.depth, args.s, cfg, path=path)
     else:
         res = poly_l_euler(fld, chi, args.depth, args.s)
     return [make_record(inputs, res.value, res.error_estimate, res.route,
@@ -432,9 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--s", type=_complex_arg, required=True)
     p.add_argument("--continued", action="store_true",
-                   help="integrate from a real anchor instead of the Euler sum")
-    p.add_argument("--anchor", type=float, default=3.0)
-    p.add_argument("--path", help="comma-separated waypoints, anchor to s")
+                   help="integrate from the anchor 3 instead of the Euler sum")
+    p.add_argument("--path", help="comma-separated waypoints, 3 to s")
 
     p = sub.add_parser("xi", parents=[common, pair],
                        help="zero-side xi function, two routes")

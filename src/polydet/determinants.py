@@ -15,8 +15,8 @@ over tabulated zeros (Re(s) > 1), and a Hankel-contour representation
 valid for all s away from s = 1 and for every circle radius delta with
 Re(z) - delta > 1.  xi does not depend on delta, so it is no input: the
 code takes delta = min(1, 0.4 (Re z - 1)) (`_circle_radius`).
-`xi_ds_at_depth` is d/ds of the same
-pieces at s = 1 - r, and exp(-d xi/ds) there is the depth-r determinant.
+`determinant_direct` takes d/ds of the same pieces at s = 1 - r, and
+exp(-d xi/ds) there is the depth-r determinant.
 The ray integral from lo (delta for xi, 0 at s = 1 - r) runs in t with the
 double-exponential substitution for exponentially decaying integrands,
 x = lo + exp(t - e^-t), t from -4 to the cut
@@ -54,7 +54,6 @@ from .zero_data import ZeroTable, truncation_tail_estimate
 __all__ = [
     "xi_zero_sum",
     "xi_hankel",
-    "xi_ds_at_depth",
     "determinant_direct",
     "determinant_closed",
     "regularized_product",
@@ -216,10 +215,15 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
                   + closed.err_value, "hankel")
 
 
+# ---------------------------------------------------------------------------
+# Determinants
+
+
 @overflow_is_domain_error
-def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
-                   cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
-    """d xi/ds at s = 1 - r, the logarithm of the inverse determinant.
+def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
+                       z: complex,
+                       cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
+    """exp(-d xi/ds at s = 1-r), straight from the contour representation.
 
     There sin(pi s) vanishes, so d(A1 + A2 + A3)/ds is d(A1 + A3)/ds plus
     dA2 = -(2pi)^(1-r) (-1)^r int_0^inf (L'/L)(z+x) x^(r-1) dx, the ray of
@@ -234,20 +238,8 @@ def xi_ds_at_depth(fld: NumberField, chi: HeckeCharacter, r: int, z: complex,
     closed = _closed_pieces(chi, s, z)
     coef = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
     ray, ray_err = _ray(fld, chi, s, z, 0.0, cfg)
-    return Result(closed.ds + coef * ray, closed.err_ds + abs(coef) * ray_err,
-                  "hankel-ds")
-
-
-# ---------------------------------------------------------------------------
-# Determinants
-
-
-def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
-                       z: complex,
-                       cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
-    """exp(-d xi/ds at s = 1-r), straight from the contour representation."""
-    ds = xi_ds_at_depth(fld, chi, r, z, cfg)
-    return Result.from_log(-ds.value, ds.error_estimate, "direct")
+    return Result.from_log(-(closed.ds + coef * ray),
+                           closed.err_ds + abs(coef) * ray_err, "direct")
 
 
 @overflow_is_domain_error
@@ -261,7 +253,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
                             + (N_v pi)^(1-r) log MilnorGamma_r(w_v) ]
 
     The depth-r logarithm comes from the Euler sum with its L'/L tail (depth
-    1 from the analytic log L continued from a real anchor, with its
+    1 from the analytic log L continued from the real anchor 3, with its
     quadrature error), Milnor gamma logs from zeta_s'(1 - r, w).
     """
     _check_pair(fld, chi)

@@ -43,7 +43,8 @@ class NearZeroOfL(PolydetError):
 
 
 class PathLeavesOmega(PolydetError):
-    """Integration path touches the excluded cut set of the branch domain."""
+    """Integration path meets a cut of the plane on which log L^(r) is single
+    valued."""
 
 
 class QuadratureNotConverged(PolydetError):
@@ -72,7 +73,7 @@ class ResidualTooLarge(PolydetError):
 
 
 class ParseError(PolydetError):
-    """Zero table or character file could not be parsed.
+    """A zero table, config file or command-line value could not be parsed.
 
     Carries the 1-based line number when the failure is tied to a line.
     """

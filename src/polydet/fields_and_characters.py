@@ -23,14 +23,13 @@ remainder theorem.  Only primitive characters are accepted.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParseError, UnsupportedCharacter
+from .errors import DomainError, UnsupportedCharacter
 
 __all__ = [
     "NumberField",
@@ -41,7 +40,6 @@ __all__ = [
     "dirichlet_character_from_values",
     "kronecker_character",
     "dirichlet_character_by_index",
-    "load_character_file",
 ]
 
 
@@ -360,31 +358,3 @@ def dirichlet_character_by_index(q: int, index: int) -> HeckeCharacter:
         v = cmath.exp(2j * math.pi * ph)
         vals[a] = complex(round(v.real, 15), round(v.imag, 15))
     return _primitive_character(q, tuple(vals), f"dirichlet:{q}:{index}")
-
-
-def load_character_file(path: str) -> HeckeCharacter:
-    """Read a character from a JSON file {"modulus": q, "values": {...}}.
-
-    Values may be numbers or [re, im] pairs; keys are residues as strings.
-    """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in character file: {e}") from e
-    if not isinstance(doc, dict) or "modulus" not in doc or "values" not in doc:
-        raise ParseError("character file needs 'modulus' and 'values' entries")
-    q = int(doc["modulus"])
-    table: dict[int, complex] = {}
-    for key, v in doc["values"].items():
-        try:
-            a = int(key)
-        except ValueError:
-            raise ParseError(f"residue key {key!r} is not an integer")
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise ParseError(f"value for residue {key} must be [re, im]")
-            table[a] = complex(float(v[0]), float(v[1]))
-        else:
-            table[a] = complex(float(v))
-    return dirichlet_character_from_values(q, table, label=f"file:{path}")

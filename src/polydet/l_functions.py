@@ -16,9 +16,9 @@ for all residues and nodes.  `l_value`, the analytic route of
 `l_log_derivative` and `completed_lambda` read it and take arrays too.
 
 On top of that sit the completed function with its gamma factors, the root
-number of its functional equation from the Gauss sum, the path and
-cut-plane types that `poly_l` continues log L^(r) on, and contour zero
-counting by the argument principle.
+number of its functional equation from the Gauss sum, the polyline path
+type that `poly_l` continues log L^(r) along, and contour zero counting by
+the argument principle.
 
 Right of Re(s) = 1 an independent route sums over prime ideals in one
 kernel, `_prime_power_sum`: its rung r = 1 is log L (`log_l_series`), its
@@ -46,7 +46,6 @@ from .special_functions import EM_CHUNK, hurwitz_zeta_em, log_gamma
 
 __all__ = [
     "PathSpec",
-    "OmegaRegion",
     "l_value",
     "l_log_derivative",
     "log_l_series",
@@ -65,7 +64,7 @@ _SMALL_L = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Path and branch-domain types
+# Paths
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,6 @@ class PathSpec:
     def is_closed(self) -> bool:
         return abs(self.waypoints[0] - self.waypoints[-1]) < 1e-12
 
-    @property
-    def max_abs_im(self) -> float:
-        return max(abs(u.imag) for u in self.waypoints)
-
     def min_distance_to(self, point: complex) -> float:
         """Distance from the polyline to a point."""
         best = math.inf
@@ -107,59 +102,6 @@ class PathSpec:
             t = min(1.0, max(0.0, t))
             best = min(best, abs(a + t * seg - point))
         return best
-
-
-@dataclass(frozen=True)
-class OmegaRegion:
-    """Cut plane on which the continued log L is single valued.
-
-    The excluded set is a union of leftward horizontal half-lines: from the
-    pole at 1 (principal characters), from the rightmost trivial zero of
-    each gamma factor, and from each tabulated nontrivial zero (assumed on
-    the critical line).  Membership is only verifiable away from the
-    critical line and below the completeness height of the table.
-    """
-
-    pole_cut: bool
-    trivial_cut_starts: tuple[complex, ...]
-    zero_ordinates: tuple[float, ...]
-    completeness: float
-    tol: float = 1e-9
-
-    def contains(self, w):
-        """Whether w lies off every cut; elementwise over an array."""
-        w = np.asarray(w, dtype=np.complex128)
-        tol = self.tol
-        out = np.ones(w.shape, dtype=bool)
-        if self.pole_cut:
-            out &= ~((np.abs(w.imag) < tol) & (w.real <= 1.0 + tol))
-        for c in self.trivial_cut_starts:
-            out &= ~((np.abs(w.imag - c.imag) < tol) & (w.real <= c.real + tol))
-        if self.zero_ordinates:
-            g = np.asarray(self.zero_ordinates)
-            im = w.imag[..., None]
-            on_ordinate = ((np.abs(im - g) < tol)
-                           | (np.abs(im + g) < tol)).any(axis=-1)
-            out &= ~(on_ordinate & (w.real <= 0.5 + tol))
-        return bool(out) if w.ndim == 0 else out
-
-    def verifiable(self, w):
-        """Whether containment can actually be certified for this point;
-        elementwise over an array."""
-        w = np.asarray(w, dtype=np.complex128)
-        tol = self.tol
-        near_line = (0.4 - tol <= w.real) & (w.real <= 0.6 + tol)
-        too_high = np.abs(w.imag) > self.completeness + tol
-        out = (w.real > 1.0) | ~(near_line | too_high)
-        return bool(out) if w.ndim == 0 else out
-
-
-def omega_region(fld: NumberField, chi: HeckeCharacter,
-                 zero_ordinates=(), completeness: float = 0.0) -> OmegaRegion:
-    # the rightmost trivial zero of a place is where w_v(s) = 0
-    starts = tuple(complex(-pl.m / pl.nv) for pl in chi.arch_places())
-    return OmegaRegion(chi.epsilon == 1, starts, tuple(float(g) for g in
-                       zero_ordinates), float(completeness))
 
 
 # ---------------------------------------------------------------------------

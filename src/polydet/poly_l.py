@@ -9,8 +9,9 @@ determinant route also read.  Depth 1 recovers the ordinary L-function.
 Successive s-derivatives walk down the depth ladder: d/ds log L^(r) =
 -log L^(r-1), so the (r-1)-st derivative of log L^(r) is (-1)^(r-1) log L
 and the r-th is (-1)^(r-1) L'/L.  Every depth r >= 1 therefore extends
-left of Re(s) = 1 by Taylor's formula at a real anchor with one integral
-of L'/L along an explicit path (`poly_l_log_continued`).
+left of Re(s) = 1 by Taylor's formula at the real anchor 3 with one
+integral of L'/L along an explicit path (`poly_l_log_continued`), which
+must not cross the cuts from the pole and the zeros (`_check_cuts`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (DomainError, NonClosedLoop, PathLeavesOmega,
 from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_SERIES_MIN_RE, PathSpec, _check_pair,
                           _ideal_arrays, _prime_power_sum, l_log_derivative,
-                          l_value, omega_region, OmegaRegion)
+                          l_value)
 from .quadrature import (_ROUNDOFF, integrate_polyline, laguerre_rule,
                          tracked_log_polyline)
 from .special_functions import Result
@@ -183,48 +184,84 @@ def poly_l_ladder_residual(fld: NumberField, chi: HeckeCharacter, r: int,
 # Continuation left of Re(s) = 1
 
 
-def _omega_for_path(fld: NumberField, chi: HeckeCharacter,
-                    path: PathSpec) -> OmegaRegion | None:
-    """Zero-cut region for a path that leaves Re(s) > 1; None otherwise,
-    since the pole, the zeros and every cut lie in Re(s) <= 1."""
-    if min(w.real for w in path.waypoints) > 1.0:
-        return None
-    need = max(path.max_abs_im + 5.0, 5.0)
+# Taylor's formula gives the same log L^(r)(s) from any real anchor a >=
+# 1.5, where |log L(a)| <= log zeta_K(1.5) < pi is on the series branch;
+# at 3 the Euler sums' tails are near rounding
+_ANCHOR = 3.0
+# A path within this of a cut meets it: a scanned zero ordinate can differ
+# from a quoted one in its last digits
+_CUT_TOL = 1e-9
+
+
+def _check_cuts(fld: NumberField, chi: HeckeCharacter,
+                path: PathSpec) -> bool:
+    """Raise PathLeavesOmega if the path meets a cut of the plane on which
+    log L^(r) is single valued; return whether it comes within 0.1 of the
+    critical line, where the cuts rest on the assumed zero locations.
+
+    The cuts run left from the pole at 1 (principal characters) or the
+    rightmost trivial zero -m_v/N_v on the real axis, and from 1/2 +- i
+    gamma for each scanned zero ordinate gamma.  A segment meets the line
+    Im w = c where it crosses it, or at its left end if it lies along it.
+    """
+    wps = path.waypoints
+    if min(w.real for w in wps) > 1.0:
+        return False
     if not chi.is_self_dual:
         raise UnsupportedCharacter(
             "continuation into the strip needs a zero table; only self-dual "
             "characters are scanned automatically")
-    return omega_region(fld, chi, scan_ordinates(fld, chi, need), need)
+    height = max(abs(w.imag) for w in wps) + 5.0
+    x0 = 1.0 if chi.is_principal else \
+        max(-pl.m / pl.nv for pl in chi.arch_places())
+    cuts = [(0.0, x0)] + [(c, 0.5) for g in scan_ordinates(fld, chi, height)
+                          for c in (g, -g)]
+    segments = list(zip(wps[:-1], wps[1:]))
+    for a, b in segments:
+        lo, hi = sorted((a.imag, b.imag))
+        for c, start in cuts:
+            if not lo - _CUT_TOL <= c <= hi + _CUT_TOL:
+                continue
+            if hi - lo <= _CUT_TOL:
+                x = min(a.real, b.real)
+            else:
+                t = min(1.0, max(0.0, (c - a.imag) / (b.imag - a.imag)))
+                x = a.real + t * (b.real - a.real)
+            if x <= start + _CUT_TOL:
+                raise PathLeavesOmega(
+                    f"path segment {a} -> {b} crosses the cut Im w = {c} "
+                    f"at {complex(x, c)}")
+    return any(min(a.real, b.real) <= 0.6 and max(a.real, b.real) >= 0.4
+               for a, b in segments)
 
 
 def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
                          s: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-                         anchor: float = 3.0,
                          path: PathSpec | None = None) -> tuple[complex, float]:
-    """log L^(r)(s) for any depth r >= 1 by Taylor's formula at a real
-    anchor a; returns (log, err).
+    """log L^(r)(s) for any depth r >= 1 by Taylor's formula at the real
+    anchor a = 3; returns (log, err).
 
         log L^(r)(s) = sum_{k=0}^{r-1} ((-1)^k / k!) (s-a)^k log L^(r-k)(a)
                        + ((-1)^(r-1) / (r-1)!) int_a^s (s-xi)^(r-1) (L'/L)(xi) dxi
 
     The terms k < r-1 are Euler sums at the anchor, each charged its tail;
-    the term k = r-1 is the principal log of the analytic L(a), which is
-    the series branch since |log L(a)| <= log zeta_K(1.5) < pi.  The
-    integral runs along the path, which must stay inside the zero-free cut
-    region; points too close to the critical line are flagged.  err adds
-    the tails and the quadrature error.
+    the term k = r-1 is the principal log of the analytic L(a).  The
+    integral runs along the path (straight by default), which is checked
+    once against the cuts before any L'/L is read (`_check_cuts`); a path
+    near the critical line warns.  err adds the tails and the quadrature
+    error.
     """
     _check_pair(fld, chi)
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
     s = complex(s)
-    a = float(anchor)
-    if not a >= 1.5:   # also rejects NaN
-        raise DomainError("anchor must be real with a >= 1.5")
-    if path is not None:
-        wps = path.waypoints
-        if abs(wps[0] - a) > 1e-9 or abs(wps[-1] - s) > 1e-9:
-            raise DomainError("path must run from the anchor to s")
+    a = _ANCHOR
+    if path is None:
+        # s at the anchor leaves no remainder integral
+        path = PathSpec((complex(a), s)) if abs(s - a) >= 1e-9 else None
+    elif abs(path.waypoints[0] - a) > 1e-9 or abs(path.waypoints[-1] - s) > 1e-9:
+        raise DomainError("path must run from the anchor 3 to s")
+    near_line = path is not None and _check_cuts(fld, chi, path)
 
     logv = 0.0 + 0.0j
     err = 0.0
@@ -236,39 +273,27 @@ def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
         else:
             lg = cmath.log(l_value(fld, chi, a))
         logv += coef * lg
-    if path is None and abs(s - a) < 1e-9:
-        # s sits at the anchor: the remainder integral vanishes
+    if path is None:
         return logv, err
-    path = path or PathSpec((complex(a), s))
-
-    omega = _omega_for_path(fld, chi, path)
-    flagged: list[complex] = []
 
     def remainder(xi: np.ndarray) -> np.ndarray:
-        if omega is not None:
-            if not (inside := omega.contains(xi)).all():
-                raise PathLeavesOmega(
-                    f"path point {xi[~inside][0]} leaves the cut region")
-            flagged.extend(xi[~omega.verifiable(xi)])
         return (s - xi) ** (r - 1) * l_log_derivative(fld, chi, xi)
 
     quad = integrate_polyline(remainder, path.waypoints, cfg)
-    if flagged:
+    if near_line:
         warnings.warn(
-            f"{len(flagged)} path points within 0.1 of the critical line or "
-            "beyond the zero table height; continuation there rests on the "
-            "assumed zero locations", stacklevel=2)
+            "path within 0.1 of the critical line; continuation there rests "
+            "on the assumed zero locations", stacklevel=2)
     sign = (-1.0) ** (r - 1) / math.factorial(r - 1)
     return logv + sign * quad.value, err + abs(sign) * quad.error
 
 
 def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
                      cfg: EvalConfig = DEFAULT_CONFIG,
-                     anchor: float = 3.0,
                      path: PathSpec | None = None) -> Result:
-    """L^(r)(s) for any depth r >= 1, continued from a real anchor
+    """L^(r)(s) for any depth r >= 1, continued from the real anchor 3
     (`poly_l_log_continued`)."""
-    logv, err = poly_l_log_continued(fld, chi, r, s, cfg, anchor, path)
+    logv, err = poly_l_log_continued(fld, chi, r, s, cfg, path)
     return Result.from_log(logv, err, "continued")
 
 

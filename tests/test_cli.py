@@ -88,6 +88,17 @@ def test_eval_polylog_is_an_unknown_choice(capsys):
     assert "invalid choice" in err and "Traceback" not in err
 
 
+def test_polyl_has_no_anchor_flag(capsys):
+    # the continuation's anchor is fixed at 3; paths start there
+    with pytest.raises(SystemExit) as exc:
+        main(["polyl", "--depth", "2", "--s", "1.5", "--continued",
+              "--anchor", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --anchor 3" in err
+    assert "Traceback" not in err
+
+
 def test_polyl_has_no_prime_bound_flag(capsys):
     # the Euler route sums a fixed table plus an exact tail, so a bound
     # flag would be silently ignored; argparse rejects it instead
@@ -177,6 +188,8 @@ def test_domain_error_exits_2(capsys):
     ["lfun", "--s", "2", "--set", "max_refinements=inf"],
     ["lfun", "--s", "2", "--set", "max_refinements=1e400"],
     ["lfun", "--s", "2", "--set", "max_refinements=-inf"],
+    ["lfun", "--s", "2", "--set", "max_refinements=2.7"],
+    ["lfun", "--s", "2", "--set", "max_refinements=0.5"],
     ["lfun", "--s", "2", "--set", "target_abs_error=inf"],
     ["lfun", "--s", "2", "--set", "quad_tol=inf"],
     ["lfun", "--s", "2", "--set", "quad_tol=1e400"],
@@ -252,7 +265,8 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("line", [
     "max_refinements = inf", "max_refinements = 1e400",
-    "max_refinements = -inf", "target_abs_error = inf", "quad_tol = inf"])
+    "max_refinements = -inf", "target_abs_error = inf", "quad_tol = inf",
+    "max_refinements = 2.7", "max_refinements = 0.5"])
 def test_non_finite_config_file_value_exits_2(tmp_path, capsys, monkeypatch,
                                               line):
     monkeypatch.delenv("POLYDET_CONFIG", raising=False)

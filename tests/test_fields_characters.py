@@ -1,6 +1,5 @@
 """Number field invariants, prime ideal tables, character arithmetic."""
 import cmath
-import json
 import math
 import time
 
@@ -11,13 +10,11 @@ from polydet import (
     ArchPlace,
     DomainError,
     NumberField,
-    ParseError,
     UnsupportedCharacter,
     dirichlet_character_by_index,
     dirichlet_character_from_values,
     kronecker_character,
     kronecker_symbol,
-    load_character_file,
     trivial_character,
 )
 from polydet.fields_and_characters import (_ideal_table, _primes,
@@ -303,38 +300,21 @@ def test_character_by_index_out_of_range():
         dirichlet_character_by_index(5, 4)
 
 
-def test_character_file_round_trip(tmp_path):
-    path = tmp_path / "chi.json"
-    doc = {"modulus": 4, "values": {"1": 1.0, "3": -1.0}}
-    path.write_text(json.dumps(doc))
-    chi = load_character_file(str(path))
+def test_value_table_mod_4_is_the_kronecker_character():
+    chi = dirichlet_character_from_values(4, {1: 1, 3: -1})
     ref = kronecker_character(-4)
     for n in range(8):
         assert chi.value_at_int(n) == ref.value_at_int(n)
     assert chi.modulus == 4 and chi.parity == 1
 
 
-def test_character_file_complex_values(tmp_path):
-    # quartic character mod 5 with chi(2) = i
-    path = tmp_path / "chi5.json"
-    doc = {"modulus": 5, "values": {"1": 1.0, "2": [0.0, 1.0],
-                                    "3": [0.0, -1.0], "4": -1.0}}
-    path.write_text(json.dumps(doc))
-    chi = load_character_file(str(path))
+def test_quartic_character_mod_5_and_its_conjugate():
+    # index 1 sends the primitive root 2 to i
+    chi = dirichlet_character_by_index(5, 1)
     assert abs(chi.value_at_int(2) - 1j) < 1e-12
     assert not chi.is_self_dual
     conj = chi.conjugate()
     assert abs(conj.value_at_int(2) + 1j) < 1e-12
-
-
-def test_character_file_errors(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_character_file(str(bad))
-    bad.write_text(json.dumps({"values": {}}))
-    with pytest.raises(ParseError):
-        load_character_file(str(bad))
 
 
 def test_arch_places():

@@ -33,7 +33,6 @@ from polydet import (
     l_log_derivative,
     l_value,
     log_l_series,
-    omega_region,
     root_number,
     trivial_character,
 )
@@ -277,23 +276,6 @@ def test_pathspec_validation():
     assert abs(PathSpec((-1.0, 1.0)).min_distance_to(1.0j) - 1.0) < 1e-15
 
 
-def test_omega_region_cuts():
-    table = (14.134725141734695,)
-    om = omega_region(Q, TRIV, table, completeness=20.0)
-    # pole cut along the real axis to the left of 1
-    assert not om.contains(0.5 + 0.0j)
-    assert om.contains(1.5 + 0.0j)
-    # cut left from a tabulated zero
-    assert not om.contains(complex(0.3, 14.134725141734695))
-    assert om.contains(complex(0.7, 14.134725141734695))
-    assert om.contains(2.0 + 14.0j)
-    # verifiability: the strip near the line and heights beyond the table
-    assert not om.verifiable(0.5 + 10.0j)
-    assert not om.verifiable(0.8 + 25.0j)
-    assert om.verifiable(0.8 + 10.0j)
-    assert om.verifiable(3.0 + 100.0j)
-
-
 # ---------------------------------------------------------------------------
 # Batched evaluation: an array of nodes gives the one-node values
 
@@ -498,14 +480,6 @@ def test_chi163_direct_determinant_matches_closed():
     closed = determinant_closed(Q, chi, 2, 2.0)
     assert abs(direct.value - closed.value) \
         <= direct.error_estimate + closed.error_estimate
-
-
-def test_omega_region_tests_arrays_elementwise():
-    om = omega_region(Q, TRIV, (14.134725141734695,), completeness=20.0)
-    w = np.array([0.5 + 0.0j, 1.5 + 0.0j, complex(0.3, -14.134725141734695),
-                  2.0 + 14.0j, 0.8 + 25.0j])
-    assert om.contains(w).tolist() == [om.contains(u) for u in w]
-    assert om.verifiable(w).tolist() == [om.verifiable(u) for u in w]
 
 
 # ---------------------------------------------------------------------------

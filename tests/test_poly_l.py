@@ -42,6 +42,8 @@ L2_CHI4_08 = 0.7478397531605411
 # depth-1 closed determinant for chi_5 (index 1) at 1.01 + 2i, where the
 # path from the anchor stays right of Re(s) = 1 and needs no zero scan
 XI1_CHI5 = 0.06167239184477233 - 0.1476106335722032j
+# ordinate of the first zero of zeta
+GAMMA_1 = 14.134725141734695
 
 
 def test_depth_one_euler_is_l_value():
@@ -128,7 +130,7 @@ def test_continued_path_independence():
 
 
 def test_continued_at_anchor_degenerates_to_euler():
-    got = poly_l_continued(Q, TRIV, 3, 3.0, anchor=3.0)
+    got = poly_l_continued(Q, TRIV, 3, 3.0)
     ref = poly_l_euler(Q, TRIV, 3, 3.0)
     assert abs(got.value - ref.value) < 1e-14
     assert got.route == "continued"
@@ -158,8 +160,51 @@ def test_continued_warns_near_critical_line():
 
 def test_continued_blocks_pole_cut():
     # for the principal character the real axis left of 1 is cut
-    with pytest.raises((PathLeavesOmega, DomainError)):
+    with pytest.raises(PathLeavesOmega):
         poly_l_continued(Q, TRIV, 2, 0.8)
+
+
+# paths that cross a cut between two quadrature nodes, where the integral
+# lands on another branch of the log (off by -2 pi i and +2 pi i from the
+# straight paths' 0.2748 - 1.3650i and -0.5067 - 0.5881i) while its error
+# claim stays near 1e-13
+@pytest.mark.parametrize("s, path", [
+    (0.3 + 20.0j, (3.0, -1.0 + 10.0j, 0.3 + 20.0j)),   # the zero cut at 14.13i
+    (0.7 + 2.0j, (3.0, 0.7 - 1.0j, 0.7 + 2.0j)),       # the pole cut
+])
+def test_continued_path_crossing_a_cut_raises(s, path):
+    with pytest.raises(PathLeavesOmega, match="crosses the cut"):
+        poly_l_log_continued(Q, TRIV, 1, s, path=PathSpec(path))
+
+
+def test_continued_detour_right_matches_straight_path():
+    s = 0.3 + 20.0j
+    with pytest.warns(UserWarning, match="assumed zero locations"):
+        straight, err = poly_l_log_continued(Q, TRIV, 1, s)
+    with pytest.warns(UserWarning, match="assumed zero locations"):
+        detour, derr = poly_l_log_continued(
+            Q, TRIV, 1, s, path=PathSpec((3.0, 3.0 + 20.0j, s)))
+    assert abs(detour - straight) <= err + derr
+
+
+def test_continued_zero_cut_endpoints():
+    # the cut runs left from the first zero 1/2 + i gamma_1 and its conjugate
+    for s in (complex(0.3, GAMMA_1), complex(0.3, -GAMMA_1)):
+        with pytest.raises(PathLeavesOmega):
+            poly_l_log_continued(Q, TRIV, 1, s)
+    for s in (complex(0.7, GAMMA_1), 2.0 + 14.0j):
+        got, _ = poly_l_log_continued(Q, TRIV, 1, s)
+        assert abs(cmath.exp(got) - l_value(Q, TRIV, s)) \
+            <= 1e-9 * abs(cmath.exp(got))
+
+
+def test_continued_real_axis_for_an_odd_character():
+    # chi_-4 has no pole; its real axis is cut left of the trivial zero -1
+    with pytest.warns(UserWarning, match="assumed zero locations"):
+        got, _ = poly_l_log_continued(Q, CHI4, 1, -0.5)
+    assert abs(cmath.exp(got) - l_value(Q, CHI4, -0.5)) < 1e-12
+    with pytest.raises(PathLeavesOmega):
+        poly_l_log_continued(Q, CHI4, 1, -1.5)
 
 
 def test_continued_depth_guard():
@@ -168,8 +213,6 @@ def test_continued_depth_guard():
     for r in (1, 4):
         res = poly_l_continued(Q, TRIV, r, 2.5)
         assert cmath.isfinite(res.value) and res.error_estimate > 0.0
-    with pytest.raises(DomainError):
-        poly_l_continued(Q, TRIV, 2, 2.5, anchor=1.2)
     with pytest.raises(DomainError):
         poly_l_continued(Q, TRIV, 2, 2.5,
                          path=PathSpec((3.0 + 0j, 2.0 + 0j)))  # wrong endpoint
