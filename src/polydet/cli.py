@@ -34,7 +34,8 @@ from .fields_and_characters import (HeckeCharacter, NumberField,
 from .l_functions import (PathSpec, completed_lambda, l_log_derivative,
                           l_value, root_number)
 from .poly_l import _ANCHOR, poly_l_continued, poly_l_euler
-from .special_functions import bernoulli_poly, hurwitz_zeta_em, milnor_gamma
+from .special_functions import (Result, _abel_plana, bernoulli_poly,
+                                hurwitz_zeta_em)
 from .verification import SUITES, format_results, run_suite
 from .zero_data import (_BISECT_TOL, ZeroTable, builtin_zeta_zeros, find_zeros,
                         load_zeros, save_zeros)
@@ -237,9 +238,10 @@ def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
             rec = make_record(inputs, em.ds, em.err_ds, "euler-maclaurin", cfg)
     elif fn == "milnor-gamma":
         r, z = int(need("r")), need("z")
-        value = milnor_gamma(r, z)
-        em = hurwitz_zeta_em(complex(1 - r), z)
-        rec = make_record(inputs, value, abs(value) * em.err_ds, "lerch", cfg)
+        # one Abel-Plana evaluation gives the value and its claim
+        em = _abel_plana(r, z)
+        res = Result.from_log(em.ds, em.err_ds, "lerch")
+        rec = make_record(inputs, res.value, res.error_estimate, "lerch", cfg)
     elif fn == "bernoulli":
         r, z = int(need("r")), need("z")
         value = bernoulli_poly(r, z)

@@ -16,7 +16,12 @@ valid for all s away from s = 1 and for every circle radius delta with
 Re(z) - delta > 1.  xi does not depend on delta, so it is no input: the
 code takes delta = min(1, 0.4 (Re z - 1)) (`_circle_radius`).
 `determinant_direct` takes d/ds of the same pieces at s = 1 - r, and
-exp(-d xi/ds) there is the depth-r determinant.
+exp(-d xi/ds) there is the depth-r determinant.  Its arch piece
+zeta'(1 - r, w_v) comes from the Abel-Plana formula
+(`special_functions._abel_plana`), with no Euler-Maclaurin kernel call;
+xi's A3 at a generic s and the closed route's Milnor gammas read the
+kernel, so the two routes share no evaluation of the arch piece.  xi's
+circle starts as 6 panels, 126 L'/L nodes.
 The ray integral from lo (delta for xi, 0 at s = 1 - r) runs in t with the
 double-exponential substitution for exponentially decaying integrands,
 x = lo + exp(t - e^-t), t from -4 to the cut
@@ -47,8 +52,8 @@ from .l_functions import (_check_pair, completed_lambda, conductor,
                           l_log_derivative)
 from .poly_l import poly_l_log_continued, poly_l_log_euler
 from .quadrature import integrate_polyline
-from .special_functions import (EmResult, Result, bernoulli_poly,
-                                hurwitz_zeta_em)
+from .special_functions import (EmResult, Result, _abel_plana,
+                                bernoulli_poly, hurwitz_zeta_em)
 from .zero_data import ZeroTable, truncation_tail_estimate
 
 __all__ = [
@@ -60,6 +65,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# xi's circle, psi from -pi to pi, starts as 6 G10/K21 panels: 126 L'/L
+# nodes, one kernel chunk, and every pool xi settles them in one pass
+_CIRCLE_PANEL = _TWO_PI / 6
 
 
 def _circle_radius(z: complex) -> float:
@@ -165,8 +173,10 @@ def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     return ray.value, ray.error + head + tail
 
 
-def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex) -> EmResult:
-    """A1 + A3 and its s-derivative with error bounds; PoleAtOne at s = 1."""
+def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex,
+                   zeta=hurwitz_zeta_em) -> EmResult:
+    """A1 + A3 and its s-derivative with error bounds, reading zeta(s, w)
+    and its derivative from zeta(s, w) -> EmResult; PoleAtOne at s = 1."""
     val = ds = 0.0 + 0.0j
     if chi.epsilon:
         for u in (z, z - 1.0):
@@ -177,7 +187,7 @@ def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex) -> EmResult:
     err = err_ds = 0.0
     for v in chi.arch_places():
         lb = math.log(v.nv * math.pi)
-        em = hurwitz_zeta_em(s, v.w(z))
+        em = zeta(s, v.w(z))
         coef = cmath.exp(s * lb)
         val -= coef * em.value
         ds -= coef * (lb * em.value + em.ds)
@@ -209,7 +219,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
             * np.exp(1j * (1.0 - s) * p)
 
     circ = integrate_polyline(on_circle, (complex(-math.pi), complex(math.pi)),
-                              cfg)
+                              cfg, base_len=_CIRCLE_PANEL)
     return Result(closed.value + ray_coef * ray + circ_coef * circ.value,
                   abs(ray_coef) * ray_err + abs(circ_coef) * circ.error
                   + closed.err_value, "hankel")
@@ -227,7 +237,8 @@ def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
 
     There sin(pi s) vanishes, so d(A1 + A2 + A3)/ds is d(A1 + A3)/ds plus
     dA2 = -(2pi)^(1-r) (-1)^r int_0^inf (L'/L)(z+x) x^(r-1) dx, the ray of
-    xi_hankel taken from 0, with the weight x^-s = x^(r-1).
+    xi_hankel taken from 0, with the weight x^-s = x^(r-1).  The arch piece
+    zeta'(1 - r, w_v) in dA3 is the Abel-Plana one (`_abel_plana`).
     """
     _check_pair(fld, chi)
     if not isinstance(r, int) or r < 1:
@@ -235,7 +246,7 @@ def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
     s, z = complex(1 - r), complex(z)
     if not z.real > 1.0:   # also rejects NaN
         raise DomainError("Hankel evaluation needs Re(z) > 1")
-    closed = _closed_pieces(chi, s, z)
+    closed = _closed_pieces(chi, s, z, lambda _, w: _abel_plana(r, w))
     coef = -(_TWO_PI ** (1 - r)) * (-1.0) ** r
     ray, ray_err = _ray(fld, chi, s, z, 0.0, cfg)
     return Result.from_log(-(closed.ds + coef * ray),

@@ -246,7 +246,9 @@ def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
 
     The terms k < r-1 are Euler sums at the anchor, each charged its tail;
     the term k = r-1 is the principal log of the analytic L(a).  The
-    integral runs along the path (straight by default), which is checked
+    integral runs along the path, by default straight, or a -> a + i Im s
+    -> s where Re s < 1/2 and Im s != 0, so that it passes no zero cut
+    left of 1/2 + i gamma below Im s.  The path is checked
     once against the cuts before any L'/L is read (`_check_cuts`); a path
     near the critical line warns.  err adds the tails and the quadrature
     error.
@@ -257,8 +259,12 @@ def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
     s = complex(s)
     a = _ANCHOR
     if path is None:
-        # s at the anchor leaves no remainder integral
-        path = PathSpec((complex(a), s)) if abs(s - a) >= 1e-9 else None
+        # s at the anchor leaves no remainder integral.  Left of 1/2 the
+        # path runs up the line Re = a, which meets no cut, then across at
+        # height Im s, which meets one only where Im s is a zero ordinate
+        turn = (complex(a, s.imag),) if s.real < 0.5 and s.imag != 0.0 else ()
+        path = PathSpec((complex(a), *turn, s)) if abs(s - a) >= 1e-9 \
+            else None
     elif abs(path.waypoints[0] - a) > 1e-9 or abs(path.waypoints[-1] - s) > 1e-9:
         raise DomainError("path must run from the anchor 3 to s")
     near_line = path is not None and _check_cuts(fld, chi, path)

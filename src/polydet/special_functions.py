@@ -19,6 +19,10 @@ every (shift, node) pair: s and z finite, Re(z) > 0, and (unless the pole
 is subtracted) s outside the pole guard; it raises DomainError instead of
 returning a non-finite value or derivative.  `log_gamma` and `digamma`
 also take arrays.
+`_abel_plana(r, a)` is a second evaluator of zeta(1 - r, a) and its
+s-derivative, from the Abel-Plana formula on fixed Gauss-Laguerre rules,
+with no kernel call: `milnor_gamma` and the direct determinant route read
+it.
 `Result` (value, error_estimate, route) is what the xi, determinant and
 poly-L routes return; `Result.from_log` exponentiates a logarithm and its
 error, and raises DomainError where the value would underflow.
@@ -42,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, overflow_is_domain_error
+from .quadrature import _ROUNDOFF, laguerre_rule
 
 __all__ = [
     "bernoulli_number",
@@ -580,18 +585,92 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
 
 
 # ---------------------------------------------------------------------------
-# Higher gamma factor
+# Hurwitz zeta at s = 1 - r by the Abel-Plana formula; higher gamma factor
+
+
+# Gauss-Laguerre rule sizes of the Abel-Plana integral: the largest gives
+# the value, the largest gap between consecutive sizes its error.  More
+# nodes do not help at depth: Golub-Welsch weights far out lose their
+# relative accuracy, and at r = 30 a 120-node rule is off by 1e3.
+_ABEL_PLANA_SIZES = (20, 30, 40)
+
+
+@lru_cache(maxsize=1)
+def _abel_plana_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Laguerre rules of _ABEL_PLANA_SIZES in x = 2 pi t, concatenated:
+    the offsets -it and then it of their nodes, weights q over 2 pi (1 -
+    e^-x), so that int_0^inf f(t) / (e^(2 pi t) - 1) dt ~ sum q f(t), and
+    where each rule starts.  Built on first use, not at import."""
+    xs, ws = zip(*(laguerre_rule(n, 0.0) for n in _ABEL_PLANA_SIZES))
+    x = np.concatenate(xs)
+    q = np.concatenate(ws) / (-2.0 * math.pi * np.expm1(-x))
+    it = 1j * x / (2.0 * math.pi)
+    return (np.concatenate((-it, it)), q,
+            np.cumsum((0,) + _ABEL_PLANA_SIZES[:-1]))
+
+
+@overflow_is_domain_error
+def _abel_plana(r: int, a: complex) -> EmResult:
+    """zeta(1 - r, a) and d/ds zeta(s, a) at s = 1 - r, Re(a) > 0, with
+    error bounds, without the Euler-Maclaurin kernel.
+
+    The value is the closed form -B_r(a) / r with its Horner rounding bound
+    2 eps sum_k |c_k| |a|^(r-k).  The derivative comes from the Abel-Plana
+    (Hermite) formula (DLMF §25.11)
+
+        zeta(s, a) = a^-s / 2 + a^(1-s) / (s - 1)
+                     + i int_0^inf [(a + it)^-s - (a - it)^-s]
+                                   / (e^(2 pi t) - 1) dt
+
+    differentiated in s.  At s = 1 - r the integrand is a polynomial times
+    logarithms, i [(a - it)^(r-1) log(a - it) - (a + it)^(r-1) log(a + it)],
+    and the integral is read from each Laguerre rule of _ABEL_PLANA_SIZES
+    in x = 2 pi t.  The largest rule gives the derivative; its error is the
+    largest gap between consecutive rules plus the rounding floor 50 eps
+    sum |terms|.  DomainError unless r >= 1 is an integer and a is finite
+    with Re(a) > 0, or where a value overflows.
+    """
+    if not isinstance(r, int) or r < 1:
+        raise DomainError("depth r must be a positive integer")
+    a = complex(a)
+    if not (cmath.isfinite(a) and a.real > 0.0):
+        raise DomainError(f"hurwitz zeta requires finite z with Re(z) > 0, "
+                          f"got z = {a}")
+    value = -bernoulli_poly(r, a) / r
+    err_value = 0.0
+    for c in _bernoulli_poly_coeffs(r):
+        err_value = err_value * abs(a) + abs(c)
+    err_value *= 2.0 * _EPS
+    offsets, q, starts = _abel_plana_rules()
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = a + offsets
+        f = np.log(u)
+        f *= np.power(u, r - 1)
+        fm, fp = f[:q.size], f[q.size:]
+        quads = (1j * np.add.reduceat(q * (fm - fp), starts)).tolist()
+        k = starts[-1]
+        size = float(np.dot(q[k:], np.abs(fm[k:]) + np.abs(fp[k:])))
+    la = cmath.log(a)
+    p = a ** (r - 1)
+    ds = -0.5 * la * p + a * p * (la - 1.0 / r) / r + quads[-1]
+    size += abs(0.5 * la * p) + abs(a * p) * (abs(la) + 1.0 / r) / r
+    err_ds = max(abs(b - c) for b, c in zip(quads[1:], quads)) \
+        + float(_ROUNDOFF) * size
+    if not (cmath.isfinite(value) and cmath.isfinite(ds)
+            and math.isfinite(err_value) and math.isfinite(err_ds)):
+        raise DomainError(f"hurwitz zeta at s = {1 - r}, z = {a} overflows "
+                          "double precision")
+    return EmResult(value, ds, err_value, err_ds)
 
 
 @overflow_is_domain_error
 def milnor_gamma(r: int, z: complex) -> complex:
     """exp(d/ds zeta(s, z) at s = 1 - r); at r = 1 this is Gamma(z)/sqrt(2 pi).
 
-    Defined for integer depth r >= 1 and Re(z) > 0.
+    Defined for integer depth r >= 1 and Re(z) > 0; the derivative is read
+    from the Abel-Plana formula (`_abel_plana`).
     """
-    if not isinstance(r, int) or r < 1:
-        raise DomainError("depth r must be a positive integer")
-    return cmath.exp(hurwitz_zeta_em(1 - r, z).ds)
+    return cmath.exp(_abel_plana(r, z).ds)
 
 
 # ---------------------------------------------------------------------------

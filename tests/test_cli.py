@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from polydet import DEFAULT_CONFIG, NumberField, ParseError, verification
+from polydet import DEFAULT_CONFIG, NumberField, ParseError, cli, verification
 from polydet.cli import (
     build_parser,
     main,
@@ -76,6 +76,25 @@ def test_eval_schema_all_functions(capsys):
         code, recs = run_json(capsys, argv)
         assert code == 0
         assert set(recs[0]) == SCHEMA_KEYS
+
+
+def test_eval_milnor_gamma_reads_one_evaluation(capsys, monkeypatch):
+    # exp(zeta'(-17, 1)) = 22.8430138759943 (mpmath); the kernel's
+    # derivative there is 1.3e8, and the record took its claim from a
+    # second kernel call
+    calls = []
+    abel_plana = cli._abel_plana
+
+    def counted(r, z):
+        calls.append((r, z))
+        return abel_plana(r, z)
+    monkeypatch.setattr(cli, "_abel_plana", counted)
+    code, recs = run_json(capsys, ["eval", "--fn", "milnor-gamma",
+                                   "--r", "18", "--z", "1"])
+    assert code == 0 and len(calls) == 1
+    gap = abs(complex(recs[0]["value_re"], recs[0]["value_im"])
+              - 22.8430138759943)
+    assert gap <= recs[0]["error_estimate"] <= 1e-7
 
 
 def test_eval_polylog_is_an_unknown_choice(capsys):

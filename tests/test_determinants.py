@@ -26,7 +26,7 @@ from polydet import (
     xi_hankel,
     xi_zero_sum,
 )
-from polydet import determinants
+from polydet import determinants, special_functions
 from polydet.determinants import _log_derivative_bound, _ray
 from polydet.l_functions import _ideal_arrays
 
@@ -235,6 +235,82 @@ def test_deep_direct_determinant_within_claims():
         closed = determinant_closed(Q, chi, 15, 2.5)
         assert abs(direct.value - closed.value) \
             <= direct.error_estimate + closed.error_estimate
+
+
+# Xi_r(2.5 + 0.5i) from its closed form in mpmath 1.3 at dps 30, with
+# log L^(r) summed over the prime powers n <= 10^6 (the tail is below 1e-16
+# of the value at r >= 8):
+#   w, base = ((z + 1) / 2 if odd else z / 2), mp.pi
+#   log Xi = (-1)^(r-1) (r-1)! (2 pi)^(1-r)
+#              * sum_n Lambda(n) chi(n) n^-z / log(n)^r
+#            + [not odd] sum_{u in (z, z-1)} (u / 2 pi)^(r-1) log(u / 2 pi)
+#            - base^(1-r) mp.bernpoly(r, w) log(base) / r
+#            + base^(1-r) mp.zeta(1 - r, w, derivative=1)
+DIRECT_PINS = {
+    (False, 8): 0.9711723963346561309759 + 0.008554732671219645837885j,
+    (False, 12): 0.5233312498796326831726 + 0.1197474825636318904734j,
+    (False, 15): 12696015.63305640852475 + 4648975.036554668765617j,
+    (False, 17): 1.477346388358527863604e+90 + 5.862859765207726579432e+89j,
+    (True, 8): 1.000408913157760585893 - 0.0002991919136470285377318j,
+    (True, 12): 1.001285141959016882389 - 0.000785132203991971032547j,
+    (True, 15): 0.9914781596204471788131 + 0.005182328706200289736995j,
+    (True, 17): 0.9575185406204080285373 + 0.02523845677384480934655j,
+    (True, 20): 1.91300558861598458925 - 0.9623323628617377845806j,
+}
+
+
+@pytest.mark.parametrize("odd, r", list(DIRECT_PINS))
+def test_deep_direct_determinant_against_mpmath(odd, r):
+    # with the Euler-Maclaurin arch piece Q was off by 6.1e-9, 5.5e-6,
+    # 1.3e-2 and 0.19 relative at r = 8, 12, 15 and 17, and chi_-4 raised
+    # DomainError at r = 20
+    got = determinant_direct(Q, CHI4 if odd else TRIV, r, 2.5 + 0.5j)
+    want = DIRECT_PINS[odd, r]
+    assert abs(got.value - want) <= got.error_estimate
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_direct_determinant_kernel_calls(monkeypatch):
+    # the arch piece reads no kernel: one call per L-factor of the ray's
+    # 126 L'/L nodes (zeta and L(chi_-4) for Q(i))
+    calls = []
+    core = special_functions._em_core
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return core(*args)
+    monkeypatch.setattr(special_functions, "_em_core", counted)
+    for fld, chi, n in ((Q, TRIV, 1), (Q, CHI4, 1),
+                        (QI, trivial_character(QI), 2)):
+        for r in (1, 2, 3):
+            calls.clear()
+            determinant_direct(fld, chi, r, 2.5 + 1.2j)
+            assert len(calls) == n, (fld, chi, r, calls)
+
+
+# the (s, z) of the twelve xi points of the benchmark's pool (Q)
+POOL_XI = [(5.62 - 0.344j, 2.506 - 1.676j), (5.35 + 0.914j, 2.759 - 2.65j),
+           (5.867 - 0.28j, 1.907 + 2.619j), (5.07 + 0.564j, 1.903 - 2.938j),
+           (6.97 - 0.599j, 2.956 - 1.042j), (6.564 - 0.708j, 3.386 + 2.311j),
+           (6.123 - 0.923j, 2.288 - 0.259j), (5.095 + 0.977j, 2.65 - 2.768j),
+           (5.877 + 0.48j, 2.758 - 0.447j), (5.694 - 0.768j, 2.442 + 3.673j),
+           (5.851 + 0.772j, 2.867 - 1.4j), (5.847 - 0.574j, 1.961 - 1.237j)]
+
+
+def test_xi_circle_is_one_kernel_chunk(monkeypatch):
+    # the circle starts as 6 panels, 126 nodes, and settles in one pass
+    circle = []
+
+    def counted(fld, chi, w):
+        w = np.asarray(w)
+        if np.allclose(np.abs(w - z), determinants._circle_radius(z)):
+            circle.append(w.size)
+        return l_log_derivative(fld, chi, w)
+    monkeypatch.setattr(determinants, "l_log_derivative", counted)
+    for s, z in POOL_XI:
+        circle.clear()
+        xi_hankel(Q, TRIV, s, z)
+        assert circle == [126], (s, z)
 
 
 @pytest.mark.parametrize("quad_tol", [1e-12, 1e-13])

@@ -180,11 +180,26 @@ def test_continued_path_crossing_a_cut_raises(s, path):
 def test_continued_detour_right_matches_straight_path():
     s = 0.3 + 20.0j
     with pytest.warns(UserWarning, match="assumed zero locations"):
-        straight, err = poly_l_log_continued(Q, TRIV, 1, s)
+        straight, err = poly_l_log_continued(Q, TRIV, 1, s,
+                                             path=PathSpec((3.0, s)))
     with pytest.warns(UserWarning, match="assumed zero locations"):
         detour, derr = poly_l_log_continued(
             Q, TRIV, 1, s, path=PathSpec((3.0, 3.0 + 20.0j, s)))
     assert abs(detour - straight) <= err + derr
+
+
+@pytest.mark.parametrize("fld, s", [(Q, -0.64 + 16.06j),
+                                    (QI, 0.345 + 22.03j)])
+def test_continued_default_path_passes_below_the_cuts(fld, s):
+    # the straight line from 3 crosses the cut left of 1/2 + i gamma_1
+    # (Q) or of a Q(i) zero below Im s; the default path turns at 3 + i Im s
+    chi = trivial_character(fld)
+    with pytest.warns(UserWarning, match="assumed zero locations"):
+        got, err = poly_l_log_continued(fld, chi, 1, s)
+    value = cmath.exp(got)
+    assert abs(value - l_value(fld, chi, s)) <= abs(value) * math.expm1(err)
+    with pytest.raises(PathLeavesOmega):
+        poly_l_log_continued(fld, chi, 1, s, path=PathSpec((3.0, s)))
 
 
 def test_continued_zero_cut_endpoints():

@@ -30,7 +30,8 @@ from polydet import (
     log_gamma,
     milnor_gamma,
 )
-from polydet.special_functions import digamma
+from polydet import special_functions
+from polydet.special_functions import _abel_plana, digamma
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +184,59 @@ def test_milnor_gamma_depth_one_is_lerch():
     for z in (0.4, 1.0, 3.7, 2.0 + 1.0j):
         want = cmath.exp(sps.loggamma(z)) / math.sqrt(2.0 * math.pi)
         assert abs(milnor_gamma(1, complex(z)) - want) < 1e-11 * (1 + abs(want))
+
+
+# w on both sides of Re w = 1, complex ones as the benchmark's arch pieces
+# (w = z/2, (z+1)/2 and z at Re z >= 1.8, |Im z| <= 3.7) and near Re w = 1/2
+ABEL_PLANA_W = (0.51, 0.75, 1.0, 2.0, 3.0, 0.51 + 1.0j, 0.9 - 1.85j,
+                1.25 + 0.25j, 1.75 + 0.25j, 3.5 - 3.7j)
+
+
+@pytest.mark.parametrize("r", range(1, 31))
+def test_abel_plana_within_claims_against_mpmath(r):
+    # the reference, at 50 digits:
+    #   complex(mp.zeta(1 - r, mp.mpc(w), derivative=1))
+    # the Euler-Maclaurin kernel's derivative at r = 18, w = 1 reads 1.3e8
+    # (claim 6.4e9) against 3.13
+    for w in ABEL_PLANA_W:
+        em = _abel_plana(r, w)
+        want = complex(mp.zeta(1 - r, mp.mpc(w), derivative=1))
+        assert abs(em.ds - want) <= em.err_ds, (r, w)
+        assert abs(em.value - complex(mp.zeta(1 - r, mp.mpc(w)))) \
+            <= em.err_value, (r, w)
+        scale = max(1.0, abs(want))
+        if r <= 4 and w.real >= 0.75:
+            assert em.err_ds <= 1e-10 * scale, (r, w)
+        if r <= 20:
+            # the 20-node rule's gap sets the claim: near the poles of
+            # 1 / (e^(2 pi t) - 1) at t = +-i the integrand is of size
+            # (Re w + 1)^(r-1), and near Re w = 1/2 its branch points come
+            # within 2 pi Re w of the real axis in x = 2 pi t; the claims
+            # reach 1.4e-6 relative at w = 2, r = 18, 7e-9 at w = 0.51 + i,
+            # r = 1, where the errors stay below 1e-11 relative
+            assert em.err_ds <= 2e-6 * scale, (r, w)
+
+
+def test_abel_plana_reads_no_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("kernel called")
+    monkeypatch.setattr(special_functions, "_em_core", no_kernel)
+    _abel_plana(3, 1.25 + 0.5j)
+    milnor_gamma(2, 1.5)
+
+
+def test_abel_plana_domain():
+    for r, w in ((0, 1.0), (2.0, 1.0), (2, 0.0), (2, -0.5 + 1.0j),
+                 (2, complex(math.nan, 0.0)), (2, complex(1.0, math.inf)),
+                 (400, 1e3)):
+        with pytest.raises(DomainError):
+            _abel_plana(r, w)
+
+
+def test_milnor_gamma_past_the_kernel_depth():
+    # exp(zeta'(-17, 1)) = 22.843...; the kernel gave exp(1.3e8)
+    want = complex(mp.exp(mp.zeta(-17, 1, derivative=1)))
+    assert abs(milnor_gamma(18, 1.0) - want) <= 1e-12 * abs(want)
 
 
 def test_milnor_gamma_rejects_bad_depth():
