@@ -20,9 +20,9 @@ is subtracted) s outside the pole guard; it raises DomainError instead of
 returning a non-finite value or derivative.  `log_gamma` and `digamma`
 also take arrays.
 `_abel_plana(r, a)` is a second evaluator of zeta(1 - r, a) and its
-s-derivative, from the Abel-Plana formula on fixed Gauss-Laguerre rules,
-with no kernel call: `milnor_gamma` and the direct determinant route read
-it.
+s-derivative, from the Abel-Plana formula on fixed Gauss-Laguerre rules
+(also read at a + 1 through the recurrence where Re a < 1), with no
+kernel call: `milnor_gamma` and the direct determinant route read it.
 `Result` (value, error_estimate, route) is what the xi, determinant and
 poly-L routes return; `Result.from_log` exponentiates a logarithm and its
 error, and raises DomainError where the value would underflow.
@@ -564,24 +564,29 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
     """Overwrite em's values and their errors at nonpositive integer nodes
     s = 1 - r with -B_r(z) / r, plus 1/r with minus_pole=True (see
     hurwitz_zeta_em), for every shift z (em's fields are (shifts x nodes)
-    arrays).  The error is the Horner rounding bound 2 eps r sum_k |c_k|
-    |z|^(r-k) over the coefficients c_k of B_r, divided by r, plus the
-    margin of the N = 1 kernel sum this replaced, plus the rounding of the
-    added 1/r."""
+    arrays).  The error is the Horner bound of `_bernoulli_zero_value`,
+    plus the margin of the N = 1 kernel sum this replaced, plus the
+    rounding of the added 1/r."""
     if s.real.min() > 0.0:
         return
     hits = np.flatnonzero((s.imag == 0.0) & (s.real <= 0.0)
                           & (s.real == np.round(s.real)))
     for j in hits:
         r = 1 - int(round(s[j].real))
-        absc = np.abs(_bernoulli_poly_coeffs(r))
         for i, zi in enumerate(z):
             zi = complex(zi)
-            em.value[i, j] = -bernoulli_poly(r, zi) / r \
-                + (1.0 / r if minus_pole else 0.0)
-            em.err_value[i, j] = 2.0 * _EPS * np.polyval(absc, abs(zi)) \
+            value, err = _bernoulli_zero_value(r, zi)
+            em.value[i, j] = value + (1.0 / r if minus_pole else 0.0)
+            em.err_value[i, j] = err \
                 + 1e-15 * np.float64(1.0 + abs(zi)) ** max(r - 1, 1) \
                 + (2.0 * _EPS / r if minus_pole else 0.0)
+
+
+def _bernoulli_zero_value(r: int, z: complex) -> tuple[complex, np.float64]:
+    """zeta(1 - r, z) = -B_r(z) / r and its Horner rounding bound 2 eps r
+    sum_k |c_k| |z|^(r-k) over the coefficients c_k of B_r, divided by r."""
+    absc = np.abs(_bernoulli_poly_coeffs(r))
+    return -bernoulli_poly(r, z) / r, 2.0 * _EPS * np.polyval(absc, abs(z))
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +594,29 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
 
 
 # Gauss-Laguerre rule sizes of the Abel-Plana integral: the largest gives
-# the value, the largest gap between consecutive sizes its error.  More
-# nodes do not help at depth: Golub-Welsch weights far out lose their
-# relative accuracy, and at r = 30 a 120-node rule is off by 1e3.
+# the value, the largest gap between consecutive sizes its error
 _ABEL_PLANA_SIZES = (20, 30, 40)
+
+
+def _laguerre_rule_polished(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of the weight e^-x with every weight to full
+    relative accuracy.  Golub-Welsch (`laguerre_rule`) leaves each weight
+    an absolute error of order eps, far above the smallest weights: its
+    last weight of 40 reads 1.3e-47 for 2.7e-61, which at depth r = 30
+    (integrand ~ t^29) moves the sum by 1e-9 relative.  Here its nodes get
+    two Newton steps on L_n (L_n' = n (L_n - L_(n-1)) / x), and the weights
+    are the Christoffel numbers 1 / sum_(k<n) L_k(x)^2 (the L_k are
+    orthonormal for e^-x), a sum of squares that nothing cancels."""
+    x = laguerre_rule(n, 0.0)[0].copy()
+    for step in range(3):
+        lo, hi = np.zeros_like(x), np.ones_like(x)     # L_(k-1), L_k
+        squares = np.zeros_like(x)
+        for k in range(n):
+            squares += hi * hi
+            lo, hi = hi, ((2 * k + 1 - x) * hi - k * lo) / (k + 1)
+        if step < 2:
+            x -= x * hi / (n * (hi - lo))
+    return x, 1.0 / squares
 
 
 @lru_cache(maxsize=1)
@@ -601,7 +625,7 @@ def _abel_plana_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the offsets -it and then it of their nodes, weights q over 2 pi (1 -
     e^-x), so that int_0^inf f(t) / (e^(2 pi t) - 1) dt ~ sum q f(t), and
     where each rule starts.  Built on first use, not at import."""
-    xs, ws = zip(*(laguerre_rule(n, 0.0) for n in _ABEL_PLANA_SIZES))
+    xs, ws = zip(*map(_laguerre_rule_polished, _ABEL_PLANA_SIZES))
     x = np.concatenate(xs)
     q = np.concatenate(ws) / (-2.0 * math.pi * np.expm1(-x))
     it = 1j * x / (2.0 * math.pi)
@@ -615,20 +639,23 @@ def _abel_plana(r: int, a: complex) -> EmResult:
     error bounds, without the Euler-Maclaurin kernel.
 
     The value is the closed form -B_r(a) / r with its Horner rounding bound
-    2 eps sum_k |c_k| |a|^(r-k).  The derivative comes from the Abel-Plana
+    (`_bernoulli_zero_value`).  The derivative comes from the Abel-Plana
     (Hermite) formula (DLMF §25.11)
 
         zeta(s, a) = a^-s / 2 + a^(1-s) / (s - 1)
                      + i int_0^inf [(a + it)^-s - (a - it)^-s]
                                    / (e^(2 pi t) - 1) dt
 
-    differentiated in s.  At s = 1 - r the integrand is a polynomial times
-    logarithms, i [(a - it)^(r-1) log(a - it) - (a + it)^(r-1) log(a + it)],
-    and the integral is read from each Laguerre rule of _ABEL_PLANA_SIZES
-    in x = 2 pi t.  The largest rule gives the derivative; its error is the
-    largest gap between consecutive rules plus the rounding floor 50 eps
-    sum |terms|.  DomainError unless r >= 1 is an integer and a is finite
-    with Re(a) > 0, or where a value overflows.
+    differentiated in s (`_abel_plana_ds`).  Its integrand has branch
+    points at t = +-ia, 2 pi Re a off the real axis in x = 2 pi t, so the
+    fixed rules lose digits as Re a -> 0 (5e-6 relative at a = 0.05, r =
+    1).  For Re a < 1 the derivative is also read at a + 1 by the
+    recurrence zeta'(1 - r, a) = zeta'(1 - r, a + 1) - a^(r-1) log a, and
+    the reading with the smaller claim is kept: the shift wins at small
+    depth, while at large depth the integrand near the poles t = +-i of
+    1 / (e^(2 pi t) - 1), of size |a + 1|^(r-1), grows with it.
+    DomainError unless r >= 1 is an integer and a is finite with Re(a) >
+    0, or where a value overflows.
     """
     if not isinstance(r, int) or r < 1:
         raise DomainError("depth r must be a positive integer")
@@ -636,11 +663,29 @@ def _abel_plana(r: int, a: complex) -> EmResult:
     if not (cmath.isfinite(a) and a.real > 0.0):
         raise DomainError(f"hurwitz zeta requires finite z with Re(z) > 0, "
                           f"got z = {a}")
-    value = -bernoulli_poly(r, a) / r
-    err_value = 0.0
-    for c in _bernoulli_poly_coeffs(r):
-        err_value = err_value * abs(a) + abs(c)
-    err_value *= 2.0 * _EPS
+    value, err_value = _bernoulli_zero_value(r, a)
+    ds, err_ds = _abel_plana_ds(r, a)
+    if a.real < 1.0:
+        step = a ** (r - 1) * cmath.log(a)
+        up, err_up = _abel_plana_ds(r, a + 1.0)
+        err_up += float(_ROUNDOFF) * abs(step)
+        if err_up < err_ds:
+            ds, err_ds = up - step, err_up
+    if not (cmath.isfinite(value) and cmath.isfinite(ds)
+            and math.isfinite(err_value) and math.isfinite(err_ds)):
+        raise DomainError(f"hurwitz zeta at s = {1 - r}, z = {a} overflows "
+                          "double precision")
+    return EmResult(value, ds, float(err_value), err_ds)
+
+
+def _abel_plana_ds(r: int, a: complex) -> tuple[complex, float]:
+    """d/ds zeta(s, a) at s = 1 - r from the Abel-Plana formula (see
+    `_abel_plana`), and its error.  At s = 1 - r the integrand is a
+    polynomial times logarithms, i [(a - it)^(r-1) log(a - it) - (a +
+    it)^(r-1) log(a + it)], and the integral is read from each Laguerre
+    rule of _ABEL_PLANA_SIZES in x = 2 pi t.  The largest rule gives the
+    derivative; its error is the largest gap between consecutive rules plus
+    the rounding floor 50 eps sum |terms|."""
     offsets, q, starts = _abel_plana_rules()
     with np.errstate(over="ignore", invalid="ignore"):
         u = a + offsets
@@ -656,11 +701,7 @@ def _abel_plana(r: int, a: complex) -> EmResult:
     size += abs(0.5 * la * p) + abs(a * p) * (abs(la) + 1.0 / r) / r
     err_ds = max(abs(b - c) for b, c in zip(quads[1:], quads)) \
         + float(_ROUNDOFF) * size
-    if not (cmath.isfinite(value) and cmath.isfinite(ds)
-            and math.isfinite(err_value) and math.isfinite(err_ds)):
-        raise DomainError(f"hurwitz zeta at s = {1 - r}, z = {a} overflows "
-                          "double precision")
-    return EmResult(value, ds, err_value, err_ds)
+    return ds, err_ds
 
 
 @overflow_is_domain_error

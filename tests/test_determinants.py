@@ -61,6 +61,21 @@ def test_closed_vs_direct_complex_point():
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("fld, chi", [(Q, TRIV), (Q, CHI4),
+                                      (QI, trivial_character(QI))])
+@pytest.mark.parametrize("z", [2.0 + 40.0j, 1.1 + 0.3j, 1.5 - 20.0j])
+def test_routes_agree_far_up_and_near_re_w_one_half(fld, chi, z):
+    # the arch pieces at w = 1 + 20i (z = 2 + 40i) and Re w = 0.55 (Q at z
+    # = 1.1 + 0.3i), read by the Abel-Plana helper on the direct route and
+    # by the kernel on the closed one; the gaps sit below 0.1 of the claims
+    for r in (1, 2, 3):
+        direct = determinant_direct(fld, chi, r, z)
+        closed = determinant_closed(fld, chi, r, z)
+        assert abs(direct.value - closed.value) \
+            <= direct.error_estimate + closed.error_estimate, r
+        assert direct.error_estimate <= 1e-10 * abs(closed.value), r
+
+
 def test_depth_one_reduction_against_mpmath():
     # Xi_1(z) = |d|^{-z/2} 2^{-1-r1/2} pi^{-2} Lambda(z) for the trivial
     # character of Q, with Lambda assembled independently in mpmath; off the

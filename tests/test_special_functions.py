@@ -187,9 +187,12 @@ def test_milnor_gamma_depth_one_is_lerch():
 
 
 # w on both sides of Re w = 1, complex ones as the benchmark's arch pieces
-# (w = z/2, (z+1)/2 and z at Re z >= 1.8, |Im z| <= 3.7) and near Re w = 1/2
+# (w = z/2, (z+1)/2 and z at Re z >= 1.8, |Im z| <= 3.7), near Re w = 1/2,
+# near Re w = 0 (read at w + 1 through the recurrence at small depth), and
+# far up the imaginary axis (a direct determinant at z = 2 + 40i)
 ABEL_PLANA_W = (0.51, 0.75, 1.0, 2.0, 3.0, 0.51 + 1.0j, 0.9 - 1.85j,
-                1.25 + 0.25j, 1.75 + 0.25j, 3.5 - 3.7j)
+                1.25 + 0.25j, 1.75 + 0.25j, 3.5 - 3.7j, 1.23, 0.05, 0.1, 0.2,
+                0.05 + 1.0j, 0.2 - 3.0j, 1.0 + 20.0j, 0.6 - 40.0j)
 
 
 @pytest.mark.parametrize("r", range(1, 31))
@@ -197,7 +200,9 @@ def test_abel_plana_within_claims_against_mpmath(r):
     # the reference, at 50 digits:
     #   complex(mp.zeta(1 - r, mp.mpc(w), derivative=1))
     # the Euler-Maclaurin kernel's derivative at r = 18, w = 1 reads 1.3e8
-    # (claim 6.4e9) against 3.13
+    # (claim 6.4e9) against 3.13; with Golub-Welsch weights the 40-node
+    # rule was off by 2.4e-9 relative at r = 29, w = 1.23 (claim 2.3e-9),
+    # and without the shift by 5e-6 relative at r = 1, w = 0.05
     for w in ABEL_PLANA_W:
         em = _abel_plana(r, w)
         want = complex(mp.zeta(1 - r, mp.mpc(w), derivative=1))
@@ -205,16 +210,25 @@ def test_abel_plana_within_claims_against_mpmath(r):
         assert abs(em.value - complex(mp.zeta(1 - r, mp.mpc(w)))) \
             <= em.err_value, (r, w)
         scale = max(1.0, abs(want))
-        if r <= 4 and w.real >= 0.75:
-            assert em.err_ds <= 1e-10 * scale, (r, w)
+        if r <= 4:
+            # 1.1e-12 at most on this grid
+            assert em.err_ds <= 1e-11 * scale, (r, w)
         if r <= 20:
             # the 20-node rule's gap sets the claim: near the poles of
             # 1 / (e^(2 pi t) - 1) at t = +-i the integrand is of size
-            # (Re w + 1)^(r-1), and near Re w = 1/2 its branch points come
-            # within 2 pi Re w of the real axis in x = 2 pi t; the claims
-            # reach 1.4e-6 relative at w = 2, r = 18, 7e-9 at w = 0.51 + i,
-            # r = 1, where the errors stay below 1e-11 relative
+            # |w + 1|^(r-1); the claims reach 1.4e-6 relative at w = 2,
+            # r = 18, where the error is 1.6e-11 relative
             assert em.err_ds <= 2e-6 * scale, (r, w)
+
+
+@pytest.mark.parametrize("z", [0.05, 0.1, 0.2, 0.05 + 1.0j, 0.3 - 2.0j])
+def test_milnor_gamma_near_re_zero(z):
+    # the fixed Laguerre rules at z itself are off by 5e-6, 8e-8 and 3e-10
+    # relative at r = 1 and z = 0.05, 0.1 and 0.2, and by 3e-5 at
+    # 0.05 + i; read at z + 1 they keep full precision
+    for r in (1, 2, 3):
+        want = complex(mp.exp(mp.zeta(1 - r, mp.mpc(z), derivative=1)))
+        assert abs(milnor_gamma(r, z) - want) <= 1e-13 * abs(want), (r, z)
 
 
 def test_abel_plana_reads_no_kernel(monkeypatch):
