@@ -158,7 +158,8 @@ def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s) -> tuple:
     nodes = arr.reshape(-1)
     L = np.empty_like(nodes)
     dL = np.empty_like(nodes)
-    # one kernel chunk at a time, so that all Hurwitz pieces of a chunk
+    # one kernel chunk of at most EM_CHUNK nodes at a time, so that all
+    # Hurwitz pieces of a chunk (zeta and L(chi_d) of a Dedekind zeta)
     # share its Pochhammer table; far left of 0 the q^-s factor or the
     # Dedekind product can overflow finite Hurwitz values
     with np.errstate(over="ignore", invalid="ignore"):

@@ -10,8 +10,13 @@ character in one call); the kernel works on chunks of at most EM_CHUNK
 nodes, each with the split N its nodes need (cut where their needs differ
 too much to share one, at most SERIES_MAX_TERMS), and blocks of shifts of
 at most EM_TERMS direct-sum terms a call.  It builds the direct sum as a
-(shifts x nodes x N) array and the Bernoulli tail as one einsum over the
-chunk's Pochhammer table, shared by every shift.  The truncation target,
+(shifts x nodes x N) array of exponentials, or, for a split of at least
+_POWER_MIN_SPLIT and integer shifts coprime to the scale (zeta and every
+Dirichlet residue), all shifts in one call from a table of n^-s built with
+exponentials at the primes alone (`_power_plan`).  The Bernoulli tail and
+its bound are one matrix product each over the chunk's Pochhammer table of
+odd orders, shared by every shift; the tables of the most recent chunks
+are kept, up to _NODE_CACHE_BYTES.  The truncation target,
 the Bernoulli term count (EM_BERNOULLI_TERMS), the split at nonpositive
 integers (EM_SHIFT) and the pole guard (POLE_GUARD) are module constants:
 the kernel takes no config.  The entry point checks
@@ -31,7 +36,9 @@ Everything here is plain double precision.  The a-posteriori remainder
 bounds use the first omitted term with the classical |s + 2J + 1| / (Re s
 + 2J + 1) inflation factor, and each node's split is the smallest |w| at
 which that bound is below 1e-16 (about 0.4 |Im s| high in the strip), plus
-ceil|z|.
+ceil|z|.  The rounding floor charges each direct-sum power |s| eps per unit
+of log|base|; a power built from k prime factors and rescaled by q^s
+carries |s| eps (log n + log q) + 2 k eps.
 """
 
 from __future__ import annotations
@@ -161,16 +168,29 @@ class Result:
 _EPS = float(np.finfo(float).eps)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
-# Largest node batch one kernel call sees.  Its `_NodeTable` holds (J x
-# nodes) Pochhammer tables, shared by every shift of the chunk; 128 nodes
-# keep them in cache.
-EM_CHUNK = 128
+# Largest node batch one kernel call sees.  Its `_NodeTable` holds (J x 2
+# nodes) Pochhammer tables (~1 KB a node), shared by every shift of the
+# chunk; 512 nodes take a long path (the monodromy loop, a scan grid) in
+# few calls.
+EM_CHUNK = 512
+# Most bytes the cached node tables hold together (`_TableCache`): one
+# full chunk's, or many small ones.
+_NODE_CACHE_BYTES = 1 << 19
 # Largest number of direct-sum terms (shifts x nodes x N, N the split) one
 # kernel call holds: a chunk's shifts go to the kernel in blocks of
 # EM_TERMS // (nodes N), or one at a time where one shift alone has more
-# terms.  The direct sum and its moduli are arrays of that size, so a call
-# needs at most ~0.6 MB beyond what one shift needs.
+# terms.  The prime-power path holds its (powers x nodes) table and the
+# rows it gathers from it in node blocks of at most EM_TERMS entries.  The
+# direct sum and its moduli are arrays of that size, so a call needs at
+# most ~0.6 MB beyond what one shift needs.
 EM_TERMS = 25 * 1024
+# Shortest split at which integer shifts coprime to the scale take the
+# prime-power direct sum (`_power_plan`).  The Hankel ray and the Euler
+# tail (N ~ 9 on 41-126 nodes) keep their exponentials: taken from N = 8,
+# the path slowed the `euler` and `hankel` benchmarks, and the rounding it
+# moved cost the `hankel` xi readings 0.09 digits.  Zero scans (N ~ 60-90)
+# take it.
+_POWER_MIN_SPLIT = 24
 # Largest first omitted Bernoulli term a split admits, absolute: a quarter
 # of the kernel's 4e-16 (mag + 1) rounding floor, so truncation never sets
 # an error bound.
@@ -220,19 +240,18 @@ def _omitted(rem, pk, dpk, alqw):
 
 class _NodeTable(NamedTuple):
     """What the kernel reads of a chunk's nodes s alone, for J Bernoulli
-    terms: (s)_k and d/ds (s)_k at the odd orders k = 1, 3, .., 2J - 1 and
-    their moduli ((J x nodes) arrays), and per node the moduli pk and dpk
-    of the first omitted order 2J + 1, the remainder factor rem (the
-    |s + 2J + 1| / (Re s + 2J + 1) inflation times 6 |B_(2J+2)| / (2J+2)!),
-    the rounding |s| eps each unit of log|base| costs, and the split each
-    node needs, per scale q."""
+    terms: (s)_k and d/ds (s)_k at the odd orders k = 1, 3, .., 2J - 1
+    side by side in one (J x 2 nodes) array, poch, and their moduli in
+    apoch, so that the Bernoulli tail and its bound are one matrix product
+    each; per node the moduli pk and dpk of the first omitted order 2J + 1,
+    the remainder factor rem (the |s + 2J + 1| / (Re s + 2J + 1) inflation
+    times 6 |B_(2J+2)| / (2J+2)!), the rounding |s| eps each unit of
+    log|base| costs, and the split each node needs, per scale q."""
 
     s: np.ndarray
     J: int
     poch: np.ndarray
-    dpoch: np.ndarray
     apoch: np.ndarray
-    adpoch: np.ndarray
     pk: np.ndarray
     dpk: np.ndarray
     rem: np.ndarray
@@ -241,9 +260,15 @@ class _NodeTable(NamedTuple):
 
     def take(self, idx: np.ndarray) -> "_NodeTable":
         """The table of the nodes s[idx]."""
-        return _NodeTable(self.s[idx], self.J,
-                          *(a[..., idx] for a in self[2:-1]),
+        both = np.concatenate((idx, idx + len(self.s)))
+        return _NodeTable(self.s[idx], self.J, self.poch[:, both],
+                          self.apoch[:, both],
+                          *(a[idx] for a in self[4:-1]),
                           {q: n[idx] for q, n in self.needs.items()})
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self if isinstance(a, np.ndarray))
 
     def need(self, scale: int) -> np.ndarray:
         """The smallest real |w| >= 1 per node at which `_omitted` is below
@@ -272,52 +297,95 @@ class _NodeTable(NamedTuple):
         return got
 
 
-@lru_cache(maxsize=8)
-def _node_table(nodes: bytes, J: int) -> _NodeTable:
-    """The `_NodeTable` of the nodes s (as bytes), its tables read-only.
+class _TableCache:
+    """The `_NodeTable`s by (nodes as bytes, J), least recently used first,
+    and the bytes they hold.
 
-    It depends on s alone, so the Hurwitz pieces of one L-value chunk
+    A table depends on s alone, so the Hurwitz pieces of one L-value chunk
     (every residue, every factor) share it, and the closed route's s = 1 - r
-    tables outlive the L'/L chunks between them: the last 8 are kept.
-    d/ds (s)_k = (s)_k sum_(i<k) 1/(s+i), except at a node where some
-    factor s + m is 0 or too small to invert (s at or next to a nonpositive
-    integer): there the product rule runs factor by factor.
+    tables outlive the L'/L chunks between them: the most recently used
+    tables are kept, up to _NODE_CACHE_BYTES together (and the newest one
+    always)."""
+
+    def __init__(self):
+        self.tables: dict[tuple[bytes, int], _NodeTable] = {}
+        self.nbytes = 0
+
+    def get(self, s: np.ndarray, J: int) -> _NodeTable:
+        """The table of the nodes s for J Bernoulli terms, its arrays
+        read-only."""
+        key = (s.tobytes(), J)
+        tab = self.tables.pop(key, None)
+        if tab is None:
+            tab = _build_node_table(np.frombuffer(key[0], dtype=np.complex128),
+                                    J)
+            self.nbytes += tab.nbytes
+            while self.tables and self.nbytes > _NODE_CACHE_BYTES:
+                self.nbytes -= self.tables.pop(next(iter(self.tables))).nbytes
+        self.tables[key] = tab
+        return tab
+
+
+_NODE_TABLES = _TableCache()
+
+
+def _build_node_table(s: np.ndarray, J: int) -> _NodeTable:
+    """The `_NodeTable` of the nodes s, from J + 1 rows of odd orders:
+    (s)_1 = s and (s)_(2j+1) = (s)_(2j-1) a b with a = s + 2j - 1, b = s +
+    2j.
+
+    d/ds (s)_k = (s)_k sum_(i<k) 1/(s+i), the pairs of that sum taken as
+    (a + b) / (a b), except at a node where some factor is 0 or too small
+    to invert (s at or next to a nonpositive integer): there the product
+    rule runs pair by pair.
     """
-    s = np.frombuffer(nodes, dtype=np.complex128)
-    K = 2 * J + 1
-    dpoch = np.arange(K)[:, None] + s
-    poch = np.cumprod(dpoch, axis=0)
-    np.divide(1.0, dpoch, out=dpoch)
+    n = len(s)
+    # (s)_k in the first n columns, d/ds (s)_k in the last n, built in
+    # place: a and b in turn, then a b and a + b = 2 b - 1
+    table = np.empty((J + 1, 2 * n), dtype=np.complex128)
+    poch, dpoch = table[:, :n], table[:, n:]
+    np.add(s, np.arange(1.0, 2 * J, 2)[:, None], out=poch[1:])
+    np.add(poch[1:], 1.0, out=dpoch[1:])
+    poch[1:] *= dpoch[1:]
+    dpoch[1:] *= 2.0
+    dpoch[1:] -= 1.0
+    poch[0] = s
+    np.divide(1.0, s, out=dpoch[0])
+    dpoch[1:] /= poch[1:]
+    np.cumprod(poch, axis=0, out=poch)
     np.cumsum(dpoch, axis=0, out=dpoch)
-    # an infinite or NaN 1/(s+m) leaves its column's total non-finite
+    # an infinite or NaN reciprocal leaves its column's total non-finite
     bad = np.flatnonzero(~np.isfinite(dpoch[-1]))
     dpoch *= poch
     for i in bad:
-        d, p, col = 0j, 1 + 0j, []
-        for f in (complex(s[i]) + k for k in range(K)):
-            d, p = d * f + p, p * f
+        u = complex(s[i])
+        d, p, col = 1 + 0j, u, [1 + 0j]
+        for k in range(2, 2 * J + 1, 2):
+            f = (u + k - 1) * (u + k)
+            d, p = d * f + p * (2 * u + 2 * k - 1), p * f
             col.append(d)
         dpoch[:, i] = col
-    # the tail reads the odd orders below K, the remainder order K; the
-    # cache keeps those rows alone
-    poch, dpoch = poch[0::2].copy(), dpoch[0::2].copy()
-    apoch, adpoch = np.abs(poch), np.abs(dpoch)
-    for a in (poch, dpoch, apoch, adpoch):
-        a.flags.writeable = False
+    atable = np.abs(table[:J])
+    for t in (table, atable):
+        t.flags.writeable = False
+    K = 2 * J + 1
     rem = np.abs(s + K)
     rem /= s.real + K
     np.minimum(rem, 10.0, out=rem)
     rem *= 6.0 * abs(_bern_over_fact(J + 1)[J + 1])
-    return _NodeTable(s, J, poch[:-1], dpoch[:-1], apoch[:-1], adpoch[:-1],
-                      apoch[-1], adpoch[-1], rem, _EPS * np.abs(s), {})
+    return _NodeTable(s, J, table[:J], atable, np.abs(poch[J]),
+                      np.abs(dpoch[J]), rem, _EPS * np.abs(s), {})
 
 
 def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
-             scale: int, tab: _NodeTable) -> EmResult:
+             scale: int, tab: _NodeTable,
+             plan: _PowerPlan | None = None) -> EmResult:
     """Euler-Maclaurin evaluation of zeta(s, z / q) and its s-derivative at
     a 1-D array of s and a 1-D array of shifts z (q = scale) with one split
     N, with error bounds, as (shifts x nodes) arrays; tab is the
-    `_NodeTable` of the nodes s, with its J Bernoulli terms.
+    `_NodeTable` of the nodes s, with its J Bernoulli terms, and plan the
+    `_power_plan` of integer shifts, if their direct sum is built from
+    prime powers.
 
     The derivative is that of q^-s zeta(s, z / q), divided by q^-s: it is
     formed from the logarithms of the bases q m + z (exact integers on the
@@ -326,27 +394,21 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
     With minus_pole=True the simple pole term 1/(s-1) is subtracted
     analytically, so the result is finite and smooth across s = 1.
     """
-    m = np.arange(N, dtype=np.float64)
     # the shifts on a leading axis, before the nodes
     z = z[:, None]
     z0 = z / scale
-    logb = np.log(m + z0[..., None])
-    logd = np.log(scale * m + z[..., None])
-    pw = np.multiply(-s[:, None], logb)
-    np.exp(pw, out=pw)
-    val = pw.sum(axis=-1)
-    # magnitude of everything summed, for the rounding part of the error:
-    # large direct-sum powers cancel against the integral term at negative
-    # Re(s), costing |largest part| * eps of absolute accuracy
-    apw = np.abs(pw)
-    mag = apw.sum(axis=-1)
-    pw *= logd
-    dval = -pw.sum(axis=-1)
-    apw *= np.abs(logd)
-    mag_ds = apw.sum(axis=-1)
-    del pw, apw
-
     w = N + z0
+    if plan is None:
+        val, dval, mag, mag_ds = _exp_sums(s, z, N, scale)
+        # each power costs |s| log|base| ulps through exp(-s log b)
+        round_fac = 4e-16 + tab.sround * np.log(abs(w) + 2.0)
+    else:
+        val, dval, mag, mag_ds = _power_sums(s, plan, scale)
+        # a power of k prime factors costs |s| log n ulps through the
+        # exponentials and ~2 eps a factor through them and the products,
+        # and the rescaling q^s another |s| log q
+        round_fac = 4e-16 + 2.0 * plan.kmax * _EPS \
+            + tab.sround * (plan.lognmax + math.log(scale))
     lw = np.log(w)
     lqw = np.log(scale * N + z)   # log(q w)
     winv = 1.0 / w
@@ -364,13 +426,14 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
         dt = -w1ms * (lqw / eps + 1.0 / (eps * eps))
 
     # Bernoulli tail: term j is B_2j/(2j)! (s)_(2j-1) w^(-s-2j+1), summed
-    # as w^-s sum_j coef_j (s)_(2j-1), one einsum over the Pochhammer
-    # table (no (terms x nodes) array per shift)
-    J = tab.J
+    # as w^-s sum_j coef_j (s)_(2j-1), with its s-derivative from one
+    # matrix product over the Pochhammer table (no (terms x nodes) array
+    # per shift)
+    J, n = tab.J, len(s)
     bf = _bern_over_fact(J + 1)
     coef = bf[1:J + 1] * winv ** np.arange(1, 2 * J, 2)
-    tail = np.einsum("...j,jn->...n", coef, tab.poch)
-    dtail = np.einsum("...j,jn->...n", coef, tab.dpoch)
+    tails = coef @ tab.poch
+    tail, dtail = tails[:, :n], tails[:, n:]
     # added to the direct sum term by term in the formula's order (integral,
     # boundary, tail): another order moves depth-3 direct determinants by
     # ~1e-13, their rounding noise
@@ -383,12 +446,10 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
     # the tail's magnitude as |w^-s| sum_j |coef_j| |(s)_(2j-1)|; its
     # derivative's by the triangle inequality
     awms, alqw = np.abs(wms), abs(lqw)
-    acoef = np.abs(coef)
-    atail = np.einsum("...j,jn->...n", acoef, tab.apoch)
-    atail += 0.5
+    atails = np.abs(coef) @ tab.apoch
+    atail = atails[:, :n] + 0.5
     mag += np.abs(t) + awms * atail
-    mag_ds += np.abs(dt) + awms * (
-        np.einsum("...j,jn->...n", acoef, tab.adpoch) + alqw * atail)
+    mag_ds += np.abs(dt) + awms * (atails[:, n:] + alqw * atail)
 
     # first omitted term as remainder estimate, with the classical
     # |s + 2J + 1| / (Re s + 2J + 1) inflation in tab.rem (Re s > -(2J + 1):
@@ -399,11 +460,123 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
     rem *= awms
     rem *= abs(winv) ** (2 * J + 1)
     err, err_ds = _omitted(rem, tab.pk, tab.dpk, alqw)
-    # rounding: each power costs |s| log|base| ulps through exp(-s log b)
-    round_fac = 4e-16 + tab.sround * np.log(abs(w) + 2.0)
     err += round_fac * (mag + 1.0)
     err_ds += round_fac * (mag_ds + 1.0)
     return EmResult(val, dval, err, err_ds)
+
+
+def _exp_sums(s: np.ndarray, z: np.ndarray, N: int, scale: int) -> tuple:
+    """The direct sum sum_(m<N) (m + z/q)^-s, minus its s-derivative's
+    sum_(m<N) log(q m + z) (m + z/q)^-s, and the sums of their moduli, at
+    the nodes s and the shifts z (a column), one exponential per term."""
+    m = np.arange(N, dtype=np.float64)
+    logb = np.log(m + z[..., None] / scale)
+    logd = np.log(scale * m + z[..., None])
+    pw = np.multiply(-s[:, None], logb)
+    np.exp(pw, out=pw)
+    val = pw.sum(axis=-1)
+    # magnitude of everything summed, for the rounding part of the error:
+    # large direct-sum powers cancel against the integral term at negative
+    # Re(s), costing |largest part| * eps of absolute accuracy
+    apw = np.abs(pw)
+    mag = apw.sum(axis=-1)
+    pw *= logd
+    dval = -pw.sum(axis=-1)
+    apw *= np.abs(logd)
+    return val, dval, mag, apw.sum(axis=-1)
+
+
+class _PowerPlan(NamedTuple):
+    """How `_power_sums` builds n^-s for the n <= nmax coprime to q: the
+    table's rows hold n in order of their number k of prime factors, n = 1
+    first and then the primes (log p each), and each later block of rows
+    (lo, hi) is the product of the rows of n's smallest prime factor and
+    of its cofactor.  grid lists the rows of the bases q m + z, m < N,
+    shift by shift, and weights (shifts x 2 x N) holds 1 and log n for
+    each of them."""
+
+    rows: int
+    logp: np.ndarray
+    blocks: tuple
+    grid: np.ndarray
+    weights: np.ndarray
+    kmax: int
+    lognmax: float
+
+
+@lru_cache(maxsize=16)
+def _power_plan(scale: int, shifts: tuple[int, ...],
+                N: int) -> _PowerPlan | None:
+    """The `_PowerPlan` of the positive integer shifts z coprime to q =
+    scale at the split N >= 2, or None where its table or its bases would
+    have more than EM_TERMS rows."""
+    nmax = scale * (N - 1) + max(shifts)
+    if nmax > 4 * EM_TERMS or len(shifts) * N > EM_TERMS:
+        return None
+    n = np.arange(nmax + 1)
+    spf = n.copy()                  # smallest prime factor
+    for p in range(2, math.isqrt(nmax) + 1):
+        if spf[p] == p:
+            np.minimum(spf[p * p::p], p, out=spf[p * p::p])
+    n = n[1:][np.gcd(n[1:], scale) == 1]
+    if n.size > EM_TERMS:
+        return None
+    k = np.zeros_like(n)
+    rest = n.copy()
+    while (more := rest > 1).any():
+        k += more
+        rest[more] //= spf[rest[more]]
+    order = np.lexsort((n, k))
+    n, k = n[order], k[order]
+    row = np.empty(nmax + 1, dtype=np.intp)
+    row[n] = np.arange(n.size)
+    starts = np.searchsorted(k, np.arange(k[-1] + 2))
+    blocks = tuple((lo, hi, row[spf[n[lo:hi]]], row[n[lo:hi] // spf[n[lo:hi]]])
+                   for lo, hi in zip(starts[2:-1], starts[3:]))
+    bases = np.add.outer(shifts, scale * np.arange(N))
+    logb = np.log(bases.astype(np.float64))
+    logp = np.log(n[starts[1]:starts[2]].astype(np.float64))
+    return _PowerPlan(n.size, logp, blocks, row[bases].ravel(),
+                      np.stack((np.ones_like(logb), logb), axis=1),
+                      int(k[-1]), float(logb.max()))
+
+
+def _power_sums(s: np.ndarray, plan: _PowerPlan, scale: int) -> tuple:
+    """What `_exp_sums` returns, for the shifts of plan, with n^-s built
+    from exponentials at the primes alone as n^-s = p^-s (n/p)^-s, and
+    (m + z/q)^-s = q^s (q m + z)^-s.  Each shift's sums are matrix products
+    of its weights with its rows of the table, in node blocks whose table
+    and gathered rows hold at most EM_TERMS entries together."""
+    shifts, _, N = plan.weights.shape
+    sums = np.empty((shifts, 2, len(s)), dtype=np.complex128)
+    asums = np.empty(sums.shape)
+    step = max(1, EM_TERMS // (2 * plan.rows))
+    primes = slice(1, 1 + len(plan.logp))
+    for lo in range(0, len(s), step):
+        part, at = s[lo:lo + step], slice(lo, lo + step)
+        table = np.empty((plan.rows, len(part)), dtype=np.complex128)
+        table[0] = 1.0
+        np.multiply.outer(plan.logp, -part, out=table[primes])
+        np.exp(table[primes], out=table[primes])
+        for a, b, prow, crow in plan.blocks:
+            np.multiply(table[prow], table[crow], out=table[a:b])
+        grid = table[plan.grid].reshape(shifts, N, len(part))
+        sums[..., at] = (plan.weights
+                         @ grid.view(np.float64)).view(np.complex128)
+        # |n^-s| = n^-Re s, read once per distinct Re s (one on a scan line)
+        sig, back = np.unique(part.real, return_inverse=True)
+        moduli = np.exp(np.multiply.outer(plan.weights[:, 1], -sig))
+        asums[..., at] = (plan.weights @ moduli)[..., back]
+    val, dval = sums[:, 0], -sums[:, 1]
+    mag, mag_ds = asums[:, 0], asums[:, 1]
+    if scale > 1:
+        qs = np.exp(s * math.log(scale))
+        val *= qs
+        dval *= qs
+        aqs = np.abs(qs)
+        mag *= aqs
+        mag_ds *= aqs
+    return val, dval, mag, mag_ds
 
 
 @overflow_is_domain_error
@@ -417,7 +590,8 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
     x nodes) arrays for an array of shifts.  The only entry point to the
     Euler-Maclaurin kernel: it feeds `_em_core` chunks of at most EM_CHUNK
     nodes and the chunk's shifts in blocks of at most EM_TERMS direct-sum
-    terms (or one shift).  Every node and shift must be finite, and a value
+    terms (or one shift), or all of them at once on the prime-power path
+    (`_shift_blocks`).  Every node and shift must be finite, and a value
     or derivative that overflows raises DomainError.  A chunk gets J =
     EM_BERNOULLI_TERMS Bernoulli terms, or more where a node has Re(s) <=
     -(2J + 1) (the classical remainder bound needs Re(s) > -(2J + 1)).
@@ -474,7 +648,7 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
             # Re s > -(2J + 1) on every node, where the remainder is bounded
             J = max(EM_BERNOULLI_TERMS,
                     int((-part.real.min() - 1.0) // 2.0) + 1)
-            tab = _node_table(part.tobytes(), J)
+            tab = _NODE_TABLES.get(part, J)
             split = np.ceil(tab.need(scale)) + zmax
             if not (split <= SERIES_MAX_TERMS).all():
                 i = np.argmin(split <= SERIES_MAX_TERMS)
@@ -540,8 +714,18 @@ def _split_groups(split: np.ndarray,
 
 def _shift_blocks(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
                   scale: int, tab: _NodeTable) -> EmResult:
-    """The kernel at the nodes s with split N over the shifts z, in blocks
-    of at most EM_TERMS direct-sum terms (or one shift)."""
+    """The kernel at the nodes s with split N over the shifts z: in one
+    call on the prime-power path, where the split is at least
+    _POWER_MIN_SPLIT and the shifts are positive integers coprime to the
+    scale (zeta, every Dirichlet residue), else in blocks of at most
+    EM_TERMS direct-sum terms (or one shift)."""
+    if N >= _POWER_MIN_SPLIT and not z.imag.any():
+        ints = z.real.astype(np.int64)
+        if (ints == z.real).all() and ints.min() > 0 \
+                and (np.gcd(ints, scale) == 1).all():
+            plan = _power_plan(scale, tuple(ints.tolist()), N)
+            if plan is not None:
+                return _em_core(s, z, N, minus_pole, scale, tab, plan)
     step = max(1, EM_TERMS // (len(s) * N))
     return _joined([_em_core(s, z[b:b + step], N, minus_pole, scale, tab)
                     for b in range(0, len(z), step)], axis=0)
@@ -593,9 +777,11 @@ def _bernoulli_zero_value(r: int, z: complex) -> tuple[complex, np.float64]:
 # Hurwitz zeta at s = 1 - r by the Abel-Plana formula; higher gamma factor
 
 
-# Gauss-Laguerre rule sizes of the Abel-Plana integral: the largest gives
-# the value, the largest gap between consecutive sizes its error
-_ABEL_PLANA_SIZES = (20, 30, 40)
+# Gauss-Laguerre rule sizes of the Abel-Plana integral: the larger gives
+# the value, the gap between the two its error (a third rule of 20 nodes
+# set the claim wherever it was far from converged, up to ~1e5 above the
+# error)
+_ABEL_PLANA_SIZES = (30, 40)
 
 
 def _laguerre_rule_polished(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -683,9 +869,9 @@ def _abel_plana_ds(r: int, a: complex) -> tuple[complex, float]:
     `_abel_plana`), and its error.  At s = 1 - r the integrand is a
     polynomial times logarithms, i [(a - it)^(r-1) log(a - it) - (a +
     it)^(r-1) log(a + it)], and the integral is read from each Laguerre
-    rule of _ABEL_PLANA_SIZES in x = 2 pi t.  The largest rule gives the
-    derivative; its error is the largest gap between consecutive rules plus
-    the rounding floor 50 eps sum |terms|."""
+    rule of _ABEL_PLANA_SIZES in x = 2 pi t.  The larger rule gives the
+    derivative; its error is the gap between the two rules plus the
+    rounding floor 50 eps sum |terms|."""
     offsets, q, starts = _abel_plana_rules()
     with np.errstate(over="ignore", invalid="ignore"):
         u = a + offsets
@@ -699,8 +885,7 @@ def _abel_plana_ds(r: int, a: complex) -> tuple[complex, float]:
     p = a ** (r - 1)
     ds = -0.5 * la * p + a * p * (la - 1.0 / r) / r + quads[-1]
     size += abs(0.5 * la * p) + abs(a * p) * (abs(la) + 1.0 / r) / r
-    err_ds = max(abs(b - c) for b, c in zip(quads[1:], quads)) \
-        + float(_ROUNDOFF) * size
+    err_ds = abs(quads[1] - quads[0]) + float(_ROUNDOFF) * size
     return ds, err_ds
 
 
@@ -726,10 +911,11 @@ _STIRLING = np.array([float(bernoulli_number(2 * j)
 _STIRLING = np.stack((_STIRLING, np.arange(1, 24, 2) * _STIRLING), axis=-1)
 
 
-def _log_gamma_and_psi(z, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _log_gamma_and_psi(z, name: str, psi: bool = True) -> tuple:
     """log Gamma(z) and psi(z) = (log Gamma)'(z) on Re z > 0, elementwise
     as arrays of z's shape, from one shifted Stirling series; DomainError
-    (naming the caller) unless every z is finite with Re z > 0.
+    (naming the caller) unless every z is finite with Re z > 0.  With
+    psi=False the second item is None, and psi's own terms are skipped.
 
     Each z takes the n >= 0 unit steps that bring |z + n| to 12 or past;
     there the first Stirling term omitted after the 12 kept is below
@@ -759,15 +945,16 @@ def _log_gamma_and_psi(z, name: str) -> tuple[np.ndarray, np.ndarray]:
     lg = (w - 0.5) * lw - w + 0.5 * math.log(2.0 * math.pi) \
         + winv * series[..., 0]
     lg -= np.log(shifted, where=used, out=np.zeros_like(shifted)).sum(axis=-1)
-    psi = lw - winv * (0.5 + winv * series[..., 1]) - np.divide(
+    if not psi:
+        return lg, None
+    return lg, lw - winv * (0.5 + winv * series[..., 1]) - np.divide(
         1.0, shifted, where=used, out=np.zeros_like(shifted)).sum(axis=-1)
-    return lg, psi
 
 
 def log_gamma(z):
     """Principal branch of log Gamma on Re(z) > 0, at a scalar z or
     elementwise over an array (`_log_gamma_and_psi`)."""
-    out = _log_gamma_and_psi(z, "log_gamma")[0]
+    out = _log_gamma_and_psi(z, "log_gamma", psi=False)[0]
     return complex(out) if out.ndim == 0 else out
 
 

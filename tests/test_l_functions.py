@@ -5,6 +5,7 @@ small modulus via Hurwitz zeta combinations.
 """
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -29,6 +30,7 @@ from polydet import (
     determinant_closed,
     determinant_direct,
     dirichlet_character_by_index,
+    erh_monodromy_defect,
     kronecker_character,
     l_log_derivative,
     l_value,
@@ -36,7 +38,7 @@ from polydet import (
     root_number,
     trivial_character,
 )
-from polydet import special_functions
+from polydet import poly_l, special_functions
 from polydet.l_functions import _ideal_arrays, _l_and_ds, _prime_power_sum
 from polydet.special_functions import EM_CHUNK, hurwitz_zeta_em, log_gamma
 
@@ -375,8 +377,9 @@ def test_large_batches_reach_the_kernel_in_chunks(monkeypatch):
 
 
 def test_dirichlet_residues_reach_the_kernel_in_shift_blocks(monkeypatch):
-    # chi_-23 has 22 residues; 150 nodes are two chunks, and each chunk
-    # sends its residues in blocks of at most EM_TERMS direct-sum terms
+    # chi_-23 has 22 residues; EM_CHUNK + 22 nodes are two chunks, and
+    # each chunk sends its residues in blocks of at most EM_TERMS
+    # direct-sum terms
     calls = []
     core = special_functions._em_core
 
@@ -385,11 +388,11 @@ def test_dirichlet_residues_reach_the_kernel_in_shift_blocks(monkeypatch):
         return core(s, z, N, *args)
 
     monkeypatch.setattr(special_functions, "_em_core", spy)
-    s = 2.0 + np.exp(np.linspace(-4.0, 4.4, 150)) + 0.5j
+    s = 2.0 + np.exp(np.linspace(-4.0, 4.4, EM_CHUNK + 22)) + 0.5j
     out = l_log_derivative(Q, CHI23, s)
     assert out.shape == s.shape and np.isfinite(out).all()
     chunks = sorted({(n, N) for n, _, N in calls})
-    assert [n for n, _ in chunks] == [150 - EM_CHUNK, EM_CHUNK]
+    assert [n for n, _ in chunks] == [22, EM_CHUNK]
     want = sum(math.ceil(22 / (special_functions.EM_TERMS // (n * N)))
                for n, N in chunks)
     assert len(calls) == want < 44
@@ -437,12 +440,42 @@ def test_split_cuts_add_no_kernel_call_on_a_scan_grid_or_the_hankel_ray(
     monkeypatch.setattr(special_functions, "_split_groups", spy_groups)
     grid = 0.5 + 1j * np.arange(0.0, 200.0 + 0.05, 0.05)
     assert np.isfinite(completed_lambda(Q, TRIV, grid)).all()
-    assert len(calls) == math.ceil(grid.size / EM_CHUNK) == 32
+    assert len(calls) == math.ceil(grid.size / EM_CHUNK)
     calls.clear()
     chunks.clear()
     determinant_direct(Q, TRIV, 2, 2.0)
     assert len(calls) == len(chunks) > 0
     assert not any(chunks)
+
+
+def test_long_paths_stay_within_a_memory_bound(monkeypatch):
+    # the monodromy loop of the strip benchmark (~6,000 L-value nodes on
+    # the rectangle [0.6, 0.9] x [-30, 30]) and 512 chi_-23 nodes at
+    # height 200 (22 residues, split ~85, on the prime-power path): the
+    # node-table cache holds at most _NODE_CACHE_BYTES, and a kernel
+    # call's arrays grow with its shifts x nodes.  Measured peaks: 1.6 and
+    # 3.4 MB (1.5 and 1.3 at 128-node chunks); with 512-node chunks and a
+    # cache of eight such tables the loop peaked at 5.2 MB
+    seen = []
+    l_value_of_loop = poly_l.l_value
+
+    def spy(fld, chi, s):
+        seen.append(np.array(s))
+        return l_value_of_loop(fld, chi, s)
+    monkeypatch.setattr(poly_l, "l_value", spy)
+    erh_monodromy_defect(Q, TRIV, PathSpec.rectangle(0.6, 0.9, -30.0, 30.0))
+    loop = np.concatenate(seen)
+    assert loop.size > 6000
+    high = 0.5 + 1j * np.linspace(199.0, 201.0, EM_CHUNK)
+    for chi, s, bound_mb in ((TRIV, loop, 2.5), (CHI23, high, 5.0)):
+        l_value(Q, chi, s[:2])          # plans, rules and imports first
+        tracemalloc.start()
+        try:
+            l_value(Q, chi, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2 ** 20, (chi, peak)
 
 
 @pytest.mark.parametrize("disc, s, want", [

@@ -211,14 +211,15 @@ def test_abel_plana_within_claims_against_mpmath(r):
             <= em.err_value, (r, w)
         scale = max(1.0, abs(want))
         if r <= 4:
-            # 1.1e-12 at most on this grid
+            # 1.8e-13 at most on this grid
             assert em.err_ds <= 1e-11 * scale, (r, w)
         if r <= 20:
-            # the 20-node rule's gap sets the claim: near the poles of
-            # 1 / (e^(2 pi t) - 1) at t = +-i the integrand is of size
-            # |w + 1|^(r-1); the claims reach 1.4e-6 relative at w = 2,
-            # r = 18, where the error is 1.6e-11 relative
-            assert em.err_ds <= 2e-6 * scale, (r, w)
+            # the gap of the 30- and 40-node rules sets the claim: near the
+            # poles of 1 / (e^(2 pi t) - 1) at t = +-i the integrand is of
+            # size |w + 1|^(r-1); the claims reach 1.9e-9 relative at w = 2,
+            # r = 18, where the error is 1.6e-11 relative (1.4e-6 while a
+            # 20-node rule's gap counted too)
+            assert em.err_ds <= 1e-8 * scale, (r, w)
 
 
 @pytest.mark.parametrize("z", [0.05, 0.1, 0.2, 0.05 + 1.0j, 0.3 - 2.0j])
@@ -490,3 +491,128 @@ def test_split_past_cap_or_pochhammer_overflow_is_a_domain_error(s):
     # is infinite; at Im s = 2e7 the split is ~3e6 > SERIES_MAX_TERMS
     with pytest.raises(DomainError):
         hurwitz_zeta_em(s, 1.0)
+
+
+# nodes whose split is past _POWER_MIN_SPLIT, from Re s = -3 to 3
+POWER_NODES = np.array([complex(re, im) for im in (100.0, 300.0, 1000.0)
+                        for re in (-3.0, 0.5, 3.0)])
+
+
+@pytest.mark.parametrize("q, shifts, checked", [
+    (1, (1,), (1,)),                        # zeta
+    (4, (1, 3), (1, 3)),                    # chi_-4
+    (23, tuple(range(1, 23)), (1, 5, 22)),  # chi_-23
+])
+def test_prime_power_direct_sum_within_claims(monkeypatch, q, shifts,
+                                              checked):
+    # every residue of a Dirichlet character (and zeta's shift 1) takes the
+    # prime-power path at these heights; it agrees with the exponential
+    # path within the sum of both claims, and with mpmath within its own
+    # claim (mpmath on a few residues of chi_-23 only, for time)
+    plans = []
+    core = special_functions._em_core
+
+    def spy(*args):
+        plans.append(args[6] if len(args) > 6 else None)
+        return core(*args)
+    monkeypatch.setattr(special_functions, "_em_core", spy)
+    z = np.array(shifts, dtype=float)
+    em = hurwitz_zeta_em(POWER_NODES, z, minus_pole=q > 1, scale=q)
+    assert plans and all(p is not None for p in plans)
+    monkeypatch.setattr(special_functions, "_POWER_MIN_SPLIT", 10 ** 9)
+    plans.clear()
+    ex = hurwitz_zeta_em(POWER_NODES, z, minus_pole=q > 1, scale=q)
+    assert plans and all(p is None for p in plans)
+    assert (np.abs(em.value - ex.value) <= em.err_value + ex.err_value).all()
+    assert (np.abs(em.ds - ex.ds) <= em.err_ds + ex.err_ds).all()
+    with mp.workdps(20):
+        for i, a in enumerate(shifts):
+            if a not in checked:
+                continue
+            for j, u in enumerate(POWER_NODES):
+                s, x = mp.mpc(u.real, u.imag), mp.mpf(a) / q
+                want, dwant = mp.zeta(s, x), mp.zeta(s, x, 1)
+                # ds is that of q^-s zeta(s, a/q), divided by q^-s
+                dwant -= mp.log(q) * want
+                if q > 1:    # minus the pole 1/(s - 1)
+                    want -= 1 / (s - 1)
+                    dwant += 1 / (s - 1) ** 2 + mp.log(q) / (s - 1)
+                assert abs(em.value[i, j] - complex(want)) \
+                    <= em.err_value[i, j], (a, u)
+                assert abs(em.ds[i, j] - complex(dwant)) \
+                    <= em.err_ds[i, j], (a, u)
+
+
+def test_power_plan_covers_the_bases_and_their_factors():
+    # the table's rows are the n <= q (N - 1) + max z coprime to q, ordered
+    # by their number of prime factors; each product block multiplies the
+    # rows of a prime and of a cofactor already built
+    plan = special_functions._power_plan(4, (1, 3), 30)
+    n = np.exp(np.concatenate(([0.0], plan.logp))).round()
+    assert n[0] == 1 and all(_is_prime(int(p)) for p in n[1:])
+    assert plan.rows == 2 * 30 and plan.grid.size == 2 * 30
+    built = 1 + plan.logp.size
+    for lo, hi, prow, crow in plan.blocks:
+        assert lo == built and (prow < lo).all() and (crow < lo).all()
+        built = hi
+    assert built == plan.rows
+    assert plan.kmax == 4                      # 81 = 3^4 <= 119
+    bases = np.add.outer((1, 3), 4 * np.arange(30)).ravel()
+    assert np.array_equal(plan.weights[:, 1].ravel(), np.log(bases))
+    # past EM_TERMS rows a node the kernel keeps its exponentials
+    assert special_functions._power_plan(163, tuple(range(1, 163)),
+                                         400) is None
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("nodes", [
+    [0.5 + 14.0j, 2.5 - 40.0j, 7.25, -3.5 + 0.25j],
+    # at and next to nonpositive integers, where the product rule runs
+    [0.0, -2.0, -2.0 + 1e-12, -7.0 + 1e-9j, -1.0 - 1e-300j, -39.0],
+])
+def test_odd_order_pochhammer_table_against_mpmath(nodes):
+    # (s)_k and d/ds (s)_k at k = 1, 3, .., 2J - 1 side by side, and the
+    # moduli of order 2J + 1, against mpmath rising factorials and their
+    # numerical s-derivatives at 50 digits
+    J = special_functions.EM_BERNOULLI_TERMS
+    s = np.array(nodes, dtype=np.complex128)
+    # the kernel builds its tables where 1/s may be infinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tab = special_functions._build_node_table(s, J)
+    n = len(nodes)
+    assert tab.poch.shape == (J, 2 * n) == tab.apoch.shape
+    assert np.array_equal(tab.apoch, np.abs(tab.poch))
+    for i, u in enumerate(nodes):
+        x = mp.mpc(u)
+        for j, k in enumerate(range(1, 2 * J + 2, 2)):
+            want = mp.rf(x, k)
+            dwant = mp.diff(lambda y: mp.rf(y, k), x)
+            if j < J:
+                got, dgot = tab.poch[j, i], tab.poch[j, n + i]
+            else:
+                got, dgot = tab.pk[i], tab.dpk[i]
+                want, dwant = abs(want), abs(dwant)
+            assert abs(got - complex(want)) <= 1e-13 * abs(want), (u, k)
+            assert abs(dgot - complex(dwant)) <= 1e-13 * abs(dwant), (u, k)
+
+
+def test_node_tables_stay_within_their_byte_budget():
+    # the cache keeps the most recently used tables up to
+    # _NODE_CACHE_BYTES, always the newest, and a full chunk's table alone
+    # fits, so the L-value pieces of one chunk share it
+    cache = special_functions._NODE_TABLES
+    for lo in range(4):
+        hurwitz_zeta_em(2.0 + 1j * np.arange(lo, lo + 1.0, 1.0
+                                             / special_functions.EM_CHUNK),
+                        1.0)
+        assert len(cache.tables[next(reversed(cache.tables))].s) \
+            == special_functions.EM_CHUNK
+        assert cache.nbytes <= special_functions._NODE_CACHE_BYTES
+    assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
+    small = np.array([-1.0 + 0j])
+    hurwitz_zeta_em(small, 2.5)
+    key = (small.tobytes(), special_functions.EM_BERNOULLI_TERMS)
+    assert next(reversed(cache.tables)) == key
