@@ -38,7 +38,7 @@ bounds use the first omitted term with the classical |s + 2J + 1| / (Re s
 which that bound is below 1e-16 (about 0.4 |Im s| high in the strip), plus
 ceil|z|.  The rounding floor charges each direct-sum power |s| eps per unit
 of log|base|; a power built from k prime factors and rescaled by q^s
-carries |s| eps (log n + log q) + 2 k eps.
+carries |s| eps (log n + log q) + k eps.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ EM_TERMS = 25 * 1024
 # tail (N ~ 9 on 41-126 nodes) keep their exponentials: taken from N = 8,
 # the path slowed the `euler` and `hankel` benchmarks, and the rounding it
 # moved cost the `hankel` xi readings 0.09 digits.  Zero scans (N ~ 60-90)
-# take it.
-_POWER_MIN_SPLIT = 24
+# and the longer splits of a contour in the strip (N ~ 12-27) take it.
+_POWER_MIN_SPLIT = 12
 # Largest first omitted Bernoulli term a split admits, absolute: a quarter
 # of the kernel's 4e-16 (mag + 1) rounding floor, so truncation never sets
 # an error bound.
@@ -344,14 +344,15 @@ def _build_node_table(s: np.ndarray, J: int) -> _NodeTable:
     # place: a and b in turn, then a b and a + b = 2 b - 1
     table = np.empty((J + 1, 2 * n), dtype=np.complex128)
     poch, dpoch = table[:, :n], table[:, n:]
-    np.add(s, np.arange(1.0, 2 * J, 2)[:, None], out=poch[1:])
-    np.add(poch[1:], 1.0, out=dpoch[1:])
-    poch[1:] *= dpoch[1:]
-    dpoch[1:] *= 2.0
-    dpoch[1:] -= 1.0
+    ab, apb = poch[1:], dpoch[1:]
+    np.add(s, np.arange(1.0, 2 * J, 2)[:, None], out=ab)
+    np.add(ab, 1.0, out=apb)
+    ab *= apb
+    apb *= 2.0
+    apb -= 1.0
     poch[0] = s
-    np.divide(1.0, s, out=dpoch[0])
-    dpoch[1:] /= poch[1:]
+    dpoch[0] = 1.0
+    dpoch /= poch
     np.cumprod(poch, axis=0, out=poch)
     np.cumsum(dpoch, axis=0, out=dpoch)
     # an infinite or NaN reciprocal leaves its column's total non-finite
@@ -365,7 +366,7 @@ def _build_node_table(s: np.ndarray, J: int) -> _NodeTable:
             d, p = d * f + p * (2 * u + 2 * k - 1), p * f
             col.append(d)
         dpoch[:, i] = col
-    atable = np.abs(table[:J])
+    atable = np.abs(table)
     for t in (table, atable):
         t.flags.writeable = False
     K = 2 * J + 1
@@ -373,8 +374,8 @@ def _build_node_table(s: np.ndarray, J: int) -> _NodeTable:
     rem /= s.real + K
     np.minimum(rem, 10.0, out=rem)
     rem *= 6.0 * abs(_bern_over_fact(J + 1)[J + 1])
-    return _NodeTable(s, J, table[:J], atable, np.abs(poch[J]),
-                      np.abs(dpoch[J]), rem, _EPS * np.abs(s), {})
+    return _NodeTable(s, J, table[:J], atable[:J], atable[J, :n],
+                      atable[J, n:], rem, _EPS * np.abs(s), {})
 
 
 def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
@@ -402,13 +403,14 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
         val, dval, mag, mag_ds = _exp_sums(s, z, N, scale)
         # each power costs |s| log|base| ulps through exp(-s log b)
         round_fac = 4e-16 + tab.sround * np.log(abs(w) + 2.0)
+        perr = perr_ds = 0.0
     else:
-        val, dval, mag, mag_ds = _power_sums(s, plan, scale)
-        # a power of k prime factors costs |s| log n ulps through the
-        # exponentials and ~2 eps a factor through them and the products,
-        # and the rescaling q^s another |s| log q
-        round_fac = 4e-16 + 2.0 * plan.kmax * _EPS \
-            + tab.sround * (plan.lognmax + math.log(scale))
+        val, dval, mag, mag_ds, perr, perr_ds = _power_sums(s, plan, scale)
+        # a power n^-s costs |s| log n ulps through the exponentials at its
+        # primes, the rescaling q^s another |s| log q, and its k prime
+        # factors k eps through their exponentials and products: the floor
+        # charges one, perr the other k - 1
+        round_fac = 4e-16 + tab.sround * (plan.lognmax + math.log(scale))
     lw = np.log(w)
     lqw = np.log(scale * N + z)   # log(q w)
     winv = 1.0 / w
@@ -460,8 +462,8 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
     rem *= awms
     rem *= abs(winv) ** (2 * J + 1)
     err, err_ds = _omitted(rem, tab.pk, tab.dpk, alqw)
-    err += round_fac * (mag + 1.0)
-    err_ds += round_fac * (mag_ds + 1.0)
+    err += round_fac * (mag + 1.0) + perr
+    err_ds += round_fac * (mag_ds + 1.0) + perr_ds
     return EmResult(val, dval, err, err_ds)
 
 
@@ -492,15 +494,15 @@ class _PowerPlan(NamedTuple):
     first and then the primes (log p each), and each later block of rows
     (lo, hi) is the product of the rows of n's smallest prime factor and
     of its cofactor.  grid lists the rows of the bases q m + z, m < N,
-    shift by shift, and weights (shifts x 2 x N) holds 1 and log n for
-    each of them."""
+    shift by shift, and weights (shifts x 4 x N) holds 1, log n, (k - 1)
+    eps and (k - 1) eps log n for each of them, k the number of prime
+    factors of n."""
 
     rows: int
     logp: np.ndarray
     blocks: tuple
     grid: np.ndarray
     weights: np.ndarray
-    kmax: int
     lognmax: float
 
 
@@ -535,10 +537,11 @@ def _power_plan(scale: int, shifts: tuple[int, ...],
                    for lo, hi in zip(starts[2:-1], starts[3:]))
     bases = np.add.outer(shifts, scale * np.arange(N))
     logb = np.log(bases.astype(np.float64))
+    keps = _EPS * np.maximum(k[row[bases]] - 1, 0)
     logp = np.log(n[starts[1]:starts[2]].astype(np.float64))
     return _PowerPlan(n.size, logp, blocks, row[bases].ravel(),
-                      np.stack((np.ones_like(logb), logb), axis=1),
-                      int(k[-1]), float(logb.max()))
+                      np.stack((np.ones_like(logb), logb, keps, keps * logb),
+                               axis=1), float(logb.max()))
 
 
 def _power_sums(s: np.ndarray, plan: _PowerPlan, scale: int) -> tuple:
@@ -546,10 +549,12 @@ def _power_sums(s: np.ndarray, plan: _PowerPlan, scale: int) -> tuple:
     from exponentials at the primes alone as n^-s = p^-s (n/p)^-s, and
     (m + z/q)^-s = q^s (q m + z)^-s.  Each shift's sums are matrix products
     of its weights with its rows of the table, in node blocks whose table
-    and gathered rows hold at most EM_TERMS entries together."""
+    and gathered rows hold at most EM_TERMS entries together.  Also the
+    rounding the prime factors past the first add, eps sum (k - 1) |n^-s|
+    and the same with log n."""
     shifts, _, N = plan.weights.shape
     sums = np.empty((shifts, 2, len(s)), dtype=np.complex128)
-    asums = np.empty(sums.shape)
+    asums = np.empty((shifts, 4, len(s)))
     step = max(1, EM_TERMS // (2 * plan.rows))
     primes = slice(1, 1 + len(plan.logp))
     for lo in range(0, len(s), step):
@@ -561,22 +566,19 @@ def _power_sums(s: np.ndarray, plan: _PowerPlan, scale: int) -> tuple:
         for a, b, prow, crow in plan.blocks:
             np.multiply(table[prow], table[crow], out=table[a:b])
         grid = table[plan.grid].reshape(shifts, N, len(part))
-        sums[..., at] = (plan.weights
+        sums[..., at] = (plan.weights[:, :2]
                          @ grid.view(np.float64)).view(np.complex128)
         # |n^-s| = n^-Re s, read once per distinct Re s (one on a scan line)
         sig, back = np.unique(part.real, return_inverse=True)
         moduli = np.exp(np.multiply.outer(plan.weights[:, 1], -sig))
         asums[..., at] = (plan.weights @ moduli)[..., back]
     val, dval = sums[:, 0], -sums[:, 1]
-    mag, mag_ds = asums[:, 0], asums[:, 1]
     if scale > 1:
         qs = np.exp(s * math.log(scale))
         val *= qs
         dval *= qs
-        aqs = np.abs(qs)
-        mag *= aqs
-        mag_ds *= aqs
-    return val, dval, mag, mag_ds
+        asums *= np.abs(qs)
+    return (val, dval, *asums.transpose(1, 0, 2))
 
 
 @overflow_is_domain_error

@@ -470,10 +470,15 @@ def test_hurwitz_pinned_values_within_claims(s, a, q, value, ds):
 @settings(max_examples=25, deadline=None)
 @given(nodes=st.lists(node, min_size=2, max_size=12))
 @example(nodes=[-5.397 - 0.809j, 3.0 + 30.0j])
+@example(nodes=[-0.2 + 0j, -5.0 - 30.0j])
 def test_batched_node_within_10x_of_its_error_alone(nodes):
     # a chunk is cut where its nodes' splits differ, so no node pays for a
     # batch-mate's larger split: left of 0 a shared split 51 against its
-    # own 22 once cost zeta(-5.397 - 0.809i) ~400x
+    # own 22 once cost zeta(-5.397 - 0.809i) ~400x.  Batched with -5 - 30i,
+    # -0.2 shares a split on the prime-power path, whose floor charges eps
+    # for each prime factor of a term past the first: 8.0x (9.3x when it
+    # charged every factor, and up to 32x at s ~ 0 when it charged twice
+    # the largest count to every term)
     assume(all(abs(u - 1.0) > 1e-3 for u in nodes))
     em = hurwitz_zeta_em(np.array(nodes, dtype=np.complex128), 1.0)
     for i, u in enumerate(nodes):
@@ -549,23 +554,33 @@ def test_power_plan_covers_the_bases_and_their_factors():
     # rows of a prime and of a cofactor already built
     plan = special_functions._power_plan(4, (1, 3), 30)
     n = np.exp(np.concatenate(([0.0], plan.logp))).round()
-    assert n[0] == 1 and all(_is_prime(int(p)) for p in n[1:])
+    assert n[0] == 1 and all(_omega(int(p)) == 1 for p in n[1:])
     assert plan.rows == 2 * 30 and plan.grid.size == 2 * 30
     built = 1 + plan.logp.size
     for lo, hi, prow, crow in plan.blocks:
         assert lo == built and (prow < lo).all() and (crow < lo).all()
         built = hi
     assert built == plan.rows
-    assert plan.kmax == 4                      # 81 = 3^4 <= 119
     bases = np.add.outer((1, 3), 4 * np.arange(30)).ravel()
     assert np.array_equal(plan.weights[:, 1].ravel(), np.log(bases))
+    # the rounding weight of each base is eps per prime factor past the
+    # first (81 = 3^4; 1 has none)
+    k = plan.weights[:, 2].ravel() / special_functions._EPS + 1
+    assert np.array_equal(k, [max(_omega(int(b)), 1) for b in bases])
+    assert k.max() == 4
     # past EM_TERMS rows a node the kernel keeps its exponentials
     assert special_functions._power_plan(163, tuple(range(1, 163)),
                                          400) is None
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+def _omega(n: int) -> int:
+    """The number of prime factors of n, with multiplicity."""
+    k, d = 0, 2
+    while n > 1:
+        while n % d == 0:
+            n, k = n // d, k + 1
+        d += 1
+    return k
 
 
 @pytest.mark.parametrize("nodes", [
