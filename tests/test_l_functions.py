@@ -453,9 +453,9 @@ def test_long_paths_stay_within_a_memory_bound(monkeypatch):
     # the rectangle [0.6, 0.9] x [-30, 30]) and 512 chi_-23 nodes at
     # height 200 (22 residues, split ~85, on the prime-power path): the
     # node-table cache holds at most _NODE_CACHE_BYTES, and a kernel
-    # call's arrays grow with its shifts x nodes.  Measured peaks: 1.6 and
-    # 3.4 MB (1.5 and 1.3 at 128-node chunks); with 512-node chunks and a
-    # cache of eight such tables the loop peaked at 5.2 MB
+    # call's arrays grow with its shifts x nodes.  Measured peaks: 1.4 and
+    # 3.6 MB (1.5 and 1.3 at 128-node chunks); with 512-node chunks and a
+    # cache of eight such tables the loop peaked at ~5 MB
     seen = []
     l_value_of_loop = poly_l.l_value
 
