@@ -30,8 +30,8 @@ from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_SERIES_MIN_RE, PathSpec, _check_pair,
                           _ideal_arrays, _prime_power_sum, l_log_derivative,
                           l_value)
-from .quadrature import (_ROUNDOFF, integrate_polyline, laguerre_rule,
-                         tracked_log_polyline)
+from .quadrature import (_ROUNDOFF, _read_only, integrate_polyline,
+                         laguerre_rule, tracked_log_polyline)
 from .special_functions import Result
 from .zero_data import scan_ordinates
 
@@ -50,7 +50,9 @@ __all__ = [
 _EULER_NORM = 1000
 _LOG_X = math.log(_EULER_NORM)
 # Laguerre rule sizes: the larger gives the tail, the gap to the smaller
-# its error; nodes below _MIN_WEIGHT of a rule's largest weight are dropped
+# its error.  A node below _MIN_WEIGHT of a rule's largest weight is dropped
+# unread: (L'/L)_X falls as e^-x where v e^x grows, so its term is below
+# that share of the largest, far under the rounding floor
 _LAGUERRE_SIZES = (20, 30)
 _MIN_WEIGHT = 1e-19
 # Laguerre nodes per block of the tail's (nodes x ideals) correction: 16 x
@@ -72,7 +74,7 @@ def _tail_rules(r: int) -> tuple[np.ndarray, np.ndarray, int]:
         keep = v >= _MIN_WEIGHT * v.max()
         xs.append(x[keep])
         ws.append(np.exp(np.log(v[keep]) + x[keep]))   # e^x alone may overflow
-    return np.concatenate(xs), np.concatenate(ws), len(xs[0])
+    return *_read_only(np.concatenate(xs), np.concatenate(ws)), len(xs[0])
 
 
 @overflow_is_domain_error

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, overflow_is_domain_error
-from .quadrature import _ROUNDOFF, laguerre_rule
+from .quadrature import _ROUNDOFF, _read_only, laguerre_rule
 
 __all__ = [
     "bernoulli_number",
@@ -786,39 +786,18 @@ def _bernoulli_zero_value(r: int, z: complex) -> tuple[complex, np.float64]:
 _ABEL_PLANA_SIZES = (30, 40)
 
 
-def _laguerre_rule_polished(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss rule of the weight e^-x with every weight to full
-    relative accuracy.  Golub-Welsch (`laguerre_rule`) leaves each weight
-    an absolute error of order eps, far above the smallest weights: its
-    last weight of 40 reads 1.3e-47 for 2.7e-61, which at depth r = 30
-    (integrand ~ t^29) moves the sum by 1e-9 relative.  Here its nodes get
-    two Newton steps on L_n (L_n' = n (L_n - L_(n-1)) / x), and the weights
-    are the Christoffel numbers 1 / sum_(k<n) L_k(x)^2 (the L_k are
-    orthonormal for e^-x), a sum of squares that nothing cancels."""
-    x = laguerre_rule(n, 0.0)[0].copy()
-    for step in range(3):
-        lo, hi = np.zeros_like(x), np.ones_like(x)     # L_(k-1), L_k
-        squares = np.zeros_like(x)
-        for k in range(n):
-            squares += hi * hi
-            lo, hi = hi, ((2 * k + 1 - x) * hi - k * lo) / (k + 1)
-        if step < 2:
-            x -= x * hi / (n * (hi - lo))
-    return x, 1.0 / squares
-
-
 @lru_cache(maxsize=1)
 def _abel_plana_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Laguerre rules of _ABEL_PLANA_SIZES in x = 2 pi t, concatenated:
     the offsets -it and then it of their nodes, weights q over 2 pi (1 -
     e^-x), so that int_0^inf f(t) / (e^(2 pi t) - 1) dt ~ sum q f(t), and
-    where each rule starts.  Built on first use, not at import."""
-    xs, ws = zip(*map(_laguerre_rule_polished, _ABEL_PLANA_SIZES))
+    where each rule starts.  Built on first use, not at import; read-only."""
+    xs, ws = zip(*(laguerre_rule(n, 0.0) for n in _ABEL_PLANA_SIZES))
     x = np.concatenate(xs)
     q = np.concatenate(ws) / (-2.0 * math.pi * np.expm1(-x))
     it = 1j * x / (2.0 * math.pi)
-    return (np.concatenate((-it, it)), q,
-            np.cumsum((0,) + _ABEL_PLANA_SIZES[:-1]))
+    return _read_only(np.concatenate((-it, it)), q,
+                      np.cumsum((0,) + _ABEL_PLANA_SIZES[:-1]))
 
 
 @overflow_is_domain_error

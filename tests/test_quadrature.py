@@ -1,23 +1,28 @@
-"""Polyline quadrature: the Gauss-Kronrod rule, exactness on polynomials,
-residues on closed loops, local refinement, branch tracking, the rounding
-floor of the error estimate, and the one non-convergence policy of both
-entry points.
+"""Polyline quadrature: the Gauss-Kronrod rule, the Laguerre rules and
+their one builder, exactness on polynomials, residues on closed loops, local
+refinement, branch tracking, the rounding floor of the error estimate, and
+the one non-convergence policy of both entry points.
 
 Integrands take the array of a pass's nodes and return an array."""
 import cmath
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_genlaguerre
 
-from polydet import (DEFAULT_CONFIG, NumberField, trivial_character,
-                     xi_hankel)
+import polydet
+from polydet import (DEFAULT_CONFIG, NumberField, determinant_closed,
+                     determinant_direct, milnor_gamma, poly_l, quadrature,
+                     special_functions, trivial_character, xi_hankel)
 from polydet.errors import (BranchStepTooLarge, DomainError,
                             QuadratureNotConverged)
 from polydet.quadrature import (integrate_polyline, kronrod_rule,
-                                tracked_log_polyline)
+                                laguerre_rule, tracked_log_polyline)
 
 SQUARE = (-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)
 UNREACHABLE = DEFAULT_CONFIG.with_updates(quad_tol=1e-30, max_refinements=1)
@@ -42,6 +47,60 @@ def test_kronrod_rule_exact_to_degree_31_and_gauss_subset_is_leggauss():
     assert np.abs(x[1::2] - gx).max() < 1e-15
     assert np.abs(wg[1::2] - gw).max() < 1e-15 and not wg[::2].any()
     assert (wk > 0).all() and (np.diff(x) > 0).all()
+
+
+# The reference rules, at 40 digits: scipy's nodes, each polished by three
+# Newton steps on L_n^(alpha), whose derivative is -L_(n-1)^(alpha+1), and
+# the classical weights, divided by Gamma(alpha + 1) as the rule's are:
+#   x += mp.laguerre(n, alpha, x) / mp.laguerre(n - 1, alpha + 1, x)
+#   w = mp.gamma(n + alpha + 1) / (mp.factorial(n) * mp.gamma(alpha + 1)
+#                                  * x * mp.laguerre(n - 1, alpha + 1, x) ** 2)
+# Golub-Welsch weights were off by 0.78 relative at n = 30, alpha = 1
+@pytest.mark.parametrize("alpha", [0, 1, 3, 29])
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_laguerre_rule_to_full_relative_accuracy(n, alpha):
+    want_x, want_w = [], []
+    with mp.workdps(40):
+        scale = mp.gamma(n + alpha + 1) / (mp.factorial(n)
+                                           * mp.gamma(alpha + 1))
+        for start in roots_genlaguerre(n, alpha)[0]:
+            x = mp.mpf(start)
+            for _ in range(3):
+                x += mp.laguerre(n, alpha, x) \
+                    / mp.laguerre(n - 1, alpha + 1, x)
+            want_x.append(float(x))
+            want_w.append(float(scale / (x * mp.laguerre(n - 1, alpha + 1,
+                                                         x) ** 2)))
+    x, w = laguerre_rule(n, float(alpha))
+    assert np.abs(x / want_x - 1.0).max() <= 1e-14
+    assert np.abs(w / want_w - 1.0).max() <= 2e-14
+
+
+def test_cached_rules_are_read_only():
+    shared = (*laguerre_rule(20, 1.0), *special_functions._abel_plana_rules(),
+              *poly_l._tail_rules(2)[:2], quadrature._X, quadrature._WK,
+              quadrature._WG, quadrature._W)
+    for rule in shared:
+        with pytest.raises(ValueError):
+            rule[0] = 0.0
+
+
+def test_rules_need_no_eigensolver(monkeypatch):
+    src = Path(polydet.__file__).parent
+    assert not [p.name for p in src.glob("*.py") if "linalg" in p.read_text()]
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolver)
+    for cached in (laguerre_rule, special_functions._abel_plana_rules,
+                   poly_l._tail_rules):
+        cached.cache_clear()
+    Q = NumberField.rational()
+    kronrod_rule(10)
+    determinant_direct(Q, trivial_character(Q), 2, 2.0)
+    determinant_closed(Q, trivial_character(Q), 2, 2.0)
+    milnor_gamma(3, 1.5)
 
 
 @settings(max_examples=40, deadline=None)
