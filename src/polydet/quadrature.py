@@ -15,9 +15,9 @@ I the current sum of the panels' Kronrod values in path order; the other
 panels are bisected.  The error a panel reports is max(|K - G|,
 50 eps sum |w_K f|): the difference floored by the rounding of the
 integrand's own values (QUADPACK's roundoff term), so a systematic error in
-every node is charged too.  The floor does not hold a panel open: it halves
-with the panel, as the panel's share does, so bisection could not settle
-it.  The error estimate is the sum of the panel errors.
+every node is charged too.  The error estimate is the sum of the panel
+errors, and one above max(tol, tol |I|), which bisection cannot lower
+once every panel has settled, raises QuadratureNotConverged.
 
 Branch tracking keeps the logarithm of every panel's node values in path
 order, walks the branch over all of them again on each pass, and also
@@ -209,9 +209,12 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
         blocked = step >= 0.5 * math.pi
         open_ = blocked | (diff > share * max(tol, tol * abs(value)))
         if not open_.any():
-            err = np.maximum(diff, _ROUNDOFF * np.abs(half)
-                             * (np.abs(f) @ _WK))
-            return QuadResult(value, float(err.sum()), passes, lo.size)
+            err = float(np.maximum(diff, _ROUNDOFF * np.abs(half)
+                                   * (np.abs(f) @ _WK)).sum())
+            if err > max(tol, tol * abs(value)):
+                raise QuadratureNotConverged(
+                    f"error {err:.3e} (rounding floor) above tol {tol:.1e}")
+            return QuadResult(value, err, passes, lo.size)
         stuck = open_ & (depth >= cfg.max_refinements)
         if (stuck & blocked).any():
             raise BranchStepTooLarge(

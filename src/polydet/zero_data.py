@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +44,11 @@ _SPARE_GRAM = 8
 # interval, then at doubling density up to 2^8
 _FIRST_DOUBLINGS = 3
 _MAX_DOUBLINGS = 8
-# cap on the safeguarded Newton steps per batch of Gram points, and per
-# batch of Hermite cubics that start the refinement of Z's sign changes
+# theta's sample step: from half-unit brackets, three theta calls settle
+# every Gram point (from unit brackets, chi_8's first to 1000 took four)
+_THETA_STEP = 0.5
+# cap on the safeguarded Newton steps per batch of Hermite cubics, which
+# start `_newton_refine` at Gram points and at Z's sign changes
 _NEWTON_STEPS = 30
 _Q = NumberField.rational()
 
@@ -193,26 +197,27 @@ def _hermite_root(f0: np.ndarray, f1: np.ndarray, d0: np.ndarray,
 
 
 def _newton_refine(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                   fhi: np.ndarray, dlo: np.ndarray,
-                   dhi: np.ndarray) -> np.ndarray:
-    """One zero per bracket [lo, hi] of a sign change of g, all refined
-    in lockstep, where g(x) returns (g, g') at an array x, flo = g(lo) and
-    fhi = g(hi) are nonzero with opposite signs, and dlo, dhi are the
-    slopes there.
+                   fhi: np.ndarray, dlo: np.ndarray, dhi: np.ndarray,
+                   target=0.0) -> np.ndarray:
+    """One root of g(x) = target per bracket [lo, hi], all refined in
+    lockstep, where g(x) returns (g, g') at an array x, g(lo) = flo and
+    g(hi) = fhi lie on either side of the target (0 for Z, n pi for Gram
+    points on theta, one per bracket), and dlo, dhi are the slopes there.
 
     Every step makes one call of g at one point per bracket still wider
     than _BISECT_TOL: first the root of the cubic Hermite interpolant of
     the end values and slopes, then the Newton step from the point last
     evaluated, each clipped tol/2 inside the bracket so that a point next
-    to an end that is already close to the zero crosses it and closes the
+    to an end that is already close to the root crosses it and closes the
     bracket.  A step that leaves the bracket, or a bracket that has halved
     fewer than k/2 - 2 times in k steps, takes a bisection instead, so a
     bracket of width w needs at most 2 log2(w / tol) + 5 evaluations,
     rounded up, where Newton alone crawls to a flat zero ((t - c)^9).
-    Each zero is the linear interpolant of the true end values of its final
+    Each root is the linear interpolant of the true end values of its final
     bracket, clipped into it.
     """
-    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    c = np.broadcast_to(target, np.shape(lo))
+    lo, hi, flo, fhi = (np.array(a, float) for a in (lo, hi, flo - c, fhi - c))
     w0 = hi - lo
     nxt = lo + w0 * _hermite_root(flo, fhi, w0 * dlo, w0 * dhi)
     k = 0
@@ -223,6 +228,7 @@ def _newton_refine(g, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
         x = np.where(bis, 0.5 * (a + b),
                      np.clip(x, a + 0.5 * _BISECT_TOL, b - 0.5 * _BISECT_TOL))
         fx, dx = g(x)
+        fx = fx - c[act]
         hit = fx == 0.0
         # signs are compared, never multiplied: products of small values
         # underflow to zero
@@ -262,35 +268,6 @@ def _hardy_z(chi: HeckeCharacter,
     th, dth = _theta(chi, t)
     rot = np.exp(1j * th)
     return (rot * L).real, (1j * rot * (dth * L + dL)).real
-
-
-def _gram_points(chi: HeckeCharacter, n: np.ndarray, tb: np.ndarray,
-                 thb: np.ndarray) -> np.ndarray:
-    """The Gram points g_n, theta(g_n) = n pi, of the indices n, where
-    thb = theta(tb) are increasing samples of theta's increasing branch
-    whose range brackets every n pi.
-
-    Vectorized Newton steps from the linear interpolant, each pass one
-    `_theta` call for theta and theta'; a step that leaves the bracket,
-    which tightens at every step, is a bisection instead.  A converged step lands on the end just
-    moved to it, so the bracket is closed.  A Gram point need not be
-    exact: a sample where theta is within pi/2 of n pi has the same
-    expected sign.
-    """
-    target = n * math.pi
-    k = np.searchsorted(thb, target)
-    lo, hi = tb[k - 1], tb[k]
-    t = np.interp(target, thb, tb)
-    for _ in range(_NEWTON_STEPS):
-        th, dth = _theta(chi, t)
-        f = th - target
-        if np.abs(f).max() <= 1e-12 * (1.0 + np.abs(target).max()):
-            break
-        lo, hi = np.where(f < 0, t, lo), np.where(f > 0, t, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - f / dth
-        t = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-    return t
 
 
 def _sign_changes(z: np.ndarray) -> np.ndarray:
@@ -350,28 +327,31 @@ def _factor_ordinates(chi: HeckeCharacter, height: float) -> np.ndarray:
     its Hardy Z at Gram points, each block resolved by `_rosser_blocks`
     and each sign change refined by `_newton_refine`.
 
-    theta is sampled at unit steps, from 0 until it covers _SPARE_GRAM Gram
-    points past height, and the Gram points are solved on its increasing
-    branch from the first index n0 there; Z and Z' at all of them are one
-    call.  The head (0, g_n0] is one more block, of n0 + eps zeros (eps =
-    1 for zeta's pole): t = 0 stands for Gram index -eps.  The scan runs
-    past height to the next good Gram point, so that the top block closes.
+    theta and theta' are sampled every _THETA_STEP from 0 until theta
+    covers _SPARE_GRAM Gram points past height; on its increasing branch,
+    from the first index n0 there, the samples bracket each n pi for
+    `_newton_refine`.  Z and Z' at all the Gram points are one call.  The
+    head (0, g_n0] is one more block, of n0 + eps zeros (eps = 1 for
+    zeta's pole): t = 0 stands for Gram index -eps.  The scan runs past
+    height to the next good Gram point, so that the top block closes.
     """
-    tg = np.append(np.arange(0.0, height), height)
-    thg = _theta(chi, tg)[0]
+    tg = np.append(np.arange(0.0, height, _THETA_STEP), height)
+    thg, dthg = _theta(chi, tg)
     n0 = math.floor(thg.min() / math.pi) + 1
     n_top = max(n0, math.ceil(thg[-1] / math.pi))
     while thg[-1] < (n_top + _SPARE_GRAM) * math.pi:
-        more = tg[-1] + np.arange(1.0, tg.size + 1.0)
+        more = tg[-1] + _THETA_STEP * np.arange(1.0, tg.size + 1.0)
         tg = np.append(tg, more)
-        thg = np.append(thg, _theta(chi, more)[0])
+        thg, dthg = np.concatenate(((thg, dthg), _theta(chi, more)), axis=1)
     k = int(thg.argmin())
     n = np.arange(n0 - 1, n_top + _SPARE_GRAM + 1)
     n[0] = -chi.epsilon
-    t = np.append(0.0, _gram_points(chi, n[1:], tg[k:], thg[k:]))
-
-    def g(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _hardy_z(chi, x)
+    gram = n[1:] * math.pi
+    j = k + np.searchsorted(thg[k:], gram)
+    t = np.append(0.0, _newton_refine(
+        partial(_theta, chi), tg[j - 1], tg[j], thg[j - 1], thg[j],
+        dthg[j - 1], dthg[j], gram))
+    g = partial(_hardy_z, chi)
     z, dz = g(t)
     m = n_top - n0 + 1   # the position of g_n_top >= height
     top = np.flatnonzero(np.where(n[m:] % 2, -z[m:], z[m:]) > 0)

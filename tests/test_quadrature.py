@@ -129,6 +129,10 @@ def test_closed_square_picks_up_the_residue(a, expect):
 def test_both_entry_points_raise_when_not_converged():
     with pytest.raises(QuadratureNotConverged):
         integrate_polyline(np.exp, (0.0, 1.0 + 1.0j), UNREACHABLE)
+    # K21 and G10 agree to the last bit on exp(u / 10), so every panel
+    # settles at once; the rounding floor, 1e16 times the tolerance, raises
+    with pytest.raises(QuadratureNotConverged):
+        integrate_polyline(lambda u: np.exp(u / 10), (0.0, 1.0), UNREACHABLE)
     with pytest.raises(QuadratureNotConverged):
         tracked_log_polyline(lambda u: u + 3.0, (0.0, 1.0 + 1.0j),
                              UNREACHABLE)

@@ -251,36 +251,71 @@ def test_dtheta_against_digamma():
             assert abs(dg - float(dwant)) <= 1e-14
 
 
-def test_gram_points_converge_in_few_theta_passes(monkeypatch):
-    # a converged Newton step lands on the bracket end just moved to it
-    # and is kept; the scan of chi_-4 to 200 made 16 passes (31 theta
-    # calls in all) when such a step was bisected away.  Counted in
-    # Stirling series: one gives theta and theta' together, so a Newton
-    # pass and a Z call each build one (29 for chi_-4 to 200 when theta'
+def test_gram_solve_converges_in_few_theta_passes(monkeypatch):
+    # theta outside Hardy's Z: the samples (one call, and one more past
+    # the height) and `_newton_refine`'s passes on theta - n pi, of which
+    # three settle every Gram point, so 5 a scan.  Counted in
+    # Stirling series: one gives theta and theta' together, so a theta
+    # call and a Z call each build one (29 for chi_-4 to 200 when theta'
     # built its own)
-    calls, passes = [0], []
-    stirling, gram = zero_data._log_gamma_and_psi, zero_data._gram_points
+    calls = {"stirling": 0, "theta": 0, "z": 0}
+    stirling, theta, hardy_z = (zero_data._log_gamma_and_psi,
+                                zero_data._theta, zero_data._hardy_z)
 
-    def counted_stirling(*args):
-        calls[0] += 1
-        return stirling(*args)
-
-    def counted_gram(*args):
-        before = calls[0]
-        out = gram(*args)
-        passes.append(calls[0] - before)
-        return out
-    monkeypatch.setattr(zero_data, "_log_gamma_and_psi", counted_stirling)
-    monkeypatch.setattr(zero_data, "_gram_points", counted_gram)
+    def counted(key, f):
+        def wrapped(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapped
+    monkeypatch.setattr(zero_data, "_log_gamma_and_psi",
+                        counted("stirling", stirling))
+    monkeypatch.setattr(zero_data, "_theta", counted("theta", theta))
+    monkeypatch.setattr(zero_data, "_hardy_z", counted("z", hardy_z))
     for disc, height in ((None, 1000.0), (-4, 1000.0), (-3, 200.0),
                          (5, 200.0), (101, 200.0), (-163, 60.0)):
         chi = TRIV if disc is None else kronecker_character(disc)
-        passes.clear()
+        calls.update(theta=0, z=0)
         scan_ordinates(Q, chi, height)
-        assert passes[0] <= 4
-    calls[0] = 0
+        # each Z call makes one theta call
+        assert calls["theta"] - calls["z"] <= 6
+    calls["stirling"] = 0
     scan_ordinates(Q, CHI4, 200.0)
-    assert calls[0] <= 16
+    assert calls["stirling"] <= 16
+
+
+def _gram_samples(monkeypatch, chi, height):
+    """The Gram points t and their indices n that the scan of chi to
+    height hands `_rosser_blocks`, less the head sample t = 0."""
+    seen = []
+    rosser = zero_data._rosser_blocks
+
+    def spy(g, t, n, z, dz):
+        seen.append((t.copy(), n.copy()))
+        return rosser(g, t, n, z, dz)
+    monkeypatch.setattr(zero_data, "_rosser_blocks", spy)
+    scan_ordinates(Q, chi, height)
+    (t, n), = seen
+    return t[1:], n[1:]
+
+
+def test_gram_values_against_mpmath(monkeypatch):
+    # zeta's Gram points are mpmath 1.3's, mp.grampoint(n) at the default
+    # 15 digits, every one the scan to 200 samples (from g_-1, on theta's
+    # increasing branch)
+    t, n = _gram_samples(monkeypatch, TRIV, 200.0)
+    assert n[0] == -1 and t.size >= 70
+    for g, k in zip(t, n):
+        assert abs(g - float(mp.grampoint(int(k)))) <= 1e-9
+    # chi_-4's solve theta(g_n) = n pi, with theta from mpmath's loggamma
+    # at 30 digits, as in test_dtheta_against_digamma
+    t, n = _gram_samples(monkeypatch, CHI4, 200.0)
+    assert n[0] >= 0 and t.size >= 100
+    with mp.workdps(30):
+        for g, k in zip(t, n):
+            g = mp.mpf(float(g))
+            theta = (mp.im(mp.loggamma((1.5 + 1j * g) / 2))
+                     + g / 2 * mp.log(4 / mp.pi))
+            assert abs(theta - int(k) * mp.pi) <= 1e-9
 
 
 def test_find_zeros_uncapped_matches_scan():
