@@ -235,22 +235,28 @@ def _prime_power_sum(fld: NumberField, chi: HeckeCharacter, s: complex,
     Terms with NP^(-l Re s) < 1e-19 are dropped, so for each l the kept
     ideals are a table prefix [0, k_l), and l stops at the first power that
     drops every ideal; Re(s) must not be NaN.  All (l, ideal) terms form one
-    flat array, from a single exponential call over the table.
+    flat array, from a single exponential call over the table (`_power_sum`).
     """
     norms, logn, chiv = _ideal_arrays(fld, chi, bound)
-    # k_l is nonincreasing in l, and zero once l log10 NP_min > 19 / Re s
-    top = int(19.0 / (s.real * math.log10(norms[0]))) + 2
+    return _power_sum(norms, logn ** (1 - r), chiv * np.exp(-s * logn),
+                      s.real, r)
+
+
+def _power_sum(norms, weight, base, sigma: float, r: int) -> complex:
+    """`_prime_power_sum` from a table's norms NP, weights (log NP)^(1-r)
+    and chi(P) NP^-s = base, at sigma = Re s."""
+    # k_l is nonincreasing in l, and zero once l log10 NP_min > 19 / sigma
+    top = int(19.0 / (sigma * math.log10(norms[0]))) + 2
     ls = np.arange(1, top + 1)
-    ks = np.searchsorted(norms, 10.0 ** (19.0 / (ls * s.real)), side="right")
+    ks = norms.searchsorted(10.0 ** (19.0 / (ls * sigma)), side="right")
     ls, ks = ls[ks > 0], ks[ks > 0]
-    l = np.repeat(ls, ks)
-    i = np.arange(l.size) - np.repeat(np.cumsum(ks) - ks, ks)   # ideal index
+    l = ls.repeat(ks)
+    i = np.arange(l.size) - (ks.cumsum() - ks).repeat(ks)   # ideal index
     # chi(P)^l NP^(-ls) as an integer power of chi(P) NP^-s, which numpy
     # forms by repeated squaring; l^-r as a float power, which underflows
     # to 0 quietly at large depth
-    base = chiv * np.exp(-s * logn)
-    inv_lr = np.repeat(ls.astype(float) ** -r, ks)
-    return complex(np.sum(logn[i] ** (1 - r) * base[i] ** l * inv_lr))
+    inv_lr = (ls.astype(float) ** -r).repeat(ks)
+    return complex((weight[i] * base[i] ** l * inv_lr).sum())
 
 
 def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex) -> complex:

@@ -3,7 +3,7 @@
 
 The Euler route (`poly_l_log_euler`) expands Li_r into its power series,
 sums the ideals of norm <= 1000 with the prime-power kernel
-`l_functions._prime_power_sum` and the rest as one Gauss-Laguerre integral
+`l_functions._power_sum` and the rest as one Gauss-Laguerre integral
 of the analytic L'/L, which the continuation below and the direct
 determinant route also read.  Depth 1 recovers the ordinary L-function.
 Successive s-derivatives walk down the depth ladder: d/ds log L^(r) =
@@ -28,7 +28,7 @@ from .errors import (DomainError, NonClosedLoop, PathLeavesOmega,
                      UnsupportedCharacter, overflow_is_domain_error)
 from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_SERIES_MIN_RE, PathSpec, _check_pair,
-                          _ideal_arrays, _prime_power_sum, l_log_derivative,
+                          _ideal_arrays, _power_sum, l_log_derivative,
                           l_value)
 from .quadrature import (_ROUNDOFF, _read_only, integrate_polyline,
                          laguerre_rule, tracked_log_polyline)
@@ -77,6 +77,16 @@ def _tail_rules(r: int) -> tuple[np.ndarray, np.ndarray, int]:
     return *_read_only(np.concatenate(xs), np.concatenate(ws)), len(xs[0])
 
 
+@lru_cache(maxsize=16)
+def _euler_tables(fld: NumberField, chi: HeckeCharacter,
+                  r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The head's weights (log NP)^(1-r) and the tail's NP^(-x / log X)
+    (nodes x of `_tail_rules(r)` x ideals) for NP <= X, read-only."""
+    logn, x = _ideal_arrays(fld, chi, _EULER_NORM)[1], _tail_rules(r)[0]
+    return _read_only(logn ** (1 - r),
+                      np.exp(np.multiply.outer(-x / _LOG_X, logn)))
+
+
 @overflow_is_domain_error
 def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int,
                      s: complex) -> tuple[complex, float, int]:
@@ -105,26 +115,29 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int,
     if not s.real >= _SERIES_MIN_RE:   # also rejects NaN
         raise DomainError(
             f"Euler route needs Re(s) >= {_SERIES_MIN_RE}, got {s.real}")
-    head = _prime_power_sum(fld, chi, s, r, _EULER_NORM)
+    # `_prime_power_sum`'s head, from the chi(P) NP^-s the tail reuses
     norms, logn, chiv = _ideal_arrays(fld, chi, _EULER_NORM)
+    weight, decay = _euler_tables(fld, chi, r)
+    head_p = chiv * np.exp(-s * logn)
+    head = _power_sum(norms, weight, head_p, s.real, r)
     x, vex, split = _tail_rules(r)
     v = s + x / _LOG_X
     lld = l_log_derivative(fld, chi, v)
     # chi(P) NP^-v = chi(P) NP^-s NP^(-x / log X), nodes x ideals, summed
     # over the ideals with and without signs, _NODE_BLOCK nodes at a time
-    head_p = chiv * np.exp(-s * logn)
     corr = np.empty(len(x), dtype=np.complex128)
-    acorr = np.empty(len(x))
+    acorr = np.empty(len(x))   # read on the larger rule's nodes alone
     for lo in range(0, len(x), _NODE_BLOCK):
-        at = slice(lo, lo + _NODE_BLOCK)
-        p = head_p * np.exp(np.multiply.outer(-x[at] / _LOG_X, logn))
+        at, big = slice(lo, lo + _NODE_BLOCK), max(split - lo, 0)
+        p = head_p * decay[at]
         terms = logn * p / (1.0 - p)
-        corr[at], acorr[at] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        corr[at] = terms.sum(axis=1)
+        acorr[lo + big:at.stop] = np.abs(terms[big:]).sum(axis=1)
     f = vex * (lld + corr)
     small, large = f[:split].sum(), f[split:].sum()
-    size = np.sum(vex[split:] * (np.abs(lld[split:]) + acorr[split:]))
+    size = (vex[split:] * (np.abs(lld[split:]) + acorr[split:])).sum()
     # the head's sum |terms| is at most sum (log NP)^(1-r) / (NP^Re(s) - 1)
-    head_size = np.sum(logn ** (1 - r) / (norms ** s.real - 1.0))
+    head_size = (weight / (norms ** s.real - 1.0)).sum()
     err = (abs(large - small) + _ROUNDOFF * size) / _LOG_X ** r \
         + _ROUNDOFF * (1.0 + abs(s.imag) * _LOG_X) * head_size
     return head - large / _LOG_X ** r, float(err), _EULER_NORM

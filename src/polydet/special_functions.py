@@ -74,15 +74,23 @@ _BERN: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with the B_1 = -1/2 convention, as an exact Fraction."""
+    """B_n with the B_1 = -1/2 convention, as an exact Fraction.
+
+    The table grows at least twofold at a time, from the tangent numbers
+    T_k in Python integers (Brent & Harvey, arXiv:1108.0286, Algorithm
+    TangentNumbers): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
     if n < 0:
         raise DomainError("Bernoulli index must be non-negative")
-    while len(_BERN) <= n:
-        m = len(_BERN)
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * _BERN[k]
-        _BERN.append(-acc / (m + 1))
+    if len(_BERN) <= n:
+        K = max(n, 2 * len(_BERN)) // 2
+        t = [math.factorial(k) for k in range(K)]   # t[k - 1] becomes T_k
+        for k in range(1, K):
+            for j in range(k, K):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        _BERN[:] = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, K + 1):
+            _BERN.extend((Fraction((-1) ** (k - 1) * 2 * k * t[k - 1],
+                                   4 ** k * (4 ** k - 1)), Fraction(0)))
     return _BERN[n]
 
 
@@ -397,8 +405,7 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
     """
     # the shifts on a leading axis, before the nodes
     z = z[:, None]
-    z0 = z / scale
-    w = N + z0
+    w = N + (z if scale == 1 else z / scale)   # z / 1 is z, bit for bit
     if plan is None:
         val, dval, mag, mag_ds = _exp_sums(s, z, N, scale)
         # each power costs |s| log|base| ulps through exp(-s log b)
@@ -411,14 +418,14 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
         # factors k eps through their exponentials and products: the floor
         # charges one, perr the other k - 1
         round_fac = 4e-16 + tab.sround * (plan.lognmax + math.log(scale))
-    lw = np.log(w)
-    lqw = np.log(scale * N + z)   # log(q w)
+    lqw = np.log(scale * N + z)   # log(q w); log w itself at q = 1
     winv = 1.0 / w
     wms = np.power(w, -s)  # w^{-s}, exact at small integer s
 
     # integral term w^{1-s}/(s-1), optionally with the pole removed
     eps = s - 1.0
     if minus_pole:
+        lw = lqw if scale == 1 else np.log(w)
         phi, psi = _expm1_quotients(eps * lw)
         t = lw * phi
         dt = lw * lw * psi - math.log(scale) * t
@@ -456,10 +463,13 @@ def _em_core(s: np.ndarray, z: np.ndarray, N: int, minus_pole: bool,
     # first omitted term as remainder estimate, with the classical
     # |s + 2J + 1| / (Re s + 2J + 1) inflation in tab.rem (Re s > -(2J + 1):
     # see hurwitz_zeta_em) and the oscillatory loss along the tail:
-    # |(x+w)^{-s}| carries e^{Im s arg(x+w)}
-    rem = np.exp(np.minimum(8.0, np.abs(s.imag) * np.abs(np.angle(w))))
-    rem *= tab.rem
-    rem *= awms
+    # |(x+w)^{-s}| carries e^{Im s arg(x+w)}, exactly 1 at real s
+    if s.imag.any():
+        rem = np.exp(np.minimum(8.0, np.abs(s.imag) * np.abs(np.angle(w))))
+        rem *= tab.rem
+        rem *= awms
+    else:
+        rem = tab.rem * awms
     rem *= abs(winv) ** (2 * J + 1)
     err, err_ds = _omitted(rem, tab.pk, tab.dpk, alqw)
     err += round_fac * (mag + 1.0) + perr
@@ -472,8 +482,8 @@ def _exp_sums(s: np.ndarray, z: np.ndarray, N: int, scale: int) -> tuple:
     sum_(m<N) log(q m + z) (m + z/q)^-s, and the sums of their moduli, at
     the nodes s and the shifts z (a column), one exponential per term."""
     m = np.arange(N, dtype=np.float64)
-    logb = np.log(m + z[..., None] / scale)
     logd = np.log(scale * m + z[..., None])
+    logb = logd if scale == 1 else np.log(m + z[..., None] / scale)
     pw = np.multiply(-s[:, None], logb)
     np.exp(pw, out=pw)
     val = pw.sum(axis=-1)
@@ -625,7 +635,7 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
     s = np.asarray(s, dtype=np.complex128)
     z = np.asarray(z, dtype=np.complex128)
     scalar_s, scalar_z = s.ndim == 0, z.ndim == 0
-    s, z = np.atleast_1d(s), np.atleast_1d(z)
+    s, z = (s[None] if scalar_s else s), (z[None] if scalar_z else z)
     if s.ndim != 1 or z.ndim != 1 or not (s.size and z.size):
         raise DomainError("hurwitz zeta takes scalars or non-empty 1-D "
                           "arrays of s and z")
@@ -634,7 +644,7 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
         raise DomainError(f"hurwitz zeta needs finite s and z, got s = "
                           f"{s[np.argmin(np.isfinite(s))]}, z = "
                           f"{z[np.argmin(np.isfinite(z))]}")
-    shift = z / scale
+    shift = z if scale == 1 else z / scale
     if shift.real.min() <= 0:
         raise DomainError(f"hurwitz zeta requires Re(z) > 0, got z = "
                           f"{shift[np.argmin(shift.real)]}")
@@ -676,11 +686,8 @@ def hurwitz_zeta_em(s, z, *, minus_pole: bool = False,
         i, j = np.argwhere(bad)[0]
         raise DomainError(f"hurwitz zeta at s = {s[j]}, z = {shift[i]} "
                           "overflows double precision")
-    fields = _fields(em)
-    if scalar_z:
-        fields = [f[0] for f in fields]
-    if scalar_s:
-        fields = [f[..., 0] for f in fields]
+    at = (0 if scalar_z else slice(None), 0 if scalar_s else slice(None))
+    fields = [f[at] for f in _fields(em)]
     if scalar_s and scalar_z:
         fields = [f(x) for f, x in zip((complex, complex, float, float),
                                        fields)]
@@ -698,7 +705,7 @@ def _split_groups(split: np.ndarray,
     _BATCH_GROWTH^(1 / (1 - Re s)); the nodes sorted by split are cut
     greedily where the next one would pass that limit for some node of
     its group."""
-    if re_s.min() >= 1.0 or split.min() == split.max():
+    if len(split) == 1 or re_s.min() >= 1.0 or split.min() == split.max():
         return None
     lim = split * _BATCH_GROWTH ** (1.0 / np.maximum(1.0 - re_s, 0.0))
     if split.max() <= lim.min():
@@ -753,26 +760,28 @@ def _trivial_zero_values(s: np.ndarray, z: np.ndarray, em: EmResult,
     arrays).  The error is the Horner bound of `_bernoulli_zero_value`,
     plus the margin of the N = 1 kernel sum this replaced, plus the
     rounding of the added 1/r."""
-    if s.real.min() > 0.0:
+    re = s.real
+    if re.min() > 0.0:
         return
-    hits = np.flatnonzero((s.imag == 0.0) & (s.real <= 0.0)
-                          & (s.real == np.round(s.real)))
-    for j in hits:
-        r = 1 - int(round(s[j].real))
-        for i, zi in enumerate(z):
-            zi = complex(zi)
+    hits = np.flatnonzero((s.imag == 0.0) & (re <= 0.0) & (re == np.round(re)))
+    for j, sj in zip(hits.tolist(), re[hits].tolist()):
+        r = 1 - int(round(sj))
+        for i, zi in enumerate(z.tolist()):
             value, err = _bernoulli_zero_value(r, zi)
             em.value[i, j] = value + (1.0 / r if minus_pole else 0.0)
+            # a numpy power overflows to inf where a float power raises
             em.err_value[i, j] = err \
                 + 1e-15 * np.float64(1.0 + abs(zi)) ** max(r - 1, 1) \
                 + (2.0 * _EPS / r if minus_pole else 0.0)
 
 
-def _bernoulli_zero_value(r: int, z: complex) -> tuple[complex, np.float64]:
+def _bernoulli_zero_value(r: int, z: complex) -> tuple[complex, float]:
     """zeta(1 - r, z) = -B_r(z) / r and its Horner rounding bound 2 eps r
     sum_k |c_k| |z|^(r-k) over the coefficients c_k of B_r, divided by r."""
-    absc = np.abs(_bernoulli_poly_coeffs(r))
-    return -bernoulli_poly(r, z) / r, 2.0 * _EPS * np.polyval(absc, abs(z))
+    az, bound = abs(z), 0.0
+    for c in _bernoulli_poly_coeffs(r):
+        bound = bound * az + abs(c)
+    return -bernoulli_poly(r, z) / r, 2.0 * _EPS * bound
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +851,7 @@ def _abel_plana(r: int, a: complex) -> EmResult:
             and math.isfinite(err_value) and math.isfinite(err_ds)):
         raise DomainError(f"hurwitz zeta at s = {1 - r}, z = {a} overflows "
                           "double precision")
-    return EmResult(value, ds, float(err_value), err_ds)
+    return EmResult(value, ds, err_value, err_ds)
 
 
 def _abel_plana_ds(r: int, a: complex) -> tuple[complex, float]:

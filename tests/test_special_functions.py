@@ -48,6 +48,18 @@ ZETA_PRIME_MINUS1 = -0.165421143700450929213919660243
 EXP_ZETA_PRIME_MINUS1 = 0.847536694177301291028403410087
 
 
+def _bernoulli_from_cleared_cache(first: int) -> list[Fraction]:
+    """B_0 .. B_300 from an emptied table, after B_first (none if -1)."""
+    saved = list(special_functions._BERN)
+    try:
+        special_functions._BERN[:] = [Fraction(1)]
+        if first >= 0:
+            bernoulli_number(first)
+        return [bernoulli_number(n) for n in range(301)]
+    finally:
+        special_functions._BERN[:] = saved
+
+
 def test_bernoulli_numbers_exact():
     known = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6),
              3: Fraction(0), 4: Fraction(-1, 30), 6: Fraction(1, 42),
@@ -55,6 +67,18 @@ def test_bernoulli_numbers_exact():
              12: Fraction(-691, 2730)}
     for n, want in known.items():
         assert bernoulli_number(n) == want
+    b200 = mp.bernfrac(200)
+    # B_230 first, then ascending; and ascending alone
+    for bern in (_bernoulli_from_cleared_cache(230),
+                 _bernoulli_from_cleared_cache(-1)):
+        assert all(isinstance(b, Fraction) for b in bern)
+        assert all(bern[n] == want for n, want in known.items())
+        # sum_(k<=m) C(m+1, k) B_k = 0 for m >= 1, exactly
+        for m in range(1, 301):
+            assert sum(math.comb(m + 1, k) * bern[k]
+                       for k in range(m + 1)) == 0
+        assert all(bern[n] == 0 for n in range(3, 301, 2))
+        assert bern[200] == Fraction(int(b200[0]), int(b200[1]))
 
 
 def test_bernoulli_poly_values():
@@ -366,6 +390,27 @@ def test_trivial_zero_values_apply_per_shift():
                 if minus_pole:
                     want += 1.0 / r
                 assert abs(em.value[i, 1] - want) <= em.err_value[i, 1]
+
+
+@pytest.mark.parametrize("q", [1, 3, 5])
+def test_trivial_zero_closed_form_bit_for_bit(q):
+    # at s = 1 - r the value is -B_r(w)/r and err_value the Horner bound
+    # 2 eps sum_k |c_k| |w|^(r-k) plus the margin 1e-15 (1 + |w|)^max(r-1, 1),
+    # at the shift w = z / q the kernel reads, both by np.polyval: on an
+    # object array for the value, so that its Horner steps round as Python
+    # complex arithmetic does, and on floats for the bound
+    eps = np.finfo(float).eps
+    for r in range(1, 13):
+        c = [float(math.comb(r, k) * bernoulli_number(k))
+             for k in range(r + 1)]
+        for z in (1.0, 2.0, 0.9, 2.5 + 1.5j, 0.8 - 3.2j, 7.25 + 0.5j):
+            w = complex((np.array([z], dtype=complex) / q)[0])
+            em = hurwitz_zeta_em(1.0 - r, z, scale=q)
+            want = -np.polyval(c, np.array(w, dtype=object)) / r
+            bound = 2.0 * eps * np.polyval(np.abs(c), abs(w))
+            assert em.value == want, (r, z)
+            assert em.err_value == \
+                bound + 1e-15 * (1.0 + abs(w)) ** max(r - 1, 1), (r, z)
 
 
 def test_result_is_finite_or_raises():

@@ -1,5 +1,8 @@
 """Zero tables: parsing, scanning, density estimates, tail bounds."""
 import math
+import os
+import subprocess
+import sys
 import time
 
 import mpmath as mp
@@ -546,3 +549,15 @@ def test_short_gram_block_resamples_in_one_call(monkeypatch):
     monkeypatch.setattr(zero_data, "_hardy_z", counted)
     assert len(scan_ordinates(Q, CHI4, 200.0)) == 122
     assert len(calls) <= 8
+
+
+def test_scan_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma (~6 ms) on its first call in a process;
+    # the scan's sorted Gram block bounds need no sort
+    code = ("import sys, polydet as pd; q = pd.NumberField.rational(); "
+            "pd.scan_ordinates(q, pd.trivial_character(q), 30.0); "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
