@@ -5,9 +5,10 @@ Every panel carries the 21-node Kronrod extension of the 10-node
 Gauss-Legendre rule (G10/K21, the pair of QUADPACK's qk21), computed once
 at import by Laurie's algorithm.  Both entry points run one loop, `_refine`.
 It starts from equal panels of length at most base_len on each segment of
-the path.  Each pass evaluates the integrand once, on the 21 nodes of every
-panel that is not yet settled: integrands take the node array and return
-the array of their values (`f(ndarray) -> ndarray`), and the evaluators
+the path, a layout built once per path and base_len (`_start`).  Each pass
+evaluates the integrand once, on the 21 nodes of every panel that is not
+yet settled: integrands take the node array (read-only) and return the
+array of their values (`f(ndarray) -> ndarray`), and the evaluators
 below them (L-values, L'/L) split large arrays into kernel chunks
 themselves.  A panel settles when its Kronrod-Gauss difference |K - G| is
 at most its length share of max(tol, tol |I|), with tol = cfg.quad_tol and
@@ -166,18 +167,15 @@ def _sum_in_order(terms: np.ndarray) -> complex:
     return complex(np.cumsum(terms)[-1])
 
 
-def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
-            combine: Callable[[np.ndarray, np.ndarray],
-                              tuple[np.ndarray, np.ndarray]],
-            waypoints: list[complex], cfg: EvalConfig,
-            base_len: float) -> QuadResult:
-    """Bisect the panels that are not settled until all are, or raise.
-
-    evaluate(nodes) -> values is called once per pass, on the flat nodes of
-    the new panels; combine(nodes, values) -> (f, step) maps the stored
-    (panels x 21) values of every panel, in path order, to integrand values
-    and each panel's largest branch step.
-    """
+@lru_cache(maxsize=4)
+def _start(path: bytes, base_len: float) -> tuple:
+    """The starting layout of the polyline whose waypoints are the complex
+    array with these bytes (bytes keep the sign of a zero): equal panels of
+    length at most base_len on each segment, as lo, hi, their half widths,
+    their shares of the path's length and their (panels x 21) nodes, and
+    that length.  Cached, read-only arrays: the Hankel ray and circle
+    start alike on every call."""
+    waypoints = np.frombuffer(path, dtype=np.complex128).tolist()
     lo, hi = [], []
     for a, b in zip(waypoints[:-1], waypoints[1:]):
         p = np.arange(max(1, math.ceil(abs(b - a) / base_len)))
@@ -185,19 +183,31 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
         hi.append(a + (b - a) * ((p + 1) / p.size))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     length = float(np.abs(hi - lo).sum()) or 1.0     # 0 on a point path
+    half = (hi - lo) / 2.0
+    nodes = ((lo + hi) / 2.0)[:, None] + half[:, None] * _X
+    return (*_read_only(lo, hi, half, np.abs(hi - lo) / length, nodes),
+            length)
+
+
+def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
+            combine: Callable[[np.ndarray, np.ndarray],
+                              tuple[np.ndarray, np.ndarray | float]],
+            waypoints: list[complex], cfg: EvalConfig,
+            base_len: float) -> QuadResult:
+    """Bisect the panels that are not settled until all are, or raise.
+
+    evaluate(nodes) -> values is called once per pass, on the flat nodes of
+    the new panels; combine(nodes, values) -> (f, step) maps the stored
+    (panels x 21) values of every panel, in path order, to integrand values
+    and each panel's largest branch step (0.0 for all of them, untracked).
+    """
+    lo, hi, half, share, nodes, length = _start(
+        np.array(waypoints, dtype=np.complex128).tobytes(), base_len)
+    vals = _panels(evaluate(nodes.ravel()), nodes.shape)
     depth = np.zeros(lo.size, dtype=int)
-    fresh = np.ones(lo.size, dtype=bool)
-    nodes = np.empty((lo.size, _X.size), dtype=complex)
-    vals = np.empty_like(nodes)
     tol = cfg.quad_tol
-    passes = 0
+    passes = 1
     while True:
-        passes += 1
-        half = (hi - lo) / 2.0
-        new = ((lo + hi) / 2.0)[fresh, None] + half[fresh, None] * _X
-        nodes[fresh] = new
-        vals[fresh] = np.broadcast_to(evaluate(new.ravel()),
-                                      (new.size,)).reshape(new.shape)
         f, step = combine(nodes, vals)
         kg = half[:, None] * (f @ _W)
         value = _sum_in_order(kg[:, 0])
@@ -205,13 +215,13 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
             raise QuadratureNotConverged(
                 f"pass {passes} sum is {value}; integrand not finite on path")
         diff = np.abs(kg[:, 0] - kg[:, 1])
-        share = np.abs(hi - lo) / length
+        bar = max(tol, tol * abs(value))
         blocked = step >= 0.5 * math.pi
-        open_ = blocked | (diff > share * max(tol, tol * abs(value)))
+        open_ = blocked | (diff > share * bar)
         if not open_.any():
             err = float(np.maximum(diff, _ROUNDOFF * np.abs(half)
                                    * (np.abs(f) @ _WK)).sum())
-            if err > max(tol, tol * abs(value)):
+            if err > bar:
                 raise QuadratureNotConverged(
                     f"error {err:.3e} (rounding floor) above tol {tol:.1e}")
             return QuadResult(value, err, passes, lo.size)
@@ -234,7 +244,22 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
         lo = np.where(first, lo[idx], mid[idx])
         hi = np.where(first & fresh, mid[idx], hi[idx])
         depth = depth[idx] + fresh
+        half = (hi - lo) / 2.0
+        share = np.abs(hi - lo) / length
+        new = ((lo + hi) / 2.0)[fresh, None] + half[fresh, None] * _X
         nodes, vals = nodes[idx], vals[idx]
+        nodes[fresh] = new
+        vals[fresh] = _panels(evaluate(new.ravel()), new.shape)
+        passes += 1
+
+
+def _panels(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """An evaluation of a pass's flat nodes (or a scalar), as complex
+    panels."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape != (shape[0] * shape[1],):
+        values = np.broadcast_to(values, (shape[0] * shape[1],))
+    return values.reshape(shape)
 
 
 def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], waypoints,
@@ -243,7 +268,7 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], waypoints,
     """Integral of f along the polyline through the given waypoints; f maps
     the array of a pass's nodes to the array of its values."""
     def combine(nodes, vals):
-        return vals, np.zeros(len(vals))
+        return vals, 0.0
 
     return _refine(f, combine, _path(waypoints), cfg, base_len)
 

@@ -16,7 +16,11 @@ Dirichlet residue), all shifts in one call from a table of n^-s built with
 exponentials at the primes alone (`_power_plan`).  The Bernoulli tail and
 its bound are one matrix product each over the chunk's Pochhammer table of
 odd orders, shared by every shift; the tables of the most recent chunks
-are kept, up to _NODE_CACHE_BYTES.  The truncation target,
+are kept, up to _NODE_CACHE_BYTES.  A table builds (s)_k and d/ds (s)_k
+each on its own contiguous (J + 1) x n array and then sets them side by
+side, so every node's entries are the same bits whatever its neighbours,
+a lone node's included (numpy rounds a strided one-node column through
+another loop).  The truncation target,
 the Bernoulli term count (EM_BERNOULLI_TERMS), the split at nonpositive
 integers (EM_SHIFT) and the pole guard (POLE_GUARD) are module constants:
 the kernel takes no config.  The entry point checks
@@ -276,7 +280,9 @@ class _NodeTable(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self if isinstance(a, np.ndarray))
+        """The bytes of its arrays: per node, s and 2J entries of poch
+        (complex), 2J of apoch and pk, dpk, rem and sround (float)."""
+        return 3 * (self.J + 1) * self.s.nbytes
 
     def need(self, scale: int) -> np.ndarray:
         """The smallest real |w| >= 1 per node at which `_omitted` is below
@@ -348,10 +354,10 @@ def _build_node_table(s: np.ndarray, J: int) -> _NodeTable:
     rule runs pair by pair.
     """
     n = len(s)
-    # (s)_k in the first n columns, d/ds (s)_k in the last n, built in
-    # place: a and b in turn, then a b and a + b = 2 b - 1
-    table = np.empty((J + 1, 2 * n), dtype=np.complex128)
-    poch, dpoch = table[:, :n], table[:, n:]
+    # (s)_k and d/ds (s)_k, each built in place on its own contiguous
+    # (J + 1) x n array: a and b in turn, then a b and a + b = 2 b - 1
+    poch = np.empty((J + 1, n), dtype=np.complex128)
+    dpoch = np.empty_like(poch)
     ab, apb = poch[1:], dpoch[1:]
     np.add(s, np.arange(1.0, 2 * J, 2)[:, None], out=ab)
     np.add(ab, 1.0, out=apb)
@@ -374,6 +380,11 @@ def _build_node_table(s: np.ndarray, J: int) -> _NodeTable:
             d, p = d * f + p * (2 * u + 2 * k - 1), p * f
             col.append(d)
         dpoch[:, i] = col
+    # side by side, (s)_k in the first n columns, so that the Bernoulli
+    # tail and its bound are one matrix product each; the halves are freed
+    # before the moduli are taken (~350 KB for a 512-node chunk)
+    table = np.concatenate((poch, dpoch), axis=1)
+    del poch, dpoch, ab, apb
     atable = np.abs(table)
     for t in (table, atable):
         t.flags.writeable = False
@@ -920,9 +931,7 @@ def _log_gamma_and_psi(z, name: str, psi: bool = True) -> tuple:
                           f"{z[bad].ravel()[0]}")
     n = np.maximum(0.0, np.ceil(np.sqrt(np.maximum(0.0, 144.0 - z.imag ** 2))
                                 - z.real))
-    steps = np.arange(int(n.max()) if n.size else 0)
-    shifted = z[..., None] + steps
-    used = steps < n[..., None]
+    steps = int(n.max()) if n.size else 0
     w = z + n
     lw = np.log(w)
     winv = 1.0 / w
@@ -934,11 +943,19 @@ def _log_gamma_and_psi(z, name: str, psi: bool = True) -> tuple:
     series = _STIRLING[0] + pw @ _STIRLING[1:]
     lg = (w - 0.5) * lw - w + 0.5 * math.log(2.0 * math.pi) \
         + winv * series[..., 0]
-    lg -= np.log(shifted, where=used, out=np.zeros_like(shifted)).sum(axis=-1)
-    if not psi:
-        return lg, None
-    return lg, lw - winv * (0.5 + winv * series[..., 1]) - np.divide(
-        1.0, shifted, where=used, out=np.zeros_like(shifted)).sum(axis=-1)
+    dg = lw - winv * (0.5 + winv * series[..., 1]) if psi else None
+    if steps:
+        # the recursions' sums over each z's own steps; where no z takes a
+        # step they are zero, and subtracting zero changes no bit
+        k = np.arange(steps)
+        shifted = z[..., None] + k
+        used = k < n[..., None]
+        lg -= np.log(shifted, where=used,
+                     out=np.zeros_like(shifted)).sum(axis=-1)
+        if psi:
+            dg -= np.divide(1.0, shifted, where=used,
+                            out=np.zeros_like(shifted)).sum(axis=-1)
+    return lg, dg
 
 
 def log_gamma(z):

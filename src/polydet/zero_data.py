@@ -329,8 +329,9 @@ def _factor_ordinates(chi: HeckeCharacter, height: float) -> np.ndarray:
     its Hardy Z at Gram points, each block resolved by `_rosser_blocks`
     and each sign change refined by `_newton_refine`.
 
-    theta and theta' are sampled every _THETA_STEP from 0 until theta
-    covers _SPARE_GRAM Gram points past height; on its increasing branch,
+    theta and theta' are sampled every _THETA_STEP from 0 to height, and
+    on to where theta's tangent at the last sample reaches _SPARE_GRAM
+    Gram points past height (theta is convex); on its increasing branch,
     from the first index n0 there, the samples bracket each n pi for
     `_newton_refine`.  Z and Z' at all the Gram points are one call.  The
     head (0, g_n0] is one more block, of n0 + eps zeros (eps = 1 for
@@ -342,7 +343,13 @@ def _factor_ordinates(chi: HeckeCharacter, height: float) -> np.ndarray:
     n0 = math.floor(thg.min() / math.pi) + 1
     n_top = max(n0, math.ceil(thg[-1] / math.pi))
     while thg[-1] < (n_top + _SPARE_GRAM) * math.pi:
-        more = tg[-1] + _THETA_STEP * np.arange(1.0, tg.size + 1.0)
+        # theta is convex, so it lies above its tangent at the last sample:
+        # sample to where that tangent reaches the last spare Gram point, or
+        # double the samples where it rises too slowly (or falls)
+        need = ((n_top + _SPARE_GRAM) * math.pi - thg[-1]) / _THETA_STEP
+        count = tg.size if dthg[-1] * tg.size <= need \
+            else math.ceil(need / dthg[-1])
+        more = tg[-1] + _THETA_STEP * np.arange(1.0, count + 1.0)
         tg = np.append(tg, more)
         thg, dthg = np.concatenate(((thg, dthg), _theta(chi, more)), axis=1)
     k = int(thg.argmin())

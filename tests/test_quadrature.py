@@ -103,6 +103,47 @@ def test_rules_need_no_eigensolver(monkeypatch):
     milnor_gamma(3, 1.5)
 
 
+def test_starting_layouts_are_cached_read_only_and_bounded():
+    # a path's starting panels and nodes are built once and shared: the
+    # cached arrays are read-only, an integral from a cold cache (here one
+    # that bisects) equals a warm one bit for bit, and so does a direct
+    # determinant, whose ray reuses one layout for every z
+    def peaked(u):
+        return 1.0 / (u * u + 1e-4) + 1j * u
+
+    def bits(*values):
+        return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+    q = NumberField.rational()
+    runs = []
+    for _ in range(2):
+        quadrature._start.cache_clear()
+        cold = integrate_polyline(peaked, (-1.0, 2.0 + 0.5j, 3.0))
+        warm = integrate_polyline(peaked, (-1.0, 2.0 + 0.5j, 3.0))
+        det = determinant_direct(q, trivial_character(q), 2, 1.6 + 0.4j)
+        runs.append(bits(cold.value, cold.error, det.value,
+                         det.error_estimate))
+        assert cold.levels > 1
+        assert bits(cold.value, cold.error) == bits(warm.value, warm.error)
+        assert (cold.levels, cold.panels) == (warm.levels, warm.panels)
+    assert runs[0] == runs[1]
+    assert quadrature._start.cache_info().hits >= 1
+    for a in quadrature._start(np.array([-1.0, 3.0 + 0j]).tobytes(),
+                               0.5)[:-1]:
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+    # a layout is keyed by the waypoints' bits, the sign of a zero included
+    quadrature._start.cache_clear()
+    for y in (0.0, -0.0):
+        integrate_polyline(np.exp, (-1.0, complex(3.0, y)))
+    assert quadrature._start.cache_info().currsize == 2
+    size = quadrature._start.cache_info().maxsize
+    assert size is not None
+    for k in range(size + 5):
+        integrate_polyline(np.exp, (0.0, 1.0 + k))
+    assert quadrature._start.cache_info().currsize <= size
+
+
 @settings(max_examples=40, deadline=None)
 @given(coeffs=st.lists(point, min_size=1, max_size=6),
        waypoints=st.lists(point, min_size=2, max_size=4))

@@ -123,6 +123,22 @@ def test_log_gamma_and_digamma_across_the_stirling_shift():
         digamma(np.array([1.5, -0.5 + 1.0j]))
 
 
+def test_stirling_shift_sums_skipped_where_no_argument_steps():
+    # where no argument takes a step the recursions' sums are skipped, and
+    # subtracting their zero changed no bit: theta's arguments high on the
+    # line give the same bits alone as beside ones that step
+    high = np.array([0.25 + 30.0j, 0.75 + 200.0j, 0.25 - 1000.0j])
+    both = np.concatenate(([0.25 + 1.0j, 3.0 + 0.0j], high))
+    for psi in (False, True):
+        alone = special_functions._log_gamma_and_psi(high, "test", psi)
+        beside = special_functions._log_gamma_and_psi(both, "test", psi)
+        assert np.array_equal(alone[0], beside[0][2:])
+        if psi:
+            assert np.array_equal(alone[1], beside[1][2:])
+        else:
+            assert alone[1] is None and beside[1] is None
+
+
 def test_hurwitz_reduces_to_zeta():
     assert abs(hurwitz_zeta_em(2.0, 1.0).value - math.pi ** 2 / 6.0) < 1e-13
     assert abs(hurwitz_zeta_em(4.0, 1.0).value - math.pi ** 4 / 90.0) < 1e-13
@@ -659,6 +675,37 @@ def test_odd_order_pochhammer_table_against_mpmath(nodes):
             assert abs(dgot - complex(dwant)) <= 1e-13 * abs(dwant), (u, k)
 
 
+def test_node_table_column_does_not_depend_on_its_neighbours():
+    # each node's (s)_k and d/ds (s)_k rows and its moduli, remainder and
+    # rounding factors are the same bits in any chunk of two or more
+    # nodes, wherever it sits; a lone complex node, whose one-column
+    # arrays numpy may round through another loop, agrees within 2 ulps
+    J = special_functions.EM_BERNOULLI_TERMS
+    rng = np.random.default_rng(7)
+    others = rng.uniform(-30, 30, 6) + 1j * rng.uniform(-200, 200, 6)
+    build = special_functions._build_node_table
+
+    def column(nodes, i):
+        # 1/s is infinite at s = -2, as where the kernel builds its tables
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tab = build(np.array(nodes, dtype=np.complex128), J)
+        n = len(tab.s)
+        return (tab.poch[:, i], tab.poch[:, n + i], tab.apoch[:, i],
+                tab.apoch[:, n + i], tab.pk[i], tab.dpk[i], tab.rem[i],
+                tab.sround[i])
+
+    for a, b, c, d in ((0.5 + 14.0j, 2.5 - 40.0j, -3.5 + 0.25j, 7.25),
+                       tuple(others[:4]), (others[4], -2.0, others[5], 3.0)):
+        want = column([a, b], 0)
+        for nodes, i in (([c, a, d], 1), ([b, a], 1), ([d, c, b, a], 3),
+                         ([a, d, c], 0), ([c, d, b, *others, a], 9)):
+            for x, y in zip(column(nodes, i), want):
+                assert np.array_equal(x, y), (a, nodes)
+        for x, y in zip(column([a], 0), want):
+            assert np.all(np.abs(x - y)
+                          <= 2 * special_functions._EPS * np.abs(y)), a
+
+
 def test_node_tables_stay_within_their_byte_budget():
     # the cache keeps the most recently used tables up to
     # _NODE_CACHE_BYTES, always the newest, and a full chunk's table alone
@@ -672,6 +719,11 @@ def test_node_tables_stay_within_their_byte_budget():
             == special_functions.EM_CHUNK
         assert cache.nbytes <= special_functions._NODE_CACHE_BYTES
     assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
+    # a table's byte count is that of its arrays, taken rows included
+    tab = next(iter(cache.tables.values()))
+    for t in (tab, tab.take(np.arange(0, len(tab.s), 3))):
+        assert t.nbytes == sum(a.nbytes for a in t
+                               if isinstance(a, np.ndarray))
     small = np.array([-1.0 + 0j])
     hurwitz_zeta_em(small, 2.5)
     key = (small.tobytes(), special_functions.EM_BERNOULLI_TERMS)

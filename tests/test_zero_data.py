@@ -286,6 +286,26 @@ def test_gram_solve_converges_in_few_theta_passes(monkeypatch):
     assert calls["stirling"] <= 16
 
 
+def test_spare_gram_samples_stop_at_the_tangent(monkeypatch):
+    # theta is sampled to the height in one call; the second goes on only
+    # to where theta's tangent at the last sample (theta is convex) reaches
+    # the last spare Gram point: 15-32 samples at heights 200 and 1000,
+    # where sampling as far again took 401 and 2001
+    sizes = []
+    theta = zero_data._theta
+
+    def spy(chi, t):
+        sizes.append(t.size)
+        return theta(chi, t)
+    monkeypatch.setattr(zero_data, "_theta", spy)
+    for chi in (TRIV, CHI4, kronecker_character(8)):
+        for height in (200.0, 1000.0):
+            sizes.clear()
+            zero_data._factor_ordinates(chi, height)
+            assert sizes[0] == 2 * height + 1
+            assert 10 <= sizes[1] <= 40
+
+
 def _gram_samples(monkeypatch, chi, height):
     """The Gram points t and their indices n that the scan of chi to
     height hands `_rosser_blocks`, less the head sample t = 0."""
