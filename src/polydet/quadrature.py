@@ -182,11 +182,11 @@ def _start(path: bytes, base_len: float) -> tuple:
         lo.append(a + (b - a) * (p / p.size))
         hi.append(a + (b - a) * ((p + 1) / p.size))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
-    length = float(np.abs(hi - lo).sum()) or 1.0     # 0 on a point path
+    size = np.abs(hi - lo)
+    length = float(size.sum()) or 1.0     # 0 on a point path
     half = (hi - lo) / 2.0
     nodes = ((lo + hi) / 2.0)[:, None] + half[:, None] * _X
-    return (*_read_only(lo, hi, half, np.abs(hi - lo) / length, nodes),
-            length)
+    return (*_read_only(lo, hi, half, size / length, nodes), length)
 
 
 def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
