@@ -24,12 +24,11 @@ from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
                                     kronecker_character, kronecker_symbol,
                                     trivial_character)
 from .l_functions import (PathSpec, argument_principle_count,
-                          completed_lambda, conductor_factor,
-                          l_log_derivative, l_value, log_l_series,
+                          completed_lambda, l_log_derivative, l_value,
                           root_number)
-from .poly_l import (erh_monodromy_defect, poly_l_continued, poly_l_euler,
-                     poly_l_ladder_residual, poly_l_log_continued,
-                     poly_l_log_euler)
+from .poly_l import (erh_monodromy_defect, log_l_series, poly_l_continued,
+                     poly_l_euler, poly_l_ladder_residual,
+                     poly_l_log_continued, poly_l_log_euler)
 from .special_functions import (EmResult, Result, bernoulli_number,
                                 bernoulli_poly, hurwitz_zeta_em, log_gamma,
                                 milnor_gamma)

@@ -20,11 +20,9 @@ number of its functional equation from the Gauss sum, the polyline path
 type that `poly_l` continues log L^(r) along, and contour zero counting by
 the argument principle.
 
-Right of Re(s) = 1 an independent route sums over prime ideals in one
-kernel, `_prime_power_sum`: its rung r = 1 is log L (`log_l_series`), its
-rung r = 0 is -L'/L (`l_log_derivative`, route "series"), and r >= 2 gives
-the head of the depth-r logarithms of `poly_l`.  It sums every ideal and
-power term by term in one flat pass over the cached ideal table.
+Right of Re(s) = 1, `_power_sum` sums over prime ideals and powers in one
+flat pass over the cached ideal table (`_ideal_arrays`): the head of the
+Euler route of `poly_l`, and `_prime_power_sum`, the `ladder` suite's sieve.
 """
 
 from __future__ import annotations
@@ -48,18 +46,13 @@ __all__ = [
     "PathSpec",
     "l_value",
     "l_log_derivative",
-    "log_l_series",
     "completed_lambda",
     "conductor",
-    "conductor_factor",
     "root_number",
     "argument_principle_count",
 ]
 
-_SERIES_MIN_RE = 1.02      # prime power series only used comfortably right of 1
-# Sieve bound of the plain prime-power series that cross-check the analytic
-# L right of 1 (log_l_series, the "series" route of L'/L)
-_SERIES_BOUND = 100_000
+_SERIES_MIN_RE = 1.02      # the Euler route's floor on Re(s)
 _SMALL_L = 1e-12
 
 
@@ -76,6 +69,8 @@ class PathSpec:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise DomainError("path needs at least two waypoints")
+        if not all(map(cmath.isfinite, self.waypoints)):
+            raise DomainError(f"waypoints must be finite: {self.waypoints}")
         for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
             if abs(a - b) == 0.0:
                 raise DomainError("consecutive waypoints must be distinct")
@@ -188,24 +183,9 @@ def l_value(fld: NumberField, chi: HeckeCharacter, s):
     return _l_and_ds(fld, chi, s)[0]
 
 
-def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s,
-                     route: str = "analytic"):
-    """(L'/L)(s, chi).
-
-    route "analytic" differentiates the Hurwitz assembly and works wherever
-    L is nonzero, at a scalar s or elementwise over an array of nodes
-    (NearZeroOfL if any node has |L| < 1e-12); route "series" sums the
-    prime power Dirichlet series at a scalar s and requires Re(s) > 1
-    (used as an independent cross-check).
-    """
-    if route == "series":
-        s = complex(s)
-        _check_pair(fld, chi)
-        if not s.real > _SERIES_MIN_RE:   # also rejects NaN
-            raise DomainError(f"series route requires Re(s) > {_SERIES_MIN_RE}")
-        return -_prime_power_sum(fld, chi, s, 0, _SERIES_BOUND)
-    if route != "analytic":
-        raise DomainError(f"unknown route {route!r}")
+def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s):
+    """(L'/L)(s, chi) at a scalar s or elementwise over an array of nodes;
+    NearZeroOfL if any node has |L| < 1e-12."""
     L, dL = _l_and_ds(fld, chi, s)
     if (small := np.abs(L) < _SMALL_L).any():
         raise NearZeroOfL(f"|L| is below {_SMALL_L} at s = "
@@ -214,7 +194,7 @@ def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s,
 
 
 # ---------------------------------------------------------------------------
-# Prime power series (independent route, Re s > 1)
+# Prime power sums (Re s > 1)
 
 
 @lru_cache(maxsize=64)
@@ -259,19 +239,6 @@ def _power_sum(norms, weight, base, sigma: float, r: int) -> complex:
     return complex((weight[i] * base[i] ** l * inv_lr).sum())
 
 
-def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex) -> complex:
-    """log L(s, chi) from the absolutely convergent prime power series.
-
-    This is the canonical branch on Re(s) > 1 (it tends to 0 as
-    Re(s) -> infinity).
-    """
-    s = complex(s)
-    _check_pair(fld, chi)
-    if not s.real > _SERIES_MIN_RE:   # also rejects NaN
-        raise DomainError(f"log L series requires Re(s) > {_SERIES_MIN_RE}")
-    return _prime_power_sum(fld, chi, s, 1, _SERIES_BOUND)
-
-
 # ---------------------------------------------------------------------------
 # Completed function, root number, zero counting
 
@@ -279,11 +246,6 @@ def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex) -> complex:
 def conductor(fld: NumberField, chi: HeckeCharacter) -> int:
     """The conductor q = N(f) |d_K| of L(s, chi)."""
     return chi.conductor_norm * abs(fld.discriminant)
-
-
-def conductor_factor(fld: NumberField, chi: HeckeCharacter) -> float:
-    """q / (2^{2 r2} pi^n), q the conductor."""
-    return conductor(fld, chi) / (4.0 ** fld.r2 * math.pi ** fld.degree)
 
 
 def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
@@ -306,7 +268,8 @@ def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
         if (pole := (np.abs(w - k) < 1e-8) & (k <= 0)).any():
             raise GammaPole(f"gamma factor pole at argument {w[pole][0]}")
         gamma_prod = gamma_prod * np.exp(log_gamma(w))
-    A = conductor_factor(fld, chi)
+    # the conductor factor q / (2^(2 r2) pi^n)
+    A = conductor(fld, chi) / (4.0 ** fld.r2 * math.pi ** fld.degree)
     out = np.exp(0.5 * s * math.log(A)) * l_value(fld, chi, s) * gamma_prod
     if chi.epsilon == 1:
         out = out * (0.5 * s * (s - 1.0))

@@ -5,7 +5,7 @@ The Euler route (`poly_l_log_euler`) expands Li_r into its power series,
 sums the ideals of norm <= 1000 with the prime-power kernel
 `l_functions._power_sum` and the rest as one Gauss-Laguerre integral
 of the analytic L'/L, which the continuation below and the direct
-determinant route also read.  Depth 1 recovers the ordinary L-function.
+determinant route also read.  Depth 1 is log L (`log_l_series`).
 Successive s-derivatives walk down the depth ladder: d/ds log L^(r) =
 -log L^(r-1), so the (r-1)-st derivative of log L^(r) is (-1)^(r-1) log L
 and the r-th is (-1)^(r-1) L'/L.  Every depth r >= 1 therefore extends
@@ -38,6 +38,7 @@ from .zero_data import scan_ordinates
 __all__ = [
     "poly_l_euler",
     "poly_l_log_euler",
+    "log_l_series",
     "poly_l_ladder_residual",
     "poly_l_log_continued",
     "poly_l_continued",
@@ -141,6 +142,11 @@ def poly_l_log_euler(fld: NumberField, chi: HeckeCharacter, r: int,
     err = (abs(large - small) + _ROUNDOFF * size) / _LOG_X ** r \
         + _ROUNDOFF * (1.0 + abs(s.imag) * _LOG_X) * head_size
     return head - large / _LOG_X ** r, float(err), _EULER_NORM
+
+
+def log_l_series(fld: NumberField, chi: HeckeCharacter, s: complex) -> complex:
+    """log L(s, chi) for Re(s) >= 1.02 by the depth-1 Euler route."""
+    return poly_l_log_euler(fld, chi, 1, s)[0]
 
 
 def poly_l_euler(fld: NumberField, chi: HeckeCharacter, r: int,

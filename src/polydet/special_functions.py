@@ -106,15 +106,18 @@ def _bernoulli_poly_coeffs(r: int) -> tuple[float, ...]:
                  for k in range(r + 1))
 
 
+@overflow_is_domain_error
 def bernoulli_poly(r: int, z: complex) -> complex:
     """Bernoulli polynomial B_r(z): exact rational coefficients rounded to
-    doubles, Horner eval."""
+    doubles, Horner eval; DomainError unless every number is finite."""
     if not isinstance(r, int) or r < 0:
         raise DomainError("bernoulli_poly degree must be a non-negative integer")
     coeffs = _bernoulli_poly_coeffs(r)
     acc = 0j
     for c in coeffs:
         acc = acc * z + c
+    if not cmath.isfinite(acc):
+        raise DomainError(f"B_{r}({z}) is not a finite double")
     return acc
 
 

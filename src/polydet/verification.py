@@ -2,7 +2,7 @@
 with a measured discrepancy and a pinned tolerance.
 
 Suites:
-  special       Hurwitz-Bernoulli and Lerch identities
+  special       kernel vs Abel-Plana zeta'(1-r, w), Lerch, Hurwitz shift
   ladder        s-derivatives of depth-r logs, on a circle, walk down the
                 ladder; the Euler route against the plain 2M sieve
   theorem       closed form vs exp(-xi') at depths 1..3, gap within both
@@ -32,7 +32,7 @@ from .l_functions import (PathSpec, _prime_power_sum,
 from .poly_l import (erh_monodromy_defect, poly_l_continued, poly_l_euler,
                      poly_l_ladder_residual, poly_l_log_euler)
 from .quadrature import tracked_log_polyline
-from .special_functions import bernoulli_poly, hurwitz_zeta_em, log_gamma
+from .special_functions import _abel_plana, hurwitz_zeta_em, log_gamma
 from .zero_data import builtin_zeta_zeros, find_zeros, zero_count_estimate
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "run_all", "format_results"]
@@ -85,14 +85,14 @@ def suite_special(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     out = []
     tol = 1e-10
 
-    # zeta(1-r, w) = -B_r(w)/r against exact rational Bernoulli polynomials
+    # zeta'(1-r, w) by the closed route's kernel and the direct route's
+    # Abel-Plana integral: the worst gap over the sum of both claims
     worst = 0.0
     for r in range(1, 7):
         for w in (0.3, 1.0, 2.5, 1.0 + 2.0j, 4.75 - 1.5j):
-            em = hurwitz_zeta_em(1 - r, w).value
-            exact = -complex(bernoulli_poly(r, w)) / r
-            worst = max(worst, abs(em - exact))
-    out.append(CheckResult("special", "hurwitz-bernoulli", worst, tol))
+            em, ap = hurwitz_zeta_em(1 - r, w), _abel_plana(r, w)
+            worst = max(worst, abs(em.ds - ap.ds) / (em.err_ds + ap.err_ds))
+    out.append(CheckResult("special", "hurwitz-ds-abel-plana", worst, 1.0))
 
     # Lerch: zeta_s'(0, w) = log Gamma(w) - (1/2) log 2pi
     worst = 0.0

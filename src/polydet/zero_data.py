@@ -67,8 +67,10 @@ class ZeroTable:
         if not self.ordinates:
             raise EmptyZeroTable("zero table has no ordinates")
         arr = np.asarray(self.ordinates)
-        if np.any(arr <= 0):
-            raise DomainError("ordinates must be positive")
+        if not (np.isfinite(arr).all() and (arr > 0).all()):
+            raise DomainError("ordinates must be finite and positive")
+        if not math.isfinite(self.completeness_height):
+            raise DomainError("completeness height must be finite")
         if np.any(np.diff(arr) <= 0):
             raise NonMonotoneError("ordinates must be strictly increasing")
         if not self.multiplicities:
@@ -116,6 +118,8 @@ def loads_zeros(text: str, label: str = "table") -> ZeroTable:
                 height = float(parts[1])
             except ValueError:
                 raise ParseError(f"bad height value {parts[1]!r}", lineno)
+            if not math.isfinite(height):
+                raise ParseError(f"height {height} is not finite", lineno)
             continue
         fields = line.split()
         if len(fields) > 2:
@@ -133,8 +137,8 @@ def loads_zeros(text: str, label: str = "table") -> ZeroTable:
                 raise ParseError(f"bad multiplicity {fields[1]!r}", lineno)
             if m < 1:
                 raise ParseError("multiplicity must be >= 1", lineno)
-        if g <= 0:
-            raise ParseError("ordinates must be positive", lineno)
+        if not 0 < g < math.inf:
+            raise ParseError("ordinates must be finite and positive", lineno)
         if ordinates and g <= ordinates[-1]:
             raise NonMonotoneError(
                 f"line {lineno}: ordinate {g} does not increase past "

@@ -28,7 +28,8 @@ def _gate(idx: int, label: str, suite: str, budget: float | None = None):
 
 
 def test_criterion_1_lerch_bernoulli():
-    _gate(1, "Lerch/Bernoulli residuals <= 1e-10", "special", budget=5.0)
+    _gate(1, "kernel vs Abel-Plana zeta' within claims, Lerch and shift "
+          "residuals <= 1e-10", "special", budget=5.0)
 
 
 def test_criterion_2_ladder_identity():

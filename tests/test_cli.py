@@ -212,6 +212,10 @@ def test_domain_error_exits_2(capsys):
     ["lfun", "--s", "2", "--set", "target_abs_error=inf"],
     ["lfun", "--s", "2", "--set", "quad_tol=inf"],
     ["lfun", "--s", "2", "--set", "quad_tol=1e400"],
+    ["eval", "--fn", "bernoulli", "--r", "3", "--z", "nan"],
+    ["eval", "--fn", "bernoulli", "--r", "3", "--z", "1e200"],
+    ["eval", "--fn", "bernoulli", "--r", "400", "--z", "1e300"],
+    ["polyl", "--depth", "2", "--s", "3", "--continued", "--path", "3,nan"],
 ])
 def test_non_finite_input_or_overflow_exits_2(capsys, argv):
     # a numpy RuntimeWarning would reach stderr ahead of the error line
@@ -239,7 +243,7 @@ def test_verify_table_output(capsys):
     code = main(["verify", "--suite", "special"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "[PASS] special:hurwitz-bernoulli" in out
+    assert "[PASS] special:hurwitz-ds-abel-plana" in out
     assert "3/3 checks passed" in out
 
 
@@ -349,6 +353,18 @@ def test_zeros_export_import_cycle(tmp_path, capsys):
     assert len(recs) >= 100
     assert abs(recs[0]["value_re"] - 14.134725) < 1e-6
     assert recs[0]["route"] == "file"
+
+
+@pytest.mark.parametrize("text", ["14.134725\nnan\n",
+                                  "height: nan\n14.134725\n"])
+def test_zeros_import_of_non_finite_table_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "zeros.txt"
+    path.write_text(text)
+    assert main(["zeros", "--import", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line ") \
+        and captured.err.count("\n") == 1
 
 
 def test_zeros_find(capsys):

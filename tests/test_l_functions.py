@@ -26,7 +26,6 @@ from polydet import (
     UnsupportedCharacter,
     argument_principle_count,
     completed_lambda,
-    conductor_factor,
     determinant_closed,
     determinant_direct,
     dirichlet_character_by_index,
@@ -117,22 +116,41 @@ def test_pole_guard():
     assert abs(l_value(Q, CHI4, 1.0) - math.pi / 4.0) < 1e-12
 
 
+def _mp_l(chi, s):
+    """L(s, chi) for TRIV, CHI4 or the Dedekind zeta of QI (chi None)."""
+    if chi is TRIV:
+        return mp.zeta(mp.mpc(s))
+    if chi is CHI4:
+        return mp_chi4_l(s)
+    return mp.zeta(mp.mpc(s)) * mp_chi4_l(s)
+
+
 def test_euler_product_consistency():
-    for fld, chi in ((Q, TRIV), (Q, CHI4), (QI, trivial_character(QI))):
+    # the Euler product, exp of the depth-1 Euler route, against mpmath
+    for fld, chi, key in ((Q, TRIV, TRIV), (Q, CHI4, CHI4),
+                          (QI, trivial_character(QI), None)):
         for s in (3.0, 2.5 + 1.0j):
             ep = cmath.exp(log_l_series(fld, chi, complex(s)))
-            av = l_value(fld, chi, complex(s))
-            assert abs(ep - av) < 1e-9 * (1 + abs(av))
+            want = complex(_mp_l(key, s))
+            assert abs(ep - want) < 1e-14 * (1 + abs(want))
+
+
+def _mp_l_log_derivative(chi, s):
+    # L'/L of zeta or of L(chi_-4) = 4^-s (zeta(s, 1/4) - zeta(s, 3/4))
+    s = mp.mpc(s)
+    if chi is TRIV:
+        return complex(mp.zeta(s, 1, 1) / mp.zeta(s))
+    a, b = mp.mpf(1) / 4, mp.mpf(3) / 4
+    return complex((mp.zeta(s, a, 1) - mp.zeta(s, b, 1))
+                   / (mp.zeta(s, a) - mp.zeta(s, b)) - mp.log(4))
 
 
 def test_log_derivative_two_routes_agree():
-    # the series route truncates at norm 1e5; its tail at Re(s) = 2.5
-    # is ~ log(X) X^{-1.5} / 1.5 ~ 2e-8 for X = 1e5, smaller at Re(s) = 3
+    # the analytic L'/L against mpmath's Hurwitz derivatives
     for fld, chi in ((Q, TRIV), (Q, CHI4)):
-        for s, tol in ((2.5, 5e-8), (3.0 + 1.5j, 1e-9)):
-            a = l_log_derivative(fld, chi, complex(s), route="analytic")
-            b = l_log_derivative(fld, chi, complex(s), route="series")
-            assert abs(a - b) < tol
+        for s in (2.5, 3.0 + 1.5j):
+            got = l_log_derivative(fld, chi, complex(s))
+            assert abs(got - _mp_l_log_derivative(chi, s)) < 1e-14
 
 
 def _mp_log_derivative(chi, s):
@@ -166,8 +184,16 @@ def test_log_derivative_matches_finite_difference():
 
 
 def test_log_derivative_guards():
+    # L'/L has one route and no floor right of 1: Re(s) = 1.01, below the
+    # Euler route's 1.02, is read as anywhere else
+    for chi in (TRIV, CHI4):
+        want = _mp_l_log_derivative(chi, 1.01)
+        assert abs(l_log_derivative(Q, chi, 1.01) - want) \
+            <= 1e-14 * abs(want)
+    with pytest.raises(TypeError):
+        l_log_derivative(Q, TRIV, 3.0, route="series")
     with pytest.raises(DomainError):
-        l_log_derivative(Q, TRIV, 1.01, route="series")
+        l_log_derivative(Q, TRIV, complex(math.nan, 1.0))
     with pytest.raises(NearZeroOfL):
         l_log_derivative(Q, TRIV, complex(0.5, 14.134725141734695))
 
@@ -175,10 +201,10 @@ def test_log_derivative_guards():
 def test_log_l_series_is_principal_branch():
     # the canonical branch tends to 0 as Re(s) grows
     assert abs(log_l_series(Q, TRIV, 8.0)) < 5e-3
-    # prime truncation leaves a ~1/(X log X) tail at Re(s) = 2
-    for s, tol in ((2.0, 5e-6), (3.0 + 2.0j, 1e-10)):
-        assert abs(cmath.exp(log_l_series(Q, TRIV, complex(s)))
-                   - l_value(Q, TRIV, complex(s))) < tol
+    # and is mpmath's principal log of zeta
+    for s in (2.0, 3.0 + 2.0j):
+        want = complex(mp.log(mp.zeta(mp.mpc(s))))
+        assert abs(log_l_series(Q, TRIV, complex(s)) - want) < 1e-14
 
 
 def test_completed_lambda_convention_against_mpmath():
@@ -200,10 +226,15 @@ def test_completed_lambda_convention_against_mpmath():
 
 
 def test_conductor_factor_values():
-    assert abs(conductor_factor(Q, TRIV) - 1 / math.pi) < 1e-15
-    assert abs(conductor_factor(Q, CHI4) - 4 / math.pi) < 1e-15
-    assert abs(conductor_factor(QI, trivial_character(QI))
-               - 4 / (4 * math.pi ** 2)) < 1e-15
+    # at s = 2 Lambda = A [s(s-1)/2]^eps Gamma(w) L with [s(s-1)/2] = 1, so
+    # Lambda / (Gamma(w) L) from mpmath is the conductor factor
+    # A = q / (4^r2 pi^n): 1/pi, 4/pi and 4 / (4 pi^2)
+    for fld, chi, key, gamma, want in (
+            (Q, TRIV, TRIV, mp.gamma(1), 1 / mp.pi),
+            (Q, CHI4, CHI4, mp.gamma(1.5), 4 / mp.pi),
+            (QI, trivial_character(QI), None, mp.gamma(2), 1 / mp.pi ** 2)):
+        got = completed_lambda(fld, chi, 2.0) / complex(gamma * _mp_l(key, 2))
+        assert abs(got - complex(want)) < 2e-14 * float(want)
 
 
 def test_functional_equation():

@@ -3,6 +3,7 @@ import cmath
 import math
 import warnings
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from polydet import (
     dirichlet_character_by_index,
     erh_monodromy_defect,
     kronecker_character,
-    l_log_derivative,
     l_value,
     log_l_series,
     poly_l_continued,
@@ -28,7 +28,8 @@ from polydet import (
     poly_l_ladder_residual,
     trivial_character,
 )
-from polydet.poly_l import _circle_derivative
+from polydet.l_functions import _ideal_arrays
+from polydet.poly_l import _EULER_NORM, _circle_derivative
 
 Q = NumberField.rational()
 TRIV = trivial_character(Q)
@@ -62,23 +63,49 @@ def test_euler_depth_guards():
 
 
 def test_series_domain_edges_at_floor():
-    # the series routes of L need Re(s) > 1.02, the Euler route of L^(r)
-    # accepts Re(s) = 1.02 itself
+    # log L and L^(r) right of 1 share the Euler route's one floor: it
+    # accepts Re(s) = 1.02 itself, and rejects 1.01 and a NaN real part
     for s in (1.02, 1.02 + 3.0j):
+        assert cmath.isfinite(log_l_series(Q, TRIV, s))
+        res = poly_l_euler(Q, CHI4, 2, s)
+        assert math.isfinite(abs(res.value)) and res.error_estimate > 0.0
+    for s in (1.01, 1.01 + 3.0j, complex(math.nan, 1.0)):
         with pytest.raises(DomainError):
             log_l_series(Q, TRIV, s)
         with pytest.raises(DomainError):
-            l_log_derivative(Q, CHI4, s, route="series")
-        res = poly_l_euler(Q, CHI4, 2, s)
-        assert math.isfinite(abs(res.value)) and res.error_estimate > 0.0
-    # a NaN real part is outside every series domain
-    nan = complex(math.nan, 1.0)
-    with pytest.raises(DomainError):
-        log_l_series(Q, TRIV, nan)
-    with pytest.raises(DomainError):
-        l_log_derivative(Q, CHI4, nan, route="series")
-    with pytest.raises(DomainError):
-        poly_l_euler(Q, CHI4, 2, nan)
+            poly_l_euler(Q, CHI4, 2, s)
+
+
+def _mp_log_l(label, s):
+    """mpmath's log L: zeta, L(chi_-4) = 4^-s (zeta(s, 1/4) - zeta(s,
+    3/4)), and the Dedekind zeta of Q(i) as the sum of the two logs."""
+    with mp.workdps(30):
+        s = mp.mpc(s)
+        log_zeta = mp.log(mp.zeta(s))
+        log_chi4 = mp.log(4 ** -s * (mp.zeta(s, mp.mpf(1) / 4)
+                                     - mp.zeta(s, mp.mpf(3) / 4)))
+        return complex({"Q": log_zeta, "chi4": log_chi4,
+                        "Qi": log_zeta + log_chi4}[label])
+
+
+@pytest.mark.parametrize("label, fld, chi", [
+    ("Q", Q, TRIV), ("chi4", Q, CHI4), ("Qi", QI, trivial_character(QI))])
+def test_log_l_series_against_mpmath_within_its_claim(label, fld, chi):
+    for sigma in (1.02, 1.05, 1.3, 2.0, 3.0):
+        for t in (0.0, 14.0):
+            s = complex(sigma, t)
+            _, err, _ = poly_l_log_euler(fld, chi, 1, s)
+            assert abs(log_l_series(fld, chi, s) - _mp_log_l(label, s)) <= err
+
+
+def test_log_l_series_builds_only_the_euler_table():
+    # log L reads the prime ideals to the Euler route's norm bound alone
+    _ideal_arrays.cache_clear()
+    log_l_series(Q, TRIV, 3.0)
+    info = _ideal_arrays.cache_info()
+    assert info.currsize == 1
+    _ideal_arrays(Q, TRIV, _EULER_NORM)
+    assert _ideal_arrays.cache_info().misses == info.misses
 
 
 def test_circle_derivative_against_closed_forms():
@@ -293,9 +320,7 @@ def test_depth_one_closed_determinant_right_of_one():
 
 def test_log_continued_depth_one_matches_series_in_overlap():
     got, err = poly_l_log_continued(Q, TRIV, 1, 2.5 + 1.0j)
-    want = log_l_series(Q, TRIV, 2.5 + 1.0j)
-    # limited by the series truncation at the comparison point
-    assert abs(got - want) < 1e-7
+    assert abs(got - _mp_log_l("Q", 2.5 + 1.0j)) < 1e-14
     assert 0.0 < err < 1e-12
 
 
@@ -303,8 +328,7 @@ def test_log_continued_depth_one_closed_loop_returns():
     loop = PathSpec((3.0 + 0.0j, 3.0 + 2.0j, 4.0 + 2.0j, 4.0 + 0.0j,
                      3.0 + 0.0j))
     got, _ = poly_l_log_continued(Q, TRIV, 1, 3.0, path=loop)
-    want = log_l_series(Q, TRIV, 3.0)
-    assert abs(got - want) < 1e-9
+    assert abs(got - _mp_log_l("Q", 3.0)) < 1e-14
 
 
 def test_log_continued_path_must_start_at_the_anchor():

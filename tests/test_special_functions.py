@@ -5,6 +5,7 @@ mpmath is also used live for spot checks so precision regressions surface
 with a diff, not just a boolean.
 """
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -30,8 +31,9 @@ from polydet import (
     log_gamma,
     milnor_gamma,
 )
-from polydet import special_functions
+from polydet import special_functions, verification
 from polydet.special_functions import _abel_plana, digamma
+from polydet.verification import run_suite
 
 
 @pytest.fixture(autouse=True)
@@ -278,6 +280,19 @@ def test_abel_plana_reads_no_kernel(monkeypatch):
     monkeypatch.setattr(special_functions, "_em_core", no_kernel)
     _abel_plana(3, 1.25 + 0.5j)
     milnor_gamma(2, 1.5)
+
+
+def test_special_suite_catches_a_planted_abel_plana_error(monkeypatch):
+    # the kernel and Abel-Plana evaluators of zeta'(1 - r, w) are checked
+    # against each other: a 1e-9 relative error in one fails the check
+    def planted(r, a):
+        em = _abel_plana(r, a)
+        return dataclasses.replace(em, ds=em.ds * (1.0 + 1e-9))
+    check = run_suite("special")[0]
+    assert check.name == "hurwitz-ds-abel-plana" and check.passed
+    monkeypatch.setattr(verification, "_abel_plana", planted)
+    check = run_suite("special")[0]
+    assert check.name == "hurwitz-ds-abel-plana" and not check.passed
 
 
 def test_abel_plana_domain():

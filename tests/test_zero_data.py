@@ -419,6 +419,13 @@ def test_parse_errors_carry_line_numbers():
         loads_zeros("10.0 1 extra-field\n", "demo")
     with pytest.raises(ParseError):
         loads_zeros("10.0 0\n", "demo")   # multiplicity must be >= 1
+    # no comparison fails on NaN, so non-finite numbers are refused by name
+    for text, line in (("10.0\nnan\n", 2), ("10.0\n12.0\ninf 2\n", 3),
+                       ("height: nan\n10.0\n", 1),
+                       ("10.0\nheight: inf\n", 2)):
+        with pytest.raises(ParseError, match=f"line {line}:") as err:
+            loads_zeros(text, "demo")
+        assert err.value.line == line
 
 
 def test_table_validation():
@@ -426,6 +433,10 @@ def test_table_validation():
         ZeroTable("bad", (-1.0, 2.0), 5.0)
     with pytest.raises(NonMonotoneError):
         ZeroTable("bad", (2.0, 1.0), 5.0)
+    for ordinates, height in (((2.0, math.nan), 5.0), ((2.0, math.inf), 5.0),
+                              ((2.0, 3.0), math.nan), ((2.0, 3.0), math.inf)):
+        with pytest.raises(DomainError):
+            ZeroTable("bad", ordinates, height)
     # completeness clamps to the last ordinate
     tab = ZeroTable("clamp", (5.0, 9.0), 100.0)
     assert tab.completeness_height == 9.0
