@@ -31,11 +31,11 @@ from .errors import ParseError, PolydetError
 from .fields_and_characters import (HeckeCharacter, NumberField,
                                     dirichlet_character_by_index,
                                     kronecker_character, trivial_character)
-from .l_functions import (PathSpec, completed_lambda, l_log_derivative,
-                          l_value, root_number)
+from .l_functions import (PathSpec, _completed, _l_and_ds, l_log_derivative,
+                          root_number)
 from .poly_l import _ANCHOR, poly_l_continued, poly_l_euler
-from .special_functions import (Result, _abel_plana, bernoulli_poly,
-                                hurwitz_zeta_em)
+from .special_functions import (Result, _abel_plana, _bernoulli_zero_value,
+                                bernoulli_poly, hurwitz_zeta_em)
 from .verification import SUITES, format_results, run_suite
 from .zero_data import (_BISECT_TOL, ZeroTable, builtin_zeta_zeros, find_zeros,
                         load_zeros, save_zeros)
@@ -245,7 +245,9 @@ def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
     elif fn == "bernoulli":
         r, z = int(need("r")), need("z")
         value = bernoulli_poly(r, z)
-        rec = make_record(inputs, value, 0.0, "exact", cfg)
+        # B_r(z) = -r zeta(1 - r, z): r times that value's Horner bound
+        err = r * _bernoulli_zero_value(r, z)[1] if r else 0.0
+        rec = make_record(inputs, value, err, "exact", cfg)
     else:  # pragma: no cover - argparse choices guard this
         raise ParseError(f"unknown --fn {fn!r}")
     return [rec], 0
@@ -264,18 +266,15 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         return [make_record(inputs, value, err, "root-number", cfg)], 0
     if s is None:
         raise ParseError("lfun needs --s (only --root-number does not)")
-    if args.log_derivative:
+    if args.completed:
+        (value, err), route = _completed(fld, chi, s), "completed"
+    elif args.log_derivative:
         value = l_log_derivative(fld, chi, s)
+        L, _, err_l, err_dl = _l_and_ds(fld, chi, s)
+        err = (err_dl + abs(value) * err_l) / (abs(L) - err_l)
         route = "log-derivative"
-        err = cfg.target_abs_error
-    elif args.completed:
-        value = completed_lambda(fld, chi, s)
-        route = "completed"
-        err = abs(value) * cfg.target_abs_error
     else:
-        value = l_value(fld, chi, s)
-        route = "euler-maclaurin"
-        err = cfg.target_abs_error
+        (value, _, err, _), route = _l_and_ds(fld, chi, s), "euler-maclaurin"
     return [make_record(inputs, value, err, route, cfg)], 0
 
 

@@ -1,8 +1,6 @@
-"""Evaluation configuration: three tolerances in one frozen dataclass, so
-that a run can be reproduced from its config snapshot alone.  The
-quadrature routes read it, and the CLI reports target_abs_error as the
-error of its `lfun` records; the special-function kernel, the L-value
-layer and the zero scans take none.
+"""Evaluation configuration: the quadrature's two settings in one frozen
+dataclass, so that a run can be reproduced from its config snapshot alone.
+The kernel, the L-value layer and the zero scans take none.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from dataclasses import dataclass, asdict, replace
 
 @dataclass(frozen=True)
 class EvalConfig:
-    # Absolute error the CLI's lfun records report.
-    target_abs_error: float = 1e-12
     # Relative/absolute tolerance for adaptive panel refinement.
     quad_tol: float = 1e-10
     # Maximum number of bisections of one quadrature panel before giving up.
@@ -23,8 +19,6 @@ class EvalConfig:
 
     def __post_init__(self):
         # "not 0 < x < inf" also rejects NaN
-        if not 0 < self.target_abs_error < math.inf:
-            raise ValueError("target_abs_error must be positive and finite")
         if not 0 < self.quad_tol < math.inf:
             raise ValueError("quad_tol must be positive and finite")
         if self.max_refinements < 1:

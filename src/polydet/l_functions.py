@@ -10,9 +10,9 @@ every value and s-derivative read from `special_functions.hurwitz_zeta_em`
     whose subtracted poles cancel because the chi(a) sum to zero,
   * zeta_K(s) = zeta(s) L(s, chi_{d_K}) for quadratic K.
 
-`_l_and_ds` returns (L, L') from this assembly at a scalar s or an array of
-nodes (same shape back); the Dirichlet sum makes one batched Hurwitz call
-for all residues and nodes.  `l_value`, the analytic route of
+`_l_and_ds` returns L, L' and the kernel's bounds on them at a scalar s or
+an array of nodes (same shape back); the Dirichlet sum makes one batched
+Hurwitz call for all residues and nodes.  `l_value`, the analytic route of
 `l_log_derivative` and `completed_lambda` read it and take arrays too.
 
 On top of that sit the completed function with its gamma factors, the root
@@ -40,7 +40,8 @@ from .errors import (DomainError, FieldMismatch, GammaPole, NearZeroOfL,
 from .fields_and_characters import (HeckeCharacter, NumberField,
                                     _ideal_table, kronecker_character)
 from .quadrature import integrate_polyline
-from .special_functions import EM_CHUNK, hurwitz_zeta_em, log_gamma
+from .special_functions import (_EPS, EM_CHUNK, EmResult, _fields,
+                                hurwitz_zeta_em, log_gamma)
 
 __all__ = [
     "PathSpec",
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 _SERIES_MIN_RE = 1.02      # the Euler route's floor on Re(s)
-_SMALL_L = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +112,9 @@ def _check_pair(fld: NumberField, chi: HeckeCharacter):
         raise UnsupportedCharacter("only Q and quadratic fields are supported")
 
 
-def _zeta_and_ds(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    em = hurwitz_zeta_em(s, 1.0)
-    return em.value, em.ds
-
-
-def _dirichlet_and_ds(chi: HeckeCharacter,
-                      s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L(s, chi) and L'(s, chi) at an array of nodes, for a primitive
-    non-principal Dirichlet chi.
+def _dirichlet_and_ds(chi: HeckeCharacter, s: np.ndarray) -> EmResult:
+    """L(s, chi), L'(s, chi) and their bounds at an array of nodes, for a
+    primitive non-principal Dirichlet chi.
 
     Assembled from pole-subtracted Hurwitz zetas, one batched call for
     every residue with chi(a) != 0 and every node, weighted and summed
@@ -129,7 +123,7 @@ def _dirichlet_and_ds(chi: HeckeCharacter,
     s = 1 as well.  Each residue's derivative is that of q^-s zeta(s,
     a/q), summed from the bases q m + a (`scale=q`): L' carries no
     -log(q) L, which far right would cancel to rounding noise against the
-    tiny true L'/L.
+    tiny true L'/L.  The bounds add the kernel's times |chi(a) q^-s|.
     """
     q = chi.modulus
     values = np.array(chi.values, dtype=np.complex128)
@@ -137,7 +131,9 @@ def _dirichlet_and_ds(chi: HeckeCharacter,
     em = hurwitz_zeta_em(s, a, minus_pole=True, scale=q)
     v = values[a, None]
     qs = np.exp(-s * math.log(q))
-    return qs * (v * em.value).sum(axis=0), qs * (v * em.ds).sum(axis=0)
+    aq = np.abs(qs)     # and |chi(a)| = 1 on every residue summed
+    return EmResult(*(k * f.sum(axis=0) for k, f in zip(
+        (qs, qs, aq, aq), (v * em.value, v * em.ds, em.err_value, em.err_ds))))
 
 
 @lru_cache(maxsize=16)
@@ -146,13 +142,13 @@ def _quadratic_kronecker(fld: NumberField) -> HeckeCharacter:
 
 
 def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s) -> tuple:
-    """(L, L') by the analytic route at a scalar s (complex results) or an
-    array of nodes (arrays of the same shape)."""
+    """(L, L', err_L, err_L'), the kernel's bounds carried through the sums
+    and product rule, at a scalar s or an array of nodes (s's shape)."""
     _check_pair(fld, chi)
     arr = np.asarray(s, dtype=np.complex128)
     nodes = arr.reshape(-1)
-    L = np.empty_like(nodes)
-    dL = np.empty_like(nodes)
+    L, dL = np.empty_like(nodes), np.empty_like(nodes)
+    eL, edL = np.empty(len(nodes)), np.empty(len(nodes))
     # one kernel chunk of at most EM_CHUNK nodes at a time, so that all
     # Hurwitz pieces of a chunk (zeta and L(chi_d) of a Dedekind zeta)
     # share its Pochhammer table; far left of 0 the q^-s factor or the
@@ -161,20 +157,25 @@ def _l_and_ds(fld: NumberField, chi: HeckeCharacter, s) -> tuple:
         for lo in range(0, len(nodes), EM_CHUNK):
             part, at = nodes[lo:lo + EM_CHUNK], slice(lo, lo + EM_CHUNK)
             if not chi.is_principal:
-                L[at], dL[at] = _dirichlet_and_ds(chi, part)
+                em = _dirichlet_and_ds(chi, part)
             elif fld.is_rational:
-                L[at], dL[at] = _zeta_and_ds(part)
+                em = hurwitz_zeta_em(part, 1.0)
             else:
                 # Dedekind zeta of a quadratic field: zeta(s) L(s, chi_disc)
-                z, dz = _zeta_and_ds(part)
-                l, dl = _dirichlet_and_ds(_quadratic_kronecker(fld), part)
-                L[at], dL[at] = z * l, dz * l + z * dl
-    if not (finite := np.isfinite(L) & np.isfinite(dL)).all():
+                z, dz, ez, edz = _fields(hurwitz_zeta_em(part, 1.0))
+                l, dl, el, edl = _fields(
+                    _dirichlet_and_ds(_quadratic_kronecker(fld), part))
+                em = EmResult(
+                    z * l, dz * l + z * dl, abs(z) * el + abs(l) * ez,
+                    abs(l) * edz + abs(dz) * el + abs(dl) * ez + abs(z) * edl)
+            L[at], dL[at], eL[at], edL[at] = _fields(em)
+    finite = np.isfinite(L) & np.isfinite(dL) & np.isfinite(eL + edL)
+    if not finite.all():
         raise DomainError(f"L(s) at s = {nodes[~finite][0]} overflows double "
                           "precision")
     if arr.ndim == 0:
-        return complex(L[0]), complex(dL[0])
-    return L.reshape(arr.shape), dL.reshape(arr.shape)
+        return complex(L[0]), complex(dL[0]), float(eL[0]), float(edL[0])
+    return tuple(x.reshape(arr.shape) for x in (L, dL, eL, edL))
 
 
 def l_value(fld: NumberField, chi: HeckeCharacter, s):
@@ -185,10 +186,10 @@ def l_value(fld: NumberField, chi: HeckeCharacter, s):
 
 def l_log_derivative(fld: NumberField, chi: HeckeCharacter, s):
     """(L'/L)(s, chi) at a scalar s or elementwise over an array of nodes;
-    NearZeroOfL if any node has |L| < 1e-12."""
-    L, dL = _l_and_ds(fld, chi, s)
-    if (small := np.abs(L) < _SMALL_L).any():
-        raise NearZeroOfL(f"|L| is below {_SMALL_L} at s = "
+    NearZeroOfL where |L| < 1e-12 or |L| <= the kernel's bound on L."""
+    L, dL, err = _l_and_ds(fld, chi, s)[:3]
+    if (small := np.abs(L) <= np.maximum(1e-12, err)).any():
+        raise NearZeroOfL("|L| is below 1e-12 or its bound at s = "
                           f"{np.asarray(s, dtype=np.complex128)[small][0]}")
     return dL / L
 
@@ -256,9 +257,17 @@ def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
     absorbs the poles at 0 and 1 (evaluation exactly at s = 1 is still
     blocked by the pole guard of the L-value route).
     """
+    out = _completed(fld, chi, s)[0]
+    return complex(out) if out.ndim == 0 else out
+
+
+def _completed(fld: NumberField, chi: HeckeCharacter, s) -> tuple:
+    """(Lambda, bound): |Lambda| times L's relative bound plus exp's rounding
+    of the exponents, 4 eps (1 + |log A^(s/2)| + sum of |log Gamma(w)| + 16;
+    log Gamma's Stirling terms at |w + n| >= 12 reach ~40 and cancel)."""
     _check_pair(fld, chi)
     s = np.asarray(s, dtype=np.complex128)
-    gamma_prod = 1.0
+    gamma_prod, expo = 1.0, 1.0
     for pl in chi.arch_places():
         w = pl.w(s)
         if (left := w.real <= 0).any():
@@ -267,13 +276,16 @@ def completed_lambda(fld: NumberField, chi: HeckeCharacter, s):
         k = np.round(w.real)
         if (pole := (np.abs(w - k) < 1e-8) & (k <= 0)).any():
             raise GammaPole(f"gamma factor pole at argument {w[pole][0]}")
-        gamma_prod = gamma_prod * np.exp(log_gamma(w))
+        gamma_prod = gamma_prod * np.exp(lg := log_gamma(w))
+        expo = expo + np.abs(lg) + 16.0
     # the conductor factor q / (2^(2 r2) pi^n)
     A = conductor(fld, chi) / (4.0 ** fld.r2 * math.pi ** fld.degree)
-    out = np.exp(0.5 * s * math.log(A)) * l_value(fld, chi, s) * gamma_prod
+    L, _, err, _ = _l_and_ds(fld, chi, s)
+    out = np.exp(log_a := 0.5 * s * math.log(A)) * L * gamma_prod
     if chi.epsilon == 1:
         out = out * (0.5 * s * (s - 1.0))
-    return complex(out) if s.ndim == 0 else out
+    return out, np.abs(out) * (err / np.abs(L)
+                               + 4.0 * _EPS * (expo + np.abs(log_a)))
 
 
 def root_number(fld: NumberField, chi: HeckeCharacter) -> complex:

@@ -268,7 +268,7 @@ def _hardy_z(chi: HeckeCharacter,
     |L|, so it stays in the double range however far up the line.
     Z' = Re(i e^(i theta) (theta' L + L')) reads the L' that the kernel
     returns with L."""
-    L, dL = _l_and_ds(_Q, chi, 0.5 + 1j * t)
+    L, dL = _l_and_ds(_Q, chi, 0.5 + 1j * t)[:2]
     th, dth = _theta(chi, t)
     rot = np.exp(1j * th)
     return (rot * L).real, (1j * rot * (dth * L + dL)).real

@@ -3,6 +3,7 @@ import argparse
 import json
 import warnings
 
+import mpmath as mp
 import pytest
 
 from polydet import DEFAULT_CONFIG, NumberField, ParseError, cli, verification
@@ -409,6 +410,70 @@ def test_lfun_value_route_is_euler_maclaurin(capsys):
                                    "kronecker:-4"])
     assert code == 0
     assert recs[0]["route"] == "euler-maclaurin"
+
+
+def _gap_and_claim(capsys, argv, ref):
+    """The record's distance to an mpmath reference, and its claim."""
+    code, recs = run_json(capsys, argv)
+    assert code == 0
+    got = complex(recs[0]["value_re"], recs[0]["value_im"])
+    return abs(complex(ref) - got), recs[0]["error_estimate"]
+
+
+def test_lfun_claims_cover_the_gap_left_of_the_strip(capsys):
+    # L(-5.5, chi_-4) is 2.3e-7 from mpmath, where a fixed 1e-12 was
+    # claimed; the claims are the kernel's bounds on L and L'
+    with mp.workdps(30):
+        c = [0, 1, 0, -1]
+        ref, dref = mp.dirichlet(-5.5, c), mp.dirichlet(-5.5, c, 1)
+        argv = ["lfun", "--s", "-5.5", "--char", "kronecker:-4"]
+        gap, claim = _gap_and_claim(capsys, argv, ref)
+        assert 1e-8 < gap <= claim
+        gap, claim = _gap_and_claim(capsys, argv + ["--log-derivative"],
+                                    dref / ref)
+        assert gap <= claim
+    # at the trivial zero L(-8, chi_5) = 0 the computed L (1.6e-11) is
+    # within its claim of 0, and so L'/L is unbounded
+    assert main(["lfun", "--s", "-8", "--char", "kronecker:5",
+                 "--log-derivative"]) == 2
+    assert "or its bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, char, s", [
+    ("Q", "trivial", 0.5 + 200.0j),
+    ("Q", "kronecker:-4", 2.0 - 199.5j),
+    ("quad:-1", "trivial", 0.75 + 201.0j),
+])
+def test_lfun_completed_claim_covers_the_gap_high_up(capsys, field, char, s):
+    # Lambda = A^(s/2) Gamma-factors L (times s(s-1)/2 for zeta and zeta_K)
+    with mp.workdps(30):
+        u = mp.mpc(s.real, s.imag)
+        if char == "kronecker:-4":
+            ref = (4 / mp.pi) ** (u / 2) * mp.gamma((u + 1) / 2) \
+                * mp.dirichlet(u, [0, 1, 0, -1])
+        elif field == "Q":
+            ref = u * (u - 1) / 2 * mp.pi ** (-u / 2) * mp.gamma(u / 2) \
+                * mp.zeta(u)
+        else:
+            ref = u * (u - 1) / 2 * mp.pi ** -u * mp.gamma(u) * mp.zeta(u) \
+                * mp.dirichlet(u, [0, 1, 0, -1])
+        gap, claim = _gap_and_claim(capsys, [
+            "lfun", "--field", field, "--char", char, "--completed",
+            f"--s={s.real}{s.imag:+}i"], ref)
+    assert gap <= claim <= 1e-10 * abs(complex(ref))
+
+
+def test_eval_bernoulli_claims_its_horner_bound(capsys):
+    # B_20(3.7) rounds to 6.4e-5 off in doubles; it claimed exactness
+    with mp.workdps(30):
+        gap, claim = _gap_and_claim(
+            capsys, ["eval", "--fn", "bernoulli", "--r", "20", "--z", "3.7"],
+            mp.bernpoly(20, mp.mpf("3.7")))
+    assert 1e-5 < gap <= claim < 0.1
+    # a constant is exact
+    _, claim = _gap_and_claim(
+        capsys, ["eval", "--fn", "bernoulli", "--r", "0", "--z", "3.7"], 1.0)
+    assert claim == 0.0
 
 
 def test_lfun_root_number_needs_no_s(capsys):

@@ -10,7 +10,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polydet import (
@@ -331,21 +331,6 @@ def _dirichlet_err(chi, s):
     return qs * ev, qs * ed
 
 
-def _l_err(fld, chi, s):
-    """Error bounds of (L, L') at the nodes s."""
-    if not chi.is_principal:
-        return _dirichlet_err(chi, s)
-    em = hurwitz_zeta_em(s, 1.0)
-    if fld.is_rational:
-        return em.err_value, em.err_ds
-    chi_d = kronecker_character(fld.discriminant)
-    l, dl = _l_and_ds(Q, chi_d, s)
-    el, edl = _dirichlet_err(chi_d, s)
-    z, dz, ez, edz = em.value, em.ds, em.err_value, em.err_ds
-    return (abs(l) * ez + abs(z) * el,
-            abs(l) * edz + abs(dz) * el + abs(dl) * ez + abs(z) * edl)
-
-
 node = st.builds(complex, st.floats(-6.0, 8.0), st.floats(-30.0, 30.0))
 
 
@@ -357,16 +342,59 @@ def test_batch_matches_one_node_calls(pair, nodes):
     if chi.epsilon == 1:
         assume(all(abs(u - 1.0) > 1e-3 for u in nodes))
     s = np.array(nodes, dtype=np.complex128)
-    L, dL = _l_and_ds(fld, chi, s)
-    assert L.shape == dL.shape == s.shape
-    eb, db = _l_err(fld, chi, s)
+    L, dL, eb, db = _l_and_ds(fld, chi, s)
+    assert L.shape == dL.shape == eb.shape == db.shape == s.shape
     for i, u in enumerate(nodes):
-        one, done = _l_and_ds(fld, chi, u)
+        one, done, e1, d1 = _l_and_ds(fld, chi, u)
         # the batch may use a larger split than the node alone; each
         # evaluation lies within its own bound of the true value
-        e1, d1 = _l_err(fld, chi, np.array([u]))
-        assert abs(L[i] - one) <= e1[0] + eb[i]
-        assert abs(dL[i] - done) <= d1[0] + db[i]
+        assert abs(L[i] - one) <= e1 + eb[i]
+        assert abs(dL[i] - done) <= d1 + db[i]
+
+
+KRON5 = kronecker_character(5)
+
+
+def _mp_l_and_ds(fld, chi, s):
+    """mpmath's (L, L') at the working precision (30 digits)."""
+    s = mp.mpc(s.real, s.imag)
+    if not chi.is_principal:
+        return mp.dirichlet(s, chi.values), mp.dirichlet(s, chi.values, 1)
+    z, dz = mp.zeta(s), mp.zeta(s, derivative=1)
+    if fld.is_rational:
+        return z, dz
+    c = [v.real for v in kronecker_character(fld.discriminant).values]
+    l, dl = mp.dirichlet(s, c), mp.dirichlet(s, c, 1)
+    return z * l, dz * l + z * dl
+
+
+# on a 1e-6 grid: mpmath's Hurwitz reflection loses every digit at |s| ~
+# 1e-100 (L(s, chi_5) there came back as 2.6e61 i)
+grid = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k * 1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from([(Q, TRIV), (Q, CHI4), (Q, KRON5),
+                             (QI, trivial_character(QI))]),
+       s=st.builds(lambda x, y: complex(8.0 * x, 20.0 * y), grid, grid))
+@example(pair=(Q, KRON5), s=-8.0 + 0j)     # a trivial zero: L'/L raises
+@example(pair=(Q, CHI4), s=-5.5 + 0j)      # L is 2.3e-7 from mpmath
+def test_l_claims_cover_the_gap_to_mpmath(pair, s):
+    # the kernel's claims, as `lfun` reports them: err_L for L, err_L' for
+    # L', and (err_L' + |L'/L| err_L) / (|L| - err_L) for L'/L; where |L|
+    # is within its claim of 0 (a trivial zero) L'/L raises instead
+    fld, chi = pair
+    assume(abs(s - 1.0) >= 0.05)
+    L, dL, err, derr = _l_and_ds(fld, chi, s)
+    ref, dref = _mp_l_and_ds(fld, chi, s)
+    assert abs(ref - L) <= err
+    assert abs(dref - dL) <= derr
+    if abs(L) <= max(1e-12, err):
+        with pytest.raises(NearZeroOfL):
+            l_log_derivative(fld, chi, s)
+    else:
+        v = l_log_derivative(fld, chi, s)
+        assert abs(dref / ref - v) <= (derr + abs(v) * err) / (abs(L) - err)
 
 
 def test_batch_with_a_bad_node_is_a_domain_error():

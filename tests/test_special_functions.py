@@ -320,10 +320,13 @@ def test_milnor_gamma_rejects_bad_depth():
 def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(quad_tol=-1.0)
-    for key in ("target_abs_error", "quad_tol"):
-        for bad in (math.nan, math.inf, 0.0):
-            with pytest.raises(ValueError):
-                EvalConfig(**{key: bad})
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError):
+            EvalConfig(quad_tol=bad)
+    # the quadrature's two settings; every reported error is a route's own
+    assert set(DEFAULT_CONFIG.snapshot()) == {"quad_tol", "max_refinements"}
+    with pytest.raises(TypeError):
+        EvalConfig(target_abs_error=1e-12)
     assert DEFAULT_CONFIG.with_updates(max_refinements=8).max_refinements == 8
     assert DEFAULT_CONFIG.config_hash() != \
         DEFAULT_CONFIG.with_updates(max_refinements=8).config_hash()
