@@ -20,7 +20,6 @@ from .errors import (BranchStepTooLarge, DomainError, EmptyZeroTable,
                      UnsupportedCharacter)
 from .fields_and_characters import (ArchPlace, HeckeCharacter, NumberField,
                                     dirichlet_character_by_index,
-                                    dirichlet_character_from_values,
                                     kronecker_character, kronecker_symbol,
                                     trivial_character)
 from .l_functions import (PathSpec, argument_principle_count,
@@ -32,12 +31,11 @@ from .poly_l import (erh_monodromy_defect, log_l_series, poly_l_continued,
 from .special_functions import (EmResult, Result, bernoulli_number,
                                 bernoulli_poly, hurwitz_zeta_em, log_gamma,
                                 milnor_gamma)
-from .verification import (SUITES, CheckResult, format_results, run_all,
-                           run_suite)
+from .verification import SUITES, CheckResult, format_results, run_suite
 from .zero_data import (ZeroTable, builtin_zeta_zeros, find_zeros, load_zeros,
                         loads_zeros, save_zeros, scan_ordinates,
                         truncation_tail_estimate, zero_count_estimate)
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

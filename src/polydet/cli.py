@@ -6,25 +6,24 @@ depth-r determinants (det), zero tables (zeros), and the verification
 suites (verify).  Results print as a small text table by default or as
 JSON/CSV records with a stable schema:
 
-    {inputs, value_re, value_im, error_estimate, route, config_hash}
+    {inputs, value_re, value_im, error_estimate, route}
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
-Evaluation settings come from, in increasing precedence: built-in defaults,
-a flat key=value config file (--config, or the POLYDET_CONFIG environment
-variable), then repeated --set key=value flags.  Each subparser carries
-its handler as the `run` default, which returns (records, exit code).
+The CLI takes no configuration: every route runs the quadrature at its
+defaults (tolerance 1e-10, at most 12 bisections of a panel).  Each
+subparser carries its handler as the `run` default, which returns
+(records, exit code).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
+from . import __version__
 from .determinants import (_circle_radius, determinant_closed,
                            determinant_direct, xi_hankel, xi_zero_sum)
 from .errors import ParseError, PolydetError
@@ -109,68 +108,16 @@ def parse_waypoints(text: str) -> tuple[complex, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Configuration assembly
-
-
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' comments; keys are EvalConfig field names."""
-    updates: dict = {}
-    with open(path) as fh:
-        text = fh.read()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        updates.update(_config_pair(key.strip(), val.strip(),
-                                    where=f"{path}:{lineno}"))
-    return updates
-
-
-def _config_pair(key: str, val: str, where: str = "--set") -> dict:
-    if not hasattr(DEFAULT_CONFIG, key):
-        raise ParseError(f"{where}: unknown config key {key!r}")
-    kind = type(getattr(DEFAULT_CONFIG, key))
-    try:
-        parsed = float(val)
-    except ValueError:
-        raise ParseError(f"{where}: bad value {val!r} for {key}") from None
-    if kind is int and not parsed.is_integer():   # also rejects inf and NaN
-        raise ParseError(f"{where}: {key} must be an integer, got {val!r}")
-    return {key: int(parsed) if kind is int else parsed}
-
-
-def build_config(args: argparse.Namespace) -> EvalConfig:
-    updates: dict = {}
-    path = getattr(args, "config", None) or os.environ.get("POLYDET_CONFIG")
-    if path:
-        updates.update(load_config_file(path))
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise ParseError(f"--set needs key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        updates.update(_config_pair(key.strip(), val.strip()))
-    try:
-        return EvalConfig(**{**DEFAULT_CONFIG.snapshot(), **updates})
-    except ValueError as exc:
-        raise ParseError(f"bad config: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
 # Record emission
 
 
-def make_record(inputs: dict, value: complex, err: float, route: str,
-                cfg: EvalConfig) -> dict:
+def make_record(inputs: dict, value: complex, err: float, route: str) -> dict:
     return {
         "inputs": inputs,
         "value_re": float(value.real),
         "value_im": float(value.imag),
         "error_estimate": float(err),
         "route": route,
-        "config_hash": cfg.config_hash(),
     }
 
 
@@ -188,12 +135,11 @@ def emit_records(records: list[dict], fmt: str, out=None) -> None:
     if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["inputs", "value_re", "value_im", "error_estimate",
-                         "route", "config_hash"])
+                         "route"])
         for rec in records:
             inputs = ";".join(f"{k}={v}" for k, v in sorted(rec["inputs"].items()))
             writer.writerow([inputs, repr(rec["value_re"]), repr(rec["value_im"]),
-                             repr(rec["error_estimate"]), rec["route"],
-                             rec["config_hash"]])
+                             repr(rec["error_estimate"]), rec["route"]])
         return
     # plain table
     if records:
@@ -218,7 +164,7 @@ def _pair(args) -> tuple[NumberField, HeckeCharacter, dict]:
     return fld, chi, {"field": args.field, "char": args.char}
 
 
-def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
+def run_eval(args) -> tuple[list[dict], int]:
     fn = args.fn
     inputs = {"fn": fn}
 
@@ -233,27 +179,27 @@ def run_eval(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         s, z = need("s"), need("z")
         em = hurwitz_zeta_em(s, z)
         if fn == "hurwitz":
-            rec = make_record(inputs, em.value, em.err_value, "euler-maclaurin", cfg)
+            rec = make_record(inputs, em.value, em.err_value, "euler-maclaurin")
         else:
-            rec = make_record(inputs, em.ds, em.err_ds, "euler-maclaurin", cfg)
+            rec = make_record(inputs, em.ds, em.err_ds, "euler-maclaurin")
     elif fn == "milnor-gamma":
         r, z = int(need("r")), need("z")
         # one Abel-Plana evaluation gives the value and its claim
         em = _abel_plana(r, z)
         res = Result.from_log(em.ds, em.err_ds, "lerch")
-        rec = make_record(inputs, res.value, res.error_estimate, "lerch", cfg)
+        rec = make_record(inputs, res.value, res.error_estimate, "lerch")
     elif fn == "bernoulli":
         r, z = int(need("r")), need("z")
         value = bernoulli_poly(r, z)
         # B_r(z) = -r zeta(1 - r, z): r times that value's Horner bound
         err = r * _bernoulli_zero_value(r, z)[1] if r else 0.0
-        rec = make_record(inputs, value, err, "exact", cfg)
+        rec = make_record(inputs, value, err, "exact")
     else:  # pragma: no cover - argparse choices guard this
         raise ParseError(f"unknown --fn {fn!r}")
     return [rec], 0
 
 
-def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
+def run_lfun(args) -> tuple[list[dict], int]:
     fld, chi, inputs = _pair(args)
     s = args.s
     if s is not None:
@@ -263,7 +209,7 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         # rounding bound of the Gauss sum: ~20 ulp on each of its q unit
         # terms, over |tau(chi)| = sqrt(q)
         err = 20.0 * chi.conductor_norm ** 0.5 * np.finfo(float).eps
-        return [make_record(inputs, value, err, "root-number", cfg)], 0
+        return [make_record(inputs, value, err, "root-number")], 0
     if s is None:
         raise ParseError("lfun needs --s (only --root-number does not)")
     if args.completed:
@@ -275,10 +221,10 @@ def run_lfun(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         route = "log-derivative"
     else:
         (value, _, err, _), route = _l_and_ds(fld, chi, s), "euler-maclaurin"
-    return [make_record(inputs, value, err, route, cfg)], 0
+    return [make_record(inputs, value, err, route)], 0
 
 
-def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
+def run_polyl(args) -> tuple[list[dict], int]:
     fld, chi, inputs = _pair(args)
     inputs.update(depth=args.depth, s=str(args.s))
     if args.continued:
@@ -287,14 +233,13 @@ def run_polyl(args, cfg: EvalConfig) -> tuple[list[dict], int]:
             path = PathSpec(parse_waypoints(args.path))
             inputs["path"] = args.path
         inputs["anchor"] = _ANCHOR
-        res = poly_l_continued(fld, chi, args.depth, args.s, cfg, path=path)
+        res = poly_l_continued(fld, chi, args.depth, args.s, path=path)
     else:
         res = poly_l_euler(fld, chi, args.depth, args.s)
-    return [make_record(inputs, res.value, res.error_estimate, res.route,
-                        cfg)], 0
+    return [make_record(inputs, res.value, res.error_estimate, res.route)], 0
 
 
-def run_xi(args, cfg: EvalConfig) -> tuple[list[dict], int]:
+def run_xi(args) -> tuple[list[dict], int]:
     fld, chi, inputs = _pair(args)
     s, z = args.s, args.z
     inputs.update(s=str(s), z=str(z), route=args.route)
@@ -311,27 +256,27 @@ def run_xi(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         res = xi_zero_sum(fld, chi, s, z, table)
     else:
         inputs["delta"] = _circle_radius(z)
-        res = xi_hankel(fld, chi, s, z, cfg)
-    return [make_record(inputs, res.value, res.error_estimate, res.route, cfg)], 0
+        res = xi_hankel(fld, chi, s, z)
+    return [make_record(inputs, res.value, res.error_estimate, res.route)], 0
 
 
-def run_det(args, cfg: EvalConfig) -> tuple[list[dict], int]:
+def run_det(args) -> tuple[list[dict], int]:
     fld, chi, inputs = _pair(args)
     inputs.update(depth=args.depth, z=str(args.z))
     results = []
     if not args.numeric:
-        results.append(determinant_closed(fld, chi, args.depth, args.z, cfg))
+        results.append(determinant_closed(fld, chi, args.depth, args.z))
     if not args.closed:
-        results.append(determinant_direct(fld, chi, args.depth, args.z, cfg))
-    records = [make_record(inputs, res.value, res.error_estimate, res.route,
-                           cfg) for res in results]
+        results.append(determinant_direct(fld, chi, args.depth, args.z))
+    records = [make_record(inputs, res.value, res.error_estimate, res.route)
+               for res in results]
     if len(results) == 2:
         gap = abs(results[0].value - results[1].value)
-        records.append(make_record(inputs, complex(gap), 0.0, "residual", cfg))
+        records.append(make_record(inputs, complex(gap), 0.0, "residual"))
     return records, 0
 
 
-def run_zeros(args, cfg: EvalConfig) -> tuple[list[dict], int]:
+def run_zeros(args) -> tuple[list[dict], int]:
     fld, chi, inputs_base = _pair(args)
     if args.find and args.import_path:
         raise ParseError("choose one of --find or --import")
@@ -360,12 +305,12 @@ def run_zeros(args, cfg: EvalConfig) -> tuple[list[dict], int]:
                                             table.multiplicities), 1):
         inputs = dict(inputs_base, index=idx, multiplicity=mult)
         records.append(make_record(inputs, complex(gamma), _BISECT_TOL,
-                                   route, cfg))
+                                   route))
     return records, 0
 
 
-def run_verify(args, cfg: EvalConfig) -> tuple[list[dict], int]:
-    results = run_suite(args.suite, cfg)
+def run_verify(args) -> tuple[list[dict], int]:
+    results = run_suite(args.suite)
     if args.format == "table":
         print(format_results(results))
     records = []
@@ -373,7 +318,7 @@ def run_verify(args, cfg: EvalConfig) -> tuple[list[dict], int]:
         inputs = {"suite": res.suite, "check": res.name,
                   "tolerance": res.tolerance}
         records.append(make_record(inputs, complex(res.measured), res.tolerance,
-                                   "pass" if res.passed else "fail", cfg))
+                                   "pass" if res.passed else "fail"))
     code = 0 if all(r.passed for r in results) else 1
     return records, code
 
@@ -386,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"),
                         default="table", help="output format")
-    common.add_argument("--config", help="flat key=value config file "
-                        "(default: $POLYDET_CONFIG)")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one config entry (repeatable)")
     common.add_argument("--manifest", metavar="PATH",
                         help="also write a JSON run manifest to PATH")
 
@@ -479,21 +420,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
         fmt = args.format
         if args.manifest:
             params = {k: (str(v) if isinstance(v, complex) else v)
                       for k, v in vars(args).items()
-                      if k not in ("subcommand", "format", "config", "set",
-                                   "manifest", "run") and v is not None}
+                      if k not in ("subcommand", "format", "manifest", "run")
+                      and v is not None}
             with open(args.manifest, "w") as fh:
                 json.dump({"subcommand": args.subcommand, "params": params,
-                           "config": cfg.snapshot(), "output_format": fmt},
+                           "version": __version__, "output_format": fmt},
                           fh, sort_keys=True)
         # keep numpy's overflow warnings off stderr, which carries only the
         # error line; hurwitz_zeta_em reports such an overflow as DomainError
         with np.errstate(over="ignore", invalid="ignore"):
-            records, code = args.run(args, cfg)
+            records, code = args.run(args)
         if args.subcommand == "verify" and fmt == "table":
             return code    # run_verify printed its own table
         emit_records(records, fmt)

@@ -1,13 +1,13 @@
 """Evaluation configuration: the quadrature's two settings in one frozen
-dataclass, so that a run can be reproduced from its config snapshot alone.
-The kernel, the L-value layer and the zero scans take none.
+dataclass.  The kernel, the L-value layer, the zero scans, the verify
+suites and the CLI take none; the routes' `cfg` parameters remain for
+reference generation at a tighter tolerance.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -24,16 +24,8 @@ class EvalConfig:
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be at least 1")
 
-    def snapshot(self) -> dict:
-        return asdict(self)
-
     def with_updates(self, **kw) -> "EvalConfig":
         return replace(self, **kw)
-
-    def config_hash(self) -> str:
-        import hashlib   # loads OpenSSL; only the CLI's records read it
-        blob = json.dumps(self.snapshot(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
 
 DEFAULT_CONFIG = EvalConfig()

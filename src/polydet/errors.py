@@ -73,7 +73,7 @@ class ResidualTooLarge(PolydetError):
 
 
 class ParseError(PolydetError):
-    """A zero table, config file or command-line value could not be parsed.
+    """A zero table or command-line value could not be parsed.
 
     Carries the 1-based line number when the failure is tied to a line.
     """

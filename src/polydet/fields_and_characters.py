@@ -37,7 +37,6 @@ __all__ = [
     "HeckeCharacter",
     "kronecker_symbol",
     "trivial_character",
-    "dirichlet_character_from_values",
     "kronecker_character",
     "dirichlet_character_by_index",
 ]
@@ -264,30 +263,6 @@ def _primitive_character(q: int, values: tuple[complex, ...],
             f"table mod {q} is induced from modulus {cond}; only primitive "
             "characters are supported")
     return HeckeCharacter(NumberField.rational(), q, values, label)
-
-
-def dirichlet_character_from_values(q: int, table: dict[int, complex],
-                                    label: str | None = None) -> HeckeCharacter:
-    """Build a Dirichlet character over Q from values on residues coprime to q."""
-    if q < 1:
-        raise DomainError("modulus must be positive")
-    if q == 1:
-        raise UnsupportedCharacter("use the trivial character for modulus 1")
-    units = [a for a in range(1, q) if math.gcd(a, q) == 1]
-    if missing := set(units) - {k % q for k in table}:
-        raise DomainError(f"missing character value at residue {min(missing)} mod {q}")
-    vals = [0j] * q
-    for a, v in table.items():
-        if math.gcd(a, q) != 1:
-            raise DomainError(f"residue {a} is not coprime to {q}")
-        vals[a % q] = complex(v)
-    vals_t = tuple(vals)
-    # multiplicativity check on the table
-    for i, a in enumerate(units):
-        for b in units[i:]:
-            if abs(vals_t[a * b % q] - vals_t[a] * vals_t[b]) > 1e-10:
-                raise DomainError(f"value table is not multiplicative at ({a},{b})")
-    return _primitive_character(q, vals_t, label or f"dirichlet mod {q}")
 
 
 def kronecker_character(disc: int) -> HeckeCharacter:

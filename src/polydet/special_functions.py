@@ -1,7 +1,7 @@
 """Special functions: Bernoulli polynomials, Hurwitz zeta and its
 s-derivative by Euler-Maclaurin summation, the exponentiated derivative
-(a higher analogue of the gamma factor), and log gamma and digamma from
-one shifted Stirling series.
+(a higher analogue of the gamma factor), and log gamma and its derivative
+psi from one shifted Stirling series.
 
 `hurwitz_zeta_em(s, z, minus_pole=...)` is the one entry point to the
 Euler-Maclaurin kernel `_em_core`.  s is a scalar or a 1-D array of nodes
@@ -26,8 +26,9 @@ integers (EM_SHIFT) and the pole guard (POLE_GUARD) are module constants:
 the kernel takes no config.  The entry point checks
 every (shift, node) pair: s and z finite, Re(z) > 0, and (unless the pole
 is subtracted) s outside the pole guard; it raises DomainError instead of
-returning a non-finite value or derivative.  `log_gamma` and `digamma`
-also take arrays.
+returning a non-finite value or derivative.  `log_gamma` also takes
+arrays; the zero scans read log gamma and psi together from
+`_log_gamma_and_psi`.
 `_abel_plana(r, a)` is a second evaluator of zeta(1 - r, a) and its
 s-derivative, from the Abel-Plana formula on fixed Gauss-Laguerre rules
 (also read at a + 1 through the recurrence where Re a < 1), with no
@@ -65,7 +66,6 @@ __all__ = [
     "hurwitz_zeta_em",
     "milnor_gamma",
     "log_gamma",
-    "digamma",
     "EmResult",
     "Result",
 ]
@@ -904,7 +904,7 @@ def milnor_gamma(r: int, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# log Gamma and digamma, principal branch on Re(z) > 0
+# log Gamma and psi, principal branch on Re(z) > 0
 
 # The Stirling series of log Gamma(w) is sum_j c_j w^(1 - 2j), c_j =
 # B_2j / (2j (2j - 1)), j = 1..12, and that of psi(w) its derivative
@@ -965,11 +965,4 @@ def log_gamma(z):
     """Principal branch of log Gamma on Re(z) > 0, at a scalar z or
     elementwise over an array (`_log_gamma_and_psi`)."""
     out = _log_gamma_and_psi(z, "log_gamma", psi=False)[0]
-    return complex(out) if out.ndim == 0 else out
-
-
-def digamma(z):
-    """psi = (log Gamma)' on Re(z) > 0, at a scalar z or elementwise over
-    an array (`_log_gamma_and_psi`)."""
-    out = _log_gamma_and_psi(z, "digamma")[1]
     return complex(out) if out.ndim == 0 else out

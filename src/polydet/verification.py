@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
 from .determinants import (determinant_closed, determinant_direct,
                            regularized_product, xi_hankel, xi_zero_sum)
 from .errors import PolydetError
@@ -35,7 +34,7 @@ from .quadrature import tracked_log_polyline
 from .special_functions import _abel_plana, hurwitz_zeta_em, log_gamma
 from .zero_data import builtin_zeta_zeros, find_zeros, zero_count_estimate
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_all", "format_results"]
+__all__ = ["CheckResult", "SUITES", "run_suite", "format_results"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -81,7 +80,7 @@ def _class_pairs() -> list[tuple[NumberField, HeckeCharacter, str]]:
 # ---------------------------------------------------------------------------
 
 
-def suite_special(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_special() -> list[CheckResult]:
     out = []
     tol = 1e-10
 
@@ -113,7 +112,7 @@ def suite_special(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_ladder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_ladder() -> list[CheckResult]:
     out = []
     q = NumberField.rational()
     chars = [(trivial_character(q), "triv"), (kronecker_character(-4), "chi4")]
@@ -137,7 +136,7 @@ def suite_ladder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_theorem(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_theorem() -> list[CheckResult]:
     """Per (pair, depth): the largest relative gap between the routes, and
     the largest gap over the sum of both routes' claimed errors."""
     out = []
@@ -146,8 +145,8 @@ def suite_theorem(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
         for r in (1, 2, 3):
             worst = worst_claim = 0.0
             for z in (2.0, 3.0, 2.5 + 1.5j):
-                c = determinant_closed(fld, chi, r, z, cfg)
-                d = determinant_direct(fld, chi, r, z, cfg)
+                c = determinant_closed(fld, chi, r, z)
+                d = determinant_direct(fld, chi, r, z)
                 gap = abs(c.value - d.value)
                 worst = max(worst, gap / abs(c.value))
                 worst_claim = max(worst_claim, gap / (c.error_estimate
@@ -158,7 +157,7 @@ def suite_theorem(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_deninger(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_deninger() -> list[CheckResult]:
     out = []
     for fld, chi, name in _class_pairs():
         const = abs(fld.discriminant)
@@ -168,27 +167,27 @@ def suite_deninger(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
             lam = completed_lambda(fld, chi, z)
             target = const ** (-0.5 * z) * 2.0 ** (-1.0 - 0.5 * fld.r1) \
                 * math.pi ** -2.0 * lam
-            got = determinant_closed(fld, chi, 1, z, cfg).value
+            got = determinant_closed(fld, chi, 1, z).value
             worst = max(worst, abs(got - target) / abs(target))
             rp = regularized_product(fld, chi, z)
             worst = max(worst, abs(rp - target) / abs(target))
         out.append(CheckResult("deninger", name, worst, 1e-9))
     # frozen special value for the rational field at z = 2
     q = NumberField.rational()
-    got = determinant_closed(q, trivial_character(q), 1, 2.0, cfg).value
+    got = determinant_closed(q, trivial_character(q), 1, 2.0).value
     expect = 1.0 / (6.0 * 2.0 ** 1.5 * math.pi)
     out.append(CheckResult("deninger", "value-at-2",
                            abs(got - expect) / expect, 1e-9))
     return out
 
 
-def suite_explicit(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_explicit() -> list[CheckResult]:
     out = []
     q = NumberField.rational()
     chi = trivial_character(q)
     table = builtin_zeta_zeros()
     for s, z in ((2.0, 2.0), (3.0, 2.0), (2.5, 3.0)):
-        direct = xi_hankel(q, chi, s, z, cfg)
+        direct = xi_hankel(q, chi, s, z)
         gaps = []
         for n in (25, 50, 100):
             zs = xi_zero_sum(q, chi, s, z, table.truncated(n))
@@ -202,7 +201,7 @@ def suite_explicit(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_zerofinder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_zerofinder() -> list[CheckResult]:
     out = []
     q = NumberField.rational()
     triv = trivial_character(q)
@@ -223,8 +222,7 @@ def suite_zerofinder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     t_gi = find_zeros(gi, trivial_character(gi), 15.0)
     t_chi = find_zeros(q, kronecker_character(-4), 15.0)
     inside = argument_principle_count(
-        gi, trivial_character(gi), PathSpec.rectangle(0.25, 0.75, 1.0, 15.0),
-        cfg)
+        gi, trivial_character(gi), PathSpec.rectangle(0.25, 0.75, 1.0, 15.0))
     out.append(CheckResult("zerofinder", "dedekind-factorization",
                            abs(len(t_gi) - inside), 0.5))
 
@@ -238,21 +236,21 @@ def suite_zerofinder(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
     return out
 
 
-def suite_monodromy(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_monodromy() -> list[CheckResult]:
     out = []
     q = NumberField.rational()
     triv = trivial_character(q)
 
     # argument principle: exactly one zero in [0.2, 0.8] x [13, 15]
     loop = PathSpec.rectangle(0.2, 0.8, 13.0, 15.0)
-    n = argument_principle_count(q, triv, loop, cfg)
+    n = argument_principle_count(q, triv, loop)
     out.append(CheckResult("monodromy", "count-first-zero", abs(n - 1), 0.5))
 
     # planted zero: the tracked -contour log of (xi - rho) must equal
     # 2 pi i (rho - xi0) exactly (integration by parts around one zero)
     rho = 0.75 + 14.0j
     base = loop.waypoints[0]
-    tracked = tracked_log_polyline(lambda u: u - rho, loop.waypoints, cfg)
+    tracked = tracked_log_polyline(lambda u: u - rho, loop.waypoints)
     defect = -tracked.value
     expect = 2.0j * math.pi * (rho - base)
     out.append(CheckResult("monodromy", "planted-zero", abs(defect - expect),
@@ -260,12 +258,12 @@ def suite_monodromy(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
 
     # zero-free rectangle right of the critical line: defect vanishes
     big = PathSpec.rectangle(0.6, 0.9, -30.0, 30.0)
-    d = erh_monodromy_defect(q, triv, big, cfg)
+    d = erh_monodromy_defect(q, triv, big)
     out.append(CheckResult("monodromy", "strip-defect", abs(d), 1e-6))
     return out
 
 
-def suite_continuation(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def suite_continuation() -> list[CheckResult]:
     out = []
     q = NumberField.rational()
     triv = trivial_character(q)
@@ -273,9 +271,9 @@ def suite_continuation(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
         worst = 0.0
         for s in (2.0, 2.5, 3.0, 4.0, 2.0 + 1.0j):
             s = complex(s)
-            straight = poly_l_continued(q, triv, r, s, cfg)
+            straight = poly_l_continued(q, triv, r, s)
             bent = PathSpec((3.0 + 0.0j, 0.5 * (3.0 + s) + 1.2j, s))
-            dog = poly_l_continued(q, triv, r, s, cfg, path=bent)
+            dog = poly_l_continued(q, triv, r, s, path=bent)
             ref = poly_l_euler(q, triv, r, s)
             worst = max(worst, abs(straight.value - ref.value),
                         abs(dog.value - ref.value))
@@ -295,20 +293,14 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
+    """The checks of one named suite, or of every suite for "all"."""
     if name == "all":
-        return run_all(cfg)
+        return [res for suite in SUITES.values() for res in suite()]
     if name not in SUITES:
         raise PolydetError(f"unknown suite {name!r}; have "
                            f"{', '.join(sorted(SUITES))}, all")
-    return SUITES[name](cfg)
-
-
-def run_all(cfg: EvalConfig = DEFAULT_CONFIG) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for fn in SUITES.values():
-        out.extend(fn(cfg))
-    return out
+    return SUITES[name]()
 
 
 def format_results(results: list[CheckResult]) -> str:

@@ -1,12 +1,17 @@
-"""Command line interface: parsing, output schema, exit codes, config."""
+"""Command line interface: parsing, output schema, exit codes, and the
+absence of any configuration."""
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
 import pytest
 
-from polydet import DEFAULT_CONFIG, NumberField, ParseError, cli, verification
+import polydet
+from polydet import NumberField, ParseError, cli, verification
 from polydet.cli import (
     build_parser,
     main,
@@ -18,8 +23,7 @@ from polydet.cli import (
 from polydet.verification import CheckResult
 from polydet.zero_data import _BISECT_TOL
 
-SCHEMA_KEYS = {"inputs", "value_re", "value_im", "error_estimate", "route",
-               "config_hash"}
+SCHEMA_KEYS = {"inputs", "value_re", "value_im", "error_estimate", "route"}
 
 
 def run_json(capsys, argv):
@@ -195,7 +199,7 @@ def test_domain_error_exits_2(capsys):
     ["det", "--depth", "1", "--z", "1000", "--closed"],
     ["eval", "--fn", "milnor-gamma", "--r", "1", "--z", "500"],
     ["eval", "--fn", "hurwitz", "--s", "-400", "--z", "1"],
-    ["lfun", "--s", "1", "--set", "quad_tol=nan"],
+    ["lfun", "--s", "nan", "--completed"],
     ["xi", "--s", "400", "--z", "2"],
     ["xi", "--s", "-400", "--z", "2"],
     ["det", "--depth", "200", "--z", "2", "--closed"],
@@ -205,14 +209,14 @@ def test_domain_error_exits_2(capsys):
     ["polyl", "--depth", "200", "--s", "3"],
     ["polyl", "--depth", "400", "--s", "3"],
     ["det", "--depth", "18", "--z", "2.5"],
-    ["lfun", "--s", "2", "--set", "max_refinements=inf"],
-    ["lfun", "--s", "2", "--set", "max_refinements=1e400"],
-    ["lfun", "--s", "2", "--set", "max_refinements=-inf"],
-    ["lfun", "--s", "2", "--set", "max_refinements=2.7"],
-    ["lfun", "--s", "2", "--set", "max_refinements=0.5"],
-    ["lfun", "--s", "2", "--set", "target_abs_error=inf"],
-    ["lfun", "--s", "2", "--set", "quad_tol=inf"],
-    ["lfun", "--s", "2", "--set", "quad_tol=1e400"],
+    ["lfun", "--s", "nan", "--log-derivative"],
+    ["eval", "--fn", "hurwitz-ds", "--s", "nan", "--z", "1"],
+    ["eval", "--fn", "milnor-gamma", "--r", "2", "--z", "nan"],
+    ["xi", "--s", "nan", "--z", "2"],
+    ["xi", "--s", "3", "--z", "nan", "--route", "zeros"],
+    ["det", "--depth", "1", "--z", "nan", "--closed"],
+    ["polyl", "--depth", "2", "--s", "nan"],
+    ["zeros", "--find", "--height", "inf"],
     ["eval", "--fn", "bernoulli", "--r", "3", "--z", "nan"],
     ["eval", "--fn", "bernoulli", "--r", "3", "--z", "1e200"],
     ["eval", "--fn", "bernoulli", "--r", "400", "--z", "1e300"],
@@ -250,62 +254,55 @@ def test_verify_table_output(capsys):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     failing = [CheckResult("special", "planted", 1.0, 0.5)]
-    monkeypatch.setitem(verification.SUITES, "special", lambda cfg: failing)
+    monkeypatch.setitem(verification.SUITES, "special", lambda: failing)
     code = main(["verify", "--suite", "special"])
     assert code == 1
     assert "[FAIL]" in capsys.readouterr().out
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("POLYDET_CONFIG", raising=False)
-    base_argv = ["eval", "--fn", "bernoulli", "--r", "2", "--z", "0"]
-    _, recs = run_json(capsys, base_argv)
-    default_hash = recs[0]["config_hash"]
-
-    cfgfile = tmp_path / "polydet.cfg"
-    cfgfile.write_text("max_refinements = 8\n# comment line\nquad_tol=1e-9\n")
-    _, recs = run_json(capsys, base_argv + ["--config", str(cfgfile)])
-    file_hash = recs[0]["config_hash"]
-    assert file_hash != default_hash
-
-    _, recs = run_json(capsys, base_argv + ["--config", str(cfgfile),
-                                            "--set", "max_refinements=12",
-                                            "--set", "quad_tol=1e-10"])
-    assert recs[0]["config_hash"] == default_hash   # flags win over the file
+def _assert_unrecognized(capsys, argv, flag):
+    # argparse's usage error: exit 2, one error line, nothing on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):
+    # $POLYDET_CONFIG is not read: a garbage file there changes nothing
+    monkeypatch.delenv("POLYDET_CONFIG", raising=False)
+    argv = ["det", "--depth", "1", "--z", "2", "--both"]
+    code, plain = run_json(capsys, argv)
+    assert code == 0
     cfgfile = tmp_path / "env.cfg"
-    cfgfile.write_text("quad_tol=1e-9\n")
+    cfgfile.write_text("quad_tol = nan\nno_such_knob\n\x00garbage\n")
     monkeypatch.setenv("POLYDET_CONFIG", str(cfgfile))
-    _, recs = run_json(capsys, ["eval", "--fn", "bernoulli", "--r", "1",
-                                "--z", "0"])
-    env_hash = recs[0]["config_hash"]
-    monkeypatch.delenv("POLYDET_CONFIG")
-    _, recs = run_json(capsys, ["eval", "--fn", "bernoulli", "--r", "1",
-                                "--z", "0"])
-    assert env_hash != recs[0]["config_hash"]
+    assert run_json(capsys, argv) == (0, plain)
 
 
 @pytest.mark.parametrize("line", [
     "max_refinements = inf", "max_refinements = 1e400",
     "max_refinements = -inf", "target_abs_error = inf", "quad_tol = inf",
     "max_refinements = 2.7", "max_refinements = 0.5"])
-def test_non_finite_config_file_value_exits_2(tmp_path, capsys, monkeypatch,
-                                              line):
-    monkeypatch.delenv("POLYDET_CONFIG", raising=False)
+def test_non_finite_config_file_value_exits_2(tmp_path, capsys, line):
+    # no file is read: --config itself is an unknown option
     cfgfile = tmp_path / "polydet.cfg"
     cfgfile.write_text(line + "\n")
-    assert main(["lfun", "--s", "2", "--config", str(cfgfile)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert captured.err.count("\n") == 1
+    _assert_unrecognized(capsys, ["lfun", "--s", "2", "--config",
+                                  str(cfgfile)], "--config")
 
 
 def test_unknown_config_key_exits_2(capsys):
-    assert main(["eval", "--fn", "bernoulli", "--r", "1", "--z", "0",
-                 "--set", "no_such_knob=3"]) == 2
+    # the CLI takes no configuration, so it knows no key, the quadrature's
+    # two included: every route runs the quadrature at its defaults
+    _assert_unrecognized(capsys, ["eval", "--fn", "bernoulli", "--r", "1",
+                                  "--z", "0", "--set", "quad_tol=1e-9",
+                                  "--set", "no_such_knob=3"],
+                         "--set quad_tol=1e-9 --set no_such_knob=3")
 
 
 # the split, Bernoulli, series, prime-bound and pole guard values are
@@ -314,9 +311,21 @@ def test_unknown_config_key_exits_2(capsys):
     "bernoulli_terms", "euler_maclaurin_shift", "series_max_terms",
     "prime_bound", "pole_guard"])
 def test_fixed_kernel_constant_is_no_config_key(capsys, key):
-    assert main(["eval", "--fn", "bernoulli", "--r", "1", "--z", "0",
-                 "--set", f"{key}=2"]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    _assert_unrecognized(capsys, ["eval", "--fn", "bernoulli", "--r", "1",
+                                  "--z", "0", "--set", f"{key}=2"], "--set")
+
+
+def test_records_leave_hashlib_unloaded():
+    # hashlib loads OpenSSL; a record carries no digest, so printing one
+    # needs none
+    code = ("import sys; from polydet.cli import main; "
+            "main(['eval', '--fn', 'bernoulli', '--r', '2', '--z', '1', "
+            "'--format', 'json']); "
+            "assert 'hashlib' not in sys.modules, 'hashlib loaded'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_manifest_round_trip(tmp_path, capsys):
@@ -330,7 +339,9 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert manifest["params"] == {"field": "Q", "char": "trivial",
                                   "depth": 1, "z": "(2+0j)", "closed": True,
                                   "numeric": False, "both": False}
-    assert manifest["config"] == DEFAULT_CONFIG.snapshot()
+    assert set(manifest) == {"subcommand", "params", "version",
+                             "output_format"}
+    assert manifest["version"] == polydet.__version__
     assert manifest["output_format"] == "json"
 
 
@@ -340,7 +351,7 @@ def test_csv_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     header = out.splitlines()[0]
-    assert header == "inputs,value_re,value_im,error_estimate,route,config_hash"
+    assert header == "inputs,value_re,value_im,error_estimate,route"
     assert len(out.splitlines()) == 2
 
 

@@ -12,12 +12,12 @@ from polydet import (
     NumberField,
     UnsupportedCharacter,
     dirichlet_character_by_index,
-    dirichlet_character_from_values,
     kronecker_character,
     kronecker_symbol,
     trivial_character,
 )
 from polydet.fields_and_characters import (_ideal_table, _primes,
+                                           _primitive_character,
                                            _unit_group_generators)
 from polydet.l_functions import _ideal_arrays
 
@@ -217,16 +217,10 @@ def test_kronecker_character_chi5_is_legendre():
         assert chi.value_at_int(p) == float(kronecker_symbol(5, p))
 
 
-def test_character_multiplicativity_enforced():
-    with pytest.raises(DomainError):
-        dirichlet_character_from_values(4, {1: 1.0, 3: 2.0})
-
-
 def test_imprimitive_character_rejected():
     # the character mod 8 induced from chi mod 4 is not primitive
     with pytest.raises(UnsupportedCharacter):
-        dirichlet_character_from_values(
-            8, {1: 1.0, 3: -1.0, 5: 1.0, 7: -1.0})
+        _primitive_character(8, (0, 1, 0, -1, 0, 1, 0, -1), "mod 8")
 
 
 def test_character_group_enumeration():
@@ -301,7 +295,7 @@ def test_character_by_index_out_of_range():
 
 
 def test_value_table_mod_4_is_the_kronecker_character():
-    chi = dirichlet_character_from_values(4, {1: 1, 3: -1})
+    chi = _primitive_character(4, (0, 1, 0, -1), "mod 4")
     ref = kronecker_character(-4)
     for n in range(8):
         assert chi.value_at_int(n) == ref.value_at_int(n)

@@ -32,7 +32,7 @@ from polydet import (
     milnor_gamma,
 )
 from polydet import special_functions, verification
-from polydet.special_functions import _abel_plana, digamma
+from polydet.special_functions import _abel_plana, _log_gamma_and_psi
 from polydet.verification import run_suite
 
 
@@ -115,14 +115,17 @@ def test_log_gamma_and_digamma_across_the_stirling_shift():
     # inside and outside that circle, at a scalar and in one array
     z = np.array([complex(x, y) for x in (0.25, 0.75, 3.0)
                   for y in (0.0, 11.9, 12.0, 12.1, 100.0, 1000.0)])
-    for fn, ref in ((log_gamma, mp.loggamma), (digamma, mp.digamma)):
+
+    def psi(z):
+        return _log_gamma_and_psi(z, "test")[1]
+    for fn, ref in ((log_gamma, mp.loggamma), (psi, mp.digamma)):
         got = fn(z)
         for w, g in zip(z, got):
             want = complex(ref(mp.mpc(w)))
             assert abs(g - want) <= 1e-14 * abs(want)
             assert abs(fn(complex(w)) - g) <= 1e-15 * abs(want)
     with pytest.raises(DomainError):
-        digamma(np.array([1.5, -0.5 + 1.0j]))
+        psi(np.array([1.5, -0.5 + 1.0j]))
 
 
 def test_stirling_shift_sums_skipped_where_no_argument_steps():
@@ -324,16 +327,15 @@ def test_config_validation():
         with pytest.raises(ValueError):
             EvalConfig(quad_tol=bad)
     # the quadrature's two settings; every reported error is a route's own
-    assert set(DEFAULT_CONFIG.snapshot()) == {"quad_tol", "max_refinements"}
+    assert {f.name for f in dataclasses.fields(EvalConfig)} == \
+        {"quad_tol", "max_refinements"}
     with pytest.raises(TypeError):
         EvalConfig(target_abs_error=1e-12)
     assert DEFAULT_CONFIG.with_updates(max_refinements=8).max_refinements == 8
-    assert DEFAULT_CONFIG.config_hash() != \
-        DEFAULT_CONFIG.with_updates(max_refinements=8).config_hash()
 
 
 def test_import_leaves_hashlib_unloaded():
-    # hashlib loads OpenSSL; only EvalConfig.config_hash reads it
+    # hashlib loads OpenSSL, which nothing in the package needs
     code = ("import sys, polydet; "
             "assert 'hashlib' not in sys.modules, 'hashlib loaded'")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

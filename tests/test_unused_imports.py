@@ -2,8 +2,9 @@
 module lists in `__all__` is bound at its top level, every private
 top-level `_name` is referenced somewhere in the package, every
 exported or private top-level function that takes a `cfg` reads it, and
-the kernel and the zero scans (`special_functions`, `zero_data`) import
-nothing from `polydet.config`: they take no config.
+the kernel, the zero scans, the verify suites and the CLI
+(`special_functions`, `zero_data`, `verification`, `cli`) import nothing
+from `polydet.config`: they take no config.
 
 A small stand-in for pyflakes' unused-import and undefined-export rules
 and for a dead-code finder, built on `ast` so it needs no extra dependency.
@@ -196,6 +197,17 @@ def test_checker_flags_a_config_import():
                                    for n in (1, 2, 3, 4)]
 
 
-@pytest.mark.parametrize("name", ["special_functions.py", "zero_data.py"])
+def cfg_takers(source: str) -> list[str]:
+    """Functions, nested ones included, that take a `cfg` parameter."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(a.arg == "cfg" for a in node.args.posonlyargs
+                    + node.args.args + node.args.kwonlyargs)]
+
+
+@pytest.mark.parametrize("name", ["special_functions.py", "zero_data.py",
+                                  "verification.py", "cli.py"])
 def test_kernel_and_scans_take_no_config(name):
-    assert config_imports((SRC / name).read_text()) == []
+    source = (SRC / name).read_text()
+    assert config_imports(source) == []
+    assert cfg_takers(source) == []
