@@ -36,6 +36,6 @@ from .zero_data import (ZeroTable, builtin_zeta_zeros, find_zeros, load_zeros,
                         loads_zeros, save_zeros, scan_ordinates,
                         truncation_tail_estimate, zero_count_estimate)
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

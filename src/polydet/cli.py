@@ -10,7 +10,8 @@ JSON/CSV records with a stable schema:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 The CLI takes no configuration: every route runs the quadrature at its
-defaults (tolerance 1e-10, at most 12 bisections of a panel).  Each
+module constants (tolerance 1e-10, at most 12 bisections of a panel).  A
+flag that the chosen mode would drop is a usage error.  Each
 subparser carries its handler as the `run` default, which returns
 (records, exit code).
 """
@@ -227,6 +228,8 @@ def run_lfun(args) -> tuple[list[dict], int]:
 def run_polyl(args) -> tuple[list[dict], int]:
     fld, chi, inputs = _pair(args)
     inputs.update(depth=args.depth, s=str(args.s))
+    if args.path and not args.continued:
+        raise ParseError("polyl --path needs --continued")
     if args.continued:
         path = None
         if args.path:
@@ -243,6 +246,8 @@ def run_xi(args) -> tuple[list[dict], int]:
     fld, chi, inputs = _pair(args)
     s, z = args.s, args.z
     inputs.update(s=str(s), z=str(z), route=args.route)
+    if args.zeros_file and args.route != "zeros":
+        raise ParseError("xi --zeros-file needs --route zeros")
     if args.route == "zeros":
         if args.zeros_file:
             table = load_zeros(args.zeros_file)
@@ -280,13 +285,16 @@ def run_zeros(args) -> tuple[list[dict], int]:
     fld, chi, inputs_base = _pair(args)
     if args.find and args.import_path:
         raise ParseError("choose one of --find or --import")
+    if args.height is not None and not args.find:
+        raise ParseError("zeros --height needs --find")
     table: ZeroTable | None = None
     route = ""
     if args.import_path:
         table = load_zeros(args.import_path)
         route = "file"
     elif args.find:
-        table = find_zeros(fld, chi, args.height)
+        table = find_zeros(fld, chi, 30.0 if args.height is None
+                           else args.height)
         route = "scan"
     elif args.export:
         if not (fld.degree == 1 and chi.is_principal):
@@ -404,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=run_zeros)
     p.add_argument("--find", action="store_true",
                    help="scan the critical line up to --height")
-    p.add_argument("--height", type=float, default=30.0)
+    p.add_argument("--height", type=float, help="scan height (default 30)")
     p.add_argument("--import", dest="import_path", metavar="FILE")
     p.add_argument("--export", metavar="FILE")
 

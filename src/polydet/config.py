@@ -1,7 +1,6 @@
-"""Evaluation configuration: the quadrature's two settings in one frozen
-dataclass.  The kernel, the L-value layer, the zero scans, the verify
-suites and the CLI take none; the routes' `cfg` parameters remain for
-reference generation at a tighter tolerance.
+"""A tighter quadrature for the direct route: `determinant_direct`'s `cfg`,
+passed down to `integrate_polyline`, overrides `quadrature.QUAD_TOL` and
+`MAX_REFINEMENTS`, which are its defaults.  No other route takes one.
 """
 
 from __future__ import annotations
@@ -9,13 +8,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .quadrature import MAX_REFINEMENTS, QUAD_TOL
+
 
 @dataclass(frozen=True)
 class EvalConfig:
-    # Relative/absolute tolerance for adaptive panel refinement.
-    quad_tol: float = 1e-10
-    # Maximum number of bisections of one quadrature panel before giving up.
-    max_refinements: int = 12
+    quad_tol: float = QUAD_TOL
+    max_refinements: int = MAX_REFINEMENTS
 
     def __post_init__(self):
         # "not 0 < x < inf" also rejects NaN

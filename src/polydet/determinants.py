@@ -45,7 +45,6 @@ import math
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import DomainError, overflow_is_domain_error
 from .fields_and_characters import HeckeCharacter, NumberField
 from .l_functions import (_check_pair, completed_lambda, conductor,
@@ -135,7 +134,7 @@ def _log_derivative_bound(fld: NumberField, sigma: float) -> float:
 
 
 def _ray(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
-         lo: float, cfg: EvalConfig) -> tuple[complex, float]:
+         lo: float, cfg=None) -> tuple[complex, float]:
     """int_lo^inf (L'/L)(z+x) x^-s dx by the double-exponential ray above,
     with its quadrature error plus a priori bounds of the cut head and
     tail."""
@@ -197,8 +196,8 @@ def _closed_pieces(chi: HeckeCharacter, s: complex, z: complex,
 
 
 @overflow_is_domain_error
-def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
-              cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
+def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex,
+              z: complex) -> Result:
     """A1 + A2 + A3 with the ray and circle pieces by adaptive quadrature.
 
     Analytic in s away from the Hurwitz pole at s = 1, so this route also
@@ -211,7 +210,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
     pref = cmath.exp(s * math.log(_TWO_PI))
     ray_coef = pref * cmath.sin(math.pi * s) / math.pi
     circ_coef = pref * cmath.exp((1.0 - s) * math.log(dl)) / _TWO_PI
-    ray, ray_err = _ray(fld, chi, s, z, dl, cfg)
+    ray, ray_err = _ray(fld, chi, s, z, dl)
 
     def on_circle(psi: np.ndarray) -> np.ndarray:
         p = psi.real
@@ -219,7 +218,7 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
             * np.exp(1j * (1.0 - s) * p)
 
     circ = integrate_polyline(on_circle, (complex(-math.pi), complex(math.pi)),
-                              cfg, base_len=_CIRCLE_PANEL)
+                              base_len=_CIRCLE_PANEL)
     return Result(closed.value + ray_coef * ray + circ_coef * circ.value,
                   abs(ray_coef) * ray_err + abs(circ_coef) * circ.error
                   + closed.err_value, "hankel")
@@ -231,14 +230,14 @@ def xi_hankel(fld: NumberField, chi: HeckeCharacter, s: complex, z: complex,
 
 @overflow_is_domain_error
 def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
-                       z: complex,
-                       cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
+                       z: complex, cfg=None) -> Result:
     """exp(-d xi/ds at s = 1-r), straight from the contour representation.
 
     There sin(pi s) vanishes, so d(A1 + A2 + A3)/ds is d(A1 + A3)/ds plus
     dA2 = -(2pi)^(1-r) (-1)^r int_0^inf (L'/L)(z+x) x^(r-1) dx, the ray of
     xi_hankel taken from 0, with the weight x^-s = x^(r-1).  The arch piece
-    zeta'(1 - r, w_v) in dA3 is the Abel-Plana one (`_abel_plana`).
+    zeta'(1 - r, w_v) in dA3 is the Abel-Plana one (`_abel_plana`).  A cfg
+    (`EvalConfig`) tightens the ray's quadrature.
     """
     _check_pair(fld, chi)
     if not isinstance(r, int) or r < 1:
@@ -255,7 +254,7 @@ def determinant_direct(fld: NumberField, chi: HeckeCharacter, r: int,
 
 @overflow_is_domain_error
 def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
-                       z: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> Result:
+                       z: complex) -> Result:
     """Closed-form depth-r determinant.
 
     log Xi_r(z) = eps sum_{u in {z, z-1}} (u/2pi)^(r-1) log(u/2pi)
@@ -282,7 +281,7 @@ def determinant_closed(fld: NumberField, chi: HeckeCharacter, r: int,
             logv += cmath.exp((r - 1) * lg) * lg
 
     if r == 1:
-        log_lr, tail = poly_l_log_continued(fld, chi, 1, z, cfg)
+        log_lr, tail = poly_l_log_continued(fld, chi, 1, z)
     else:
         log_lr, tail, _ = poly_l_log_euler(fld, chi, r, z)
     lcoef = (-1.0) ** (r - 1) * math.factorial(r - 1) * _TWO_PI ** (1 - r)

@@ -48,16 +48,16 @@ class PathLeavesOmega(PolydetError):
 
 
 class QuadratureNotConverged(PolydetError):
-    """Polyline quadrature left a panel above its share of cfg.quad_tol
-    after cfg.max_refinements bisections of it; no unconverged value is
-    returned."""
+    """Polyline quadrature left a panel above its share of
+    `quadrature.QUAD_TOL` after `MAX_REFINEMENTS` bisections of it; no
+    unconverged value is returned."""
 
 
 class BranchStepTooLarge(QuadratureNotConverged):
     """Branch-tracked quadrature still stepped by pi/2 or more in Im(log)
-    between neighbouring nodes of a panel bisected cfg.max_refinements
-    times: the path runs too close to a zero or pole of the tracked
-    function."""
+    between neighbouring nodes of a panel bisected
+    `quadrature.MAX_REFINEMENTS` times: the path runs too close to a zero
+    or pole of the tracked function."""
 
 
 class GammaPole(PolydetError):

@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DomainError, FieldMismatch, GammaPole, NearZeroOfL,
                      NonClosedLoop, ResidualTooLarge, UnsupportedCharacter)
 from .fields_and_characters import (HeckeCharacter, NumberField,
@@ -306,8 +305,7 @@ def root_number(fld: NumberField, chi: HeckeCharacter) -> complex:
 
 
 def argument_principle_count(fld: NumberField, chi: HeckeCharacter,
-                             loop: PathSpec,
-                             cfg: EvalConfig = DEFAULT_CONFIG) -> int:
+                             loop: PathSpec) -> int:
     """(1/2 pi i) contour integral of L'/L: zeros minus poles inside.
 
     The loop must be closed; for principal characters a loop around s = 1
@@ -319,7 +317,7 @@ def argument_principle_count(fld: NumberField, chi: HeckeCharacter,
     def f(u: np.ndarray) -> np.ndarray:
         return l_log_derivative(fld, chi, u)
 
-    res = integrate_polyline(f, loop.waypoints, cfg)
+    res = integrate_polyline(f, loop.waypoints)
     raw = res.value / (2j * math.pi)
     n = round(raw.real)
     resid = abs(raw - n)

@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import (DomainError, NonClosedLoop, PathLeavesOmega,
                      UnsupportedCharacter, overflow_is_domain_error)
 from .fields_and_characters import HeckeCharacter, NumberField
@@ -257,8 +256,8 @@ def _check_cuts(fld: NumberField, chi: HeckeCharacter,
 
 
 def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
-                         s: complex, cfg: EvalConfig = DEFAULT_CONFIG,
-                         path: PathSpec | None = None) -> tuple[complex, float]:
+                         s: complex, *, path: PathSpec | None = None
+                         ) -> tuple[complex, float]:
     """log L^(r)(s) for any depth r >= 1 by Taylor's formula at the real
     anchor a = 3; returns (log, err).
 
@@ -306,7 +305,7 @@ def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
     def remainder(xi: np.ndarray) -> np.ndarray:
         return (s - xi) ** (r - 1) * l_log_derivative(fld, chi, xi)
 
-    quad = integrate_polyline(remainder, path.waypoints, cfg)
+    quad = integrate_polyline(remainder, path.waypoints)
     if near_line:
         warnings.warn(
             "path within 0.1 of the critical line; continuation there rests "
@@ -316,17 +315,15 @@ def poly_l_log_continued(fld: NumberField, chi: HeckeCharacter, r: int,
 
 
 def poly_l_continued(fld: NumberField, chi: HeckeCharacter, r: int, s: complex,
-                     cfg: EvalConfig = DEFAULT_CONFIG,
-                     path: PathSpec | None = None) -> Result:
+                     *, path: PathSpec | None = None) -> Result:
     """L^(r)(s) for any depth r >= 1, continued from the real anchor 3
     (`poly_l_log_continued`)."""
-    logv, err = poly_l_log_continued(fld, chi, r, s, cfg, path)
+    logv, err = poly_l_log_continued(fld, chi, r, s, path=path)
     return Result.from_log(logv, err, "continued")
 
 
 def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,
-                         loop: PathSpec,
-                         cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+                         loop: PathSpec) -> complex:
     """-contour integral of the tracked log of (xi-1)^eps L(xi) over a loop.
 
     For a closed loop in Re(s) > 0.55 keeping distance >= 0.05 from s = 1,
@@ -348,5 +345,5 @@ def erh_monodromy_defect(fld: NumberField, chi: HeckeCharacter,
         v = l_value(fld, chi, xi)
         return v * (xi - 1.0) ** eps if eps else v
 
-    tracked = tracked_log_polyline(wf, loop.waypoints, cfg)
+    tracked = tracked_log_polyline(wf, loop.waypoints)
     return -tracked.value

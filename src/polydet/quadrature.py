@@ -11,7 +11,7 @@ yet settled: integrands take the node array (read-only) and return the
 array of their values (`f(ndarray) -> ndarray`), and the evaluators
 below them (L-values, L'/L) split large arrays into kernel chunks
 themselves.  A panel settles when its Kronrod-Gauss difference |K - G| is
-at most its length share of max(tol, tol |I|), with tol = cfg.quad_tol and
+at most its length share of max(tol, tol |I|), with tol = QUAD_TOL and
 I the current sum of the panels' Kronrod values in path order; the other
 panels are bisected.  The error a panel reports is max(|K - G|,
 50 eps sum |w_K f|): the difference floored by the rounding of the
@@ -23,10 +23,12 @@ once every panel has settled, raises QuadratureNotConverged.
 Branch tracking keeps the logarithm of every panel's node values in path
 order, walks the branch over all of them again on each pass, and also
 leaves unsettled a panel whose largest imaginary step is pi/2 or more.  A
-panel that is still unsettled after cfg.max_refinements bisections raises
+panel that is still unsettled after MAX_REFINEMENTS bisections raises
 QuadratureNotConverged (BranchStepTooLarge when the branch step blocked
 it), a sum or tracked logarithm that is not finite raises it at once, and
-no unconverged value is returned.
+no unconverged value is returned.  `_refine` reads the two module
+constants at call time; only `integrate_polyline` takes a `cfg`, an
+`EvalConfig` whose two fields override them, for a tighter run.
 
 `laguerre_rule`, the Gauss rule of x^alpha e^-x on [0, inf), is a fixed
 rule, not a second adaptive loop, for `poly_l`'s Euler tail and `_abel_plana`.
@@ -42,13 +44,16 @@ from typing import Callable
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import BranchStepTooLarge, DomainError, QuadratureNotConverged
 
 __all__ = ["QuadResult", "integrate_polyline", "tracked_log_polyline",
            "kronrod_rule", "laguerre_rule"]
 
 TWO_PI = 2.0 * math.pi
+# a panel settles at its length share of max(QUAD_TOL, QUAD_TOL |I|), and
+# one still open after MAX_REFINEMENTS bisections raises
+QUAD_TOL = 1e-10
+MAX_REFINEMENTS = 12
 # QUADPACK's roundoff floor: a panel's error is at least this many units of
 # rounding of the sum of |w_K f| over its nodes
 _ROUNDOFF = 50.0 * np.finfo(float).eps
@@ -192,8 +197,7 @@ def _start(path: bytes, base_len: float) -> tuple:
 def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
             combine: Callable[[np.ndarray, np.ndarray],
                               tuple[np.ndarray, np.ndarray | float]],
-            waypoints: list[complex], cfg: EvalConfig,
-            base_len: float) -> QuadResult:
+            waypoints: list[complex], cfg, base_len: float) -> QuadResult:
     """Bisect the panels that are not settled until all are, or raise.
 
     evaluate(nodes) -> values is called once per pass, on the flat nodes of
@@ -205,7 +209,8 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
         np.array(waypoints, dtype=np.complex128).tobytes(), base_len)
     vals = _panels(evaluate(nodes.ravel()), nodes.shape)
     depth = np.zeros(lo.size, dtype=int)
-    tol = cfg.quad_tol
+    tol, cap = (QUAD_TOL, MAX_REFINEMENTS) if cfg is None \
+        else (cfg.quad_tol, cfg.max_refinements)
     passes = 1
     while True:
         f, step = combine(nodes, vals)
@@ -225,17 +230,15 @@ def _refine(evaluate: Callable[[np.ndarray], np.ndarray],
                 raise QuadratureNotConverged(
                     f"error {err:.3e} (rounding floor) above tol {tol:.1e}")
             return QuadResult(value, err, passes, lo.size)
-        stuck = open_ & (depth >= cfg.max_refinements)
+        stuck = open_ & (depth >= cap)
         if (stuck & blocked).any():
             raise BranchStepTooLarge(
                 f"branch tracking step of {step[stuck].max():.3f} in Im(log) "
-                f"after {cfg.max_refinements} bisections; path too close to "
-                "a zero or pole")
+                f"after {cap} bisections; path too close to a zero or pole")
         if stuck.any():
             raise QuadratureNotConverged(
                 f"panel error {diff[stuck].max():.3e} still above its share "
-                f"of tol {tol:.1e} after {cfg.max_refinements} bisections, "
-                f"{lo.size} panels")
+                f"of tol {tol:.1e} after {cap} bisections, {lo.size} panels")
         # each open panel becomes two fresh halves, kept in path order
         idx = np.repeat(np.arange(lo.size), np.where(open_, 2, 1))
         first = np.concatenate(([True], idx[1:] != idx[:-1]))
@@ -263,10 +266,10 @@ def _panels(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], waypoints,
-                       cfg: EvalConfig = DEFAULT_CONFIG, *,
-                       base_len: float = 0.5) -> QuadResult:
+                       cfg=None, *, base_len: float = 0.5) -> QuadResult:
     """Integral of f along the polyline through the given waypoints; f maps
-    the array of a pass's nodes to the array of its values."""
+    the array of a pass's nodes to the array of its values.  A cfg
+    (`EvalConfig`) overrides QUAD_TOL and MAX_REFINEMENTS."""
     def combine(nodes, vals):
         return vals, 0.0
 
@@ -274,8 +277,7 @@ def integrate_polyline(f: Callable[[np.ndarray], np.ndarray], waypoints,
 
 
 def tracked_log_polyline(wf: Callable[[np.ndarray], np.ndarray], waypoints,
-                         cfg: EvalConfig = DEFAULT_CONFIG, *,
-                         base_len: float = 0.5) -> QuadResult:
+                         *, base_len: float = 0.5) -> QuadResult:
     """Integral of log w(xi) along the polyline, with the logarithm
     continued continuously from the principal value at the first waypoint
     (on a closed loop the choice drops out of the integral).
@@ -305,4 +307,4 @@ def tracked_log_polyline(wf: Callable[[np.ndarray], np.ndarray], waypoints,
         step = np.abs(np.diff(log.imag)).reshape(nodes.shape).max(axis=1)
         return log[1:].reshape(nodes.shape), step
 
-    return _refine(log_w, combine, wps, cfg, base_len)
+    return _refine(log_w, combine, wps, None, base_len)

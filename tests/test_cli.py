@@ -284,35 +284,34 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     assert run_json(capsys, argv) == (0, plain)
 
 
-@pytest.mark.parametrize("line", [
+# The CLI takes no configuration: --config and --set are unknown options.
+# No file is read, and no key is known: not the quadrature's two (every
+# route runs the quadrature at its constants), nor the split, Bernoulli,
+# series, prime-bound and pole guard values, module constants of the
+# L-value layer
+CONFIG_FILE_LINES = [
     "max_refinements = inf", "max_refinements = 1e400",
     "max_refinements = -inf", "target_abs_error = inf", "quad_tol = inf",
-    "max_refinements = 2.7", "max_refinements = 0.5"])
-def test_non_finite_config_file_value_exits_2(tmp_path, capsys, line):
-    # no file is read: --config itself is an unknown option
-    cfgfile = tmp_path / "polydet.cfg"
-    cfgfile.write_text(line + "\n")
-    _assert_unrecognized(capsys, ["lfun", "--s", "2", "--config",
-                                  str(cfgfile)], "--config")
+    "max_refinements = 2.7", "max_refinements = 0.5"]
+KERNEL_CONSTANTS = ["bernoulli_terms", "euler_maclaurin_shift",
+                    "series_max_terms", "prime_bound", "pole_guard"]
 
 
-def test_unknown_config_key_exits_2(capsys):
-    # the CLI takes no configuration, so it knows no key, the quadrature's
-    # two included: every route runs the quadrature at its defaults
-    _assert_unrecognized(capsys, ["eval", "--fn", "bernoulli", "--r", "1",
-                                  "--z", "0", "--set", "quad_tol=1e-9",
-                                  "--set", "no_such_knob=3"],
-                         "--set quad_tol=1e-9 --set no_such_knob=3")
-
-
-# the split, Bernoulli, series, prime-bound and pole guard values are
-# module constants of the L-value layer, not settings
-@pytest.mark.parametrize("key", [
-    "bernoulli_terms", "euler_maclaurin_shift", "series_max_terms",
-    "prime_bound", "pole_guard"])
-def test_fixed_kernel_constant_is_no_config_key(capsys, key):
-    _assert_unrecognized(capsys, ["eval", "--fn", "bernoulli", "--r", "1",
-                                  "--z", "0", "--set", f"{key}=2"], "--set")
+@pytest.mark.parametrize("case", ["quad_tol", *CONFIG_FILE_LINES,
+                                  *KERNEL_CONSTANTS])
+def test_unknown_config_key_exits_2(tmp_path, capsys, case):
+    bernoulli = ["eval", "--fn", "bernoulli", "--r", "1", "--z", "0"]
+    if case == "quad_tol":
+        argv = bernoulli + ["--set", "quad_tol=1e-9", "--set",
+                            "no_such_knob=3"]
+        flag = "--set quad_tol=1e-9 --set no_such_knob=3"
+    elif case in CONFIG_FILE_LINES:
+        cfgfile = tmp_path / "polydet.cfg"
+        cfgfile.write_text(case + "\n")
+        argv, flag = ["lfun", "--s", "2", "--config", str(cfgfile)], "--config"
+    else:
+        argv, flag = bernoulli + ["--set", f"{case}=2"], "--set"
+    _assert_unrecognized(capsys, argv, flag)
 
 
 def test_records_leave_hashlib_unloaded():
@@ -392,6 +391,62 @@ def test_zeros_find(capsys):
 
 def test_zeros_needs_an_action(capsys):
     assert main(["zeros"]) == 2
+
+
+POLYL_PATH = ["polyl", "--depth", "2", "--s", "1.5", "--path",
+              "3, 3+1.2j, 1.5"]
+XI_ZEROS_FILE = ["xi", "--s", "3", "--z", "2", "--zeros-file"]
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (POLYL_PATH, "--continued"),
+    (XI_ZEROS_FILE + ["FILE"], "--route zeros"),
+    (XI_ZEROS_FILE + ["FILE", "--route", "hankel"], "--route zeros"),
+    (["zeros", "--height", "26", "--export", "FILE"], "--find"),
+    (["zeros", "--height", "26", "--import", "FILE"], "--find"),
+], ids=["polyl-path", "xi-zeros-file", "xi-hankel-zeros-file",
+        "zeros-export-height", "zeros-import-height"])
+def test_flag_the_mode_ignores_exits_2(tmp_path, capsys, argv, needs):
+    # a flag that the chosen mode would drop is a usage error naming the
+    # flag it needs; FILE does not exist, and nothing is written to it
+    path = tmp_path / "zeros.txt"
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert needs in captured.err and "Traceback" not in captured.err
+    assert not path.exists()
+
+
+def test_flags_in_their_modes_keep_their_records(tmp_path, capsys):
+    # --path under --continued is the path the library takes
+    code, recs = run_json(capsys, POLYL_PATH + ["--continued"])
+    q = NumberField.rational()
+    want = polydet.poly_l_continued(
+        q, polydet.trivial_character(q), 2, 1.5,
+        path=polydet.PathSpec((3, 3 + 1.2j, 1.5)))
+    assert code == 0 and recs[0]["inputs"]["path"] == "3, 3+1.2j, 1.5"
+    assert (recs[0]["value_re"], recs[0]["value_im"]) \
+        == (want.value.real, want.value.imag)
+    # --zeros-file under --route zeros: the exported bundled table sums as
+    # the bundled one does
+    path = tmp_path / "zeros.txt"
+    assert main(["zeros", "--export", str(path)]) == 0
+    capsys.readouterr()
+    code, from_file = run_json(capsys, XI_ZEROS_FILE + [str(path), "--route",
+                                                        "zeros"])
+    assert code == 0 and from_file[0]["inputs"]["zeros_file"] == str(path)
+    code, bundled = run_json(capsys, XI_ZEROS_FILE[:-1] + ["--route",
+                                                           "zeros"])
+    assert code == 0
+    for key in ("value_re", "value_im", "error_estimate"):
+        assert from_file[0][key] == bundled[0][key]
+    # --find scans to 30 when no --height is given
+    code, default = run_json(capsys, ["zeros", "--find"])
+    assert code == 0 and len(default) == 3
+    assert run_json(capsys, ["zeros", "--find", "--height", "30"]) \
+        == (0, default)
 
 
 def test_xi_routes_agree_within_estimates(capsys):

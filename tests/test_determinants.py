@@ -1,7 +1,11 @@
 """Determinants and the xi function: contour route, zero-sum route, closed
 forms, and the depth-1 reduction to the completed L-function."""
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -391,3 +395,92 @@ def test_underflowing_determinant_is_a_domain_error(route):
     # double (-708.4): exp of it is 0, which an error of 0 would call exact
     with pytest.raises(DomainError, match="underflows"):
         route(Q, TRIV, 18, 2.5)
+
+
+# The polydet functions that both routes reach, in five groups.  The north
+# star keeps the routes independent, so a change that points one route at
+# the other's evaluator (the closed route at `_abel_plana`, the direct route
+# at `poly_l_log_euler`) shares more names and fails the test below.
+SHARED_BY_BOTH_ROUTES = {
+    "L'/L and its Euler-Maclaurin kernel": {
+        "l_functions.l_log_derivative", "l_functions._l_and_ds",
+        "l_functions._dirichlet_and_ds", "special_functions.hurwitz_zeta_em",
+        "special_functions._em_core", "special_functions._exp_sums",
+        "special_functions._expm1_quotients", "special_functions._fields",
+        "special_functions._joined", "special_functions._omitted",
+        "special_functions._shift_blocks", "special_functions._split_groups",
+        "special_functions._bern_over_fact",
+        "special_functions._build_node_table",
+        "special_functions._NodeTable.need",
+        "special_functions._NodeTable.nbytes",
+        "special_functions._TableCache.get"},
+    "the quadrature engine": {
+        "quadrature.integrate_polyline", "quadrature._refine",
+        "quadrature._start", "quadrature._path", "quadrature._panels",
+        "quadrature._sum_in_order", "quadrature._gauss_rule",
+        "quadrature._read_only", "quadrature.laguerre_rule"},
+    "the Bernoulli closed form": {
+        "special_functions.bernoulli_poly",
+        "special_functions.bernoulli_number",
+        "special_functions._bernoulli_poly_coeffs",
+        "special_functions._bernoulli_zero_value",
+        "special_functions._trivial_zero_values"},
+    "character data": {
+        "l_functions._check_pair", "fields_and_characters.ArchPlace.w",
+        "fields_and_characters.HeckeCharacter.arch_places",
+        "fields_and_characters.HeckeCharacter.epsilon",
+        "fields_and_characters.HeckeCharacter.is_principal",
+        "fields_and_characters.HeckeCharacter.parity",
+        "fields_and_characters.HeckeCharacter.value_at_int",
+        "fields_and_characters.NumberField.is_rational"},
+    "Result.from_log": {"special_functions.Result.from_log"},
+}
+
+# One route in a fresh interpreter, so that no cache filled by the other
+# hides a call: the polydet functions it reaches (nested functions,
+# comprehensions, lambdas and dunders left out) on Q and chi_-4,
+# r = 1, 2, 3, 6, z = 2, 2.5+1.5i
+_ROUTE_CALLS = r"""
+import json, os, sys
+import polydet
+root = os.path.dirname(polydet.__file__) + os.sep
+route = getattr(polydet, "determinant_" + sys.argv[1])
+q = polydet.NumberField.rational()
+chis = (polydet.trivial_character(q), polydet.kronecker_character(-4))
+seen = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(root):
+        module = code.co_filename[len(root):-3].replace(os.sep, ".")
+        seen.add(module + "." + code.co_qualname)
+
+sys.setprofile(profile)
+for chi in chis:
+    for r in (1, 2, 3, 6):
+        for z in (2.0, 2.5 + 1.5j):
+            route(q, chi, r, z)
+sys.setprofile(None)
+print(json.dumps(sorted(n for n in seen if "<" not in n
+                        and not n.rsplit(".", 1)[1].startswith("__"))))
+"""
+
+
+def test_routes_share_only_the_pinned_functions():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    children = [subprocess.Popen([sys.executable, "-c", _ROUTE_CALLS, route],
+                                 env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+                for route in ("closed", "direct")]
+    reached = []
+    for child in children:
+        out, err = child.communicate()
+        assert child.returncode == 0, err
+        reached.append(set(json.loads(out)))
+    closed, direct = reached
+    allowed = set().union(*SHARED_BY_BOTH_ROUTES.values())
+    assert sorted(closed & direct - allowed) == []   # newly shared
+    assert sorted(allowed - (closed & direct)) == []   # no longer shared
+    # each route's own arch piece and L-function data stay its own
+    assert "special_functions._abel_plana" in direct - closed
+    assert "poly_l.poly_l_log_euler" in closed - direct

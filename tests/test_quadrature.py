@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre
 
 import polydet
-from polydet import (DEFAULT_CONFIG, NumberField, determinant_closed,
-                     determinant_direct, milnor_gamma, poly_l, quadrature,
-                     special_functions, trivial_character, xi_hankel)
+from polydet import (DEFAULT_CONFIG, NumberField, PathSpec, determinant_closed,
+                     determinant_direct, erh_monodromy_defect, milnor_gamma,
+                     poly_l, quadrature, special_functions, trivial_character,
+                     xi_hankel)
 from polydet.errors import (BranchStepTooLarge, DomainError,
                             QuadratureNotConverged)
 from polydet.quadrature import (integrate_polyline, kronrod_rule,
@@ -167,16 +168,38 @@ def test_closed_square_picks_up_the_residue(a, expect):
     assert abs(res.value - expect) < 1e-9
 
 
-def test_both_entry_points_raise_when_not_converged():
+def test_both_entry_points_raise_when_not_converged(monkeypatch):
     with pytest.raises(QuadratureNotConverged):
         integrate_polyline(np.exp, (0.0, 1.0 + 1.0j), UNREACHABLE)
     # K21 and G10 agree to the last bit on exp(u / 10), so every panel
     # settles at once; the rounding floor, 1e16 times the tolerance, raises
     with pytest.raises(QuadratureNotConverged):
         integrate_polyline(lambda u: np.exp(u / 10), (0.0, 1.0), UNREACHABLE)
+    # the same through the module constants, which the tracked log reads
+    monkeypatch.setattr(quadrature, "QUAD_TOL", UNREACHABLE.quad_tol)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS",
+                        UNREACHABLE.max_refinements)
     with pytest.raises(QuadratureNotConverged):
-        tracked_log_polyline(lambda u: u + 3.0, (0.0, 1.0 + 1.0j),
-                             UNREACHABLE)
+        integrate_polyline(np.exp, (0.0, 1.0 + 1.0j))
+    with pytest.raises(QuadratureNotConverged):
+        tracked_log_polyline(lambda u: u + 3.0, (0.0, 1.0 + 1.0j))
+
+
+def test_module_constants_reach_the_routes(monkeypatch):
+    # the routes take no config: they read QUAD_TOL and MAX_REFINEMENTS at
+    # call time, through both entry points.  Both settle within one
+    # bisection here, so the unreachable QUAD_TOL is what makes them raise
+    q = NumberField.rational()
+    triv = trivial_character(q)
+    loop = PathSpec.rectangle(0.6, 0.9, 1.0, 2.0)
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
+    assert cmath.isfinite(xi_hankel(q, triv, 2.0, 2.0).value)
+    assert abs(erh_monodromy_defect(q, triv, loop)) < 1e-8
+    monkeypatch.setattr(quadrature, "QUAD_TOL", UNREACHABLE.quad_tol)
+    with pytest.raises(QuadratureNotConverged):
+        xi_hankel(q, triv, 2.0, 2.0)
+    with pytest.raises(QuadratureNotConverged):
+        erh_monodromy_defect(q, triv, loop)
 
 
 def test_non_finite_level_sum_raises_at_the_first_level():
@@ -191,14 +214,14 @@ def test_non_finite_level_sum_raises_at_the_first_level():
     assert len(calls) <= 42     # two panels of 21 nodes, no bisection
 
 
-def test_path_past_a_near_zero_raises_branch_step():
-    cfg = DEFAULT_CONFIG.with_updates(max_refinements=1)
+def test_path_past_a_near_zero_raises_branch_step(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 1)
     # the zero sits between the two middle nodes of the panel [0.25, 0.5],
     # one bisection below the starting panel [0, 0.5]
     x = kronrod_rule(10)[0]
     rho = 0.375 + 0.125 * (x[10] + x[11]) / 2 + 1e-4j
     with pytest.raises(BranchStepTooLarge) as exc:
-        tracked_log_polyline(lambda u: u - rho, (0.0, 1.0), cfg)
+        tracked_log_polyline(lambda u: u - rho, (0.0, 1.0))
     assert isinstance(exc.value, QuadratureNotConverged)
 
 
@@ -261,7 +284,7 @@ def test_claimed_error_covers_planted_node_noise():
     assert abs(res.value - exact) <= res.error
 
 
-def test_roundoff_floor_does_not_hold_panels_open():
+def test_roundoff_floor_does_not_hold_panels_open(monkeypatch):
     # next to the small circle of this xi a short ray panel carries much of
     # sum |f|: its roundoff floor exceeds its share of a tight tolerance at
     # every bisection, so the floor is charged to the error but may not
@@ -269,6 +292,7 @@ def test_roundoff_floor_does_not_hold_panels_open():
     q = NumberField.rational()
     args = (q, trivial_character(q), 3.907 + 2.908j, 1.408 + 0.189j)
     loose = xi_hankel(*args)
-    tight = xi_hankel(*args, DEFAULT_CONFIG.with_updates(quad_tol=1e-12))
+    monkeypatch.setattr(quadrature, "QUAD_TOL", 1e-12)
+    tight = xi_hankel(*args)
     assert abs(tight.value - loose.value) \
         <= tight.error_estimate + loose.error_estimate
